@@ -23,15 +23,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapabilityError, InvalidInputError
-from .objectives import ObjectiveFamily, global_objective
-from .schedules import StepSchedule, evaluate
+from .objectives import ObjectiveFamily
+from .schedules import StepSchedule, evaluate_many
 from .simulate import Trajectory
 
 TOL_INEQ_BASE = 1e-6
-
-
-def _alphas(schedule: StepSchedule, times: np.ndarray) -> np.ndarray:
-    return np.array([evaluate(schedule, float(t)) for t in times])
 
 
 def _row_norms(block: np.ndarray) -> np.ndarray:
@@ -58,7 +54,8 @@ def lyapunov_series(traj: Trajectory, x_star: np.ndarray) -> np.ndarray:
 
 
 def objective_series(traj: Trajectory, family: ObjectiveFamily) -> np.ndarray:
-    return np.array([global_objective(family, traj.xbar[k]) for k in range(traj.n_samples)])
+    """F(xbar(t_k)) for every sample, one array pass per agent."""
+    return sum(agent.values(traj.xbar) for agent in family.agents)
 
 
 @dataclass(frozen=True)
@@ -166,7 +163,7 @@ def h_function(traj: Trajectory, cap: float, schedule: StepSchedule) -> np.ndarr
     """
     if not traj.is_full_resolution:
         raise CapabilityError("h-function quadrature needs full-resolution records")
-    alphas = _alphas(schedule, traj.times)
+    alphas = evaluate_many(schedule, traj.times)
     spread = _row_norms(traj.y - traj.xbar[:, None, :]).sum(axis=1)
     g = 2.0 * cap * alphas * spread
     dt = traj.record_interval
@@ -208,7 +205,7 @@ def v_dominated_by_h_check(
     h = h_function(traj, cap, schedule)
     dv = np.diff(v)
     dh = np.diff(h)
-    alphas = _alphas(schedule, traj.times)
+    alphas = evaluate_many(schedule, traj.times)
     spread = _row_norms(traj.y - traj.xbar[:, None, :]).sum(axis=1)
     tol = TOL_INEQ_BASE + _trapezoid_error_estimate(
         2.0 * cap * alphas * spread, traj.record_interval
@@ -260,7 +257,7 @@ def vdot_bound_check(
     v = lyapunov_series(traj, x_star)
     dt = traj.record_interval
     vdot = (v[2:] - v[:-2]) / (2 * dt)
-    alphas = _alphas(schedule, traj.times)
+    alphas = evaluate_many(schedule, traj.times)
     spread = _row_norms(traj.y - traj.xbar[:, None, :]).sum(axis=1)
     gaps = objective_series(traj, family) - f_star
     rhs = c1 * (2.0 * cap * alphas * spread - alphas * gaps)
@@ -298,7 +295,7 @@ def gap_integral_check(
 ) -> GapIntegralReport:
     """Partial integral of alpha(s) (F(xbar(s)) - F*): nonnegative integrand
     and a settled tail (change over the last time decade below tail_tol)."""
-    alphas = _alphas(schedule, traj.times)
+    alphas = evaluate_many(schedule, traj.times)
     gaps = objective_series(traj, family) - f_star
     integrand = alphas * gaps
     dt = np.diff(traj.times)

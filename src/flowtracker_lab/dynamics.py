@@ -7,8 +7,10 @@ estimate of the network average. Because columns of L(t) sum to zero, the
 row average of x obeys d/dt xbar = (1/n) sum_i u_i for every system here;
 that constant is exposed as c1.
 
-States are exchanged with integrators as flat vectors; `pack`/`unpack`
-translate to the structured SystemState view.
+So one class describes all four: a k x k coupling matrix over the state
+blocks, the shape of each aux block, and the ratio block if the output
+is a ratio. States are exchanged with integrators as flat vectors;
+`pack`/`unpack` translate to the structured SystemState view.
 """
 
 from __future__ import annotations
@@ -16,12 +18,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
 from .errors import CapabilityError, InvalidInputError
 from .graphnet import LaplacianProcess
-from .objectives import ObjectiveFamily, gradient_affine_map, _vectorized_grad, stacked_gradient
+from .objectives import ObjectiveFamily, gradient_affine_map, gradient_map
 from .schedules import StepSchedule, evaluate
 
 # Ratio weights below this abort the run instead of being clamped;
@@ -45,27 +48,51 @@ class SystemState:
 
 
 class FlowTrackerSystem:
-    """Base for the concrete systems; subclasses fill in the vector field."""
+    """One flow tracker: k state blocks S_0 = x, S_1, ... mixing through L(t).
 
-    name: str = "base"
-    has_weights = False
-    supports_affine = False
+    Block j's derivative is sum_i coupling[i][j] * L(t) S_i, plus the
+    control input u on the x block. `aux_layout` lists the blocks after
+    x as (name, shape) pairs in flat-vector order; a block of shape (n,)
+    has width 1 and one of shape (n, d) has width d. The output is x, or
+    x_i / r_i row by row when `ratio` names a width-1 ratio-weight block r,
+    which then starts at 1 for every agent.
+    """
 
-    def __init__(self, process: LaplacianProcess, d: int):
+    def __init__(
+        self,
+        process: LaplacianProcess,
+        name: str,
+        d: int,
+        coupling,
+        aux_layout: tuple[tuple[str, tuple[int, ...]], ...] = (),
+        ratio: str | None = None,
+    ):
         if d < 1:
             raise InvalidInputError("state dimension d must be positive")
         self.process = process
+        self.name = name
         self.n = process.n
         self.d = d
         self.c1 = 1.0 / self.n
+        self.coupling = np.asarray(coupling, dtype=float)
+        self.aux_layout = aux_layout
+        self.ratio = ratio
         self._nd = self.n * d
-
-    # aux blocks as (name, shape) pairs, in flat-vector order
-    aux_layout: tuple[tuple[str, tuple[int, ...]], ...] = ()
+        widths = [d] + [math.prod(shape) // self.n for _, shape in aux_layout]
+        offsets = list(accumulate((self.n * w for w in widths), initial=0))
+        self._blocks = [
+            (slice(lo, hi), w) for lo, hi, w in zip(offsets, offsets[1:], widths)
+        ]
+        self.state_size = offsets[-1]
+        names = [name for name, _ in aux_layout]
+        self.ratio_slice = (
+            None if ratio is None else self._blocks[1 + names.index(ratio)][0]
+        )
 
     @property
-    def state_size(self) -> int:
-        return self._nd + sum(int(np.prod(shape)) for _, shape in self.aux_layout)
+    def supports_affine(self) -> bool:
+        """A ratio output makes the closed loop nonlinear."""
+        return self.ratio is None
 
     def pack(self, state: SystemState) -> np.ndarray:
         if state.x.shape != (self.n, self.d):
@@ -82,218 +109,107 @@ class FlowTrackerSystem:
             parts.append(block.ravel())
         return np.concatenate(parts) if len(parts) > 1 else parts[0].copy()
 
+    def split(self, flat: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+        """Views of x and of each aux block in flat states with any leading axes."""
+        lead = flat.shape[:-1]
+        x = flat[..., : self._nd].reshape(*lead, self.n, self.d)
+        aux = {
+            name: flat[..., rows].reshape(*lead, *shape)
+            for (name, shape), (rows, _) in zip(self.aux_layout, self._blocks[1:])
+        }
+        return x, aux
+
     def unpack(self, vec: np.ndarray) -> SystemState:
-        x = vec[: self._nd].reshape(self.n, self.d).copy()
-        aux = {}
-        offset = self._nd
-        for name, shape in self.aux_layout:
-            size = int(np.prod(shape))
-            aux[name] = vec[offset : offset + size].reshape(shape).copy()
-            offset += size
-        return SystemState(x, aux)
+        x, aux = self.split(vec)
+        return SystemState(x.copy(), {name: block.copy() for name, block in aux.items()})
 
     def initial_state(self, x, **aux) -> SystemState:
-        raise NotImplementedError
+        """x plus the aux blocks given; the rest start at 0, a ratio block at 1."""
+        names = [name for name, _ in self.aux_layout]
+        extra = sorted(set(aux) - set(names))
+        if extra:
+            raise InvalidInputError(
+                f"{self.name} has no aux block {extra[0]!r}; its blocks are {names}"
+            )
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        if self.d == 1 and x.size == self.n:
+            x = x.reshape(self.n, 1)
+        blocks = {}
+        for name, shape in self.aux_layout:
+            value = aux.get(name)
+            if value is None:
+                value = np.ones(shape) if name == self.ratio else np.zeros(shape)
+            blocks[name] = value
+        return SystemState(x, blocks)
 
     def check_initial(self, state: SystemState) -> None:
         """Validate membership in the system's admissible initial set."""
         self.pack(state)
+        if self.ratio is not None and not np.array_equal(
+            state.aux[self.ratio], np.ones(self.n)
+        ):
+            raise InvalidInputError(
+                f"{self.name} requires {self.ratio}(0) = 1 for every agent"
+            )
 
-    def deriv_flat(self, t, vec, lap_matrix, u) -> np.ndarray:
-        raise NotImplementedError
+    def coupling_matrix(self, lap_matrix: np.ndarray) -> np.ndarray:
+        """The matrix of the unforced vector field on flat states for one piece."""
+        big = np.zeros((self.state_size, self.state_size))
+        mixing = {}
+        for i, (cols, width) in enumerate(self._blocks):
+            for j, (rows, _) in enumerate(self._blocks):
+                if self.coupling[i, j]:
+                    if width not in mixing:
+                        mixing[width] = np.kron(lap_matrix, np.eye(width))
+                    big[rows, cols] = self.coupling[i, j] * mixing[width]
+        return big
 
-    def output_flat(self, t, vec) -> np.ndarray:
-        raise NotImplementedError
-
-    def weight_min(self, vec) -> float:
-        return math.inf
+    def output_flat(self, vec: np.ndarray) -> np.ndarray:
+        x = vec[: self._nd].reshape(self.n, self.d)
+        if self.ratio_slice is None:
+            return x
+        return x / vec[self.ratio_slice, None]
 
     def deriv_state(self, t: float, state: SystemState, u: np.ndarray) -> SystemState:
-        """Structured wrapper over the flat vector field (probe-friendly)."""
-        lap = self.process.at(t).matrix
-        return self.unpack(self.deriv_flat(t, self.pack(state), lap, np.asarray(u, dtype=float)))
+        """Structured view of the flat vector field (probe-friendly)."""
+        out = self.coupling_matrix(self.process.at(t).matrix) @ self.pack(state)
+        out[: self._nd] += np.asarray(u, dtype=float).ravel()
+        return self.unpack(out)
 
     def output_state(self, t: float, state: SystemState) -> np.ndarray:
-        return self.output_flat(t, self.pack(state))
-
-    def closed_loop_affine(self, lap_matrix, row_scale, row_offset):
-        """(M, c) with flat derivative = M v + c under u = row_scale * y + offset."""
-        return None
-
-
-class AveragingSystem(FlowTrackerSystem):
-    """dx = -L(t) x + u with direct output y = x."""
-
-    name = "averaging"
-    supports_affine = True
-
-    def initial_state(self, x, **aux) -> SystemState:
-        if aux:
-            raise InvalidInputError("averaging has no aux blocks")
-        return SystemState(np.atleast_2d(np.asarray(x, dtype=float)))
-
-    def deriv_flat(self, t, vec, lap_matrix, u):
-        x = vec.reshape(self.n, self.d)
-        return (u - lap_matrix @ x).ravel()
-
-    def output_flat(self, t, vec):
-        return vec.reshape(self.n, self.d)
-
-    def closed_loop_affine(self, lap_matrix, row_scale, row_offset):
-        big_l = np.kron(lap_matrix, np.eye(self.d))
-        m = -big_l + np.diag(np.repeat(row_scale, self.d))
-        return m, row_offset.ravel().copy()
-
-
-class PushSumSystem(FlowTrackerSystem):
-    """Ratio consensus: dx = -L x + u, dw = -L w, y_i = x_i / w_i.
-
-    Weight balance is not required; the ratio de-biases the mixing as
-    long as the weights stay bounded away from zero.
-    """
-
-    name = "push-sum"
-    has_weights = True
-
-    def __init__(self, process, d):
-        super().__init__(process, d)
-        self.aux_layout = (("w", (self.n,)),)
-
-    def initial_state(self, x, w=None, **aux) -> SystemState:
-        if aux:
-            raise InvalidInputError("push-sum has only the aux block 'w'")
-        if w is None:
-            w = np.ones(self.n)
-        return SystemState(np.atleast_2d(np.asarray(x, dtype=float)), {"w": w})
-
-    def check_initial(self, state: SystemState) -> None:
-        self.pack(state)
-        if not np.array_equal(state.aux["w"], np.ones(self.n)):
-            raise InvalidInputError("push-sum requires w(0) = 1 for every agent")
-
-    def deriv_flat(self, t, vec, lap_matrix, u):
-        nd = self._nd
-        x = vec[:nd].reshape(self.n, self.d)
-        w = vec[nd:]
-        return np.concatenate(((u - lap_matrix @ x).ravel(), -(lap_matrix @ w)))
-
-    def output_flat(self, t, vec):
-        nd = self._nd
-        return vec[:nd].reshape(self.n, self.d) / vec[nd:][:, None]
-
-    def weight_min(self, vec):
-        return float(vec[self._nd :].min())
-
-
-class SaddlePointSystem(FlowTrackerSystem):
-    """dx = -a L x - L w + u, dw = L x, y = x, for weight-balanced processes."""
-
-    name = "saddle-point"
-    supports_affine = True
-
-    def __init__(self, process, d, a):
-        super().__init__(process, d)
-        self.a = float(a)
-        self.aux_layout = (("w", (self.n, self.d)),)
-
-    def initial_state(self, x, w=None, **aux) -> SystemState:
-        if aux:
-            raise InvalidInputError("saddle-point has only the aux block 'w'")
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        if w is None:
-            w = np.zeros((self.n, self.d))
-        return SystemState(x, {"w": np.atleast_2d(np.asarray(w, dtype=float))})
-
-    def deriv_flat(self, t, vec, lap_matrix, u):
-        nd = self._nd
-        x = vec[:nd].reshape(self.n, self.d)
-        w = vec[nd:].reshape(self.n, self.d)
-        lx = lap_matrix @ x
-        dx = u - self.a * lx - lap_matrix @ w
-        return np.concatenate((dx.ravel(), lx.ravel()))
-
-    def output_flat(self, t, vec):
-        return vec[: self._nd].reshape(self.n, self.d)
-
-    def closed_loop_affine(self, lap_matrix, row_scale, row_offset):
-        big_l = np.kron(lap_matrix, np.eye(self.d))
-        nd = self._nd
-        m = np.zeros((2 * nd, 2 * nd))
-        m[:nd, :nd] = -self.a * big_l + np.diag(np.repeat(row_scale, self.d))
-        m[:nd, nd:] = -big_l
-        m[nd:, :nd] = big_l
-        c = np.zeros(2 * nd)
-        c[:nd] = row_offset.ravel()
-        return m, c
-
-
-class SaddlePushSystem(FlowTrackerSystem):
-    """Saddle-point mixing combined with ratio weights, scalar states only.
-
-    dx = -a L x - L z + u, dz = L x, dv = -L v, y_i = x_i / v_i.
-    """
-
-    name = "spps"
-    has_weights = True
-
-    def __init__(self, process, a):
-        super().__init__(process, 1)
-        self.a = float(a)
-        self.aux_layout = (("z", (self.n,)), ("v", (self.n,)))
-
-    def initial_state(self, x, z=None, v=None, **aux) -> SystemState:
-        if aux:
-            raise InvalidInputError("spps has aux blocks 'z' and 'v' only")
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        if x.shape[1] != 1:
-            x = x.reshape(self.n, 1)
-        if z is None:
-            z = np.zeros(self.n)
-        if v is None:
-            v = np.ones(self.n)
-        return SystemState(x, {"z": z, "v": v})
-
-    def check_initial(self, state: SystemState) -> None:
-        self.pack(state)
-        if not np.array_equal(state.aux["v"], np.ones(self.n)):
-            raise InvalidInputError("spps requires v(0) = 1 for every agent")
-
-    def deriv_flat(self, t, vec, lap_matrix, u):
-        n = self.n
-        x = vec[:n]
-        z = vec[n : 2 * n]
-        v = vec[2 * n :]
-        lx = lap_matrix @ x
-        dx = u[:, 0] - self.a * lx - lap_matrix @ z
-        return np.concatenate((dx, lx, -(lap_matrix @ v)))
-
-    def output_flat(self, t, vec):
-        n = self.n
-        return (vec[:n] / vec[2 * n :])[:, None]
-
-    def weight_min(self, vec):
-        return float(vec[2 * self.n :].min())
+        return self.output_flat(self.pack(state))
 
 
 # --- factories --------------------------------------------------------------
 
 
-def averaging_system(process: LaplacianProcess, d: int = 1) -> AveragingSystem:
-    """Plain mixing plus input; warns when pieces are not weight-balanced,
-    since then the state average no longer integrates the average input."""
+def averaging_system(process: LaplacianProcess, d: int = 1) -> FlowTrackerSystem:
+    """dx = -L(t) x + u with direct output y = x.
+
+    Warns when pieces are not weight-balanced, since then the state
+    average no longer integrates the average input.
+    """
     if not process.is_weight_balanced():
         warnings.warn(
             "averaging on a non-weight-balanced process: input tracking is not guaranteed",
             stacklevel=2,
         )
-    return AveragingSystem(process, d)
+    return FlowTrackerSystem(process, "averaging", d, [[-1.0]])
 
 
-def push_sum_system(process: LaplacianProcess, d: int = 1) -> PushSumSystem:
-    return PushSumSystem(process, d)
+def push_sum_system(process: LaplacianProcess, d: int = 1) -> FlowTrackerSystem:
+    """Ratio consensus: dx = -L x + u, dw = -L w, y_i = x_i / w_i.
+
+    Weight balance is not required; the ratio de-biases the mixing as
+    long as the weights stay bounded away from zero.
+    """
+    return FlowTrackerSystem(
+        process, "push-sum", d, -np.eye(2), (("w", (process.n,)),), ratio="w"
+    )
 
 
-def saddle_point_system(process: LaplacianProcess, a: float, d: int = 1) -> SaddlePointSystem:
+def saddle_point_system(process: LaplacianProcess, a: float, d: int = 1) -> FlowTrackerSystem:
+    """dx = -a L x - L w + u, dw = L x, y = x, for weight-balanced processes."""
     if a <= 0:
         raise InvalidInputError("gain a must be positive")
     if not process.is_weight_balanced():
@@ -302,10 +218,16 @@ def saddle_point_system(process: LaplacianProcess, a: float, d: int = 1) -> Sadd
         warnings.warn(
             "gain a < 5 is outside the proven sufficient range", stacklevel=2
         )
-    return SaddlePointSystem(process, d, a)
+    return FlowTrackerSystem(
+        process, "saddle-point", d, [[-a, 1.0], [-1.0, 0.0]], (("w", (process.n, d)),)
+    )
 
 
-def spps_system(process: LaplacianProcess, a: float, d: int = 1) -> SaddlePushSystem:
+def spps_system(process: LaplacianProcess, a: float, d: int = 1) -> FlowTrackerSystem:
+    """Saddle-point mixing combined with ratio weights, scalar states only.
+
+    dx = -a L x - L z + u, dz = L x, dv = -L v, y_i = x_i / v_i.
+    """
     if d != 1:
         raise CapabilityError("spps is defined for scalar agent states (d = 1)")
     if a <= 0:
@@ -314,7 +236,15 @@ def spps_system(process: LaplacianProcess, a: float, d: int = 1) -> SaddlePushSy
         warnings.warn(
             "gain a < 5 is outside the proven sufficient range", stacklevel=2
         )
-    return SaddlePushSystem(process, a)
+    n = process.n
+    return FlowTrackerSystem(
+        process,
+        "spps",
+        1,
+        [[-a, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, -1.0]],
+        (("z", (n,)), ("v", (n,))),
+        ratio="v",
+    )
 
 
 SYSTEM_NAMES = ("averaging", "push-sum", "saddle-point", "spps")
@@ -343,10 +273,7 @@ class GradientFeedback:
         self.schedule = schedule
         self.n = family.n
         self.d = family.d
-        fast = _vectorized_grad(family)
-        self._grad = fast if fast is not None else (
-            lambda y: stacked_gradient(family, y)
-        )
+        self._grad = gradient_map(family)
 
     def __call__(self, t: float, y: np.ndarray) -> np.ndarray:
         return (-evaluate(self.schedule, t)) * self._grad(y)

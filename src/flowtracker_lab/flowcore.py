@@ -70,21 +70,22 @@ def check_switch_alignment(process: LaplacianProcess, h: float) -> None:
         steps_in_span(t, h, f"switching time {t}")
 
 
-def _rk4_propagator(lap_matrix: np.ndarray, h: float) -> np.ndarray:
-    """One-step map of classical RK4 for dPhi/dt = -L Phi with constant L.
+def taylor_polynomial(a: np.ndarray, degree: int = 4, shift: int = 0) -> np.ndarray:
+    """sum_{j=0..degree} a^j * shift! / (j + shift)!, by the recurrence
+    term_j = term_{j-1} @ a / (j + shift).
 
-    For a linear autonomous right side the four stages collapse to the
-    degree-4 Taylor polynomial of exp(-hL); iterating this matrix is the
-    RK4 trajectory.
+    For a linear autonomous right side ds/dt = M s, the four RK4 stages
+    collapse to this polynomial of a = hM with degree 4; iterating it is
+    the RK4 trajectory. With degree 3 and shift 1 it is the factor that
+    maps a constant forcing c to the RK4 step offset h * (...) @ c.
     """
-    n = lap_matrix.shape[0]
-    a = -h * lap_matrix
-    e = np.eye(n)
-    term = np.eye(n)
-    for j in range(1, 5):
-        term = term @ a / j
-        e = e + term
-    return e
+    size = a.shape[0]
+    out = np.eye(size)
+    term = np.eye(size)
+    for j in range(1, degree + 1):
+        term = term @ a / (j + shift)
+        out = out + term
+    return out
 
 
 class _FlowIntegrator:
@@ -109,7 +110,7 @@ class _FlowIntegrator:
             key = id(lap)
             prop = self._prop_cache.get(key)
             if prop is None:
-                prop = _rk4_propagator(lap.matrix, self.h)
+                prop = taylor_polynomial(-self.h * lap.matrix)
                 self._prop_cache[key] = prop
             self.phi = matrix_power(prop, steps) @ self.phi
         self.t = t

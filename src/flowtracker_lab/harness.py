@@ -199,11 +199,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
     )
 
 
-def load_config(path) -> ExperimentConfig:
-    with open(path) as fh:
-        return parse_config(json.load(fh))
-
-
 @dataclass(eq=False)
 class RunSummary:
     name: str

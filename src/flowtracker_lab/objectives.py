@@ -73,6 +73,10 @@ class _Quadratic:
         r = x - self.center
         return 0.5 * self.curvature * float(r @ r)
 
+    def values(self, pts):
+        r = pts - self.center
+        return 0.5 * self.curvature * (r * r).sum(axis=1)
+
     def grad(self, x):
         return self.curvature * (x - self.center)
 
@@ -100,6 +104,12 @@ class _Huber:
             return 0.5 * self.curvature * r * r
         return self.curvature * self.radius * r - 0.5 * self.curvature * self.radius**2
 
+    def values(self, pts):
+        delta = pts - self.center
+        r = np.sqrt((delta * delta).sum(axis=1))
+        c, rad = self.curvature, self.radius
+        return np.where(r <= rad, 0.5 * c * r * r, c * rad * r - 0.5 * c * rad**2)
+
     def grad(self, x):
         delta = x - self.center
         r = float(np.linalg.norm(delta))
@@ -124,6 +134,10 @@ class _Logistic:
     def value(self, x):
         z = self.sign * (float(x[0]) - self.offset)
         return math.log1p(math.exp(-abs(z))) + max(z, 0.0)
+
+    def values(self, pts):
+        z = self.sign * (pts[:, 0] - self.offset)
+        return np.log1p(np.exp(-np.abs(z))) + np.maximum(z, 0.0)
 
     def grad(self, x):
         z = self.sign * (float(x[0]) - self.offset)
@@ -268,11 +282,11 @@ def global_gradient(fam: ObjectiveFamily, x) -> np.ndarray:
 
 
 @lru_cache(maxsize=256)
-def _vectorized_grad(fam: ObjectiveFamily):
-    """Whole-stack gradient closure for homogeneous families, or None.
+def gradient_map(fam: ObjectiveFamily):
+    """The stacked gradient as a function of the (n x d) points, unchecked.
 
     Trajectory integration evaluates the stacked gradient at every RK4
-    stage; vectorizing across agents keeps that hot path cheap.
+    stage, so homogeneous families get a closure vectorized across agents.
     """
     agents = fam.agents
     if all(isinstance(a, _Quadratic) for a in agents):
@@ -280,23 +294,24 @@ def _vectorized_grad(fam: ObjectiveFamily):
         centers = np.vstack([a.center for a in agents])
         return lambda y: curv * (y - centers)
     if all(isinstance(a, _Huber) for a in agents):
-        curv = np.array([a.curvature for a in agents])
-        radius = np.array([a.radius for a in agents])
+        curv = np.array([a.curvature for a in agents])[:, None]
+        radius = np.array([a.radius for a in agents])[:, None]
         centers = np.vstack([a.center for a in agents])
+        if fam.d == 1:
+            # |delta| <= radius keeps curv * delta; beyond, curv * radius * sign
+            return lambda y: curv * np.minimum(np.maximum(y - centers, -radius), radius)
 
         def huber_grad(y):
             delta = y - centers
-            r = np.sqrt((delta * delta).sum(axis=1))
-            safe = np.where(r > 0, r, 1.0)
-            scale = np.where(r <= radius, curv, curv * radius / safe)
-            return scale[:, None] * delta
+            r = np.sqrt((delta * delta).sum(axis=1, keepdims=True))
+            return curv * (radius / np.maximum(r, radius)) * delta
 
         return huber_grad
     if all(isinstance(a, _Logistic) for a in agents):
         signs = np.array([a.sign for a in agents])
         offsets = np.array([a.offset for a in agents])
         return lambda y: (signs * expit(signs * (y[:, 0] - offsets)))[:, None]
-    return None
+    return lambda y: np.array([agent.grad(row) for agent, row in zip(agents, y)])
 
 
 def gradient_affine_map(fam: ObjectiveFamily) -> tuple[np.ndarray, np.ndarray] | None:
@@ -319,20 +334,7 @@ def stacked_gradient(fam: ObjectiveFamily, points: np.ndarray) -> np.ndarray:
         raise InvalidInputError(f"expected shape ({fam.n}, {fam.d}), got {pts.shape}")
     if not np.all(np.isfinite(pts)):
         raise InvalidInputError("evaluation points must be finite")
-    fast = _vectorized_grad(fam)
-    if fast is not None:
-        return fast(pts)
-    out = np.empty_like(pts)
-    for i, agent in enumerate(fam.agents):
-        out[i] = agent.grad(pts[i])
-    return out
-
-
-def stacked_values(fam: ObjectiveFamily, points: np.ndarray) -> np.ndarray:
-    pts = np.asarray(points, dtype=float)
-    if pts.shape != (fam.n, fam.d):
-        raise InvalidInputError(f"expected shape ({fam.n}, {fam.d}), got {pts.shape}")
-    return np.array([agent.value(pts[i]) for i, agent in enumerate(fam.agents)])
+    return gradient_map(fam)(pts)
 
 
 # --- oracles ---------------------------------------------------------------

@@ -32,7 +32,7 @@ from .errors import (
     InvalidInputError,
     NumericalFailureError,
 )
-from .flowcore import check_switch_alignment, steps_in_span
+from .flowcore import check_switch_alignment, steps_in_span, taylor_polynomial
 
 DEFAULT_RECORD_EVERY = 0.1
 
@@ -87,20 +87,16 @@ class Trajectory:
 
     def write_csv(self, path) -> None:
         """17-significant-digit text: re-running a config reproduces bytes."""
-        def fmt(v: float) -> str:
-            return f"{v:.17g}"
-
+        m = self.n_samples
+        table = np.hstack(
+            [self.times[:, None], self.x.reshape(m, -1)]
+            + [arr.reshape(m, -1) for arr in self.aux.values()]
+            + [self.y.reshape(m, -1), self.u.reshape(m, -1), self.xbar]
+        )
+        row = ",".join(["%.17g"] * table.shape[1]) + "\n"
         with open(path, "w") as fh:
             fh.write(",".join(self._csv_header()) + "\n")
-            for k in range(self.n_samples):
-                row = [fmt(self.times[k])]
-                row += [fmt(v) for v in self.x[k].ravel()]
-                for arr in self.aux.values():
-                    row += [fmt(v) for v in np.asarray(arr[k]).ravel()]
-                row += [fmt(v) for v in self.y[k].ravel()]
-                row += [fmt(v) for v in self.u[k].ravel()]
-                row += [fmt(v) for v in self.xbar[k].ravel()]
-                fh.write(",".join(row) + "\n")
+            fh.writelines(row % tuple(values.tolist()) for values in table)
 
     def write_jsonl(self, path) -> None:
         with open(path, "w") as fh:
@@ -116,30 +112,16 @@ class Trajectory:
                 fh.write(json.dumps(rec) + "\n")
 
 
-def _affine_step_map(system, law, lap_matrix, h):
-    """Exact RK4 one-step map (R, r) for an affine closed loop, or None."""
-    coeffs = law.rowwise_affine() if hasattr(law, "rowwise_affine") else None
-    if coeffs is None or not system.supports_affine:
-        return None
+def _affine_step_map(system, coupling, coeffs, h):
+    """Exact RK4 one-step map (R, r) under u = row_scale * y + row_offset."""
     row_scale, row_offset = coeffs
-    built = system.closed_loop_affine(lap_matrix, row_scale, row_offset)
-    if built is None:
-        return None
-    m, c = built
-    size = m.shape[0]
+    nd = system.n * system.d
+    m = coupling.copy()
+    m[:nd, :nd] += np.diag(np.repeat(row_scale, system.d))
+    c = np.zeros(m.shape[0])
+    c[:nd] = row_offset.ravel()
     hm = h * m
-    step_mat = np.eye(size)
-    term = np.eye(size)
-    for j in range(1, 5):
-        term = term @ hm / j
-        step_mat = step_mat + term
-    acc = np.eye(size)
-    term = np.eye(size)
-    for j in range(1, 4):
-        term = term @ hm / (j + 1)
-        acc = acc + term
-    step_off = h * (acc @ c)
-    return step_mat, step_off
+    return taylor_polynomial(hm), h * (taylor_polynomial(hm, 3, shift=1) @ c)
 
 
 def integrate(
@@ -202,39 +184,28 @@ def integrate(
     nd = n * d
     m_records = n_steps // steps_per_record + 1
     times = np.arange(m_records) * (steps_per_record * h)
-    x_rec = np.empty((m_records, n, d))
-    aux_rec = {
-        name: np.empty((m_records, *shape)) for name, shape in system.aux_layout
-    }
+    states = np.empty((m_records, system.state_size))
     y_rec = np.empty((m_records, n, d))
     u_rec = np.empty((m_records, n, d))
-    xbar_rec = np.empty((m_records, d))
 
     law_or_zero = law if law is not None else ZeroControl(n, d)
-    guard = system.has_weights
     output = system.output_flat
-    deriv = system.deriv_flat
+    weights = system.ratio_slice
+    affine = None
+    if use_affine_path and system.supports_affine and hasattr(law_or_zero, "rowwise_affine"):
+        affine = law_or_zero.rowwise_affine()
 
     def record(j: int, t: float):
-        if not np.all(np.isfinite(vec)):
+        if not np.isfinite(vec).all():
             raise NumericalFailureError("state became non-finite", t)
-        x_now = vec[:nd].reshape(n, d)
-        x_rec[j] = x_now
-        offset = nd
-        for name, shape in system.aux_layout:
-            size = int(np.prod(shape))
-            aux_rec[name][j] = vec[offset : offset + size].reshape(shape)
-            offset += size
-        y_now = output(t, vec)
+        states[j] = vec
+        y_now = output(vec)
         y_rec[j] = y_now
         u_rec[j] = law_or_zero(t, y_now)
-        xbar_rec[j] = x_now.mean(axis=0)
-        if box is not None:
-            for row in y_now:
-                if not box.contains(row):
-                    raise NumericalFailureError(
-                        "output left the declared gradient-validity box", t
-                    )
+        if box is not None and not ((y_now >= box.lo) & (y_now <= box.hi)).all():
+            raise NumericalFailureError(
+                "output left the declared gradient-validity box", t
+            )
 
     record(0, 0.0)
 
@@ -242,47 +213,54 @@ def integrate(
     bounds = [steps_in_span(t, h, "switch time") for t in process.start_times]
     bounds = [b for b in bounds if b < n_steps] + [n_steps]
 
+    # the stage derivatives live in the rows of one buffer, so the RK4
+    # update is a single weighted sum and the input adds into row views
+    stages = np.empty((4, system.state_size))
+    k1, k2, k3, k4 = stages
+    k1x, k2x, k3x, k4x = (k[:nd].reshape(n, d) for k in stages)
+    rk4_weights = (h / 6.0) * np.array([1.0, 2.0, 2.0, 1.0])
     h2 = 0.5 * h
-    h6 = h / 6.0
     step = 0
     for seg_idx in range(len(bounds) - 1):
         seg_end = bounds[seg_idx + 1]
         if seg_end <= step:
             continue
         lap = process.laplacians[min(seg_idx, len(process.laplacians) - 1)].matrix
-        affine = (
-            _affine_step_map(system, law_or_zero, lap, h) if use_affine_path else None
-        )
+        big = system.coupling_matrix(lap)
         if affine is not None:
-            step_mat, step_off = affine
+            step_mat, step_off = _affine_step_map(system, big, affine, h)
             while step < seg_end:
                 vec = step_mat @ vec + step_off
                 step += 1
                 if step % steps_per_record == 0:
                     record(step // steps_per_record, step * h)
-        else:
-            while step < seg_end:
-                t = step * h
-                y = output(t, vec)
-                k1 = deriv(t, vec, lap, law_or_zero(t, y))
-                v2 = vec + h2 * k1
-                k2 = deriv(t + h2, v2, lap, law_or_zero(t + h2, output(t + h2, v2)))
-                v3 = vec + h2 * k2
-                k3 = deriv(t + h2, v3, lap, law_or_zero(t + h2, output(t + h2, v3)))
-                v4 = vec + h * k3
-                k4 = deriv(t + h, v4, lap, law_or_zero(t + h, output(t + h, v4)))
-                vec = vec + h6 * (k1 + 2.0 * (k2 + k3) + k4)
-                step += 1
-                if guard and system.weight_min(vec) < W_FLOOR:
-                    raise DegenerateWeightsError(
-                        "ratio weight fell below the floor "
-                        f"{W_FLOOR:g}; the mixing flow is not keeping "
-                        "row sums positive",
-                        step * h,
-                    )
-                if step % steps_per_record == 0:
-                    record(step // steps_per_record, step * h)
+            continue
+        while step < seg_end:
+            t = step * h
+            np.dot(big, vec, out=k1)
+            k1x += law_or_zero(t, output(vec))
+            v = vec + h2 * k1
+            np.dot(big, v, out=k2)
+            k2x += law_or_zero(t + h2, output(v))
+            v = vec + h2 * k2
+            np.dot(big, v, out=k3)
+            k3x += law_or_zero(t + h2, output(v))
+            v = vec + h * k3
+            np.dot(big, v, out=k4)
+            k4x += law_or_zero(t + h, output(v))
+            vec = vec + rk4_weights @ stages
+            step += 1
+            if weights is not None and vec[weights].min() < W_FLOOR:
+                raise DegenerateWeightsError(
+                    "ratio weight fell below the floor "
+                    f"{W_FLOOR:g}; the mixing flow is not keeping "
+                    "row sums positive",
+                    step * h,
+                )
+            if step % steps_per_record == 0:
+                record(step // steps_per_record, step * h)
 
+    x_rec, aux_rec = system.split(states)
     meta = {
         "system": system.name,
         "n": n,
@@ -294,7 +272,7 @@ def integrate(
     }
     if extra_meta:
         meta.update(extra_meta)
-    return Trajectory(times, x_rec, aux_rec, y_rec, u_rec, xbar_rec, meta)
+    return Trajectory(times, x_rec, aux_rec, y_rec, u_rec, x_rec.mean(axis=1), meta)
 
 
 def closed_form_two_agent(alpha: float, x0, t: float) -> np.ndarray:

@@ -1,0 +1,151 @@
+"""The block-coupling system model against hand-written vector fields.
+
+Every system is one coupling matrix over its state blocks. The oracles
+below write the four vector fields, and the two closed-loop affine maps,
+out by hand as separate code, so the generic model is checked against
+an independent statement of each system.
+"""
+
+import warnings
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from flowtracker_lab.dynamics import SystemState, gradient_feedback, make_system
+from flowtracker_lab.graphnet import random_process
+from flowtracker_lab.objectives import huberized_quadratic
+from flowtracker_lab.schedules import power_law
+from flowtracker_lab.simulate import _affine_step_map, integrate
+
+SYSTEMS = ("averaging", "push-sum", "saddle-point", "spps")
+RATIO_BLOCK = {"push-sum": "w", "spps": "v"}
+
+
+def oracle_deriv(name, a, n, d, lap, vec, u):
+    nd = n * d
+    if name == "averaging":
+        return (u - lap @ vec.reshape(n, d)).ravel()
+    if name == "push-sum":
+        x = vec[:nd].reshape(n, d)
+        return np.concatenate(((u - lap @ x).ravel(), -(lap @ vec[nd:])))
+    if name == "saddle-point":
+        x = vec[:nd].reshape(n, d)
+        w = vec[nd:].reshape(n, d)
+        lx = lap @ x
+        return np.concatenate(((u - a * lx - lap @ w).ravel(), lx.ravel()))
+    x, z, v = vec[:n], vec[n : 2 * n], vec[2 * n :]
+    lx = lap @ x
+    return np.concatenate((u[:, 0] - a * lx - lap @ z, lx, -(lap @ v)))
+
+
+def oracle_output(name, n, d, vec):
+    if name == "push-sum":
+        return vec[: n * d].reshape(n, d) / vec[n * d :][:, None]
+    if name == "spps":
+        return (vec[:n] / vec[2 * n :])[:, None]
+    return vec[: n * d].reshape(n, d)
+
+
+def oracle_closed_loop(name, a, d, lap, row_scale, row_offset):
+    big_l = np.kron(lap, np.eye(d))
+    nd = big_l.shape[0]
+    if name == "averaging":
+        return -big_l + np.diag(np.repeat(row_scale, d)), row_offset.ravel().copy()
+    m = np.zeros((2 * nd, 2 * nd))
+    m[:nd, :nd] = -a * big_l + np.diag(np.repeat(row_scale, d))
+    m[:nd, nd:] = -big_l
+    m[nd:, :nd] = big_l
+    c = np.zeros(2 * nd)
+    c[:nd] = row_offset.ravel()
+    return m, c
+
+
+def oracle_step_map(m, c, h):
+    size = m.shape[0]
+    hm = h * m
+    step_mat = np.eye(size)
+    term = np.eye(size)
+    for j in range(1, 5):
+        term = term @ hm / j
+        step_mat = step_mat + term
+    acc = np.eye(size)
+    term = np.eye(size)
+    for j in range(1, 4):
+        term = term @ hm / (j + 1)
+        acc = acc + term
+    return step_mat, h * (acc @ c)
+
+
+@st.composite
+def systems(draw, names=SYSTEMS):
+    name = draw(st.sampled_from(names))
+    n = draw(st.integers(2, 6))
+    d = 1 if name == "spps" else draw(st.sampled_from((1, 2)))
+    if name in ("averaging", "saddle-point"):
+        model = "switching-complete"
+    else:
+        model = draw(st.sampled_from(("switching-complete", "directed-ring-rotate")))
+    seed = draw(st.integers(0, 2**31 - 1))
+    a = draw(st.floats(0.5, 20.0))
+    process = random_process(n, model, dwell=0.5, horizon=4.0, seed=seed, h=0.01)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        system = make_system(name, process, d=d, a=a)
+    return system, a, np.random.default_rng(seed)
+
+
+def random_state(system, rng):
+    aux = {}
+    for name, shape in system.aux_layout:
+        lo = 0.5 if name == system.ratio else -1.0
+        aux[name] = rng.uniform(lo, 1.5, shape)
+    return SystemState(rng.uniform(-1, 1, (system.n, system.d)), aux)
+
+
+@settings(max_examples=80, deadline=None)
+@given(systems(), st.floats(0.0, 3.99))
+def test_deriv_state_matches_hand_written_field(case, t):
+    system, a, rng = case
+    n, d = system.n, system.d
+    state = random_state(system, rng)
+    u = rng.uniform(-1, 1, (n, d))
+    lap = system.process.at(t).matrix
+    vec = system.pack(state)
+    got = system.pack(system.deriv_state(t, state, u))
+    expect = oracle_deriv(system.name, a, n, d, lap, vec, u)
+    assert np.abs(got - expect).max() <= 1e-12
+    assert np.abs(system.output_state(t, state) - oracle_output(system.name, n, d, vec)).max() <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(systems(names=("push-sum", "spps")))
+def test_ratio_weight_sums_are_conserved(case):
+    system, _, rng = case
+    fam = huberized_quadratic(rng.uniform(-1, 1, (system.n, system.d)), radius=2.0)
+    law = gradient_feedback(fam, power_law(1.0, 1.0))
+    init = system.initial_state(rng.uniform(-1, 1, (system.n, system.d)))
+    traj = integrate(system, law, init, t_end=2.0, h=0.01)
+    sums = traj.aux[system.ratio].sum(axis=1)
+    assert np.abs(sums - system.n).max() <= 1e-10
+    state = random_state(system, rng)
+    deriv = system.deriv_state(1.0, state, rng.uniform(-1, 1, (system.n, system.d)))
+    assert abs(deriv.aux[system.ratio].sum()) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(systems(names=("averaging", "saddle-point")), st.floats(0.0, 3.99))
+def test_affine_step_map_is_bit_identical_to_hand_written_loop(case, t):
+    system, a, rng = case
+    n, d = system.n, system.d
+    lap = system.process.at(t).matrix
+    row_scale = -rng.uniform(0.1, 1.0, n)
+    row_offset = rng.uniform(-1, 1, (n, d))
+    h = 0.01
+    step_mat, step_off = _affine_step_map(
+        system, system.coupling_matrix(lap), (row_scale, row_offset), h
+    )
+    m, c = oracle_closed_loop(system.name, a, d, lap, row_scale, row_offset)
+    expect_mat, expect_off = oracle_step_map(m, c, h)
+    assert np.array_equal(step_mat, expect_mat)
+    assert np.array_equal(step_off, expect_off)
