@@ -13,13 +13,14 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 import numpy as np
 from scipy.optimize import linprog
 
-from .errors import CapabilityError, InvalidInputError
+from .errors import InvalidInputError
 
 # Tolerance for structural predicates (balance, stationarity, null spaces).
 # Constructions are exact up to rounding, so this is generous.
@@ -27,11 +28,6 @@ TAU_STRUCT = 1e-10
 
 # Default integrator step; piece dwell times must be multiples of it.
 DEFAULT_STEP = 1e-3
-
-# Exhaustive subset enumeration cap for min-cut.
-MIN_CUT_MAX_NODES = 24
-
-_MIN_CUT_CHUNK = 1 << 16
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -174,37 +170,83 @@ def cut_value(lap: Laplacian, s1: Iterable[int], s2: Iterable[int]) -> float:
     return float(lap.matrix[np.ix_(s1, s2)].sum())
 
 
+def _capped_source_side(
+    residual: list[dict[int, float]], s: int, t: int, cap: float
+) -> list[int] | None:
+    """Edmonds-Karp s-t max flow on a residual graph, stopped once it reaches cap.
+
+    `residual` (consumed) maps each node to {neighbour: capacity}. Returns
+    the nodes reachable from s in the final residual graph, the source
+    side of a minimum s-t cut, or None when the flow value reaches cap.
+    """
+    total = 0.0
+    while True:
+        parent = {s: s}
+        queue = [s]
+        for u in queue:
+            for v, r in residual[u].items():
+                if r > 0.0 and v not in parent:
+                    parent[v] = u
+                    queue.append(v)
+            if t in parent:
+                break
+        if t not in parent:
+            return queue
+        path = []
+        v = t
+        while v != s:
+            path.append((parent[v], v))
+            v = parent[v]
+        push = min(residual[u][v] for u, v in path)
+        if total + push >= cap:
+            return None
+        # the bottleneck drops to exactly 0.0, so every augmentation
+        # removes an edge as it would in exact arithmetic
+        for u, v in path:
+            residual[u][v] -= push
+            residual[v][u] += push
+        total += push
+
+
 def min_cut(lap: Laplacian) -> float:
     """Minimum directed cut of the nonnegative weight matrix.
 
     Minimizes, over nonempty proper subsets S, the total weight of edges
     leaving S (entries A[i, j] with i in S, j outside, where
-    A = -L off-diagonal). Exhaustive enumeration; n is capped at
-    MIN_CUT_MAX_NODES.
+    A = -L off-diagonal). Every such S separates node 0 from some v, so
+    the minimum is the least of maxflow(0 -> v) and maxflow(v -> 0) over
+    v != 0. Those 2(n - 1) flows run Edmonds-Karp on the float weights,
+    each stopped as soon as it reaches the best cut found so far, which
+    starts at the least singleton cut (row or column sum of A). A flow
+    that stops short yields its source side S, scored by the exact sum
+    A[S, ~S], so the result is always the weight of a real cut. The
+    search returns 0 as soon as a zero cut turns up, which is the case
+    for every graph that is not strongly connected. The cost is
+    polynomial, O(n^2 E^2) at worst; there is no size cap.
     """
     n = lap.n
-    if n > MIN_CUT_MAX_NODES:
-        raise CapabilityError(
-            f"min_cut enumerates all subsets; n={n} exceeds the cap of {MIN_CUT_MAX_NODES}"
-        )
     if n == 1:
         return 0.0
     a = lap.weight_matrix()
-    best = math.inf
-    total = 1 << n
-    bits = np.arange(n)
-    for lo in range(1, total - 1, _MIN_CUT_CHUNK):
-        hi = min(lo + _MIN_CUT_CHUNK, total - 1)
-        masks = np.arange(lo, hi, dtype=np.int64)
-        member = ((masks[:, None] >> bits[None, :]) & 1).astype(float)
-        # cut(S) = sum_{i in S, j not in S} A[i, j]
-        cuts = ((member @ a) * (1.0 - member)).sum(axis=1)
-        lo_best = cuts.min()
-        if lo_best < best:
-            best = float(lo_best)
-    # Exact zero for disconnected graphs would be polluted by rounding of
-    # the vectorized sum only at the 1e-16 level; keep the raw value.
-    return max(best, 0.0)
+    best = float(min(a.sum(axis=1).min(), a.sum(axis=0).min()))
+    if best <= 0.0:
+        return 0.0
+    ii, jj = np.nonzero(a)
+    edges: list[dict[int, float]] = [{} for _ in range(n)]
+    for i, j, w in zip(ii.tolist(), jj.tolist(), a[ii, jj].tolist()):
+        edges[i][j] = w
+        edges[j].setdefault(i, 0.0)
+    for v in range(1, n):
+        for s, t in ((0, v), (v, 0)):
+            side = _capped_source_side([dict(row) for row in edges], s, t, best)
+            if side is None:
+                continue
+            inside = np.zeros(n, dtype=bool)
+            inside[side] = True
+            best = min(best, float(a[inside][:, ~inside].sum()))
+            if best <= 0.0:
+                return 0.0
+    return best
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,12 +299,17 @@ class LaplacianProcess:
         """Yield (start, end, Laplacian) covering [t0, t1] piece by piece."""
         if not (0 <= t0 <= t1 <= self.horizon):
             raise InvalidInputError(f"window [{t0}, {t1}] outside [0, {self.horizon}]")
-        bounds = [*self.start_times, self.horizon]
-        for k, lap in enumerate(self.laplacians):
-            a, b = bounds[k], bounds[k + 1]
+        starts = self.start_times
+        last = len(starts) - 1
+        # from the piece holding t0 to the last one that starts before t1
+        for k in range(bisect_right(starts, t0) - 1, last + 1):
+            a = starts[k]
+            if a >= t1:
+                break
+            b = starts[k + 1] if k < last else self.horizon
             lo, hi = max(a, t0), min(b, t1)
             if hi > lo:
-                yield lo, hi, lap
+                yield lo, hi, self.laplacians[k]
 
     def is_weight_balanced(self, tol: float = TAU_STRUCT) -> bool:
         return all(is_weight_balanced(lap, tol) for lap in self.laplacians)
@@ -273,11 +320,16 @@ def constant_process(lap: Laplacian, horizon: float) -> LaplacianProcess:
     return LaplacianProcess((0.0,), (lap,), horizon)
 
 
-def integrated_min_cut(process: LaplacianProcess, t: float, window: float) -> float:
+def integrated_min_cut(
+    process: LaplacianProcess, t: float, window: float, cuts: dict[int, float] | None = None
+) -> float:
     """Integral of the per-piece min-cut over [t, t + window].
 
     Exact for piecewise-constant processes: each overlapping piece
-    contributes overlap length times its cut value.
+    contributes overlap length times its cut value. `cuts` maps id(piece)
+    to its min cut; pass one dict to a sweep of windows over the same
+    process so that each piece is cut once. It must not outlive the
+    process, whose pieces' ids it holds.
     """
     if window < 0:
         raise InvalidInputError("window must be nonnegative")
@@ -287,13 +339,14 @@ def integrated_min_cut(process: LaplacianProcess, t: float, window: float) -> fl
         )
     if window == 0:
         return 0.0
-    cache: dict[int, float] = {}
+    if cuts is None:
+        cuts = {}
     total = 0.0
     for lo, hi, lap in process.segments(t, min(t + window, process.horizon)):
         key = id(lap)
-        if key not in cache:
-            cache[key] = min_cut(lap)
-        total += (hi - lo) * cache[key]
+        if key not in cuts:
+            cuts[key] = min_cut(lap)
+        total += (hi - lo) * cuts[key]
     return total
 
 

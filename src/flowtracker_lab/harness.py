@@ -375,8 +375,10 @@ def run(cfg: ExperimentConfig, out_dir=None, full_resolution: bool = False) -> R
             window = float(p.get("T", 1.0))
             beta = float(p.get("beta", 0.0))
             starts = np.arange(0.0, cfg.t_end - window + 1e-9, window / 2)
+            cuts: dict[int, float] = {}
             worst = min(
-                integrated_min_cut(cfg.process, float(t0), window) for t0 in starts
+                integrated_min_cut(cfg.process, float(t0), window, cuts=cuts)
+                for t0 in starts
             )
             checks[name] = diag.CheckResult(
                 name, worst >= beta, {"worst_window": worst, "beta": beta, "T": window}

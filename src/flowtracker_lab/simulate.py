@@ -195,19 +195,22 @@ def integrate(
     if use_affine_path and system.supports_affine and hasattr(law_or_zero, "rowwise_affine"):
         affine = law_or_zero.rowwise_affine()
 
-    def record(j: int, t: float):
+    def record(j: int, t: float) -> np.ndarray:
+        """Store the state at t and return the control law's value there."""
         if not np.isfinite(vec).all():
             raise NumericalFailureError("state became non-finite", t)
         states[j] = vec
         y_now = output(vec)
         y_rec[j] = y_now
-        u_rec[j] = law_or_zero(t, y_now)
+        u_now = u_rec[j] = law_or_zero(t, y_now)
         if box is not None and not ((y_now >= box.lo) & (y_now <= box.hi)).all():
             raise NumericalFailureError(
                 "output left the declared gradient-validity box", t
             )
+        return u_now
 
-    record(0, 0.0)
+    # law(t, output(vec)) at the current step, when a record already has it
+    u_now = record(0, 0.0)
 
     # step indices of piece boundaries, clipped to the run
     bounds = [steps_in_span(t, h, "switch time") for t in process.start_times]
@@ -238,7 +241,7 @@ def integrate(
         while step < seg_end:
             t = step * h
             np.dot(big, vec, out=k1)
-            k1x += law_or_zero(t, output(vec))
+            k1x += law_or_zero(t, output(vec)) if u_now is None else u_now
             v = vec + h2 * k1
             np.dot(big, v, out=k2)
             k2x += law_or_zero(t + h2, output(v))
@@ -250,6 +253,7 @@ def integrate(
             k4x += law_or_zero(t + h, output(v))
             vec = vec + rk4_weights @ stages
             step += 1
+            u_now = None
             if weights is not None and vec[weights].min() < W_FLOOR:
                 raise DegenerateWeightsError(
                     "ratio weight fell below the floor "
@@ -258,7 +262,7 @@ def integrate(
                     step * h,
                 )
             if step % steps_per_record == 0:
-                record(step // steps_per_record, step * h)
+                u_now = record(step // steps_per_record, step * h)
 
     x_rec, aux_rec = system.split(states)
     meta = {

@@ -1,9 +1,14 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from flowtracker_lab.errors import CapabilityError, InvalidInputError
+from flowtracker_lab import graphnet
+from flowtracker_lab.errors import InvalidInputError
 from flowtracker_lab.graphnet import (
     DirectedGraph,
     Laplacian,
@@ -44,6 +49,63 @@ def naive_min_cut(a: np.ndarray) -> float:
         for subset in itertools.combinations(range(n), r):
             best = min(best, naive_cut(a, subset))
     return best
+
+
+def enumerated_min_cut(a: np.ndarray) -> float:
+    """Vectorised exhaustive oracle: every nonempty proper subset at once."""
+    n = a.shape[0]
+    if n == 1:
+        return 0.0
+    masks = np.arange(1, (1 << n) - 1, dtype=np.int64)
+    member = ((masks[:, None] >> np.arange(n)[None, :]) & 1).astype(float)
+    # cut(S) = sum_{i in S, j not in S} A[i, j]
+    return max(float(((member @ a) * (1.0 - member)).sum(axis=1).min()), 0.0)
+
+
+@st.composite
+def weighted_digraphs(draw):
+    """Weight matrices of random, empty, disconnected, single-cycle and
+    complete digraphs; weights mix a few repeated values (ties) with floats."""
+    n = draw(st.integers(1, 12))
+    shape = draw(st.sampled_from(["random", "empty", "disconnected", "cycle", "complete"]))
+    weights = draw(
+        arrays(float, (n, n), elements=st.sampled_from([0.5, 1.0, 2.0]) | st.floats(0.01, 10.0))
+    )
+    if shape == "random":
+        mask = draw(arrays(bool, (n, n)))
+    elif shape == "empty":
+        mask = np.zeros((n, n), dtype=bool)
+    elif shape == "disconnected":
+        # no edge leads from the tail block back into the head block
+        split = draw(st.integers(0, n))
+        mask = draw(arrays(bool, (n, n)))
+        mask[split:, :split] = False
+    elif shape == "cycle":
+        order = draw(st.permutations(range(n)))
+        mask = np.zeros((n, n), dtype=bool)
+        mask[order, np.roll(order, -1)] = True
+    else:
+        mask = np.ones((n, n), dtype=bool)
+    w = np.where(mask, weights, 0.0)
+    np.fill_diagonal(w, 0.0)
+    return w
+
+
+def ring(n: int, skip: int, rng: np.random.Generator) -> np.ndarray:
+    w = np.zeros((n, n))
+    w[np.arange(n), (np.arange(n) + skip) % n] = rng.uniform(0.5, 1.5, n)
+    return w
+
+
+def full_scan_segments(process: LaplacianProcess, t0: float, t1: float) -> list:
+    """Oracle: clip every piece to [t0, t1] and keep the nonempty ones."""
+    bounds = [*process.start_times, process.horizon]
+    out = []
+    for k, lap in enumerate(process.laplacians):
+        lo, hi = max(bounds[k], t0), min(bounds[k + 1], t1)
+        if hi > lo:
+            out.append((lo, hi, lap))
+    return out
 
 
 def reachable(adj: np.ndarray, start: int) -> set[int]:
@@ -201,10 +263,29 @@ class TestMinCut:
         np.fill_diagonal(w, 0.0)
         assert min_cut(make_laplacian(w)) > 0
 
-    def test_size_cap(self):
-        w = np.zeros((25, 25))
-        with pytest.raises(CapabilityError):
-            min_cut(make_laplacian(w))
+    def test_no_size_cap(self):
+        # n = 25 was refused by the exhaustive search this replaced
+        assert min_cut(make_laplacian(np.zeros((25, 25)))) == 0.0
+        # complete unit-weight digraph: cut(S) = |S| (n - |S|), least at n - 1
+        w = np.ones((40, 40))
+        np.fill_diagonal(w, 0.0)
+        assert min_cut(make_laplacian(w)) == 39.0
+
+    @settings(max_examples=150, deadline=None)
+    @given(weighted_digraphs())
+    def test_matches_enumeration(self, w):
+        want = enumerated_min_cut(w)
+        assert abs(min_cut(make_laplacian(w)) - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("n", [25, 64, 256])
+    def test_directed_rings(self, n):
+        rng = np.random.default_rng(n)
+        for skip in (1, 2, 3, 5, n - 1):
+            w = ring(n, skip, rng)
+            # one Hamiltonian cycle: every cut crosses an edge, and the
+            # singleton at the lightest edge's tail crosses only that one
+            want = w.sum(axis=1).min() if math.gcd(skip, n) == 1 else 0.0
+            assert min_cut(make_laplacian(w)) == want
 
 
 class TestIntegratedMinCut:
@@ -227,6 +308,35 @@ class TestIntegratedMinCut:
         proc = constant_process(Laplacian(TWO_NODE), horizon=1.0)
         with pytest.raises(InvalidInputError):
             integrated_min_cut(proc, 0.5, 1.0)
+
+    def test_shared_cuts_cut_each_piece_once(self, monkeypatch):
+        proc = random_process(4, "directed-ring-rotate", dwell=0.5, horizon=4.0, seed=1)
+        calls = []
+        monkeypatch.setattr(graphnet, "min_cut", lambda lap: calls.append(lap) or min_cut(lap))
+        cuts: dict[int, float] = {}
+        shared = [integrated_min_cut(proc, t0, 1.0, cuts=cuts) for t0 in np.arange(0, 3.1, 0.5)]
+        assert len(calls) == len(proc.laplacians)
+        monkeypatch.undo()
+        assert shared == [integrated_min_cut(proc, t0, 1.0) for t0 in np.arange(0, 3.1, 0.5)]
+
+
+class TestSegments:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_full_scan(self, data):
+        gaps = data.draw(
+            st.lists(st.sampled_from([0.25, 0.5, 1.0]) | st.floats(0.01, 2.0), min_size=1, max_size=12)
+        )
+        starts = tuple(float(t) for t in np.cumsum([0.0, *gaps[:-1]]))
+        horizon = starts[-1] + gaps[-1]
+        laps = tuple(Laplacian(np.zeros((2, 2))) for _ in starts)
+        proc = LaplacianProcess(starts, laps, horizon)
+        point = st.sampled_from([*starts, horizon]) | st.floats(0.0, horizon)
+        t0, t1 = sorted((data.draw(point), data.draw(point)))
+        got = list(proc.segments(t0, t1))
+        want = full_scan_segments(proc, t0, t1)
+        assert [(lo, hi) for lo, hi, _ in got] == [(lo, hi) for lo, hi, _ in want]
+        assert all(a is b for (_, _, a), (_, _, b) in zip(got, want))
 
 
 class TestStationaryDistribution:

@@ -274,6 +274,32 @@ class TestCli:
         path.write_text(json.dumps(proc))
         assert main(["check-flow", "--process", str(path)]) == 0
 
+    def test_min_cut_window_beyond_24_agents(self, tmp_path):
+        raw = small_config(
+            process={
+                "random": {
+                    "n": 32,
+                    "model": "directed-ring-rotate",
+                    "dwell": 0.5,
+                    "horizon": 3.0,
+                    "seed": 5,
+                }
+            },
+            family=None,
+            init={"random": {"scale": 1.0}},
+            t_end=3.0,
+            checks=["min-cut-window"],
+            check_params={"min-cut-window": {"T": 1.0, "beta": 0.1}},
+        )
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) in (0, 1)
+        check = json.loads((out / "report.json").read_text())["checks"]["min-cut-window"]
+        # skip 1 + (k mod 31) is coprime to 32 for even k only, so each
+        # window holds one strongly connected ring piece and one cut to 0
+        assert 0.25 <= check["details"]["worst_window"] <= 0.75
+
     def test_seed_override(self, tmp_path, capsys):
         raw = small_config(init={"random": {"scale": 0.5}})
         cfg_path = tmp_path / "cfg.json"

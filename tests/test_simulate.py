@@ -130,6 +130,22 @@ class TestIntegrateBasics:
         d2 = np.abs(finals[0.05] - finals[0.025]).max()
         assert 8.0 <= d1 / d2 <= 32.0
 
+    def test_generic_path_calls_law_four_times_per_step_plus_once(self):
+        # a record's u is the next step's first stage, so only the final
+        # record adds a call of its own
+        calls = []
+
+        def law(t, y):
+            calls.append(t)
+            return -0.5 * y + 0.25 * t
+
+        sys_ = averaging_system(constant_process(DIRECTED, 2.0))
+        init = sys_.initial_state(np.array([[1.0], [-0.5]]))
+        traj = integrate(sys_, law, init, t_end=2.0, h=0.01, record_every=0.1)
+        assert len(calls) == 4 * 200 + 1
+        t_rec = np.arange(traj.n_samples) * 10 * 0.01  # step index times h
+        assert np.array_equal(traj.u, -0.5 * traj.y + 0.25 * t_rec[:, None, None])
+
 
 class TestConservationAndReduction:
     def test_push_sum_weights_conserved_and_positive(self):
