@@ -370,9 +370,11 @@ class DiagnosticsReport:
         for name, values in self.series.items():
             path = f"{directory}/{name.replace(' ', '_')}.csv"
             with open(path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["t", name])
-                for t, v in zip(self.times, values):
-                    writer.writerow([f"{t:.17g}", f"{v:.17g}"])
+                csv.writer(fh).writerow(["t", name])
+                # the excel dialect ends rows with \r\n, so the rows do too
+                fh.writelines(
+                    "%.17g,%.17g\r\n" % pair
+                    for pair in zip(map(float, self.times), map(float, values))
+                )
             written.append(path)
         return written

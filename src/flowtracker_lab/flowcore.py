@@ -89,16 +89,23 @@ def taylor_polynomial(a: np.ndarray, degree: int = 4, shift: int = 0) -> np.ndar
 
 
 class _FlowIntegrator:
-    """Advances Phi(., s) forward through a process, reusing past work."""
+    """Advances Phi(., s) forward through a process, reusing past work.
 
-    def __init__(self, process: LaplacianProcess, s: float, h: float):
+    `powers` maps (id(lap), steps) to the segment propagator
+    taylor_polynomial(-h L)^steps; integrators of one process and one h
+    may share it, and (id(lap), 1) holds the one-step propagator itself.
+    """
+
+    def __init__(
+        self, process: LaplacianProcess, s: float, h: float, powers: dict | None = None
+    ):
         check_switch_alignment(process, h)
         steps_in_span(s, h, f"start time {s}")
         self.process = process
         self.h = h
         self.t = s
         self.phi = np.eye(process.n)
-        self._prop_cache: dict[int, np.ndarray] = {}
+        self._powers = {} if powers is None else powers
 
     def advance_to(self, t: float) -> np.ndarray:
         if t < self.t - 1e-12:
@@ -107,12 +114,13 @@ class _FlowIntegrator:
             steps = steps_in_span(hi - lo, self.h, "segment length")
             if steps == 0:
                 continue
-            key = id(lap)
-            prop = self._prop_cache.get(key)
-            if prop is None:
-                prop = taylor_polynomial(-self.h * lap.matrix)
-                self._prop_cache[key] = prop
-            self.phi = matrix_power(prop, steps) @ self.phi
+            power = self._powers.get((id(lap), steps))
+            if power is None:
+                prop = self._powers.get((id(lap), 1))
+                if prop is None:
+                    prop = self._powers[id(lap), 1] = taylor_polynomial(-self.h * lap.matrix)
+                power = self._powers[id(lap), steps] = matrix_power(prop, steps)
+            self.phi = power @ self.phi
         self.t = t
         return self.phi
 
@@ -205,6 +213,7 @@ def adaptive_grid(
     process: LaplacianProcess,
     h: float = DEFAULT_STEP,
     decay_floor: float = 1e-10,
+    powers: dict | None = None,
 ) -> FlowGrid:
     """Grid whose spans stop where the flow's mixing bottoms out.
 
@@ -212,11 +221,13 @@ def adaptive_grid(
     the distance first drops below `decay_floor` (fast mixers would
     otherwise only be sampled in the rounding-noise regime on long
     horizons, while slow mixers still get the full half-horizon range).
+    `powers` is a propagator cache shared with other flow integrations
+    of the same process and h (see `_FlowIntegrator`).
     """
     horizon = process.horizon
     cap = horizon / 2
     stride = max(1, int(round(min(0.5, cap / 12) / h)))
-    integ = _FlowIntegrator(process, 0.0, h)
+    integ = _FlowIntegrator(process, 0.0, h, powers)
     t = 0.0
     dt_max = cap
     while t + stride * h <= cap + 1e-12:
@@ -320,8 +331,9 @@ def ergodicity_report(
     Row-sum minima within TAU_FLOW of 1 are reported as exactly 1 so that
     doubly stochastic flows certify p* = 1.
     """
+    powers: dict = {}  # one propagator cache for every integrator below
     if grid is None:
-        grid = adaptive_grid(process, h)
+        grid = adaptive_grid(process, h, powers=powers)
     samples: list[tuple[float, float]] = []
     dists: list[float] = []
     p_star = math.inf
@@ -330,7 +342,7 @@ def ergodicity_report(
         targets = [s + dt for dt in sorted(grid.dt_values) if s + dt <= process.horizon + 1e-12]
         if not targets:
             continue
-        integ = _FlowIntegrator(process, s, h)
+        integ = _FlowIntegrator(process, s, h, powers)
         for t in targets:
             t = min(t, process.horizon)
             phi = integ.advance_to(t)

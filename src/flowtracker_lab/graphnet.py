@@ -518,18 +518,16 @@ def process_to_dict(process: LaplacianProcess) -> dict:
 def process_from_dict(data: dict) -> LaplacianProcess:
     try:
         n = int(data["n"])
-        pieces = data["pieces"]
         horizon = float(data["horizon"])
+        pieces = [
+            (float(piece["t"]), np.asarray(piece["weights"], dtype=float))
+            for piece in data["pieces"]
+        ]
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"malformed process spec: {exc}") from exc
     if not pieces:
         raise InvalidInputError("process spec needs at least one piece")
-    times = []
-    laps = []
-    for piece in pieces:
-        w = np.asarray(piece["weights"], dtype=float)
-        if w.shape != (n, n):
-            raise InvalidInputError(f"piece weights must be {n}x{n}")
-        times.append(float(piece["t"]))
-        laps.append(make_laplacian(w))
-    return LaplacianProcess(tuple(times), tuple(laps), horizon)
+    if any(w.shape != (n, n) for _, w in pieces):
+        raise InvalidInputError(f"piece weights must be {n}x{n}")
+    times = tuple(t for t, _ in pieces)
+    return LaplacianProcess(times, tuple(make_laplacian(w) for _, w in pieces), horizon)

@@ -143,21 +143,22 @@ def parse_config(raw: dict) -> ExperimentConfig:
         )
 
     init_spec = raw.get("init", {})
-    if "x" in init_spec:
-        x0 = np.asarray(init_spec["x"], dtype=float)
-    else:
-        rand = init_spec.get("random", {})
-        rng = np.random.default_rng(int(rand.get("seed", seed)))
-        scale = float(rand.get("scale", 1.0))
-        x0 = rng.uniform(-scale, scale, (system.n, system.d))
-    aux = {}
-    for key in ("w", "z", "v"):
-        if key in init_spec:
-            aux[key] = np.asarray(init_spec[key], dtype=float)
     try:
+        if "x" in init_spec:
+            x0 = np.asarray(init_spec["x"], dtype=float)
+        else:
+            rand = init_spec.get("random", {})
+            rng = np.random.default_rng(int(rand.get("seed", seed)))
+            scale = float(rand.get("scale", 1.0))
+            x0 = rng.uniform(-scale, scale, (system.n, system.d))
+        aux = {
+            key: np.asarray(init_spec[key], dtype=float)
+            for key in ("w", "z", "v")
+            if key in init_spec
+        }
         init_state = system.initial_state(x0, **aux)
         system.check_initial(init_state)
-    except FlowtrackerError as exc:
+    except (FlowtrackerError, AttributeError, TypeError, ValueError) as exc:
         raise ConfigError(f"initial condition invalid: {exc}") from exc
 
     checks = tuple(raw.get("checks", ()))

@@ -8,8 +8,13 @@ land on step boundaries so no step straddles a discontinuity.
 
 When the closed loop is affine and time-invariant within each piece
 (linear system, quadratic objectives, constant step size), the RK4 step
-collapses to a precomputed affine map; this is the same one-step
-polynomial, evaluated faster, and is used automatically.
+collapses to a precomputed affine map x -> R x + r; this is the same
+one-step polynomial, evaluated faster, and is used automatically. That
+path advances one record interval per cached power of the map: the
+augmented matrix [[R, r], [0, 1]] raised to m steps holds R^m and the
+m-step offset, so a piece needs at most three powers (head, record
+interval, tail). Records keep every check of the per-step path, and
+with record_every = h the result is bit-identical to it.
 """
 
 from __future__ import annotations
@@ -231,10 +236,19 @@ def integrate(
         lap = process.laplacians[min(seg_idx, len(process.laplacians) - 1)].matrix
         big = system.coupling_matrix(lap)
         if affine is not None:
-            step_mat, step_off = _affine_step_map(system, big, affine, h)
+            # A^m = [[R^m, q_m], [0, 1]] is the m-step map; a piece needs
+            # at most three strides: head, record interval and tail
+            aug = np.eye(system.state_size + 1)
+            aug[:-1, :-1], aug[:-1, -1] = _affine_step_map(system, big, affine, h)
+            powers = {}
             while step < seg_end:
+                stride = min(steps_per_record - step % steps_per_record, seg_end - step)
+                if stride not in powers:
+                    power = np.linalg.matrix_power(aug, stride)
+                    powers[stride] = (power[:-1, :-1].copy(), power[:-1, -1].copy())
+                step_mat, step_off = powers[stride]
                 vec = step_mat @ vec + step_off
-                step += 1
+                step += stride
                 if step % steps_per_record == 0:
                     record(step // steps_per_record, step * h)
             continue

@@ -1,9 +1,11 @@
+import csv
 import math
 
 import numpy as np
 import pytest
 
 from flowtracker_lab.diagnostics import (
+    DiagnosticsReport,
     consensus_error,
     gap_integral_check,
     h_function,
@@ -351,3 +353,36 @@ class TestWeightConservation:
         traj = integrate(sys_, None, init, t_end=5.0, h=1e-2)
         results = weight_conservation_check(traj)
         assert results["w"]["passed"]
+
+
+def write_series_csv_by_csv_writer(report, directory):
+    """The former series writer: one csv.writer row of f-strings per sample."""
+    for name, values in report.series.items():
+        with open(f"{directory}/{name.replace(' ', '_')}.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["t", name])
+            for t, v in zip(report.times, values):
+                writer.writerow([f"{t:.17g}", f"{v:.17g}"])
+
+
+def test_series_csv_bytes_match_the_csv_writer(tmp_path):
+    rng = np.random.default_rng(7)
+    m = 25_001
+    times = np.arange(m) * 1e-3
+    values = rng.standard_normal(m) * 10.0 ** rng.uniform(-300, 300, m)
+    specials = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.2e-308, 1e-310, 1.0 / 3.0]
+    values[: len(specials)] = specials
+    values[-len(specials) :] = specials
+    times[1:4] = [-0.0, 1e-320, np.nan]
+    series = {"consensus_error": values, "optimality gap": values[::-1].copy()}
+    report = DiagnosticsReport(times, series, {})
+    (tmp_path / "new").mkdir()
+    (tmp_path / "old").mkdir()
+    written = report.write_series_csv(tmp_path / "new")
+    write_series_csv_by_csv_writer(report, tmp_path / "old")
+    assert [p.rsplit("/", 1)[1] for p in written] == ["consensus_error.csv", "optimality_gap.csv"]
+    for path in written:
+        name = path.rsplit("/", 1)[1]
+        new = (tmp_path / "new" / name).read_bytes()
+        assert new.count(b"\r\n") == m + 1
+        assert new == (tmp_path / "old" / name).read_bytes()

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from flowtracker_lab import flowcore
 from flowtracker_lab.errors import InvalidInputError
 from flowtracker_lab.flowcore import (
     TAU_FLOW,
@@ -201,6 +202,35 @@ class TestErgodicityReport:
         for s in grid.s_values:
             assert 0 <= s <= proc.horizon
         assert all(dt > 0 for dt in grid.dt_values)
+
+    def test_report_builds_each_piece_propagator_once(self, monkeypatch):
+        proc = random_process(6, "directed-ring-rotate", dwell=0.5, horizon=20.0, seed=3)
+        calls = []
+        real = flowcore.taylor_polynomial
+
+        def counted(a, *args, **kwargs):
+            calls.append(a)
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(flowcore, "taylor_polynomial", counted)
+        report = ergodicity_report(proc, h=1e-2)
+        pieces = {id(lap) for s, t in report.samples for _, _, lap in proc.segments(s, t)}
+        assert len(pieces) > 10
+        assert len(calls) == len(pieces)
+
+    def test_shared_propagators_leave_the_report_unchanged(self, monkeypatch):
+        proc = random_process(6, "directed-ring-rotate", dwell=0.5, horizon=20.0, seed=3)
+        shared = ergodicity_report(proc, h=1e-2)
+
+        class OwnCache(flowcore._FlowIntegrator):
+            def __init__(self, process, s, h, powers=None):
+                super().__init__(process, s, h)
+
+        monkeypatch.setattr(flowcore, "_FlowIntegrator", OwnCache)
+        own = ergodicity_report(proc, h=1e-2)
+        assert own.samples == shared.samples
+        assert own.distances == shared.distances
+        assert (own.rate, own.p_star) == (shared.rate, shared.p_star)
 
 
 class TestFlowMatrixValidation:

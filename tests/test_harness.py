@@ -274,6 +274,35 @@ class TestCli:
         path.write_text(json.dumps(proc))
         assert main(["check-flow", "--process", str(path)]) == 0
 
+    @pytest.mark.parametrize(
+        "piece_edit",
+        [
+            {"pieces": "oops"},
+            {"pieces": [3]},
+            {"pieces": [{"t": 0.0, "weights": "x"}]},
+        ],
+    )
+    def test_check_flow_malformed_process_exit_2(self, tmp_path, capsys, piece_edit):
+        proc = {"n": 2, "horizon": 10.0, **piece_edit}
+        path = tmp_path / "proc.json"
+        path.write_text(json.dumps(proc))
+        assert main(["check-flow", "--process", str(path)]) == 2
+        assert json.loads(capsys.readouterr().out)["kind"] == "config"
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            {"process": {"n": 2, "pieces": "oops", "horizon": 5.0}},
+            {"init": {"x": "ab"}},
+            {"init": "ab"},
+        ],
+    )
+    def test_run_malformed_process_or_init_exit_2(self, tmp_path, capsys, edit):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(small_config(**edit)))
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        assert json.loads(capsys.readouterr().out)["kind"] == "config"
+
     def test_min_cut_window_beyond_24_agents(self, tmp_path):
         raw = small_config(
             process={
