@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -107,14 +107,7 @@ class ObserverBoundReport:
     rate: float
     declared_c2: float | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "c2_min": self.c2_min,
-            "violations": self.violations,
-            "infeasible": self.infeasible,
-            "rate": self.rate,
-            "declared_c2": self.declared_c2,
-        }
+    to_dict = asdict
 
 
 def observer_bound_fit(
@@ -154,6 +147,12 @@ def observer_bound_fit(
     return ObserverBoundReport(c2_min, violations, infeasible, rate, declared_c2)
 
 
+def _h_integrand(traj: Trajectory, cap: float, schedule: StepSchedule) -> np.ndarray:
+    # 2 K alpha(t) sum_i ||xbar(t) - y_i(t)|| at every sample
+    alphas = evaluate_many(schedule, traj.times)
+    return 2.0 * cap * alphas * _row_norms(traj.y - traj.xbar[:, None, :]).sum(axis=1)
+
+
 def h_function(traj: Trajectory, cap: float, schedule: StepSchedule) -> np.ndarray:
     """Cumulative trapezoid of 2 K sum_i alpha(s) ||xbar(s) - y_i(s)||.
 
@@ -163,9 +162,7 @@ def h_function(traj: Trajectory, cap: float, schedule: StepSchedule) -> np.ndarr
     """
     if not traj.is_full_resolution:
         raise CapabilityError("h-function quadrature needs full-resolution records")
-    alphas = evaluate_many(schedule, traj.times)
-    spread = _row_norms(traj.y - traj.xbar[:, None, :]).sum(axis=1)
-    g = 2.0 * cap * alphas * spread
+    g = _h_integrand(traj, cap, schedule)
     dt = traj.record_interval
     out = np.zeros(traj.n_samples)
     np.cumsum(0.5 * dt * (g[1:] + g[:-1]), out=out[1:])
@@ -180,22 +177,19 @@ def _trapezoid_error_estimate(g: np.ndarray, dt: float) -> float:
 
 
 @dataclass(frozen=True)
-class VDominationReport:
+class InequalityReport:
+    """Worst margin of a sampled inequality against its tolerance."""
+
     passed: bool
     worst_margin: float
     tolerance: float
 
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "worst_margin": self.worst_margin,
-            "tolerance": self.tolerance,
-        }
+    to_dict = asdict
 
 
 def v_dominated_by_h_check(
     traj: Trajectory, x_star: np.ndarray, cap: float, schedule: StepSchedule
-) -> VDominationReport:
+) -> InequalityReport:
     """Increments of V(xbar) never exceed increments of the h-function.
 
     Checking adjacent sample pairs suffices: summing adjacent increments
@@ -205,28 +199,12 @@ def v_dominated_by_h_check(
     h = h_function(traj, cap, schedule)
     dv = np.diff(v)
     dh = np.diff(h)
-    alphas = evaluate_many(schedule, traj.times)
-    spread = _row_norms(traj.y - traj.xbar[:, None, :]).sum(axis=1)
     tol = TOL_INEQ_BASE + _trapezoid_error_estimate(
-        2.0 * cap * alphas * spread, traj.record_interval
+        _h_integrand(traj, cap, schedule), traj.record_interval
     )
     margins = dv - dh
     worst = float(margins.max()) if margins.size else 0.0
-    return VDominationReport(bool(worst <= tol), worst, tol)
-
-
-@dataclass(frozen=True)
-class VdotBoundReport:
-    passed: bool
-    worst_margin: float
-    tolerance: float
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "worst_margin": self.worst_margin,
-            "tolerance": self.tolerance,
-        }
+    return InequalityReport(bool(worst <= tol), worst, tol)
 
 
 def vdot_bound_check(
@@ -236,7 +214,7 @@ def vdot_bound_check(
     x_star: np.ndarray,
     f_star: float,
     c1: float | None = None,
-) -> VdotBoundReport:
+) -> InequalityReport:
     """Pointwise derivative bound on the Lyapunov value along the run:
 
         dV/dt <= c1 * (2 K alpha(t) sum_i ||xbar - y_i|| - alpha(t) (F(xbar) - F*))
@@ -265,7 +243,7 @@ def vdot_bound_check(
     tol = 10.0 * dt**2 * (third.max() if third.size else 0.0) + 1e-9
     margins = vdot - rhs[1:-1]
     worst = float(margins.max()) if margins.size else 0.0
-    return VdotBoundReport(bool(worst <= tol), worst, tol)
+    return InequalityReport(bool(worst <= tol), worst, tol)
 
 
 @dataclass(frozen=True)
@@ -276,14 +254,7 @@ class GapIntegralReport:
     integrand_min: float
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "final_value": self.final_value,
-            "bounded": self.bounded,
-            "tail_change": self.tail_change,
-            "integrand_min": self.integrand_min,
-            "passed": self.passed,
-        }
+    to_dict = asdict
 
 
 def gap_integral_check(
@@ -338,8 +309,7 @@ class CheckResult:
     passed: bool
     details: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "details": self.details}
+    to_dict = asdict
 
 
 @dataclass(frozen=True, eq=False)

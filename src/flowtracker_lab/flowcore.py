@@ -4,19 +4,20 @@ The flow solves dPhi/dt = -L(t) Phi with Phi(s, s) = I. Because columns
 of L sum to zero, Phi stays column-stochastic; mixing is measured by the
 distance of Phi(t, s) to the rank-one stochastic matrices, and the decay
 rate of that distance classifies the flow. The spectral norm is used for
-all matrix distances and is recorded in reports.
+all matrix distances and is recorded in reports. Spans land on the step
+grid by `graphnet.steps_in_span`, the rule runs and processes share.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 import numpy as np
 from numpy.linalg import matrix_power
 
 from .errors import InvalidInputError, NumericalFailureError
-from .graphnet import DEFAULT_STEP, LaplacianProcess
+from .graphnet import DEFAULT_STEP, LaplacianProcess, check_switch_alignment, steps_in_span
 
 # Stochasticity tolerance for healthy flows; constructor rejects at 100x.
 TAU_FLOW = 1e-8
@@ -56,18 +57,6 @@ class FlowMatrix:
     @property
     def n(self) -> int:
         return self.Phi.shape[0]
-
-
-def steps_in_span(span: float, h: float, what: str) -> int:
-    steps = span / h
-    if abs(steps - round(steps)) > 1e-9 * max(1.0, abs(steps)):
-        raise InvalidInputError(f"{what} ({span}) is not a multiple of the step {h}")
-    return int(round(steps))
-
-
-def check_switch_alignment(process: LaplacianProcess, h: float) -> None:
-    for t in process.start_times[1:]:
-        steps_in_span(t, h, f"switching time {t}")
 
 
 def taylor_polynomial(a: np.ndarray, degree: int = 4, shift: int = 0) -> np.ndarray:
@@ -196,17 +185,22 @@ class FlowGrid:
             raise InvalidInputError("offsets must be positive")
 
 
-def default_grid(process: LaplacianProcess, h: float = DEFAULT_STEP) -> FlowGrid:
-    """Three start times and a dozen spans, snapped to the step grid."""
+def _grid(process: LaplacianProcess, h: float, dt_max: float) -> FlowGrid:
+    """Starts at 0, 1/4 and 1/2 of the horizon and 12 spans up to dt_max, on the h grid."""
     horizon = process.horizon
 
     def snap(x: float) -> float:
         return round(x / h) * h
 
     s_vals = sorted({snap(x) for x in (0.0, horizon / 4, horizon / 2)})
-    dt_raw = np.linspace(horizon / 24, horizon / 2, 12)
+    dt_raw = np.linspace(dt_max / 12, dt_max, 12)
     dt_vals = sorted({snap(x) for x in dt_raw if snap(x) > 0})
     return FlowGrid(tuple(s_vals), tuple(dt_vals))
+
+
+def default_grid(process: LaplacianProcess, h: float = DEFAULT_STEP) -> FlowGrid:
+    """Three start times and a dozen spans up to half the horizon."""
+    return _grid(process, h, process.horizon / 2)
 
 
 def adaptive_grid(
@@ -224,8 +218,7 @@ def adaptive_grid(
     `powers` is a propagator cache shared with other flow integrations
     of the same process and h (see `_FlowIntegrator`).
     """
-    horizon = process.horizon
-    cap = horizon / 2
+    cap = process.horizon / 2
     stride = max(1, int(round(min(0.5, cap / 12) / h)))
     integ = _FlowIntegrator(process, 0.0, h, powers)
     t = 0.0
@@ -236,14 +229,7 @@ def adaptive_grid(
         if distance_to_rank_one(FlowMatrix(0.0, t, phi)) < decay_floor:
             dt_max = t
             break
-
-    def snap(x: float) -> float:
-        return round(x / h) * h
-
-    s_vals = sorted({snap(x) for x in (0.0, horizon / 4, horizon / 2)})
-    dt_raw = np.linspace(dt_max / 12, dt_max, 12)
-    dt_vals = sorted({snap(x) for x in dt_raw if snap(x) > 0})
-    return FlowGrid(tuple(s_vals), tuple(dt_vals))
+    return _grid(process, h, dt_max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,14 +269,7 @@ class ErgodicityReport:
 
     def to_dict(self) -> dict:
         return {
-            "samples": [[s, t] for s, t in self.samples],
-            "distances": list(self.distances),
-            "rate": self.rate,
-            "prefactor": self.prefactor,
-            "r_squared": self.r_squared,
-            "p_star": self.p_star,
-            "log_decay_span": self.log_decay_span,
-            "norm": self.norm,
+            **asdict(self),
             "weakly_exponentially_ergodic": self.weakly_exponentially_ergodic(),
         }
 

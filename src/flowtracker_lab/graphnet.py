@@ -30,6 +30,15 @@ TAU_STRUCT = 1e-10
 DEFAULT_STEP = 1e-3
 
 
+def steps_in_span(span: float, h: float, what: str) -> int:
+    """Steps of size h in span, which must land on the step grid within
+    a relative 1e-9; the one grid rule of processes, flows and runs."""
+    steps = span / h
+    if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9 * max(1.0, abs(steps)):
+        raise InvalidInputError(f"{what} ({span}) is not a multiple of the step {h}")
+    return int(round(steps))
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float)
     out.setflags(write=False)
@@ -272,7 +281,7 @@ class LaplacianProcess:
             raise InvalidInputError("first piece must start at time 0")
         if any(b <= a for a, b in zip(ts, ts[1:])):
             raise InvalidInputError("start times must increase strictly")
-        if self.horizon <= ts[-1]:
+        if not self.horizon > ts[-1]:
             raise InvalidInputError("horizon must exceed the last start time")
         sizes = {lap.n for lap in laps}
         if len(sizes) != 1:
@@ -313,6 +322,11 @@ class LaplacianProcess:
 
     def is_weight_balanced(self, tol: float = TAU_STRUCT) -> bool:
         return all(is_weight_balanced(lap, tol) for lap in self.laplacians)
+
+
+def check_switch_alignment(process: LaplacianProcess, h: float) -> None:
+    for t in process.start_times[1:]:
+        steps_in_span(t, h, f"switching time {t}")
 
 
 def constant_process(lap: Laplacian, horizon: float) -> LaplacianProcess:
@@ -473,9 +487,7 @@ def random_process(
         raise InvalidInputError(f"unknown model {model!r}; options: {RANDOM_MODELS}")
     if dwell <= 0:
         raise InvalidInputError("dwell must be positive")
-    ratio = dwell / h
-    if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
-        raise InvalidInputError(f"dwell {dwell} is not a multiple of the step {h}")
+    steps_in_span(dwell, h, "dwell")
     if horizon <= 0:
         raise InvalidInputError("horizon must be positive")
     if model == "B-window-strongly-connected":

@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +36,20 @@ from .objectives import (
     optimizer_oracle,
 )
 from .schedules import StepSchedule, check_validity, schedule_from_dict
-from .simulate import Trajectory, estimate_limit, integrate
+from .simulate import LimitEstimate, Trajectory, estimate_limit, integrate, step_grid
+
+# checks and expectation kinds that compare the run with the optimizer oracle
+FAMILY_CHECKS = ("v-dominated-by-h", "vdot-bound", "gap-integral")
+ORACLE_EXPECTATIONS = ("y-final-near-oracle", "nonconvergence", "gap-settled")
+
+# the numeric fields of each expectation kind; None marks a required one
+EXPECTATION_FIELDS = {
+    "y-limit": {"value": None, "tol": None},
+    "y-abs-max": {"max": None},
+    "y-final-near-oracle": {"tol": None},
+    "nonconvergence": {"min_distance": None},
+    "gap-settled": {"tol": 1e-3},
+}
 
 KNOWN_CHECKS = (
     "expectations",
@@ -96,30 +109,86 @@ def _resolve_process(spec: dict, h: float) -> LaplacianProcess:
     return process_from_dict(spec)
 
 
+def _resolve_check_params(raw: dict, h: float) -> dict:
+    """Every check's parameters as numbers, with the defaults filled in."""
+    params = {name: dict(value) for name, value in raw.items()}
+    observer = params.get("observer-bound", {})
+    cut = params.get("min-cut-window", {})
+    declared = observer.get("declared")
+    if declared not in (None, "3/p_star"):
+        declared = float(declared)
+    return {
+        "consensus": {"tol": float(params.get("consensus", {}).get("tol", 1e-2))},
+        "observer-bound": {"flow_h": float(observer.get("flow_h", h)), "declared": declared},
+        "min-cut-window": {"T": float(cut.get("T", 1.0)), "beta": float(cut.get("beta", 0.0))},
+    }
+
+
+def _resolve_expectation(spec: dict, has_family: bool) -> dict:
+    """An expectation with its kind checked and its numbers converted."""
+    kind = spec["kind"]
+    if kind not in EXPECTATION_FIELDS:
+        raise ConfigError(
+            f"unknown expectation kind {kind!r}; options: {tuple(EXPECTATION_FIELDS)}"
+        )
+    if kind in ORACLE_EXPECTATIONS and not has_family:
+        raise ConfigError(f"expectation {kind!r} needs an objective family")
+    out = {"kind": kind}
+    for key, default in EXPECTATION_FIELDS[kind].items():
+        value = spec[key] if default is None else spec.get(key, default)
+        out[key] = np.asarray(value, dtype=float) if key == "value" else float(value)
+    return out
+
+
 def parse_config(raw: dict) -> ExperimentConfig:
-    """Validate a raw config dict and resolve every referenced object."""
+    """Validate a raw config dict and resolve every referenced object.
+
+    All raw input is converted here, so a malformed config raises
+    ConfigError before anything is integrated.
+    """
     try:
         h = float(raw["h"])
         t_end = float(raw["t_end"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"config needs numeric 'h' and 't_end': {exc}") from exc
-    record_every = float(raw.get("record_every", 0.1))
-    seed = int(raw.get("seed", 0))
+        if h <= 0:
+            raise ConfigError("h must be positive")
+        record_every = float(raw.get("record_every", 0.1))
+        seed = int(raw.get("seed", 0))
+        d = int(raw.get("d", 1))
+        dyn = dict(raw.get("dynamics", {}))
+        if "name" not in dyn:
+            raise ConfigError("config needs dynamics.name")
+        gain = float(dyn.get("a", 5.0))
+        checks = tuple(raw.get("checks", ()))
+        check_params = _resolve_check_params(dict(raw.get("check_params", {})), h)
+        has_family = raw.get("family") is not None
+        expectations = tuple(
+            _resolve_expectation(dict(spec), has_family)
+            for spec in raw.get("expectations", ())
+        )
+        name = str(raw.get("name", "run"))
+    except FlowtrackerError:
+        raise
+    except KeyError as exc:
+        raise ConfigError(f"config is missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config field malformed: {exc}") from exc
 
+    if raw.get("process") is None:
+        raise ConfigError("config needs a 'process' block")
     try:
         process = _resolve_process(raw["process"], h)
     except KeyError as exc:
-        raise ConfigError("config needs a 'process' block") from exc
-    except FlowtrackerError as exc:
+        raise ConfigError(f"process spec is missing field {exc}") from exc
+    except (FlowtrackerError, TypeError, ValueError) as exc:
         raise ConfigError(f"process spec invalid: {exc}") from exc
-
-    dyn = raw.get("dynamics", {})
-    if "name" not in dyn:
-        raise ConfigError("config needs dynamics.name")
+    try:
+        step_grid(process, t_end, h, record_every)
+    except InvalidInputError as exc:
+        raise ConfigError(f"the run does not fit the step grid: {exc}") from exc
 
     family = None
     schedule = None
-    if raw.get("family") is not None:
+    if has_family:
         try:
             family = family_from_dict(raw["family"])
         except FlowtrackerError as exc:
@@ -131,9 +200,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
         except FlowtrackerError as exc:
             raise ConfigError(f"schedule spec invalid: {exc}") from exc
 
-    d = family.d if family is not None else int(raw.get("d", 1))
+    if family is not None:
+        d = family.d
     try:
-        system = make_system(dyn["name"], process, d=d, a=float(dyn.get("a", 5.0)))
+        system = make_system(dyn["name"], process, d=d, a=gain)
     except FlowtrackerError as exc:
         raise ConfigError(f"dynamics invalid: {exc}") from exc
 
@@ -161,26 +231,19 @@ def parse_config(raw: dict) -> ExperimentConfig:
     except (FlowtrackerError, AttributeError, TypeError, ValueError) as exc:
         raise ConfigError(f"initial condition invalid: {exc}") from exc
 
-    checks = tuple(raw.get("checks", ()))
-    for name in checks:
-        if name not in KNOWN_CHECKS:
-            raise ConfigError(f"unknown check {name!r}; options: {KNOWN_CHECKS}")
+    for check in checks:
+        if check not in KNOWN_CHECKS:
+            raise ConfigError(f"unknown check {check!r}; options: {KNOWN_CHECKS}")
+        if check in FAMILY_CHECKS and family is None:
+            raise ConfigError(f"check {check!r} needs an objective family")
     if "input-tracking" in checks and abs(record_every - h) > 1e-12:
         raise ConfigError("the input-tracking check needs record_every == h")
-
-    expectations = tuple(raw.get("expectations", ()))
+    if "observer-bound" in checks and not check_params["observer-bound"]["flow_h"] > 0:
+        raise ConfigError("observer-bound flow_h must be positive")
+    if "min-cut-window" in checks and not 0 < check_params["min-cut-window"]["T"] <= t_end:
+        raise ConfigError("min-cut-window T must lie in (0, t_end]")
     if expectations and "expectations" not in checks:
         checks = checks + ("expectations",)
-
-    # alignment is validated again inside integrate(); failing early here
-    # turns misaligned dwell times into a config error with context
-    ratio = record_every / h
-    if abs(ratio - round(ratio)) > 1e-9:
-        raise ConfigError(f"record_every {record_every} is not a multiple of h {h}")
-    for t in process.start_times[1:]:
-        ratio = t / h
-        if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
-            raise ConfigError(f"process switch at t={t} does not land on the h grid")
 
     return ExperimentConfig(
         raw=raw,
@@ -194,9 +257,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
         record_every=record_every,
         seed=seed,
         checks=checks,
-        check_params=dict(raw.get("check_params", {})),
+        check_params=check_params,
         expectations=expectations,
-        name=str(raw.get("name", "run")),
+        name=name,
     )
 
 
@@ -218,43 +281,39 @@ class RunSummary:
 
     def to_dict(self) -> dict:
         return {
-            "name": self.name,
-            "digest": self.digest,
-            "y_limit": self.y_limit,
-            "limit_residual": self.limit_residual,
-            "consensus_error_end": self.consensus_error_end,
-            "optimality_gap_end": self.optimality_gap_end,
-            "checks": self.checks,
+            **asdict(self),
             "all_checks_passed": self.all_checks_passed,
-            "wall_time": self.wall_time,
             "files": [str(f) for f in self.files],
         }
 
 
 def _check_expectations(
-    cfg: ExperimentConfig, traj: Trajectory, oracle: tuple | None
+    cfg: ExperimentConfig,
+    traj: Trajectory,
+    oracle: tuple | None,
+    gaps: np.ndarray | None,
+    est: LimitEstimate | None,
 ) -> tuple[bool, dict]:
+    """Compare the run with each expectation, reusing the run's gap series
+    and limit estimate (None on a tail too short, whose error then shows)."""
     details = {}
     ok = True
-    est = None
     for spec in cfg.expectations:
         kind = spec["kind"]
         if kind == "y-limit":
-            if est is None:
-                est = estimate_limit(traj)
-            target = np.asarray(spec["value"], dtype=float)
-            tol = float(spec["tol"])
-            err = float(np.abs(est.y_limit - target).max())
+            est = est or estimate_limit(traj)
+            tol = spec["tol"]
+            err = float(np.abs(est.y_limit - spec["value"]).max())
             good = err <= tol and est.residual <= tol
             details[kind] = {"error": err, "residual": est.residual, "tol": tol, "passed": good}
         elif kind == "y-abs-max":
-            bound = float(spec["max"])
+            bound = spec["max"]
             worst = float(np.abs(traj.y[-1]).max())
             good = worst <= bound
             details[kind] = {"worst": worst, "max": bound, "passed": good}
         elif kind == "y-final-near-oracle":
             x_star = oracle[0]
-            tol = float(spec["tol"])
+            tol = spec["tol"]
             err = float(
                 np.linalg.norm(traj.y[-1] - x_star[None, :], axis=1).max()
             )
@@ -262,23 +321,19 @@ def _check_expectations(
             details[kind] = {"error": err, "tol": tol, "passed": good}
         elif kind == "nonconvergence":
             x_star = oracle[0]
-            if est is None:
-                est = estimate_limit(traj)
+            est = est or estimate_limit(traj)
             dist = float(
                 np.linalg.norm(est.y_limit - x_star[None, :], axis=1).min()
             )
-            floor = float(spec["min_distance"])
+            floor = spec["min_distance"]
             good = dist >= floor
             details[kind] = {"distance": dist, "min_distance": floor, "passed": good}
-        elif kind == "gap-settled":
-            gaps = diag.objective_series(traj, cfg.family) - oracle[1]
+        else:  # gap-settled
             window = traj.times >= float(traj.times[-1]) / 10.0
             change = float(gaps[window].max() - gaps[window].min())
-            tol = float(spec.get("tol", 1e-3))
+            tol = spec["tol"]
             good = change <= tol
             details[kind] = {"change": change, "tol": tol, "passed": good}
-        else:
-            raise ConfigError(f"unknown expectation kind {kind!r}")
         ok = ok and good
     return ok, details
 
@@ -304,9 +359,11 @@ def run(cfg: ExperimentConfig, out_dir=None, full_resolution: bool = False) -> R
         extra_meta={"config_digest": cfg.digest(), "seed": cfg.seed},
     )
 
-    oracle = None
+    oracle = gaps = None
     if cfg.family is not None:
         oracle = optimizer_oracle(cfg.family)
+        gaps = diag.objective_series(traj, cfg.family) - oracle[1]
+    est = estimate_limit(traj) if math.ceil(traj.n_samples * 0.1) >= 10 else None
 
     err_series = diag.consensus_error(traj)
     series: dict[str, np.ndarray] = {"consensus_error": err_series}
@@ -315,10 +372,10 @@ def run(cfg: ExperimentConfig, out_dir=None, full_resolution: bool = False) -> R
 
     for name in cfg.checks:
         if name == "expectations":
-            ok, details = _check_expectations(cfg, traj, oracle)
+            ok, details = _check_expectations(cfg, traj, oracle, gaps, est)
             checks[name] = diag.CheckResult(name, ok, details)
         elif name == "consensus":
-            tol = float(params.get("consensus", {}).get("tol", 1e-2))
+            tol = params["consensus"]["tol"]
             final = float(err_series[-1])
             checks[name] = diag.CheckResult(
                 name, final <= tol, {"final": final, "tol": tol}
@@ -334,15 +391,13 @@ def run(cfg: ExperimentConfig, out_dir=None, full_resolution: bool = False) -> R
             ok = all(entry["passed"] for entry in results.values()) if results else True
             checks[name] = diag.CheckResult(name, ok, results)
         elif name == "observer-bound":
-            flow_h = float(params.get("observer-bound", {}).get("flow_h", cfg.h))
-            flow_report = ergodicity_report(cfg.process, h=flow_h)
-            declared = params.get("observer-bound", {}).get("declared")
-            if declared == "3/p_star":
+            observer = params["observer-bound"]
+            flow_report = ergodicity_report(cfg.process, h=observer["flow_h"])
+            declared_c2 = observer["declared"]
+            if declared_c2 == "3/p_star":
                 declared_c2 = (
                     3.0 / flow_report.p_star if flow_report.p_star > 0 else None
                 )
-            else:
-                declared_c2 = float(declared) if declared is not None else None
             if flow_report.rate is None or not (0 < flow_report.rate < 1):
                 checks[name] = diag.CheckResult(
                     name, False, {"reason": "flow rate fit unavailable or >= 1"}
@@ -357,9 +412,7 @@ def run(cfg: ExperimentConfig, out_dir=None, full_resolution: bool = False) -> R
                 details = report.to_dict()
                 details["p_star"] = flow_report.p_star
                 checks[name] = diag.CheckResult(name, ok, details)
-        elif name in ("v-dominated-by-h", "vdot-bound", "gap-integral"):
-            if cfg.family is None:
-                raise ConfigError(f"check {name!r} needs an objective family")
+        elif name in FAMILY_CHECKS:
             x_star, f_star = oracle
             cap = gradient_bound(cfg.family)
             if name == "v-dominated-by-h":
@@ -372,9 +425,8 @@ def run(cfg: ExperimentConfig, out_dir=None, full_resolution: bool = False) -> R
                 report = diag.gap_integral_check(traj, cfg.family, cfg.schedule, f_star)
             checks[name] = diag.CheckResult(name, report.passed, report.to_dict())
         elif name == "min-cut-window":
-            p = params.get("min-cut-window", {})
-            window = float(p.get("T", 1.0))
-            beta = float(p.get("beta", 0.0))
+            window = params["min-cut-window"]["T"]
+            beta = params["min-cut-window"]["beta"]
             starts = np.arange(0.0, cfg.t_end - window + 1e-9, window / 2)
             cuts: dict[int, float] = {}
             worst = min(
@@ -387,14 +439,13 @@ def run(cfg: ExperimentConfig, out_dir=None, full_resolution: bool = False) -> R
 
     if cfg.family is not None:
         series["lyapunov"] = diag.lyapunov_series(traj, oracle[0])
-        series["optimality_gap"] = diag.objective_series(traj, cfg.family) - oracle[1]
+        series["optimality_gap"] = gaps
         if traj.is_full_resolution:
             series["h_function"] = diag.h_function(
                 traj, gradient_bound(cfg.family), cfg.schedule
             )
 
     report = diag.DiagnosticsReport(traj.times, series, checks)
-    est = estimate_limit(traj) if math.ceil(traj.n_samples * 0.1) >= 10 else None
     gap_end = (
         float(global_objective(cfg.family, traj.xbar[-1]) - oracle[1])
         if cfg.family is not None
@@ -651,11 +702,7 @@ def scenario_names() -> list[str]:
 
 def scenario(name: str) -> ExperimentConfig:
     """A fully pinned, self-validating preset configuration."""
-    if name not in SCENARIO_BUILDERS:
-        raise InvalidInputError(
-            f"unknown scenario {name!r}; available: {', '.join(scenario_names())}"
-        )
-    return parse_config(SCENARIO_BUILDERS[name]())
+    return parse_config(scenario_raw(name))
 
 
 def scenario_raw(name: str) -> dict:

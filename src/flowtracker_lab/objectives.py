@@ -45,10 +45,6 @@ class Box:
     def d(self) -> int:
         return self.lo.shape[0]
 
-    def contains(self, x: np.ndarray, pad: float = 0.0) -> bool:
-        x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= self.lo - pad) and np.all(x <= self.hi + pad))
-
     def corners(self):
         for choice in itertools.product(*zip(self.lo, self.hi)):
             yield np.array(choice)
@@ -167,14 +163,6 @@ class ObjectiveFamily:
             raise InvalidInputError("need one objective per agent")
         if self.validity_box is not None and self.validity_box.d != self.d:
             raise InvalidInputError("validity box dimension mismatch")
-
-    @property
-    def gradient_cap(self) -> float | None:
-        """Analytic bound on all gradient norms, or None if box-relative."""
-        caps = [agent.analytic_cap() for agent in self.agents]
-        if any(c is None for c in caps):
-            return None
-        return max(caps)
 
     def value_i(self, i: int, x) -> float:
         return self.agents[i].value(_point(x, self.d))
@@ -463,26 +451,28 @@ def family_from_dict(data: dict) -> ObjectiveFamily:
     try:
         kind = data["kind"]
         params = data.get("params", {})
-    except TypeError as exc:
-        raise InvalidInputError(f"malformed family spec: {exc}") from exc
-    box = None
-    if data.get("box") is not None:
-        lo, hi = data["box"]
-        box = Box(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
-    if kind == "mirror-pair":
-        return mirror_pair(
-            offset=float(params.get("offset", 1.0)),
-            curvature=float(params.get("curvature", 1.0)),
-            box=box,
-        )
-    if kind == "huberized-quadratic":
-        return huberized_quadratic(
-            params["centers"],
-            radius=float(params["radius"]),
-            curvature=float(params.get("curvature", 1.0)),
-        )
-    if kind == "logistic-scalar":
-        return logistic_scalar(params["signs"], params["offsets"])
-    if kind == "custom-table":
-        return custom_table(params["entries"], box=box)
+        box = None
+        if data.get("box") is not None:
+            lo, hi = data["box"]
+            box = Box(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+        if kind == "mirror-pair":
+            return mirror_pair(
+                offset=float(params.get("offset", 1.0)),
+                curvature=float(params.get("curvature", 1.0)),
+                box=box,
+            )
+        if kind == "huberized-quadratic":
+            return huberized_quadratic(
+                params["centers"],
+                radius=float(params["radius"]),
+                curvature=float(params.get("curvature", 1.0)),
+            )
+        if kind == "logistic-scalar":
+            return logistic_scalar(params["signs"], params["offsets"])
+        if kind == "custom-table":
+            return custom_table(params["entries"], box=box)
+    except InvalidInputError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidInputError(f"malformed family spec: {exc!r}") from exc
     raise InvalidInputError(f"unknown objective kind {kind!r}")

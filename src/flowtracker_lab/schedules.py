@@ -9,7 +9,7 @@ summable. Power laws a0/(1+t)^p satisfy this exactly for p in (1/2, 1].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -101,14 +101,7 @@ class ScheduleReport:
     valid: bool
     method: str  # "analytic" or "heuristic"
 
-    def to_dict(self) -> dict:
-        return {
-            "nonincreasing": self.nonincreasing,
-            "integral_divergent": self.integral_divergent,
-            "square_integrable": self.square_integrable,
-            "valid": self.valid,
-            "method": self.method,
-        }
+    to_dict = asdict
 
 
 def _window_integrals(schedule: StepSchedule, t_max: float, power: float) -> tuple[float, float]:
@@ -173,14 +166,7 @@ class LemmaAuxResult:
     safe_rhs: float
     tolerance: float
 
-    def to_dict(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "holds": self.holds,
-            "safe_rhs": self.safe_rhs,
-            "tolerance": self.tolerance,
-        }
+    to_dict = asdict
 
 
 def _as_function(beta) -> Callable[[np.ndarray], np.ndarray]:
@@ -282,12 +268,14 @@ def schedule_to_dict(schedule: StepSchedule) -> dict:
 def schedule_from_dict(data: dict) -> StepSchedule:
     try:
         kind = data["kind"]
-    except (KeyError, TypeError) as exc:
-        raise InvalidInputError(f"malformed schedule spec: {exc}") from exc
-    if kind == "power-law":
-        return power_law(float(data.get("a0", 1.0)), float(data.get("p", 1.0)))
-    if kind == "constant":
-        return constant(float(data["a0"]))
-    if kind == "custom-piecewise":
-        return custom_piecewise(data["times"], data["values"])
+        if kind == "power-law":
+            return power_law(float(data.get("a0", 1.0)), float(data.get("p", 1.0)))
+        if kind == "constant":
+            return constant(float(data["a0"]))
+        if kind == "custom-piecewise":
+            return custom_piecewise(data["times"], data["values"])
+    except InvalidInputError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidInputError(f"malformed schedule spec: {exc!r}") from exc
     raise InvalidInputError(f"unknown schedule kind {kind!r}")

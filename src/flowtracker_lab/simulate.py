@@ -9,12 +9,13 @@ land on step boundaries so no step straddles a discontinuity.
 When the closed loop is affine and time-invariant within each piece
 (linear system, quadratic objectives, constant step size), the RK4 step
 collapses to a precomputed affine map x -> R x + r; this is the same
-one-step polynomial, evaluated faster, and is used automatically. That
-path advances one record interval per cached power of the map: the
-augmented matrix [[R, r], [0, 1]] raised to m steps holds R^m and the
-m-step offset, so a piece needs at most three powers (head, record
-interval, tail). Records keep every check of the per-step path, and
-with record_every = h the result is bit-identical to it.
+one-step polynomial, evaluated faster; the path is chosen from the system
+and the law alone, and a law without `rowwise_affine` takes the generic
+one. The affine path advances one record interval per cached power of
+the map: the augmented matrix [[R, r], [0, 1]] raised to m steps holds
+R^m and the m-step offset, so a piece needs at most three powers (head,
+record interval, tail). Records keep every check of the per-step path,
+and with record_every = h the result is bit-identical to it.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ from .errors import (
     InvalidInputError,
     NumericalFailureError,
 )
-from .flowcore import check_switch_alignment, steps_in_span, taylor_polynomial
+from .flowcore import taylor_polynomial
+from .graphnet import LaplacianProcess, check_switch_alignment, steps_in_span
 
 DEFAULT_RECORD_EVERY = 0.1
 
@@ -74,9 +76,6 @@ class Trajectory:
     def is_full_resolution(self) -> bool:
         h = self.meta.get("h")
         return h is not None and self.n_samples > 1 and abs(self.record_interval - h) < 1e-12
-
-    def state_at(self, k: int) -> SystemState:
-        return SystemState(self.x[k], {name: arr[k] for name, arr in self.aux.items()})
 
     def _csv_header(self) -> list[str]:
         n, d = self.n, self.d
@@ -129,6 +128,29 @@ def _affine_step_map(system, coupling, coeffs, h):
     return taylor_polynomial(hm), h * (taylor_polynomial(hm, 3, shift=1) @ c)
 
 
+def step_grid(
+    process: LaplacianProcess, t_end: float, h: float, record_every: float
+) -> tuple[int, int]:
+    """(steps, steps per record) of a run to t_end; InvalidInputError unless
+    the switches, record_every and t_end land on the step grid of h."""
+    if h <= 0:
+        raise InvalidInputError("step h must be positive")
+    if t_end <= 0:
+        raise InvalidInputError("t_end must be positive")
+    if t_end > process.horizon + 1e-12:
+        raise InvalidInputError(
+            f"t_end {t_end} exceeds the process horizon {process.horizon}"
+        )
+    check_switch_alignment(process, h)
+    steps_per_record = steps_in_span(record_every, h, "record_every")
+    if steps_per_record < 1:
+        raise InvalidInputError("record_every must be at least h")
+    n_steps = steps_in_span(t_end, h, "t_end")
+    if n_steps % steps_per_record:
+        raise InvalidInputError("t_end must be a multiple of record_every")
+    return n_steps, steps_per_record
+
+
 def integrate(
     system: FlowTrackerSystem,
     law,
@@ -137,7 +159,6 @@ def integrate(
     h: float,
     record_every: float = DEFAULT_RECORD_EVERY,
     extra_meta: dict | None = None,
-    use_affine_path: bool = True,
 ) -> Trajectory:
     """Integrate `system` under control `law` from `init` to t_end.
 
@@ -154,30 +175,15 @@ def integrate(
     Raises
     ------
     InvalidInputError
-        Misaligned steps or an initial state outside the system's
-        admissible set.
+        A run that `step_grid` rejects, or an initial state outside the
+        system's admissible set.
     DegenerateWeightsError
         A ratio weight fell below the positivity floor.
     NumericalFailureError
         Non-finite state, or output outside a declared validity box.
     """
     process = system.process
-    if h <= 0:
-        raise InvalidInputError("step h must be positive")
-    if t_end <= 0:
-        raise InvalidInputError("t_end must be positive")
-    if t_end > process.horizon + 1e-12:
-        raise InvalidInputError(
-            f"t_end {t_end} exceeds the process horizon {process.horizon}"
-        )
-    check_switch_alignment(process, h)
-    steps_per_record = steps_in_span(record_every, h, "record interval")
-    if steps_per_record < 1:
-        raise InvalidInputError("record_every must be at least h")
-    n_steps = steps_in_span(t_end, h, "t_end")
-    if n_steps % steps_per_record:
-        raise InvalidInputError("t_end must be a multiple of record_every")
-
+    n_steps, steps_per_record = step_grid(process, t_end, h, record_every)
     system.check_initial(init)
     vec = system.pack(init)
 
@@ -197,7 +203,7 @@ def integrate(
     output = system.output_flat
     weights = system.ratio_slice
     affine = None
-    if use_affine_path and system.supports_affine and hasattr(law_or_zero, "rowwise_affine"):
+    if system.supports_affine and hasattr(law_or_zero, "rowwise_affine"):
         affine = law_or_zero.rowwise_affine()
 
     def record(j: int, t: float) -> np.ndarray:
@@ -320,13 +326,6 @@ class LimitEstimate:
     y_limit: np.ndarray  # (n, d)
     xbar_limit: np.ndarray  # (d,)
     residual: float
-
-    def to_dict(self) -> dict:
-        return {
-            "y_limit": self.y_limit.tolist(),
-            "xbar_limit": self.xbar_limit.tolist(),
-            "residual": self.residual,
-        }
 
 
 def estimate_limit(traj: Trajectory, tail_fraction: float = 0.1) -> LimitEstimate:

@@ -37,11 +37,11 @@ DIRECTED = Laplacian(np.array([[1.0, -2.0], [-1.0, 2.0]]))
 def counterexample_run(alpha=0.5, t_end=10.0, h=1e-3, x0=None, use_affine_path=True):
     proc = constant_process(TWO_NODE, max(t_end, 50.0))
     sys_ = averaging_system(proc)
-    law = gradient_feedback(mirror_pair(), constant(alpha))
+    feedback = gradient_feedback(mirror_pair(), constant(alpha))
+    # a plain function has no rowwise_affine, so it takes the generic path
+    law = feedback if use_affine_path else (lambda t, y: feedback(t, y))
     init = sys_.initial_state(np.zeros((2, 1)) if x0 is None else x0)
-    return integrate(
-        sys_, law, init, t_end=t_end, h=h, use_affine_path=use_affine_path
-    )
+    return integrate(sys_, law, init, t_end=t_end, h=h)
 
 
 class TestClosedFormTwoAgent:
@@ -191,9 +191,7 @@ class TestConservationAndReduction:
         x0 = np.array([[0.6], [-0.2], [0.1]])
         sp = saddle_point_system(proc, a=5.0)
         px = spps_system(proc, a=5.0)
-        traj_sp = integrate(
-            sp, law, sp.initial_state(x0), t_end=8.0, h=1e-2, use_affine_path=False
-        )
+        traj_sp = integrate(sp, law, sp.initial_state(x0), t_end=8.0, h=1e-2)
         traj_px = integrate(px, law, px.initial_state(x0), t_end=8.0, h=1e-2)
         assert np.abs(traj_px.aux["v"] - 1.0).max() < 1e-12
         assert np.abs(traj_px.y - traj_sp.y).max() < 1e-12
