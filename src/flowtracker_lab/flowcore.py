@@ -12,7 +12,10 @@ from __future__ import annotations
 
 import csv
 import math
+from bisect import bisect_right
 from dataclasses import asdict, dataclass
+from itertools import islice
+
 import numpy as np
 from numpy.linalg import matrix_power
 
@@ -27,6 +30,51 @@ TAU_FLOW = 1e-8
 FIT_FLOOR = 1e-14
 
 
+# Byte budget of one stack of propagators. Stacked matrix powers beat a
+# Python loop while the stack stays in cache: for 120 pieces a stacked
+# matrix_power took 0.7 ms against 4.5 ms looped at n = 12, but at n = 64
+# stacks of 4 took 18.1 ms against 29.7 ms as one 3.9 MB stack.
+STACK_BYTES = 128 * 1024
+
+# Most adaptive-grid probes checked and measured per call; a chunk runs
+# past the probe where the grid stops by fewer than PROBE_CHUNK probes.
+PROBE_CHUNK = 8
+
+
+def _flow_problem(phis: np.ndarray) -> tuple[int, str | None]:
+    """(index, message) of the first matrix of a (k, n, n) stack that is
+    not a healthy flow (non-finite, an entry far below zero or a column
+    sum far from 1), or (k, None) when every one is."""
+    with np.errstate(invalid="ignore"):
+        finite = np.isfinite(phis).all(axis=(1, 2))
+        low = phis.min(axis=(1, 2))
+        col_err = np.abs(phis.sum(axis=1) - 1.0).max(axis=1)
+        bad = ~finite | (low < -100 * TAU_FLOW) | (col_err > 100 * TAU_FLOW)
+    if not bad.any():
+        return len(phis), None
+    j = int(bad.argmax())
+    if not finite[j]:
+        return j, "flow matrix has non-finite entries"
+    if low[j] < -100 * TAU_FLOW:
+        return j, f"flow entry {low[j]:.3e} far below zero"
+    return j, f"flow column sums drifted by {col_err[j]:.3e}"
+
+
+def _check_flows(phis: np.ndarray, times) -> None:
+    """NumericalFailureError at the time of the first unhealthy flow of the stack."""
+    j, problem = _flow_problem(phis)
+    if problem is not None:
+        raise NumericalFailureError(problem, times[j])
+
+
+def _distances(mats: np.ndarray) -> np.ndarray:
+    """Spectral norm of M - pi 1^T for each M of a stack, pi the row means:
+    the square root of the largest eigenvalue of the Gram matrix D^T D."""
+    d = mats - mats.mean(axis=-1, keepdims=True)
+    gram = np.swapaxes(d, -1, -2) @ d
+    return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0))
+
+
 @dataclass(frozen=True, eq=False)
 class FlowMatrix:
     """The transition matrix Phi(t, s) of the mixing flow, t >= s."""
@@ -38,19 +86,8 @@ class FlowMatrix:
     def __post_init__(self):
         if self.t < self.s:
             raise InvalidInputError("flow requires t >= s")
-        phi = np.asarray(self.Phi, dtype=float)
-        if not np.all(np.isfinite(phi)):
-            raise NumericalFailureError("flow matrix has non-finite entries", self.t)
-        if phi.min() < -100 * TAU_FLOW:
-            raise NumericalFailureError(
-                f"flow entry {phi.min():.3e} far below zero", self.t
-            )
-        col_err = np.abs(phi.sum(axis=0) - 1.0).max()
-        if col_err > 100 * TAU_FLOW:
-            raise NumericalFailureError(
-                f"flow column sums drifted by {col_err:.3e}", self.t
-            )
-        out = phi.copy()
+        out = np.array(self.Phi, dtype=float)
+        _check_flows(out[None], [self.t])
         out.setflags(write=False)
         object.__setattr__(self, "Phi", out)
 
@@ -61,57 +98,106 @@ class FlowMatrix:
 
 def taylor_polynomial(a: np.ndarray, degree: int = 4, shift: int = 0) -> np.ndarray:
     """sum_{j=0..degree} a^j * shift! / (j + shift)!, by the recurrence
-    term_j = term_{j-1} @ a / (j + shift).
+    term_j = term_{j-1} @ a / (j + shift), degree >= 1; `a` may be a stack
+    (k, m, m).
 
     For a linear autonomous right side ds/dt = M s, the four RK4 stages
     collapse to this polynomial of a = hM with degree 4; iterating it is
     the RK4 trajectory. With degree 3 and shift 1 it is the factor that
     maps a constant forcing c to the RK4 step offset h * (...) @ c.
     """
-    size = a.shape[0]
-    out = np.eye(size)
-    term = np.eye(size)
-    for j in range(1, degree + 1):
+    term = a / (1 + shift)  # the j = 1 term; I @ a is a, bit for bit
+    out = np.eye(a.shape[-1]) + term
+    for j in range(2, degree + 1):
         term = term @ a / (j + shift)
         out = out + term
     return out
 
 
-class _FlowIntegrator:
-    """Advances Phi(., s) forward through a process, reusing past work.
+class _Propagators:
+    """The step grid of a process and h, and the RK4 propagators of its pieces.
 
-    `powers` maps (id(lap), steps) to the segment propagator
-    taylor_polynomial(-h L)^steps; integrators of one process and one h
-    may share it, and (id(lap), 1) holds the one-step propagator itself.
+    Checks switch alignment once and keeps the step index where each
+    piece starts, so walks along the grid take integer steps. Maps
+    (id(lap), steps) to taylor_polynomial(-h L)^steps, with (id(lap), 1)
+    the one-step propagator; `build` makes the missing ones in stacks of
+    `per_stack` matrices, at most STACK_BYTES, and `power` makes a single
+    missing one.
     """
 
-    def __init__(
-        self, process: LaplacianProcess, s: float, h: float, powers: dict | None = None
-    ):
-        check_switch_alignment(process, h)
-        steps_in_span(s, h, f"start time {s}")
+    def __init__(self, process: LaplacianProcess, h: float):
+        self.firsts = check_switch_alignment(process, h)
         self.process = process
         self.h = h
-        self.t = s
-        self.phi = np.eye(process.n)
-        self._powers = {} if powers is None else powers
+        self.per_stack = max(1, STACK_BYTES // (8 * process.n**2))
+        self._powers: dict = {}
 
-    def advance_to(self, t: float) -> np.ndarray:
-        if t < self.t - 1e-12:
+    def legs(self, i0: int, i1: int):
+        """(Laplacian, steps) of each piece on the walk from step i0 to i1."""
+        if i1 <= i0:
+            return
+        firsts = self.firsts
+        last = len(firsts) - 1
+        for k in range(bisect_right(firsts, i0) - 1, last + 1):
+            if firsts[k] >= i1:
+                break
+            hi = i1 if k == last else min(firsts[k + 1], i1)
+            yield self.process.laplacians[k], hi - max(firsts[k], i0)
+
+    def build(self, legs) -> None:
+        """Make the missing propagators of (Laplacian, steps) legs: the
+        one-step ones first, then each power, in stacks of STACK_BYTES."""
+        groups: dict[int, dict] = {1: {}}
+        for lap, steps in legs:
+            for m in {1, steps}:
+                if (id(lap), m) not in self._powers:
+                    groups.setdefault(m, {})[id(lap)] = lap
+        for steps, laps in groups.items():
+            laps = list(laps.values())
+            for lo in range(0, len(laps), self.per_stack):
+                chunk = laps[lo : lo + self.per_stack]
+                if steps == 1:
+                    stack = taylor_polynomial(-self.h * np.stack([lap.matrix for lap in chunk]))
+                else:
+                    ones = np.stack([self._powers[id(lap), 1] for lap in chunk])
+                    stack = matrix_power(ones, steps)
+                for lap, power in zip(chunk, stack):
+                    self._powers[id(lap), steps] = power
+
+    def power(self, lap, steps: int) -> np.ndarray:
+        key = (id(lap), steps)
+        if key not in self._powers:
+            self.build([(lap, steps)])
+        return self._powers[key]
+
+
+class _FlowIntegrator:
+    """Advances Phi(., s) along the step grid of `props` from step `start`."""
+
+    def __init__(self, props: _Propagators, start: int):
+        self.props = props
+        self.i = start
+        self.phi = np.eye(props.process.n)
+
+    def legs(self, targets):
+        """The legs of the walk through the increasing step indices `targets`."""
+        for i0, i1 in zip([self.i, *targets], targets):
+            yield from self.props.legs(i0, i1)
+
+    def advance_to(self, i: int) -> np.ndarray:
+        if i < self.i:
             raise InvalidInputError("flow integrator cannot move backwards")
-        for lo, hi, lap in self.process.segments(self.t, t):
-            steps = steps_in_span(hi - lo, self.h, "segment length")
-            if steps == 0:
-                continue
-            power = self._powers.get((id(lap), steps))
-            if power is None:
-                prop = self._powers.get((id(lap), 1))
-                if prop is None:
-                    prop = self._powers[id(lap), 1] = taylor_polynomial(-self.h * lap.matrix)
-                power = self._powers[id(lap), steps] = matrix_power(prop, steps)
-            self.phi = power @ self.phi
-        self.t = t
+        for lap, steps in self.props.legs(self.i, i):
+            self.phi = self.props.power(lap, steps) @ self.phi
+        self.i = i
         return self.phi
+
+    def flows(self, targets) -> np.ndarray:
+        """Phi at each of the increasing step indices `targets`, as one stack."""
+        out = np.empty((len(targets), *self.phi.shape))
+        for j, i in enumerate(targets):
+            out[j] = self.advance_to(i)
+        return out
 
 
 def transition_matrix(
@@ -128,16 +214,9 @@ def transition_matrix(
         )
     if h <= 0:
         raise InvalidInputError("step h must be positive")
-    integ = _FlowIntegrator(process, s, h)
-    steps_in_span(t - s, h, "integration span")
-    phi = integ.advance_to(t)
+    integ = _FlowIntegrator(_Propagators(process, h), steps_in_span(s, h, f"start time {s}"))
+    phi = integ.advance_to(steps_in_span(t, h, f"end time {t}"))
     return FlowMatrix(s, t, phi)
-
-
-def _as_matrix(m) -> np.ndarray:
-    if isinstance(m, FlowMatrix):
-        return np.asarray(m.Phi)
-    return np.asarray(m, dtype=float)
 
 
 def distance_to_rank_one(m) -> float:
@@ -148,13 +227,12 @@ def distance_to_rank_one(m) -> float:
     already has identical columns, and never underestimates the true
     distance.
     """
-    mat = _as_matrix(m)
+    mat = np.asarray(m.Phi) if isinstance(m, FlowMatrix) else np.asarray(m, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise InvalidInputError("expected a square matrix")
     if mat.min() < -100 * TAU_FLOW or np.abs(mat.sum(axis=0) - 1.0).max() > 100 * TAU_FLOW:
         raise InvalidInputError("matrix is not column-stochastic")
-    pi = mat.mean(axis=1)
-    return float(np.linalg.norm(mat - pi[:, None], 2))
+    return float(_distances(mat))
 
 
 def semigroup_defect(
@@ -204,10 +282,7 @@ def default_grid(process: LaplacianProcess, h: float = DEFAULT_STEP) -> FlowGrid
 
 
 def adaptive_grid(
-    process: LaplacianProcess,
-    h: float = DEFAULT_STEP,
-    decay_floor: float = 1e-10,
-    powers: dict | None = None,
+    process: LaplacianProcess, h: float = DEFAULT_STEP, decay_floor: float = 1e-10
 ) -> FlowGrid:
     """Grid whose spans stop where the flow's mixing bottoms out.
 
@@ -215,21 +290,42 @@ def adaptive_grid(
     the distance first drops below `decay_floor` (fast mixers would
     otherwise only be sampled in the rounding-noise regime on long
     horizons, while slow mixers still get the full half-horizon range).
-    `powers` is a propagator cache shared with other flow integrations
-    of the same process and h (see `_FlowIntegrator`).
     """
+    return _adaptive_grid(_Propagators(process, h), decay_floor)
+
+
+def _adaptive_grid(props: _Propagators, decay_floor: float) -> FlowGrid:
+    """adaptive_grid on the step grid and propagators of `props`.
+
+    Probes run in chunks of PROBE_CHUNK, fewer where a stack of them
+    would pass STACK_BYTES: each chunk is advanced, checked and measured
+    at once, and the first probe under the floor stops the grid, as a
+    probe-by-probe loop would.
+    """
+    process, h = props.process, props.h
     cap = process.horizon / 2
     stride = max(1, int(round(min(0.5, cap / 12) / h)))
-    integ = _FlowIntegrator(process, 0.0, h, powers)
-    t = 0.0
-    dt_max = cap
-    while t + stride * h <= cap + 1e-12:
-        t = round((t + stride * h) / h) * h
-        phi = integ.advance_to(t)
-        if distance_to_rank_one(FlowMatrix(0.0, t, phi)) < decay_floor:
-            dt_max = t
-            break
-    return _grid(process, h, dt_max)
+
+    def probes():
+        t = 0.0
+        while t + stride * h <= cap + 1e-12:
+            i = round((t + stride * h) / h)
+            t = i * h
+            yield t, i
+
+    integ = _FlowIntegrator(props, 0)
+    remaining = probes()
+    while chunk := list(islice(remaining, min(PROBE_CHUNK, props.per_stack))):
+        times, steps = zip(*chunk)
+        props.build(integ.legs(steps))
+        phis = integ.flows(steps)
+        bad, problem = _flow_problem(phis)
+        below = np.flatnonzero(_distances(phis[:bad]) < decay_floor)
+        if below.size:
+            return _grid(process, h, times[below[0]])
+        if problem is not None:
+            raise NumericalFailureError(problem, times[bad])
+    return _grid(process, h, cap)
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,36 +401,40 @@ def ergodicity_report(
 ) -> ErgodicityReport:
     """Sample the flow on a grid and fit its exponential mixing envelope.
 
-    The rate fit regresses log-distance on span over all samples above
-    FIT_FLOOR; fewer than 3 usable samples yields a report with no rate.
-    Row-sum minima within TAU_FLOW of 1 are reported as exactly 1 so that
-    doubly stochastic flows certify p* = 1.
+    The propagators every walk needs are built first; then each walk's
+    samples are checked, measured and reduced to p* as stacks of at most
+    STACK_BYTES, so a stack raises NumericalFailureError at its first bad
+    sample. The rate fit regresses log-distance on span over all
+    samples above FIT_FLOOR; fewer than 3 usable samples yields a report
+    with no rate. Row-sum minima within TAU_FLOW of 1 are reported as
+    exactly 1 so that doubly stochastic flows certify p* = 1.
     """
-    powers: dict = {}  # one propagator cache for every integrator below
+    props = _Propagators(process, h)
     if grid is None:
-        grid = adaptive_grid(process, h, powers=powers)
-    samples: list[tuple[float, float]] = []
-    dists: list[float] = []
-    p_star = math.inf
-    ones = np.ones(process.n)
+        grid = _adaptive_grid(props, 1e-10)
+    dts = sorted(grid.dt_values)
+    samples = []
+    walks = []  # (integrator from s, its sample times, their step indices)
     for s in grid.s_values:
-        targets = [s + dt for dt in sorted(grid.dt_values) if s + dt <= process.horizon + 1e-12]
-        if not targets:
-            continue
-        integ = _FlowIntegrator(process, s, h, powers)
-        for t in targets:
-            t = min(t, process.horizon)
-            phi = integ.advance_to(t)
-            flow = FlowMatrix(s, t, phi)
-            samples.append((s, t))
-            dists.append(distance_to_rank_one(flow))
-            p_star = min(p_star, float((flow.Phi @ ones).min()))
+        ts = [min(s + dt, process.horizon) for dt in dts if s + dt <= process.horizon + 1e-12]
+        if ts:
+            samples.extend((s, t) for t in ts)
+            integ = _FlowIntegrator(props, steps_in_span(s, h, f"start time {s}"))
+            walks.append((integ, ts, [steps_in_span(t, h, f"sample time {t}") for t in ts]))
     if not samples:
         raise InvalidInputError("grid produced no samples inside the horizon")
+    props.build(leg for integ, _, targets in walks for leg in integ.legs(targets))
+    dists, p_star = [], math.inf
+    for integ, ts, targets in walks:
+        for lo in range(0, len(targets), props.per_stack):
+            phis = integ.flows(targets[lo : lo + props.per_stack])
+            _check_flows(phis, ts[lo:])
+            dists.extend(_distances(phis).tolist())
+            p_star = min(p_star, float((phis @ np.ones(process.n)).min()))
+    dist_arr = np.array(dists)
     if abs(p_star - 1.0) <= TAU_FLOW:
         p_star = 1.0
     spans = np.array([t - s for s, t in samples])
-    dist_arr = np.array(dists)
     rate, prefactor, r2 = _fit_rate(spans, dist_arr)
     usable = dist_arr > FIT_FLOOR
     if usable.any():

@@ -324,9 +324,10 @@ class LaplacianProcess:
         return all(is_weight_balanced(lap, tol) for lap in self.laplacians)
 
 
-def check_switch_alignment(process: LaplacianProcess, h: float) -> None:
-    for t in process.start_times[1:]:
-        steps_in_span(t, h, f"switching time {t}")
+def check_switch_alignment(process: LaplacianProcess, h: float) -> list[int]:
+    """Step index of each piece's start; InvalidInputError unless every
+    switch lands on the step grid of h."""
+    return [0] + [steps_in_span(t, h, f"switching time {t}") for t in process.start_times[1:]]
 
 
 def constant_process(lap: Laplacian, horizon: float) -> LaplacianProcess:

@@ -24,6 +24,7 @@ from .errors import ConfigError, FlowtrackerError, InvalidInputError
 from .flowcore import ErgodicityReport, ergodicity_report
 from .graphnet import (
     LaplacianProcess,
+    check_switch_alignment,
     integrated_min_cut,
     process_from_dict,
     random_process,
@@ -36,7 +37,15 @@ from .objectives import (
     optimizer_oracle,
 )
 from .schedules import StepSchedule, check_validity, schedule_from_dict
-from .simulate import LimitEstimate, Trajectory, estimate_limit, integrate, step_grid
+from .simulate import (
+    MIN_TAIL,
+    LimitEstimate,
+    Trajectory,
+    estimate_limit,
+    integrate,
+    step_grid,
+    tail_length,
+)
 
 # checks and expectation kinds that compare the run with the optimizer oracle
 FAMILY_CHECKS = ("v-dominated-by-h", "vdot-bound", "gap-integral")
@@ -182,7 +191,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     except (FlowtrackerError, TypeError, ValueError) as exc:
         raise ConfigError(f"process spec invalid: {exc}") from exc
     try:
-        step_grid(process, t_end, h, record_every)
+        n_steps, steps_per_record = step_grid(process, t_end, h, record_every)
     except InvalidInputError as exc:
         raise ConfigError(f"the run does not fit the step grid: {exc}") from exc
 
@@ -199,6 +208,15 @@ def parse_config(raw: dict) -> ExperimentConfig:
             schedule = schedule_from_dict(raw["schedule"])
         except FlowtrackerError as exc:
             raise ConfigError(f"schedule spec invalid: {exc}") from exc
+        try:
+            # alpha is nonincreasing, so t_end holds its least value on the run
+            alpha_end = schedule(t_end)
+        except OverflowError:
+            alpha_end = 0.0
+        if not 0 < alpha_end <= 1:
+            raise ConfigError(
+                f"schedule alpha(t_end) = {alpha_end} is not a finite step in (0, 1]"
+            )
 
     if family is not None:
         d = family.d
@@ -211,6 +229,21 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError(
             f"family has {family.n} agents but the process has {system.n}"
         )
+    tail = tail_length(n_steps // steps_per_record + 1)
+    for spec in expectations:
+        if spec["kind"] in ("y-limit", "nonconvergence") and tail < MIN_TAIL:
+            raise ConfigError(
+                f"expectation {spec['kind']!r} averages the last tenth of the records, "
+                f"{tail} here; it needs {MIN_TAIL} (t_end / record_every >= 90)"
+            )
+        if spec["kind"] == "y-limit":
+            try:
+                np.broadcast_to(spec["value"], (system.n, system.d))
+            except ValueError as exc:
+                raise ConfigError(
+                    f"y-limit value of shape {spec['value'].shape} does not broadcast "
+                    f"to the output shape {(system.n, system.d)}"
+                ) from exc
 
     init_spec = raw.get("init", {})
     try:
@@ -238,8 +271,14 @@ def parse_config(raw: dict) -> ExperimentConfig:
             raise ConfigError(f"check {check!r} needs an objective family")
     if "input-tracking" in checks and abs(record_every - h) > 1e-12:
         raise ConfigError("the input-tracking check needs record_every == h")
-    if "observer-bound" in checks and not check_params["observer-bound"]["flow_h"] > 0:
-        raise ConfigError("observer-bound flow_h must be positive")
+    if "observer-bound" in checks:
+        flow_h = check_params["observer-bound"]["flow_h"]
+        if not 0 < flow_h < process.horizon:
+            raise ConfigError("observer-bound flow_h must lie in (0, process horizon)")
+        try:
+            check_switch_alignment(process, flow_h)
+        except InvalidInputError as exc:
+            raise ConfigError(f"observer-bound flow_h does not fit the process: {exc}") from exc
     if "min-cut-window" in checks and not 0 < check_params["min-cut-window"]["T"] <= t_end:
         raise ConfigError("min-cut-window T must lie in (0, t_end]")
     if expectations and "expectations" not in checks:
@@ -363,7 +402,7 @@ def run(cfg: ExperimentConfig, out_dir=None, full_resolution: bool = False) -> R
     if cfg.family is not None:
         oracle = optimizer_oracle(cfg.family)
         gaps = diag.objective_series(traj, cfg.family) - oracle[1]
-    est = estimate_limit(traj) if math.ceil(traj.n_samples * 0.1) >= 10 else None
+    est = estimate_limit(traj) if tail_length(traj.n_samples) >= MIN_TAIL else None
 
     err_series = diag.consensus_error(traj)
     series: dict[str, np.ndarray] = {"consensus_error": err_series}

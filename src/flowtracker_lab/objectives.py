@@ -120,6 +120,15 @@ class _Huber:
         return self.analytic_cap()
 
 
+def _check_huber_scale(curvature: float, radius: float) -> None:
+    """The linear branch's offset curvature * radius^2 / 2 must be a finite float."""
+    if not math.isfinite(curvature * radius * radius):
+        raise InvalidInputError(
+            f"huber curvature {curvature} and radius {radius} overflow: "
+            "curvature * radius^2 is not finite"
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class _Logistic:
     """Scalar softplus ramp: sign=+1 increases, sign=-1 decreases."""
@@ -201,6 +210,7 @@ def huberized_quadratic(
     c = np.atleast_2d(np.asarray(centers, dtype=float))
     if radius <= 0 or curvature <= 0:
         raise InvalidInputError("radius and curvature must be positive")
+    _check_huber_scale(curvature, radius)
     n, d = c.shape
     agents = tuple(_Huber(c[i].copy(), curvature, radius) for i in range(n))
     return ObjectiveFamily("huberized-quadratic", n, d, agents)
@@ -246,6 +256,7 @@ def custom_table(entries: Sequence[dict], box: Box | None = None) -> ObjectiveFa
             radius = float(entry["radius"])
             if radius <= 0:
                 raise InvalidInputError("huber radius must be positive")
+            _check_huber_scale(curv, radius)
             agents.append(_Huber(center, curv, radius))
         else:
             raise InvalidInputError(f"unknown objective form {form!r}")
@@ -451,6 +462,8 @@ def family_from_dict(data: dict) -> ObjectiveFamily:
     try:
         kind = data["kind"]
         params = data.get("params", {})
+        if not isinstance(params, dict):
+            raise InvalidInputError(f"family params must be an object, got {params!r}")
         box = None
         if data.get("box") is not None:
             lo, hi = data["box"]

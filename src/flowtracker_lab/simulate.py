@@ -43,6 +43,9 @@ from .graphnet import LaplacianProcess, check_switch_alignment, steps_in_span
 
 DEFAULT_RECORD_EVERY = 0.1
 
+# fewest records estimate_limit averages for a stable limit
+MIN_TAIL = 10
+
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
@@ -224,8 +227,7 @@ def integrate(
     u_now = record(0, 0.0)
 
     # step indices of piece boundaries, clipped to the run
-    bounds = [steps_in_span(t, h, "switch time") for t in process.start_times]
-    bounds = [b for b in bounds if b < n_steps] + [n_steps]
+    bounds = [b for b in check_switch_alignment(process, h) if b < n_steps] + [n_steps]
 
     # the stage derivatives live in the rows of one buffer, so the RK4
     # update is a single weighted sum and the input adds into row views
@@ -328,14 +330,19 @@ class LimitEstimate:
     residual: float
 
 
+def tail_length(n_samples: int, tail_fraction: float = 0.1) -> int:
+    """Records in the tail that estimate_limit averages."""
+    return int(math.ceil(n_samples * tail_fraction))
+
+
 def estimate_limit(traj: Trajectory, tail_fraction: float = 0.1) -> LimitEstimate:
     """Tail-mean of the outputs with the in-tail spread as residual."""
     if not (0 < tail_fraction <= 1):
         raise InvalidInputError("tail_fraction must lie in (0, 1]")
-    m_tail = int(math.ceil(traj.n_samples * tail_fraction))
-    if m_tail < 10:
+    m_tail = tail_length(traj.n_samples, tail_fraction)
+    if m_tail < MIN_TAIL:
         raise InvalidInputError(
-            f"tail holds {m_tail} samples; need at least 10 for a stable estimate"
+            f"tail holds {m_tail} samples; need at least {MIN_TAIL} for a stable estimate"
         )
     tail_y = traj.y[-m_tail:]
     tail_xbar = traj.xbar[-m_tail:]

@@ -46,6 +46,7 @@ MALFORMED = {
     "constant-a0-text": {"schedule": {"kind": "constant", "a0": "x"}},
     "huber-no-params": {"family": {"kind": "huberized-quadratic", "params": {}}},
     "mirror-short-box": {"family": {"kind": "mirror-pair", "params": {}, "box": [1]}},
+    "mirror-params-number": {"family": {"kind": "mirror-pair", "params": 5}},
     "unknown-expectation": {"expectations": [{"kind": "nope"}]},
     "expectation-no-kind": {"expectations": [{"tol": 0.1}]},
     "oracle-without-family": {
@@ -72,6 +73,40 @@ MALFORMED = {
         "checks": ["observer-bound"],
         "check_params": {"observer-bound": {"flow_h": 0}},
     },
+    "flow-step-of-horizon": {
+        "checks": ["observer-bound"],
+        "check_params": {"observer-bound": {"flow_h": 5.0}},
+    },
+    "flow-step-overflow": {
+        "checks": ["observer-bound"],
+        "check_params": {"observer-bound": {"flow_h": 1e300}},
+    },
+    "flow-step-off-switches": {
+        "process": {"random": RANDOM_PROCESS},
+        "checks": ["observer-bound"],
+        "check_params": {"observer-bound": {"flow_h": 0.3}},
+    },
+    "y-limit-empty-value": {"expectations": [{"kind": "y-limit", "value": [], "tol": 0.1}]},
+    "y-limit-extra-agent": {
+        "expectations": [{"kind": "y-limit", "value": [[0.0], [0.0], [0.0]], "tol": 0.1}]
+    },
+    "y-limit-short-tail": {
+        "t_end": 2.0,
+        "record_every": 0.1,
+        "expectations": [{"kind": "y-limit", "value": [[0.0], [0.0]], "tol": 0.1}],
+    },
+    "nonconvergence-short-tail": {
+        "t_end": 2.0,
+        "record_every": 0.1,
+        "expectations": [{"kind": "nonconvergence", "min_distance": 0.1}],
+    },
+    "schedule-p-overflow": {"schedule": {"kind": "power-law", "a0": 0.5, "p": 1e300}},
+    "huber-radius-overflow": {
+        "family": {
+            "kind": "huberized-quadratic",
+            "params": {"centers": [[0.5], [-0.3]], "radius": 1e300},
+        }
+    },
 }
 
 
@@ -84,6 +119,16 @@ NAMED = {
     "unknown-expectation": "'nope'",
     "expectation-no-kind": "'kind'",
     "oracle-without-family": "family",
+    "flow-step-of-horizon": "flow_h",
+    "flow-step-overflow": "flow_h",
+    "flow-step-off-switches": "switching time 0.5",
+    "y-limit-empty-value": "shape (0,)",
+    "y-limit-extra-agent": "shape (3, 1)",
+    "y-limit-short-tail": "3 here",
+    "nonconvergence-short-tail": "3 here",
+    "schedule-p-overflow": "alpha(t_end)",
+    "huber-radius-overflow": "radius^2",
+    "mirror-params-number": "params must be an object",
 }
 
 

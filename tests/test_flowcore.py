@@ -1,20 +1,26 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.linalg import matrix_power
 from scipy.linalg import expm
 
 from flowtracker_lab import flowcore
-from flowtracker_lab.errors import InvalidInputError
+from flowtracker_lab.errors import InvalidInputError, NumericalFailureError
 from flowtracker_lab.flowcore import (
     TAU_FLOW,
     FlowGrid,
     FlowMatrix,
+    adaptive_grid,
     default_grid,
     distance_to_rank_one,
     ergodicity_report,
     semigroup_defect,
+    taylor_polynomial,
     transition_matrix,
 )
 from flowtracker_lab.graphnet import (
+    RANDOM_MODELS,
     Laplacian,
     LaplacianProcess,
     constant_process,
@@ -205,26 +211,29 @@ class TestErgodicityReport:
 
     def test_report_builds_each_piece_propagator_once(self, monkeypatch):
         proc = random_process(6, "directed-ring-rotate", dwell=0.5, horizon=20.0, seed=3)
-        calls = []
+        built = []
         real = flowcore.taylor_polynomial
 
         def counted(a, *args, **kwargs):
-            calls.append(a)
+            # a stack of k pieces builds k propagators in one call
+            built.append(len(a) if a.ndim == 3 else 1)
             return real(a, *args, **kwargs)
 
         monkeypatch.setattr(flowcore, "taylor_polynomial", counted)
         report = ergodicity_report(proc, h=1e-2)
         pieces = {id(lap) for s, t in report.samples for _, _, lap in proc.segments(s, t)}
         assert len(pieces) > 10
-        assert len(calls) == len(pieces)
+        assert sum(built) == len(pieces)
+        assert len(built) < len(pieces)
 
     def test_shared_propagators_leave_the_report_unchanged(self, monkeypatch):
         proc = random_process(6, "directed-ring-rotate", dwell=0.5, horizon=20.0, seed=3)
         shared = ergodicity_report(proc, h=1e-2)
 
         class OwnCache(flowcore._FlowIntegrator):
-            def __init__(self, process, s, h, powers=None):
-                super().__init__(process, s, h)
+            # a private step grid and cache: every propagator built one at a time
+            def __init__(self, props, start):
+                super().__init__(flowcore._Propagators(props.process, props.h), start)
 
         monkeypatch.setattr(flowcore, "_FlowIntegrator", OwnCache)
         own = ergodicity_report(proc, h=1e-2)
@@ -241,3 +250,158 @@ class TestFlowMatrixValidation:
     def test_rejects_reversed_times(self):
         with pytest.raises(InvalidInputError):
             FlowMatrix(1.0, 0.0, np.eye(2))
+
+
+# --- properties on random processes ----------------------------------------
+
+H = 1e-2
+
+
+@st.composite
+def processes(draw):
+    n = draw(st.integers(2, 6))
+    model = draw(st.sampled_from(RANDOM_MODELS))
+    dwell = draw(st.sampled_from([0.25, 0.5, 0.75]))
+    horizon = draw(st.sampled_from([3.0, 4.5, 6.0]))
+    seed = draw(st.integers(0, 2**16))
+    b = draw(st.integers(1, n)) if model == "B-window-strongly-connected" else None
+    return random_process(n, model, dwell=dwell, horizon=horizon, seed=seed, h=H, B=b)
+
+
+def per_sample_report(process, h):
+    """(grid, samples, distances, p*) of the probe-by-probe, sample-by-sample
+    loop with one SVD norm per sample, which the stacked report replaced."""
+    powers = {}
+
+    def advance(phi, s, t):
+        for lo, hi, lap in process.segments(s, t):
+            key = (id(lap), round((hi - lo) / h))
+            if key not in powers:
+                powers[key] = matrix_power(taylor_polynomial(-h * lap.matrix), key[1])
+            phi = powers[key] @ phi
+        return phi
+
+    def dist(phi):
+        return float(np.linalg.norm(phi - phi.mean(axis=1)[:, None], 2))
+
+    cap = process.horizon / 2
+    stride = max(1, int(round(min(0.5, cap / 12) / h)))
+    t, dt_max, phi = 0.0, cap, np.eye(process.n)
+    while t + stride * h <= cap + 1e-12:
+        t_next = round((t + stride * h) / h) * h
+        phi, t = advance(phi, t, t_next), t_next
+        if dist(phi) < 1e-10:
+            dt_max = t
+            break
+    grid = flowcore._grid(process, h, dt_max)
+    samples, dists, p_star = [], [], np.inf
+    for s in grid.s_values:
+        phi, now = np.eye(process.n), s
+        for dt in sorted(grid.dt_values):
+            if s + dt > process.horizon + 1e-12:
+                continue
+            t = min(s + dt, process.horizon)
+            phi, now = advance(phi, now, t), t
+            samples.append((s, t))
+            dists.append(dist(phi))
+            p_star = min(p_star, float((phi @ np.ones(process.n)).min()))
+    if abs(p_star - 1.0) <= TAU_FLOW:
+        p_star = 1.0
+    return grid, samples, dists, p_star
+
+
+class TestFlowProperties:
+    @settings(max_examples=25, deadline=None)
+    @given(processes(), st.data())
+    def test_flow_is_column_stochastic_and_composes(self, proc, data):
+        steps = round(proc.horizon / H)
+        s, r, t = sorted(data.draw(st.integers(0, steps)) for _ in range(3))
+        s, r, t = s * H, r * H, t * H
+        flow = transition_matrix(proc, s, t, h=H)
+        assert np.abs(flow.Phi.sum(axis=0) - 1.0).max() <= TAU_FLOW
+        assert flow.Phi.min() >= -TAU_FLOW
+        assert semigroup_defect(proc, s, r, t, h=H) < 1e-10
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(1, 12), st.integers(1, 4), st.integers(0, 14), st.integers(0, 2**16)
+    )
+    def test_stacked_distance_is_the_spectral_norm(self, n, k, mix, seed):
+        # column-stochastic matrices from far from rank one to within 1e-14 of it
+        rng = np.random.default_rng(seed)
+        noise = rng.uniform(0.0, 1.0, (k, n, n))
+        noise /= noise.sum(axis=1, keepdims=True)
+        pi = rng.uniform(0.1, 1.0, n)
+        mats = (1 - 10.0**-mix) * np.outer(pi / pi.sum(), np.ones(n)) + 10.0**-mix * noise
+        got = flowcore._distances(mats)
+        for m, d in zip(mats, got):
+            want = np.linalg.norm(m - m.mean(axis=1)[:, None], 2)
+            assert abs(d - want) <= 1e-12 * want + 1e-300
+            assert distance_to_rank_one(m) == d
+
+    @settings(max_examples=20, deadline=None)
+    @given(processes())
+    def test_report_matches_the_per_sample_loop(self, proc):
+        grid, samples, dists, p_star = per_sample_report(proc, H)
+        assert adaptive_grid(proc, H) == grid
+        report = ergodicity_report(proc, h=H)
+        assert report.samples == tuple(samples)
+        assert report.p_star == p_star
+        for got, want in zip(report.distances, dists):
+            assert abs(got - want) <= 1e-12 * max(1.0, want)
+
+
+def non_finite(phi):
+    phi[0, 0] = np.nan
+
+
+def negative_entry(phi):
+    # keeps the column sum, so only the sign check fails
+    phi[1, 0] += phi[0, 0] + 1e-3
+    phi[0, 0] = -1e-3
+
+
+def column_drift(phi):
+    phi[0, 0] += 1e-3
+
+
+class TestStackedChecks:
+    GRID = FlowGrid((0.0, 2.0), (0.5, 1.0, 1.5))
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            (non_finite, "non-finite"),
+            (negative_entry, "far below zero"),
+            (column_drift, "column sums"),
+        ],
+    )
+    def test_first_bad_sample_names_its_time(self, monkeypatch, fault, message):
+        proc = random_process(4, "directed-ring-rotate", dwell=0.5, horizon=4.0, seed=5, h=H)
+        real = flowcore._FlowIntegrator.flows
+
+        def corrupt(self, targets):
+            # samples 4 and 5 of the stack, (2.0, 3.0) and (2.0, 3.5), go bad
+            phis = real(self, targets)
+            if self.i == round(3.5 / H):
+                for phi in phis[1:]:
+                    fault(phi)
+            return phis
+
+        monkeypatch.setattr(flowcore._FlowIntegrator, "flows", corrupt)
+        with pytest.raises(NumericalFailureError, match=message) as err:
+            ergodicity_report(proc, h=H, grid=self.GRID)
+        assert err.value.time == pytest.approx(3.0)
+
+    def test_switch_alignment_checked_once_per_report(self, monkeypatch):
+        proc = random_process(5, "directed-ring-rotate", dwell=0.5, horizon=20.0, seed=6)
+        calls = []
+        real = flowcore.check_switch_alignment
+
+        def counted(process, h):
+            calls.append(h)
+            return real(process, h)
+
+        monkeypatch.setattr(flowcore, "check_switch_alignment", counted)
+        ergodicity_report(proc, h=1e-2)
+        assert calls == [1e-2]
