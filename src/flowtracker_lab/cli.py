@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import harness
 from .errors import FlowtrackerError
-from .graphnet import process_from_dict
+from .graphnet import DEFAULT_STEP, process_from_dict
 
 
 def _fail(kind: str, message: str) -> int:
@@ -110,7 +110,7 @@ def _cmd_check_schedule(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    return 0 if harness.selftest(verbose=True) else 1
+    return 0 if harness.selftest() else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -146,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_flow = sub.add_parser("check-flow", help="classify a process's mixing flow")
     p_flow.add_argument("--process", required=True, help="process JSON file")
-    p_flow.add_argument("--h", type=float, default=1e-3, help="integration step")
+    p_flow.add_argument("--h", type=float, default=DEFAULT_STEP, help="integration step")
     p_flow.add_argument("--out", help="output directory")
     p_flow.set_defaults(func=_cmd_check_flow)
 

@@ -28,6 +28,8 @@ from .schedules import StepSchedule, evaluate_many
 from .simulate import Trajectory
 
 TOL_INEQ_BASE = 1e-6
+GAP_TAIL_TOL = 1e-3
+WEIGHT_TOL = 1e-8
 
 
 def _row_norms(block: np.ndarray) -> np.ndarray:
@@ -262,10 +264,9 @@ def gap_integral_check(
     family: ObjectiveFamily,
     schedule: StepSchedule,
     f_star: float,
-    tail_tol: float = 1e-3,
 ) -> GapIntegralReport:
     """Partial integral of alpha(s) (F(xbar(s)) - F*): nonnegative integrand
-    and a settled tail (change over the last time decade below tail_tol)."""
+    and a settled tail (change over the last time decade below GAP_TAIL_TOL)."""
     alphas = evaluate_many(schedule, traj.times)
     gaps = objective_series(traj, family) - f_star
     integrand = alphas * gaps
@@ -277,7 +278,7 @@ def gap_integral_check(
     tail_vals = partial[window]
     tail_change = float(tail_vals.max() - tail_vals.min()) if tail_vals.size else 0.0
     integrand_min = float(integrand.min())
-    bounded = tail_change < tail_tol
+    bounded = tail_change < GAP_TAIL_TOL
     passed = bounded and integrand_min >= -TOL_INEQ_BASE
     return GapIntegralReport(float(partial[-1]), bounded, tail_change, integrand_min, passed)
 
@@ -292,15 +293,14 @@ def matrix_norm_bound_check(x: np.ndarray) -> tuple[float, float, bool]:
     return lhs, rhs, bool(lhs <= rhs + 1e-12 * max(1.0, rhs))
 
 
-def weight_conservation_check(traj: Trajectory, tol: float = 1e-8) -> dict:
-    """Ratio-weight sums must stay at the agent count along the run."""
-    results = {}
-    for name in ("w", "v"):
-        if name in traj.aux and traj.aux[name].ndim == 2:
-            sums = traj.aux[name].sum(axis=1)
-            drift = float(np.abs(sums - traj.n).max())
-            results[name] = {"max_drift": drift, "passed": drift <= tol}
-    return results
+def weight_conservation_check(traj: Trajectory) -> dict:
+    """The ratio-weight block's agent sums, named by traj.meta["ratio"],
+    must stay at the agent count along the run; {} without a ratio block."""
+    name = traj.meta.get("ratio")
+    if name is None:
+        return {}
+    drift = float(np.abs(traj.aux[name].sum(axis=1) - traj.n).max())
+    return {name: {"max_drift": drift, "passed": drift <= WEIGHT_TOL}}
 
 
 @dataclass(frozen=True)

@@ -9,14 +9,17 @@ that constant is exposed as c1.
 
 So one class describes all four: a k x k coupling matrix over the state
 blocks, the shape of each aux block, and the ratio block if the output
-is a ratio. States are exchanged with integrators as flat vectors;
-`pack`/`unpack` translate to the structured SystemState view.
+is a ratio. The SYSTEMS table holds these, and each system's
+requirements, as one row per system. States are exchanged with
+integrators as flat vectors; `pack`/`unpack` translate to the
+structured SystemState view.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import accumulate
 
@@ -51,11 +54,11 @@ class FlowTrackerSystem:
     """One flow tracker: k state blocks S_0 = x, S_1, ... mixing through L(t).
 
     Block j's derivative is sum_i coupling[i][j] * L(t) S_i, plus the
-    control input u on the x block. `aux_layout` lists the blocks after
-    x as (name, shape) pairs in flat-vector order; a block of shape (n,)
-    has width 1 and one of shape (n, d) has width d. The output is x, or
-    x_i / r_i row by row when `ratio` names a width-1 ratio-weight block r,
-    which then starts at 1 for every agent.
+    control input u on the x block. `aux` lists the blocks after x as
+    (name, per-agent width 1 or "d") pairs in flat-vector order, and
+    `aux_layout` holds them as (name, shape) pairs, shape (n,) or (n, d).
+    The output is x, or x_i / r_i row by row when `ratio` names a width-1
+    ratio-weight block r, which then starts at 1 for every agent.
     """
 
     def __init__(
@@ -64,8 +67,8 @@ class FlowTrackerSystem:
         name: str,
         d: int,
         coupling,
-        aux_layout: tuple[tuple[str, tuple[int, ...]], ...] = (),
-        ratio: str | None = None,
+        aux: tuple[tuple[str, int | str], ...],
+        ratio: str | None,
     ):
         if d < 1:
             raise InvalidInputError("state dimension d must be positive")
@@ -75,16 +78,16 @@ class FlowTrackerSystem:
         self.d = d
         self.c1 = 1.0 / self.n
         self.coupling = np.asarray(coupling, dtype=float)
-        self.aux_layout = aux_layout
+        self.aux_layout = tuple((block, (self.n,) if w == 1 else (self.n, d)) for block, w in aux)
         self.ratio = ratio
         self._nd = self.n * d
-        widths = [d] + [math.prod(shape) // self.n for _, shape in aux_layout]
+        widths = [d] + [1 if w == 1 else d for _, w in aux]
         offsets = list(accumulate((self.n * w for w in widths), initial=0))
         self._blocks = [
             (slice(lo, hi), w) for lo, hi, w in zip(offsets, offsets[1:], widths)
         ]
         self.state_size = offsets[-1]
-        names = [name for name, _ in aux_layout]
+        names = [block for block, _ in aux]
         self.ratio_slice = (
             None if ratio is None else self._blocks[1 + names.index(ratio)][0]
         )
@@ -180,7 +183,69 @@ class FlowTrackerSystem:
         return self.output_flat(self.pack(state))
 
 
-# --- factories --------------------------------------------------------------
+# --- the systems -------------------------------------------------------------
+
+# Gains from PROVEN_GAIN up are in the proven sufficient range; the
+# default gain is the least of them.
+PROVEN_GAIN = 5.0
+DEFAULT_GAIN = PROVEN_GAIN
+
+
+@dataclass(frozen=True)
+class SystemRow:
+    """What sets one flow tracker apart: its coupling K at gain a, its aux
+    blocks as (name, per-agent width 1 or "d"), its ratio block, and its
+    requirements: weight balance ("warned" or "required"), a gain a > 0
+    that warns below PROVEN_GAIN, and scalar states (d = 1)."""
+
+    coupling: Callable[[float], list]
+    aux: tuple[tuple[str, int | str], ...] = ()
+    ratio: str | None = None
+    balance: str | None = None
+    gain: bool = False
+    scalar: bool = False
+
+
+# saddle-point is the proportional-integral coupling of Wang & Elia (2010);
+# a ratio block is push-sum (Kempe, Dobra & Gehrke, 2003)
+SYSTEMS = {
+    "averaging": SystemRow(lambda a: [[-1.0]], balance="warned"),
+    "push-sum": SystemRow(lambda a: [[-1.0, 0.0], [0.0, -1.0]], (("w", 1),), ratio="w"),
+    "saddle-point": SystemRow(
+        lambda a: [[-a, 1.0], [-1.0, 0.0]], (("w", "d"),), balance="required", gain=True
+    ),
+    "spps": SystemRow(
+        lambda a: [[-a, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, -1.0]],
+        (("z", 1), ("v", 1)), ratio="v", gain=True, scalar=True,
+    ),
+}
+
+SYSTEM_NAMES = tuple(SYSTEMS)
+
+
+def make_system(
+    name: str, process: LaplacianProcess, d: int = 1, a: float = DEFAULT_GAIN
+) -> FlowTrackerSystem:
+    """The SYSTEMS row `name` on `process`, once the row's requirements hold."""
+    row = SYSTEMS.get(name)
+    if row is None:
+        raise InvalidInputError(f"unknown dynamics {name!r}; options: {SYSTEM_NAMES}")
+    if row.scalar and d != 1:
+        raise CapabilityError(f"{name} is defined for scalar agent states (d = 1)")
+    if row.gain and a <= 0:
+        raise InvalidInputError("gain a must be positive")
+    if row.balance is not None and not process.is_weight_balanced():
+        if row.balance == "required":
+            raise InvalidInputError(f"{name} dynamics needs weight-balanced pieces")
+        warnings.warn(
+            f"{name} on a non-weight-balanced process: input tracking is not guaranteed",
+            stacklevel=2,
+        )
+    if row.gain and a < PROVEN_GAIN:
+        warnings.warn(
+            f"gain a < {PROVEN_GAIN:g} is outside the proven sufficient range", stacklevel=2
+        )
+    return FlowTrackerSystem(process, name, d, row.coupling(a), row.aux, row.ratio)
 
 
 def averaging_system(process: LaplacianProcess, d: int = 1) -> FlowTrackerSystem:
@@ -189,12 +254,7 @@ def averaging_system(process: LaplacianProcess, d: int = 1) -> FlowTrackerSystem
     Warns when pieces are not weight-balanced, since then the state
     average no longer integrates the average input.
     """
-    if not process.is_weight_balanced():
-        warnings.warn(
-            "averaging on a non-weight-balanced process: input tracking is not guaranteed",
-            stacklevel=2,
-        )
-    return FlowTrackerSystem(process, "averaging", d, [[-1.0]])
+    return make_system("averaging", process, d)
 
 
 def push_sum_system(process: LaplacianProcess, d: int = 1) -> FlowTrackerSystem:
@@ -203,24 +263,12 @@ def push_sum_system(process: LaplacianProcess, d: int = 1) -> FlowTrackerSystem:
     Weight balance is not required; the ratio de-biases the mixing as
     long as the weights stay bounded away from zero.
     """
-    return FlowTrackerSystem(
-        process, "push-sum", d, -np.eye(2), (("w", (process.n,)),), ratio="w"
-    )
+    return make_system("push-sum", process, d)
 
 
 def saddle_point_system(process: LaplacianProcess, a: float, d: int = 1) -> FlowTrackerSystem:
     """dx = -a L x - L w + u, dw = L x, y = x, for weight-balanced processes."""
-    if a <= 0:
-        raise InvalidInputError("gain a must be positive")
-    if not process.is_weight_balanced():
-        raise InvalidInputError("saddle-point dynamics needs weight-balanced pieces")
-    if a < 5:
-        warnings.warn(
-            "gain a < 5 is outside the proven sufficient range", stacklevel=2
-        )
-    return FlowTrackerSystem(
-        process, "saddle-point", d, [[-a, 1.0], [-1.0, 0.0]], (("w", (process.n, d)),)
-    )
+    return make_system("saddle-point", process, d, a)
 
 
 def spps_system(process: LaplacianProcess, a: float, d: int = 1) -> FlowTrackerSystem:
@@ -228,38 +276,7 @@ def spps_system(process: LaplacianProcess, a: float, d: int = 1) -> FlowTrackerS
 
     dx = -a L x - L z + u, dz = L x, dv = -L v, y_i = x_i / v_i.
     """
-    if d != 1:
-        raise CapabilityError("spps is defined for scalar agent states (d = 1)")
-    if a <= 0:
-        raise InvalidInputError("gain a must be positive")
-    if a < 5:
-        warnings.warn(
-            "gain a < 5 is outside the proven sufficient range", stacklevel=2
-        )
-    n = process.n
-    return FlowTrackerSystem(
-        process,
-        "spps",
-        1,
-        [[-a, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, -1.0]],
-        (("z", (n,)), ("v", (n,))),
-        ratio="v",
-    )
-
-
-SYSTEM_NAMES = ("averaging", "push-sum", "saddle-point", "spps")
-
-
-def make_system(name: str, process: LaplacianProcess, d: int = 1, a: float = 5.0):
-    if name == "averaging":
-        return averaging_system(process, d)
-    if name == "push-sum":
-        return push_sum_system(process, d)
-    if name == "saddle-point":
-        return saddle_point_system(process, a, d)
-    if name == "spps":
-        return spps_system(process, a, d)
-    raise InvalidInputError(f"unknown dynamics {name!r}; options: {SYSTEM_NAMES}")
+    return make_system("spps", process, d, a)
 
 
 # --- control laws -----------------------------------------------------------
@@ -313,12 +330,12 @@ def gradient_feedback(family: ObjectiveFamily, schedule: StepSchedule) -> Gradie
 def predicted_spps_rate(a: float, pi_min: float, gamma: float, n: int) -> float:
     """Per-unit-time contraction factor exp(-2 a pi_min gamma / n^2).
 
-    Valid for gain a >= 5, a strictly positive common stationary
+    Valid for gain a >= PROVEN_GAIN, a strictly positive common stationary
     distribution with smallest entry pi_min, and per-piece minimum cut at
     least gamma.
     """
-    if a < 5:
-        raise InvalidInputError("the rate formula requires gain a >= 5")
+    if a < PROVEN_GAIN:
+        raise InvalidInputError(f"the rate formula requires gain a >= {PROVEN_GAIN:g}")
     if not (0 < pi_min <= 1):
         raise InvalidInputError("pi_min must lie in (0, 1]")
     if gamma <= 0:

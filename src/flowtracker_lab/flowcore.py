@@ -26,8 +26,10 @@ from .graphnet import DEFAULT_STEP, LaplacianProcess, check_switch_alignment, st
 TAU_FLOW = 1e-8
 
 # Samples with distances below this are indistinguishable from rounding
-# noise and are excluded from rate fits.
+# noise and are excluded from rate fits, which must reach r-squared R2_MIN
+# for a weakly exponentially ergodic verdict.
 FIT_FLOOR = 1e-14
+R2_MIN = 0.99
 
 
 # Byte budget of one stack of propagators. Stacked matrix powers beat a
@@ -39,6 +41,12 @@ STACK_BYTES = 128 * 1024
 # Most adaptive-grid probes checked and measured per call; a chunk runs
 # past the probe where the grid stops by fewer than PROBE_CHUNK probes.
 PROBE_CHUNK = 8
+
+# An adaptive grid probes at most MAX_PROBES times: at the 0.5 spacing that
+# covers every horizon up to 1024, and a flow still above DECAY_FLOOR after
+# them gets the full half-horizon range, as one that never falls below it.
+DECAY_FLOOR = 1e-10
+MAX_PROBES = 1024
 
 
 def _flow_problem(phis: np.ndarray) -> tuple[int, str | None]:
@@ -281,20 +289,18 @@ def default_grid(process: LaplacianProcess, h: float = DEFAULT_STEP) -> FlowGrid
     return _grid(process, h, process.horizon / 2)
 
 
-def adaptive_grid(
-    process: LaplacianProcess, h: float = DEFAULT_STEP, decay_floor: float = 1e-10
-) -> FlowGrid:
+def adaptive_grid(process: LaplacianProcess, h: float = DEFAULT_STEP) -> FlowGrid:
     """Grid whose spans stop where the flow's mixing bottoms out.
 
     Probes the distance decay of Phi(t, 0) and caps the span range where
-    the distance first drops below `decay_floor` (fast mixers would
+    the distance first drops below DECAY_FLOOR (fast mixers would
     otherwise only be sampled in the rounding-noise regime on long
     horizons, while slow mixers still get the full half-horizon range).
     """
-    return _adaptive_grid(_Propagators(process, h), decay_floor)
+    return _adaptive_grid(_Propagators(process, h))
 
 
-def _adaptive_grid(props: _Propagators, decay_floor: float) -> FlowGrid:
+def _adaptive_grid(props: _Propagators) -> FlowGrid:
     """adaptive_grid on the step grid and propagators of `props`.
 
     Probes run in chunks of PROBE_CHUNK, fewer where a stack of them
@@ -314,13 +320,13 @@ def _adaptive_grid(props: _Propagators, decay_floor: float) -> FlowGrid:
             yield t, i
 
     integ = _FlowIntegrator(props, 0)
-    remaining = probes()
+    remaining = islice(probes(), MAX_PROBES)
     while chunk := list(islice(remaining, min(PROBE_CHUNK, props.per_stack))):
         times, steps = zip(*chunk)
         props.build(integ.legs(steps))
         phis = integ.flows(steps)
         bad, problem = _flow_problem(phis)
-        below = np.flatnonzero(_distances(phis[:bad]) < decay_floor)
+        below = np.flatnonzero(_distances(phis[:bad]) < DECAY_FLOOR)
         if below.size:
             return _grid(process, h, times[below[0]])
         if problem is not None:
@@ -346,19 +352,19 @@ class ErgodicityReport:
     log_decay_span: float | None = None
     norm: str = "spectral"
 
-    def weakly_exponentially_ergodic(self, r2_min: float = 0.99) -> bool:
+    def weakly_exponentially_ergodic(self) -> bool:
         """Classify the flow from the fit.
 
-        Requires a clean fit (r-squared) with rate below 1 and at least
-        one e-fold of observed decay across the grid; the last condition
-        rejects flat distance profiles whose near-zero slope would
-        otherwise masquerade as a rate just under 1.
+        Requires a clean fit (r-squared at least R2_MIN) with rate below 1
+        and at least one e-fold of observed decay across the grid; the
+        last condition rejects flat distance profiles whose near-zero
+        slope would otherwise masquerade as a rate just under 1.
         """
         return (
             self.rate is not None
             and 0.0 < self.rate < 1.0
             and self.r_squared is not None
-            and self.r_squared >= r2_min
+            and self.r_squared >= R2_MIN
             and self.log_decay_span is not None
             and self.log_decay_span >= 1.0
         )
@@ -411,7 +417,7 @@ def ergodicity_report(
     """
     props = _Propagators(process, h)
     if grid is None:
-        grid = _adaptive_grid(props, 1e-10)
+        grid = _adaptive_grid(props)
     dts = sorted(grid.dt_values)
     samples = []
     walks = []  # (integrator from s, its sample times, their step indices)

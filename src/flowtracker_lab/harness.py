@@ -19,10 +19,11 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics as diag
-from .dynamics import FlowTrackerSystem, gradient_feedback, make_system
+from .dynamics import DEFAULT_GAIN, SYSTEMS, FlowTrackerSystem, gradient_feedback, make_system
 from .errors import ConfigError, FlowtrackerError, InvalidInputError
 from .flowcore import ErgodicityReport, ergodicity_report
 from .graphnet import (
+    DEFAULT_STEP,
     LaplacianProcess,
     check_switch_alignment,
     integrated_min_cut,
@@ -38,6 +39,7 @@ from .objectives import (
 )
 from .schedules import StepSchedule, check_validity, schedule_from_dict
 from .simulate import (
+    DEFAULT_RECORD_EVERY,
     MIN_TAIL,
     LimitEstimate,
     Trajectory,
@@ -71,6 +73,9 @@ KNOWN_CHECKS = (
     "observer-bound",
     "min-cut-window",
 )
+
+# the aux blocks an init block may set: those of every system
+INIT_AUX_KEYS = tuple(dict.fromkeys(block for row in SYSTEMS.values() for block, _ in row.aux))
 
 OUT_ENV_VAR = "FLOWTRACKER_OUT"
 
@@ -160,13 +165,13 @@ def parse_config(raw: dict) -> ExperimentConfig:
         t_end = float(raw["t_end"])
         if h <= 0:
             raise ConfigError("h must be positive")
-        record_every = float(raw.get("record_every", 0.1))
+        record_every = float(raw.get("record_every", DEFAULT_RECORD_EVERY))
         seed = int(raw.get("seed", 0))
         d = int(raw.get("d", 1))
         dyn = dict(raw.get("dynamics", {}))
         if "name" not in dyn:
             raise ConfigError("config needs dynamics.name")
-        gain = float(dyn.get("a", 5.0))
+        gain = float(dyn.get("a", DEFAULT_GAIN))
         checks = tuple(raw.get("checks", ()))
         check_params = _resolve_check_params(dict(raw.get("check_params", {})), h)
         has_family = raw.get("family") is not None
@@ -256,7 +261,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
             x0 = rng.uniform(-scale, scale, (system.n, system.d))
         aux = {
             key: np.asarray(init_spec[key], dtype=float)
-            for key in ("w", "z", "v")
+            for key in INIT_AUX_KEYS
             if key in init_spec
         }
         init_state = system.initial_state(x0, **aux)
@@ -427,7 +432,7 @@ def run(cfg: ExperimentConfig, out_dir=None, full_resolution: bool = False) -> R
             checks[name] = diag.CheckResult(name, report.passed, report.to_dict())
         elif name == "weight-conservation":
             results = diag.weight_conservation_check(traj)
-            ok = all(entry["passed"] for entry in results.values()) if results else True
+            ok = all(entry["passed"] for entry in results.values())
             checks[name] = diag.CheckResult(name, ok, results)
         elif name == "observer-bound":
             observer = params["observer-bound"]
@@ -690,7 +695,7 @@ def _scenario_saddlepoint_mincut() -> dict:
                 "seed": 11,
             }
         },
-        "dynamics": {"name": "saddle-point", "a": 5.0},
+        "dynamics": {"name": "saddle-point", "a": DEFAULT_GAIN},
         "family": {
             "kind": "huberized-quadratic",
             "params": {"centers": _seeded_centers(3, 113), "radius": 2.0, "curvature": 1.0},
@@ -718,7 +723,7 @@ def _scenario_spps_stationary() -> dict:
     return {
         "name": "spps-stationary",
         "process": _shared_stationary_pieces(300.0, 0.5),
-        "dynamics": {"name": "spps", "a": 5.0},
+        "dynamics": {"name": "spps", "a": DEFAULT_GAIN},
         "family": {
             "kind": "huberized-quadratic",
             "params": {"centers": _seeded_centers(3, 31), "radius": 2.0, "curvature": 1.0},
@@ -780,7 +785,7 @@ def sweep(base_raw: dict, path: str, values, out_dir=None) -> list[tuple[float, 
         cfg = parse_config(raw)
         sub_out = None
         if out_dir is not None:
-            sub_out = Path(out_dir) / f"sweep_{value:g}"
+            sub_out = Path(out_dir) / f"sweep_{float(value)!r}"
         results.append((float(value), run(cfg, out_dir=sub_out)))
     if out_dir is not None and results:
         _write_sweep_csv(Path(out_dir) / "sweep.csv", path, results)
@@ -804,14 +809,12 @@ def _write_sweep_csv(path, param: str, results) -> None:
 
 def check_flow(
     process: LaplacianProcess,
-    h: float = 1e-3,
-    grid=None,
-    r2_min: float = 0.99,
+    h: float = DEFAULT_STEP,
     out_dir=None,
 ) -> tuple[ErgodicityReport, bool]:
     """Classify a process's flow; passes iff weakly exponentially ergodic."""
-    report = ergodicity_report(process, h=h, grid=grid)
-    passed = report.weakly_exponentially_ergodic(r2_min=r2_min)
+    report = ergodicity_report(process, h=h)
+    passed = report.weakly_exponentially_ergodic()
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -830,8 +833,8 @@ def check_schedule(raw: dict) -> tuple[dict, bool]:
 # --- selftest ----------------------------------------------------------------
 
 
-def selftest(verbose: bool = True) -> bool:
-    """Small curated battery of end-to-end invariants; True iff all pass."""
+def selftest() -> bool:
+    """Print a small curated battery of end-to-end invariants; True iff all pass."""
     from .schedules import lemma_aux_check
     from .simulate import closed_form_two_agent
 
@@ -844,7 +847,7 @@ def selftest(verbose: bool = True) -> bool:
     results.append(("counterexample limit = a/(2+a) * (1,-1)", ok and summary.all_checks_passed, f"limit={limit}"))
 
     proc = process_from_dict(_two_node_complete_pieces(10.0))
-    report, passed = check_flow(proc, h=1e-3)
+    report, passed = check_flow(proc)
     ok = passed and abs(report.rate - math.exp(-2.0)) < 1e-3 and report.p_star == 1.0
     results.append(("two-node flow rate exp(-2), p* = 1", ok, f"rate={report.rate}"))
 
@@ -862,8 +865,6 @@ def selftest(verbose: bool = True) -> bool:
     _, valid = check_schedule({"kind": "constant", "a0": 0.5})
     results.append(("constant schedule rejected", not valid, "valid flag should be False"))
 
-    all_ok = all(ok for _, ok, _ in results)
-    if verbose:
-        for name, ok, detail in results:
-            print(f"[{'PASS' if ok else 'FAIL'}] {name} ({detail})")
-    return all_ok
+    for name, ok, detail in results:
+        print(f"[{'PASS' if ok else 'FAIL'}] {name} ({detail})")
+    return all(ok for _, ok, _ in results)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -280,7 +279,6 @@ def global_gradient(fam: ObjectiveFamily, x) -> np.ndarray:
     return g
 
 
-@lru_cache(maxsize=256)
 def gradient_map(fam: ObjectiveFamily):
     """The stacked gradient as a function of the (n x d) points, unchecked.
 

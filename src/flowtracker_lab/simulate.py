@@ -295,6 +295,7 @@ def integrate(
         "record_every": steps_per_record * h,
         "t_end": t_end,
         "c1": system.c1,
+        "ratio": system.ratio,
     }
     if extra_meta:
         meta.update(extra_meta)

@@ -12,8 +12,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowtracker_lab import dynamics
 from flowtracker_lab.dynamics import SystemState, gradient_feedback, make_system
-from flowtracker_lab.graphnet import random_process
+from flowtracker_lab.graphnet import process_from_dict, random_process
 from flowtracker_lab.objectives import huberized_quadratic
 from flowtracker_lab.schedules import power_law
 from flowtracker_lab.simulate import _affine_step_map, integrate
@@ -149,3 +150,51 @@ def test_affine_step_map_is_bit_identical_to_hand_written_loop(case, t):
     expect_mat, expect_off = oracle_step_map(m, c, h)
     assert np.array_equal(step_mat, expect_mat)
     assert np.array_equal(step_off, expect_off)
+
+
+@st.composite
+def table_rows(draw):
+    """A row of dynamics.SYSTEMS on a random one-piece process, weight-balanced
+    (a positive sum of permutations) where the row needs it."""
+    name = draw(st.sampled_from(dynamics.SYSTEM_NAMES))
+    row = dynamics.SYSTEMS[name]
+    n = draw(st.integers(2, 6))
+    d = 1 if row.scalar else draw(st.sampled_from((1, 2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if row.balance is None:
+        weights = rng.uniform(0.0, 2.0, (n, n)) * (rng.random((n, n)) < 0.6)
+    else:
+        weights = sum(c * np.eye(n)[rng.permutation(n)] for c in rng.uniform(0.1, 2.0, 3))
+    np.fill_diagonal(weights, 0.0)
+    process = process_from_dict(
+        {"n": n, "pieces": [{"t": 0.0, "weights": weights.tolist()}], "horizon": 1.0}
+    )
+    assert row.balance is None or process.is_weight_balanced()
+    a = draw(st.floats(0.1, 20.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        system = make_system(name, process, d=d, a=a)
+    return system, row, rng
+
+
+@settings(max_examples=80, deadline=None)
+@given(table_rows())
+def test_every_row_tracks_the_input_sum(case):
+    """1^T L = 0 for every piece, so under any coupling K the x block's agent
+    sum moves by sum_i u_i (d/dt xbar = c1 sum_i u_i) and each aux block's
+    agent sum stays put; a ratio block couples only to itself, with -1."""
+    system, row, rng = case
+    n, d = system.n, system.d
+    state = random_state(system, rng)
+    u = rng.uniform(-1, 1, (n, d))
+    deriv = system.deriv_state(0.5, state, u)
+    assert system.c1 == 1.0 / n
+    assert np.abs(deriv.x.sum(axis=0) - u.sum(axis=0)).max() <= 1e-12
+    for name, _ in system.aux_layout:
+        assert np.abs(deriv.aux[name].sum(axis=0)).max() <= 1e-12
+    if row.ratio is not None:
+        r = 1 + [name for name, _ in row.aux].index(row.ratio)
+        alone = np.zeros_like(system.coupling)
+        alone[r, r] = -1.0
+        assert np.array_equal(system.coupling[r], alone[r])
+        assert np.array_equal(system.coupling[:, r], alone[:, r])

@@ -2,10 +2,18 @@
 before anything is integrated, and the JSON artifacts keep their keys."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import flowtracker_lab
+from flowtracker_lab import harness
 from flowtracker_lab.cli import main
+from flowtracker_lab.dynamics import SYSTEM_NAMES
+from flowtracker_lab.graphnet import RANDOM_MODELS
 
 
 def base_config(**overrides):
@@ -101,6 +109,10 @@ MALFORMED = {
         "expectations": [{"kind": "nonconvergence", "min_distance": 0.1}],
     },
     "schedule-p-overflow": {"schedule": {"kind": "power-law", "a0": 0.5, "p": 1e300}},
+    "init-z-on-push-sum": {
+        "dynamics": {"name": "push-sum"},
+        "init": {"x": [[0.0], [0.0]], "z": [0.0, 0.0]},
+    },
     "huber-radius-overflow": {
         "family": {
             "kind": "huberized-quadratic",
@@ -129,6 +141,7 @@ NAMED = {
     "schedule-p-overflow": "alpha(t_end)",
     "huber-radius-overflow": "radius^2",
     "mirror-params-number": "params must be an object",
+    "init-z-on-push-sum": "no aux block 'z'",
 }
 
 
@@ -308,3 +321,49 @@ def test_flow_report_and_schedule_keys(tmp_path, capsys):
         "square_integrable",
         "valid",
     }
+
+
+def test_never_mixing_flow_on_a_vast_horizon_finishes(tmp_path):
+    # an edgeless process never mixes, so the flow probes would run to
+    # half the horizon without their cap
+    raw = base_config(
+        process={
+            "n": 2,
+            "pieces": [{"t": 0.0, "weights": [[0.0, 0.0], [0.0, 0.0]]}],
+            "horizon": 1e300,
+        },
+        family=None,
+        t_end=1.0,
+        checks=["observer-bound"],
+    )
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    src = Path(flowtracker_lab.__file__).parents[1]
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-m", "flowtracker_lab.cli", "run", "--config", str(cfg_path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=10,
+    )
+    assert done.returncode in (0, 1)
+    assert "observer-bound" in json.loads(done.stdout)["checks"]
+    assert "Traceback" not in done.stderr
+
+
+def test_schema_enums_match_the_code():
+    schema = json.loads((Path(__file__).parents[1] / "docs" / "config_schema.json").read_text())
+    props = schema["properties"]
+    random_spec = props["process"]["oneOf"][2]["properties"]["random"]
+    assert tuple(props["dynamics"]["properties"]["name"]["enum"]) == SYSTEM_NAMES
+    assert tuple(random_spec["properties"]["model"]["enum"]) == RANDOM_MODELS
+    assert tuple(props["checks"]["items"]["enum"]) == harness.KNOWN_CHECKS
+    kinds = props["expectations"]["items"]["properties"]["kind"]["enum"]
+    assert tuple(kinds) == tuple(harness.EXPECTATION_FIELDS)
+
+
+def test_selftest_passes(capsys):
+    assert main(["selftest"]) == 0
+    assert "FAIL" not in capsys.readouterr().out

@@ -87,6 +87,23 @@ class TestParseConfig:
         assert np.array_equal(a.init_state.x, b.init_state.x)
 
 
+    def test_init_aux_keys_come_from_the_systems_table(self):
+        # the run's own blocks are read, blocks only other systems have are
+        # rejected, and keys no system has are ignored
+        cfg = harness.parse_config(
+            small_config(
+                dynamics={"name": "saddle-point"},
+                init={"x": [[0.0], [0.0]], "w": [[0.5], [-0.5]], "q": 1.0},
+            )
+        )
+        assert cfg.init_state.aux["w"].tolist() == [[0.5], [-0.5]]
+        for name, block in (("averaging", "w"), ("spps", "w")):
+            init = {"x": [[0.0], [0.0]], block: [0.0, 0.0]}
+            raw = small_config(dynamics={"name": name}, init=init)
+            with pytest.raises(ConfigError, match=f"no aux block '{block}'"):
+                harness.parse_config(raw)
+
+
 class TestRun:
     def test_artifacts_written(self, tmp_path):
         cfg = harness.parse_config(small_config(expectations=[
@@ -191,6 +208,15 @@ class TestSweep:
         table = (tmp_path / "sweep.csv").read_text().splitlines()
         assert table[0].startswith("schedule.a0,")
         assert len(table) == 3
+
+    def test_close_values_get_their_own_directories(self, tmp_path):
+        # both values print as 0.123457 with six significant digits
+        values = [0.1234567, 0.1234568]
+        harness.sweep(small_config(), "schedule.a0", values, out_dir=tmp_path)
+        dirs = sorted(p for p in tmp_path.iterdir() if p.is_dir())
+        assert [p.name for p in dirs] == [f"sweep_{v!r}" for v in values]
+        names = [json.loads((p / "summary.json").read_text())["name"] for p in dirs]
+        assert names == [f"tiny[schedule.a0={v}]" for v in values]
 
 
 class TestGates:
