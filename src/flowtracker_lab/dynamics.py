@@ -28,7 +28,7 @@ import numpy as np
 from .errors import CapabilityError, InvalidInputError
 from .graphnet import LaplacianProcess
 from .objectives import ObjectiveFamily, gradient_affine_map, gradient_map
-from .schedules import StepSchedule, evaluate
+from .schedules import StepSchedule, constant, evaluate
 
 # Ratio weights below this abort the run instead of being clamped;
 # clamping would silently change the dynamics.
@@ -296,16 +296,14 @@ class GradientFeedback:
         return (-evaluate(self.schedule, t)) * self._grad(y)
 
     def rowwise_affine(self):
-        """(scale, offset) with u = scale[:, None] * y + offset, if the law
-        is affine and time-invariant (constant step, quadratic agents)."""
-        if self.schedule.kind != "constant":
-            return None
+        """(scale, offset, schedule) with u(t, y) = alpha(t) * (scale[:, None]
+        * y + offset) and alpha the schedule, if the gradient is affine in y
+        (quadratic agents); any schedule."""
         affine = gradient_affine_map(self.family)
         if affine is None:
             return None
         slope, intercept = affine
-        a0 = self.schedule.a0
-        return -a0 * slope, -a0 * intercept
+        return -slope, -intercept, self.schedule
 
 
 class ZeroControl:
@@ -320,7 +318,7 @@ class ZeroControl:
         return self._zeros
 
     def rowwise_affine(self):
-        return np.zeros(self.n), np.zeros((self.n, self.d))
+        return np.zeros(self.n), np.zeros((self.n, self.d)), constant(1.0)
 
 
 def gradient_feedback(family: ObjectiveFamily, schedule: StepSchedule) -> GradientFeedback:

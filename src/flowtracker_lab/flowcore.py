@@ -388,6 +388,11 @@ def _fit_rate(spans: np.ndarray, dists: np.ndarray) -> tuple[float | None, float
     if usable.sum() < 3:
         return None, None, None
     x = spans[usable]
+    with np.errstate(over="ignore"):
+        if not np.isfinite(x @ x):
+            # the least-squares fit squares the spans; past the float range
+            # it would only print overflow warnings and fit nothing
+            return None, None, None
     y = np.log(dists[usable])
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)

@@ -251,6 +251,13 @@ def parse_config(raw: dict) -> ExperimentConfig:
                 ) from exc
 
     init_spec = raw.get("init", {})
+    if not isinstance(init_spec, dict):
+        raise ConfigError("init must be an object")
+    unknown = sorted(set(init_spec) - {"x", "random", *INIT_AUX_KEYS})
+    if unknown:
+        raise ConfigError(
+            f"unknown init key {unknown[0]!r}; options: {('x', 'random') + INIT_AUX_KEYS}"
+        )
     try:
         if "x" in init_spec:
             x0 = np.asarray(init_spec["x"], dtype=float)

@@ -6,16 +6,21 @@ zero-order hold, which preserves 4th-order accuracy for the
 continuous-time model. Switching instants of the Laplacian process must
 land on step boundaries so no step straddles a discontinuity.
 
-When the closed loop is affine and time-invariant within each piece
-(linear system, quadratic objectives, constant step size), the RK4 step
-collapses to a precomputed affine map x -> R x + r; this is the same
-one-step polynomial, evaluated faster; the path is chosen from the system
-and the law alone, and a law without `rowwise_affine` takes the generic
-one. The affine path advances one record interval per cached power of
-the map: the augmented matrix [[R, r], [0, 1]] raised to m steps holds
-R^m and the m-step offset, so a piece needs at most three powers (head,
-record interval, tail). Records keep every check of the per-step path,
-and with record_every = h the result is bit-identical to it.
+When the law is affine in the output (quadratic objectives, or no law)
+and the system has no ratio block, the closed loop is affine in the
+state, and each RK4 step is an exact affine map x -> R x + r; the path is
+chosen from the system and the law alone, and a law without
+`rowwise_affine` takes the generic one. A constant step size gives every
+step of a piece the same map, whose powers A^1 ... A^m of the augmented
+matrix A = [[R, r], [0, 1]] each piece caches; any other schedule builds
+each step's map from alpha at t, t + h/2 and t + h, and composes the
+maps of each record interval by prefix products. Either way one
+matrix-vector product per record interval advances the state, and one
+batched product recovers the state at every step of a block of
+intervals, which is checked for finiteness and the validity box; with
+record_every = h and a constant step the result is bit-identical to one
+map per step. The generic path compares every step's output with the
+box too, so on both paths a run aborts at the first offending step.
 """
 
 from __future__ import annotations
@@ -38,8 +43,9 @@ from .errors import (
     InvalidInputError,
     NumericalFailureError,
 )
-from .flowcore import taylor_polynomial
+from .flowcore import STACK_BYTES, taylor_polynomial
 from .graphnet import LaplacianProcess, check_switch_alignment, steps_in_span
+from .schedules import evaluate_many
 
 DEFAULT_RECORD_EVERY = 0.1
 
@@ -131,6 +137,34 @@ def _affine_step_map(system, coupling, coeffs, h):
     return taylor_polynomial(hm), h * (taylor_polynomial(hm, 3, shift=1) @ c)
 
 
+def _rk4_step_maps(fields, forcing, alphas, h):
+    """Exact RK4 maps [[R_k, r_k], [0, 1]] of the steps of the augmented
+    field [[M, c], [0, 0]] = fields[k] + alpha * forcing, from alphas
+    (3, k), the step sizes at t, t + h/2 and t + h of each step."""
+    f1, f2, f3 = (fields + a[:, None, None] * forcing for a in alphas)
+    eye = np.eye(fields.shape[-1])
+    k2 = f2 @ (eye + (0.5 * h) * f1)
+    k3 = f2 @ (eye + (0.5 * h) * k2)
+    k4 = f3 @ (eye + h * k3)
+    return eye + (h / 6.0) * (f1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _prefix_powers(aug: np.ndarray, count: int) -> np.ndarray:
+    """aug^1 ... aug^count as a stack, by doubling."""
+    stack = aug[None]
+    while len(stack) < count:
+        stack = np.concatenate((stack, stack[-1] @ stack[: count - len(stack)]))
+    return stack
+
+
+def _outside(y: np.ndarray, box) -> np.ndarray:
+    """Which entries of the outputs y (..., d) lie outside the box; NaN does not."""
+    return (y < box.lo) | (y > box.hi)
+
+
+_BOX_MESSAGE = "output left the declared gradient-validity box"
+
+
 def step_grid(
     process: LaplacianProcess, t_end: float, h: float, record_every: float
 ) -> tuple[int, int]:
@@ -152,6 +186,192 @@ def step_grid(
     if n_steps % steps_per_record:
         raise InvalidInputError("t_end must be a multiple of record_every")
     return n_steps, steps_per_record
+
+
+def _affine_path(system, coeffs, bounds, per_record, h, box, states) -> None:
+    """Fill `states`, whose row 0 holds the initial state, with the record
+    states under the affine law u = alpha(t) * (scale * y + offset).
+
+    The steps go in chunks that advance by prefix products of the step
+    maps: a constant alpha gives every step of a piece the same map, so a
+    chunk stays within a piece and a record interval and uses the piece's
+    powers A^1 ... A^m; any other schedule composes the RK4 map of each
+    step of a block of record intervals. A chunk is cut short where its
+    prefix stack would pass STACK_BYTES. One matrix-vector product per
+    chunk advances the state, one batched product gives the state at
+    every step of a block, and each of those is checked for finiteness
+    and the box; the first bad step raises NumericalFailureError.
+    """
+    scale, offset, schedule = coeffs
+    n, d, size = system.n, system.d, system.state_size
+    nd = n * d
+    laps = system.process.laplacians
+
+    def coupling(piece):
+        return system.coupling_matrix(laps[min(piece, len(laps) - 1)].matrix)
+
+    # steps per prefix stack, so that one stays within STACK_BYTES
+    most_steps = max(1, STACK_BYTES // (8 * (size + 1) ** 2))
+
+    def chunks(step, stop, width):
+        """(first step, length, count): runs of `count` chunks of `length`
+        steps that tile [step, stop), each ending on a record or before
+        `most_steps`, and whose stacks of `width` floats per step fit
+        STACK_BYTES."""
+        while step < stop:
+            length = min(per_record - step % per_record, stop - step, most_steps)
+            count = (stop - step) // per_record if length == per_record else 1
+            most = max(1, STACK_BYTES // (8 * length * width))
+            for first in range(0, count, most):
+                yield step + first * length, length, min(most, count - first)
+            step += count * length
+
+    def blocks():
+        """(first step, prefix stack, chunk count) of consecutive chunks of
+        one length, whose prefix stack (length, ...) all share or which
+        have one each, (count, length, ...)."""
+        if schedule.kind == "constant":
+            row_coeffs = (schedule.a0 * scale, schedule.a0 * offset)
+            for piece in range(len(bounds) - 1):
+                step, stop = bounds[piece], bounds[piece + 1]
+                aug = np.eye(size + 1)
+                aug[:-1, :-1], aug[:-1, -1] = _affine_step_map(
+                    system, coupling(piece), row_coeffs, h
+                )
+                powers = _prefix_powers(aug, min(per_record, stop - step, most_steps))
+                for first, length, count in chunks(step, stop, size):
+                    yield first, powers[:length], count
+            return
+        forcing = np.zeros((size + 1, size + 1))
+        forcing[:nd, :nd] = np.diag(np.repeat(scale, d))
+        forcing[:nd, -1] = offset.ravel()
+        for first, length, count in chunks(0, bounds[-1], (size + 1) ** 2):
+            steps = np.arange(first, first + count * length)
+            t = steps * h
+            alphas = [evaluate_many(schedule, s) for s in (t, t + 0.5 * h, t + h)]
+            piece = np.searchsorted(bounds, steps, side="right") - 1
+            fields = np.zeros((piece[-1] - piece[0] + 1, size + 1, size + 1))
+            for i, field_i in enumerate(fields):
+                field_i[:-1, :-1] = coupling(piece[0] + i)
+            maps = _rk4_step_maps(fields[piece - piece[0]], forcing, alphas, h)
+            maps = maps.reshape(count, length, size + 1, size + 1)
+            for j in range(1, length):
+                maps[:, j] = maps[:, j] @ maps[:, j - 1]
+            yield first, maps, count
+
+    def check(block, first):
+        """Raise at the first of the step states from step `first` on that is
+        non-finite or whose output leaves the box."""
+        finite = np.isfinite(block)
+        outside = None if box is None else _outside(block[:, :nd].reshape(-1, n, d), box)
+        if finite.all() and (outside is None or not outside.any()):
+            return
+        bad = ~finite.all(axis=1)
+        if outside is not None:
+            bad |= outside.any(axis=(1, 2))
+        k = int(bad.argmax())
+        raise NumericalFailureError(
+            _BOX_MESSAGE if finite[k].all() else "state became non-finite", (first + k) * h
+        )
+
+    z = states[0]
+    check(z[None], 0)
+    for first, prefix, count in blocks():
+        lin, off = prefix[..., :-1, :-1], prefix[..., :-1, -1]
+        length = lin.shape[-3]
+        starts = np.empty((count, size))
+        if prefix.ndim == 3:
+            mat, shift = lin[-1].copy(), off[-1].copy()
+            for i in range(count):
+                starts[i] = z
+                z = mat @ z + shift
+        else:
+            mats, shifts = lin[:, -1].copy(), off[:, -1].copy()
+            for i in range(count):
+                starts[i] = z
+                z = mats[i] @ z + shifts[i]
+        ends = np.concatenate((starts[1:], z[None]))
+        # one (length * size, size) product per chunk, not one per step
+        flat_lin = lin.reshape(*lin.shape[:-3], length * size, size)
+        block = (flat_lin @ starts[:, :, None]).reshape(count, length, size) + off
+        block[:, -1] = ends
+        check(block.reshape(-1, size), first + 1)
+        stops = first + length * np.arange(1, count + 1)
+        at = stops % per_record == 0
+        states[stops[at] // per_record] = ends[at]
+
+
+def _generic_path(system, law, vec, bounds, steps_per_record, h, box, states):
+    """RK4 with the law at every stage; fills `states` and returns the
+    recorded outputs and inputs. The box is checked at every step, the
+    weight floor after every step and finiteness at every record."""
+    process = system.process
+    n, d = system.n, system.d
+    nd = n * d
+    m_records = len(states)
+    y_rec = np.empty((m_records, n, d))
+    u_rec = np.empty((m_records, n, d))
+    output = system.output_flat
+    weights = system.ratio_slice
+
+    def record(j: int, t: float) -> np.ndarray:
+        """Store the state at t and return the control law's value there."""
+        if not np.isfinite(vec).all():
+            raise NumericalFailureError("state became non-finite", t)
+        states[j] = vec
+        y_now = output(vec)
+        y_rec[j] = y_now
+        u_now = u_rec[j] = law(t, y_now)
+        if box is not None and _outside(y_now, box).any():
+            raise NumericalFailureError(_BOX_MESSAGE, t)
+        return u_now
+
+    # law(t, output(vec)) at the current step, when a record already has it
+    u_now = record(0, 0.0)
+
+    # the stage derivatives live in the rows of one buffer, so the RK4
+    # update is a single weighted sum and the input adds into row views
+    stages = np.empty((4, system.state_size))
+    k1, k2, k3, k4 = stages
+    k1x, k2x, k3x, k4x = (k[:nd].reshape(n, d) for k in stages)
+    rk4_weights = (h / 6.0) * np.array([1.0, 2.0, 2.0, 1.0])
+    h2 = 0.5 * h
+    step = 0
+    for seg_idx in range(len(bounds) - 1):
+        seg_end = bounds[seg_idx + 1]
+        lap = process.laplacians[min(seg_idx, len(process.laplacians) - 1)].matrix
+        big = system.coupling_matrix(lap)
+        while step < seg_end:
+            t = step * h
+            if u_now is None:
+                y_now = output(vec)
+                if box is not None and _outside(y_now, box).any():
+                    raise NumericalFailureError(_BOX_MESSAGE, t)
+                u_now = law(t, y_now)
+            np.dot(big, vec, out=k1)
+            k1x += u_now
+            v = vec + h2 * k1
+            np.dot(big, v, out=k2)
+            k2x += law(t + h2, output(v))
+            v = vec + h2 * k2
+            np.dot(big, v, out=k3)
+            k3x += law(t + h2, output(v))
+            v = vec + h * k3
+            np.dot(big, v, out=k4)
+            k4x += law(t + h, output(v))
+            vec = vec + rk4_weights @ stages
+            step += 1
+            u_now = None
+            if weights is not None and vec[weights].min() < W_FLOOR:
+                raise DegenerateWeightsError(
+                    "ratio weight fell below the floor "
+                    f"{W_FLOOR:g}; the mixing flow is not keeping "
+                    "row sums positive",
+                    step * h,
+                )
+            if step % steps_per_record == 0:
+                u_now = record(step // steps_per_record, step * h)
+    return y_rec, u_rec
 
 
 def integrate(
@@ -183,7 +403,8 @@ def integrate(
     DegenerateWeightsError
         A ratio weight fell below the positivity floor.
     NumericalFailureError
-        Non-finite state, or output outside a declared validity box.
+        Non-finite state, or output outside a declared validity box, at
+        the time of the first step that shows it.
     """
     process = system.process
     n_steps, steps_per_record = step_grid(process, t_end, h, record_every)
@@ -195,98 +416,32 @@ def integrate(
         box = law.family.validity_box
 
     n, d = system.n, system.d
-    nd = n * d
     m_records = n_steps // steps_per_record + 1
     times = np.arange(m_records) * (steps_per_record * h)
     states = np.empty((m_records, system.state_size))
-    y_rec = np.empty((m_records, n, d))
-    u_rec = np.empty((m_records, n, d))
 
     law_or_zero = law if law is not None else ZeroControl(n, d)
-    output = system.output_flat
-    weights = system.ratio_slice
     affine = None
     if system.supports_affine and hasattr(law_or_zero, "rowwise_affine"):
         affine = law_or_zero.rowwise_affine()
 
-    def record(j: int, t: float) -> np.ndarray:
-        """Store the state at t and return the control law's value there."""
-        if not np.isfinite(vec).all():
-            raise NumericalFailureError("state became non-finite", t)
-        states[j] = vec
-        y_now = output(vec)
-        y_rec[j] = y_now
-        u_now = u_rec[j] = law_or_zero(t, y_now)
-        if box is not None and not ((y_now >= box.lo) & (y_now <= box.hi)).all():
-            raise NumericalFailureError(
-                "output left the declared gradient-validity box", t
-            )
-        return u_now
-
-    # law(t, output(vec)) at the current step, when a record already has it
-    u_now = record(0, 0.0)
-
     # step indices of piece boundaries, clipped to the run
     bounds = [b for b in check_switch_alignment(process, h) if b < n_steps] + [n_steps]
 
-    # the stage derivatives live in the rows of one buffer, so the RK4
-    # update is a single weighted sum and the input adds into row views
-    stages = np.empty((4, system.state_size))
-    k1, k2, k3, k4 = stages
-    k1x, k2x, k3x, k4x = (k[:nd].reshape(n, d) for k in stages)
-    rk4_weights = (h / 6.0) * np.array([1.0, 2.0, 2.0, 1.0])
-    h2 = 0.5 * h
-    step = 0
-    for seg_idx in range(len(bounds) - 1):
-        seg_end = bounds[seg_idx + 1]
-        if seg_end <= step:
-            continue
-        lap = process.laplacians[min(seg_idx, len(process.laplacians) - 1)].matrix
-        big = system.coupling_matrix(lap)
-        if affine is not None:
-            # A^m = [[R^m, q_m], [0, 1]] is the m-step map; a piece needs
-            # at most three strides: head, record interval and tail
-            aug = np.eye(system.state_size + 1)
-            aug[:-1, :-1], aug[:-1, -1] = _affine_step_map(system, big, affine, h)
-            powers = {}
-            while step < seg_end:
-                stride = min(steps_per_record - step % steps_per_record, seg_end - step)
-                if stride not in powers:
-                    power = np.linalg.matrix_power(aug, stride)
-                    powers[stride] = (power[:-1, :-1].copy(), power[:-1, -1].copy())
-                step_mat, step_off = powers[stride]
-                vec = step_mat @ vec + step_off
-                step += stride
-                if step % steps_per_record == 0:
-                    record(step // steps_per_record, step * h)
-            continue
-        while step < seg_end:
-            t = step * h
-            np.dot(big, vec, out=k1)
-            k1x += law_or_zero(t, output(vec)) if u_now is None else u_now
-            v = vec + h2 * k1
-            np.dot(big, v, out=k2)
-            k2x += law_or_zero(t + h2, output(v))
-            v = vec + h2 * k2
-            np.dot(big, v, out=k3)
-            k3x += law_or_zero(t + h2, output(v))
-            v = vec + h * k3
-            np.dot(big, v, out=k4)
-            k4x += law_or_zero(t + h, output(v))
-            vec = vec + rk4_weights @ stages
-            step += 1
-            u_now = None
-            if weights is not None and vec[weights].min() < W_FLOOR:
-                raise DegenerateWeightsError(
-                    "ratio weight fell below the floor "
-                    f"{W_FLOOR:g}; the mixing flow is not keeping "
-                    "row sums positive",
-                    step * h,
-                )
-            if step % steps_per_record == 0:
-                u_now = record(step // steps_per_record, step * h)
-
+    if affine is not None:
+        states[0] = vec
+        _affine_path(system, affine, bounds, steps_per_record, h, box, states)
+        # no ratio block, so the output is x
+        y_rec = system.split(states)[0].copy()
+        u_rec = np.empty_like(y_rec)
+        for j, y_now in enumerate(y_rec):
+            u_rec[j] = law_or_zero(j * steps_per_record * h, y_now)
+    else:
+        y_rec, u_rec = _generic_path(
+            system, law_or_zero, vec, bounds, steps_per_record, h, box, states
+        )
     x_rec, aux_rec = system.split(states)
+
     meta = {
         "system": system.name,
         "n": n,
@@ -296,6 +451,7 @@ def integrate(
         "t_end": t_end,
         "c1": system.c1,
         "ratio": system.ratio,
+        "path": "generic" if affine is None else "affine",
     }
     if extra_meta:
         meta.update(extra_meta)

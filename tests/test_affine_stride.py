@@ -1,18 +1,24 @@
-"""The affine-map path advances one record interval per cached power.
+"""The affine-map path advances by prefix products of the RK4 step maps.
 
-`per_step_affine` is the former affine loop, one RK4 map per step, kept
-as an oracle. The strided path must agree with it within 1e-12, bit for
-bit when every step is recorded, and must abort at the same record time
-when an output leaves the validity box.
+`per_step_affine` is the former affine loop, one RK4 map per step of a
+constant-step law, kept as an oracle. The strided path must agree with
+it within 1e-12, bit for bit when every step is recorded, and must abort
+at the oracle's time when an output leaves the validity box. Under any
+other schedule the affine path must agree with the generic RK4 loop,
+reached through a plain-function law, within 1e-12. On both paths an
+output that leaves the box between records aborts the run at the first
+offending step.
 """
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowtracker_lab import harness, simulate
 from flowtracker_lab.dynamics import (
     ZeroControl,
     averaging_system,
@@ -22,16 +28,18 @@ from flowtracker_lab.dynamics import (
 from flowtracker_lab.errors import NumericalFailureError
 from flowtracker_lab.graphnet import Laplacian, constant_process, random_process
 from flowtracker_lab.objectives import Box, custom_table, mirror_pair
-from flowtracker_lab.schedules import constant
+from flowtracker_lab.schedules import constant, custom_piecewise, power_law
 from flowtracker_lab.simulate import _affine_step_map, integrate
 
 H = 0.01
 
 
 def per_step_affine(system, law, init, t_end, h, record_every):
-    """Records (times, states, y, u) of one affine map per RK4 step."""
+    """Records (times, states, y, u) of one affine map per RK4 step of a
+    constant-step law, with finiteness and the box checked at every step."""
     law = law if law is not None else ZeroControl(system.n, system.d)
-    coeffs = law.rowwise_affine()
+    scale, offset, schedule = law.rowwise_affine()
+    coeffs = (schedule.a0 * scale, schedule.a0 * offset)
     box = getattr(getattr(law, "family", None), "validity_box", None)
     per_record = round(record_every / h)
     n_steps = round(t_end / h)
@@ -43,10 +51,11 @@ def per_step_affine(system, law, init, t_end, h, record_every):
         if not np.isfinite(vec).all():
             raise NumericalFailureError("state became non-finite", t)
         y = system.output_flat(vec)
-        for rows, value in zip(out, (t, vec, y, law(t, y))):
-            rows.append(value)
         if box is not None and not ((y >= box.lo) & (y <= box.hi)).all():
             raise NumericalFailureError("output left the declared gradient-validity box", t)
+        if step % per_record == 0:
+            for rows, value in zip(out, (t, vec, y, law(t, y))):
+                rows.append(value)
 
     record(0)
     starts = [round(t / h) for t in system.process.start_times]
@@ -58,8 +67,7 @@ def per_step_affine(system, law, init, t_end, h, record_every):
         while step < bounds[k + 1]:
             vec = mat @ vec + off
             step += 1
-            if step % per_record == 0:
-                record(step)
+            record(step)
     return tuple(np.array(rows) for rows in out)
 
 
@@ -124,3 +132,152 @@ def test_box_violation_at_the_oracle_record_time(record_every):
         integrate(system, law, init, t_end=10.0, h=1e-3, record_every=record_every)
     assert 0.0 < got.value.time < 10.0
     assert got.value.time == oracle.value.time
+
+
+@st.composite
+def time_varying_runs(draw):
+    """A multi-piece run of quadratic agents under a schedule that is not
+    constant, with dwell off the record grid and breakpoints inside steps."""
+    name = draw(st.sampled_from(("averaging", "saddle-point")))
+    n = draw(st.integers(2, 5))
+    d = draw(st.sampled_from((1, 2)))
+    per_record = draw(st.sampled_from((1, 2, 3, 5, 7)))
+    dwell_steps = draw(st.integers(2, 30))
+    if per_record > 1 and dwell_steps % per_record == 0:
+        dwell_steps += 1
+    t_end = per_record * draw(st.integers(2, 40)) * H
+    seed = draw(st.integers(0, 2**31 - 1))
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        schedule = power_law(rng.uniform(0.1, 1.0), rng.uniform(0.0, 2.0))
+    else:
+        # breakpoints anywhere, most of them inside a step
+        starts = np.sort(rng.uniform(0.0, t_end, draw(st.integers(1, 6))))
+        schedule = custom_piecewise([0.0, *starts], rng.uniform(0.05, 1.0, len(starts) + 1))
+    process = random_process(
+        n, "switching-complete", dwell=dwell_steps * H, horizon=t_end + 1.0, seed=seed, h=H
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        system = make_system(name, process, d=d, a=draw(st.floats(0.5, 5.0)))
+    entries = [
+        {"center": rng.uniform(-1, 1, d).tolist(), "curvature": rng.uniform(0.2, 2.0)}
+        for _ in range(n)
+    ]
+    law = gradient_feedback(custom_table(entries), schedule)
+    init = system.initial_state(rng.uniform(-1, 1, (n, d)))
+    return system, law, init, t_end, per_record * H
+
+
+@settings(max_examples=60, deadline=None)
+@given(time_varying_runs())
+def test_time_varying_affine_path_matches_generic_path(run):
+    system, law, init, t_end, record_every = run
+    traj = integrate(system, law, init, t_end=t_end, h=H, record_every=record_every)
+    # a plain function has no rowwise_affine, so it takes the generic path
+    ref = integrate(
+        system, lambda t, y: law(t, y), init, t_end=t_end, h=H, record_every=record_every
+    )
+    assert traj.meta["path"] == "affine" and ref.meta["path"] == "generic"
+    got = [traj.x, traj.y, traj.u] + [traj.aux[key] for key in ref.aux]
+    expect = [ref.x, ref.y, ref.u] + list(ref.aux.values())
+    assert max(np.abs(g - e).max() for g, e in zip(got, expect)) <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(affine_runs(), time_varying_runs()))
+def test_stacks_of_a_few_steps_change_nothing(run):
+    # a 300-byte budget holds at most 4 step maps, so record intervals
+    # split into several chunks and blocks hold a chunk or two
+    system, law, init, t_end, record_every = run
+    ref = integrate(system, law, init, t_end=t_end, h=H, record_every=record_every)
+    with mock.patch.object(simulate, "STACK_BYTES", 300):
+        traj = integrate(system, law, init, t_end=t_end, h=H, record_every=record_every)
+    got = [traj.x, traj.y, traj.u] + list(traj.aux.values())
+    expect = [ref.x, ref.y, ref.u] + list(ref.aux.values())
+    assert max(np.abs(g - e).max() for g, e in zip(got, expect)) <= 1e-12
+
+
+def oscillating_law(form, schedule, box=None):
+    """Gradient feedback of two mirrored agents, quadratic or huber."""
+    extra = {"radius": 10.0} if form == "huber" else {}
+    entries = [{"form": form, "center": [c], **extra} for c in (1.0, -1.0)]
+    return gradient_feedback(custom_table(entries, box=box), schedule)
+
+
+@pytest.mark.parametrize(
+    "form, schedule, path",
+    [
+        ("huber", constant(0.5), "generic"),
+        ("quadratic", constant(0.5), "affine"),
+        ("quadratic", power_law(1.0, 1.0), "affine"),
+    ],
+)
+def test_box_left_between_records_aborts_at_the_first_offending_step(form, schedule, path):
+    # a saddle-point pair overshoots on its way to the optimum
+    process = constant_process(Laplacian(np.array([[1.0, -1.0], [-1.0, 1.0]])), 20.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        system = make_system("saddle-point", process, d=1, a=0.5)
+    init = system.initial_state(np.zeros((2, 1)))
+    # the per-step oracle: every step's output, with no box to stop the run
+    every_step = integrate(
+        system, oscillating_law(form, schedule), init, t_end=10.0, h=H, record_every=H
+    )
+    assert every_step.meta["path"] == path
+    peak = np.abs(every_step.y).max(axis=(1, 2))
+    # a bound the outputs pass between records of 10 steps but at no record
+    assert peak.max() > peak[::10].max() + 1e-6
+    bound = 0.5 * (peak.max() + peak[::10].max())
+    first = int(np.argmax(peak > bound))
+    assert first % 10 and peak[(first // 10 + 1) * 10] < bound
+
+    law = oscillating_law(form, schedule, Box(np.array([-bound]), np.array([bound])))
+    for record_every in (H, 10 * H, 0.5):
+        with pytest.raises(NumericalFailureError, match="validity box") as got:
+            integrate(system, law, init, t_end=10.0, h=H, record_every=record_every)
+        assert got.value.time == every_step.times[first]
+
+
+@pytest.mark.parametrize("record_every", [0.5, 5.0, 25.0])
+def test_blow_up_aborts_at_the_oracle_step(record_every):
+    # h * 20 lies outside RK4's stability region, so the state overflows
+    # after some 80 steps; no box, so only the finiteness check can stop it
+    lap = Laplacian(np.array([[10.0, -10.0], [-10.0, 10.0]]))
+    system = averaging_system(constant_process(lap, 100.0))
+    law = gradient_feedback(custom_table([{"center": [1.0]}, {"center": [-1.0]}]), constant(0.5))
+    init = system.initial_state(np.array([[0.5], [0.0]]))
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericalFailureError, match="non-finite") as oracle:
+            per_step_affine(system, law, init, 100.0, 0.5, record_every)
+        with pytest.raises(NumericalFailureError, match="non-finite") as got:
+            integrate(system, law, init, t_end=100.0, h=0.5, record_every=record_every)
+    assert got.value.time == oracle.value.time
+    assert 0.0 < got.value.time < 100.0 and got.value.time % 25.0
+
+
+PRESET_PATHS = {
+    "counterexample": "affine",
+    "counterexample-diminishing": "affine",
+    "pushsum-directed": "generic",
+    "averaging-ergodic": "generic",
+    "saddlepoint-mincut": "generic",
+    "spps-stationary": "generic",
+}
+
+
+def test_every_preset_is_pinned():
+    assert sorted(harness.scenario_names()) == sorted(PRESET_PATHS)
+
+
+@pytest.mark.parametrize("name", sorted(PRESET_PATHS))
+def test_every_preset_takes_its_pinned_path(name):
+    # the path is chosen from the system and the law alone, so a short run
+    # of the preset's own system and law shows which one the preset takes
+    cfg = harness.scenario(name)
+    law = None if cfg.family is None else gradient_feedback(cfg.family, cfg.schedule)
+    t_end = 2 * cfg.record_every
+    traj = integrate(
+        cfg.system, law, cfg.init_state, t_end=t_end, h=cfg.h, record_every=cfg.record_every
+    )
+    assert traj.meta["path"] == PRESET_PATHS[name]

@@ -113,6 +113,10 @@ MALFORMED = {
         "dynamics": {"name": "push-sum"},
         "init": {"x": [[0.0], [0.0]], "z": [0.0, 0.0]},
     },
+    "init-misspelt-w-on-push-sum": {
+        "dynamics": {"name": "push-sum"},
+        "init": {"x": [[0.0], [0.0]], "W": [2.0, 2.0]},
+    },
     "huber-radius-overflow": {
         "family": {
             "kind": "huberized-quadratic",
@@ -142,6 +146,7 @@ NAMED = {
     "huber-radius-overflow": "radius^2",
     "mirror-params-number": "params must be an object",
     "init-z-on-push-sum": "no aux block 'z'",
+    "init-misspelt-w-on-push-sum": "unknown init key 'W'",
 }
 
 
@@ -351,6 +356,41 @@ def test_never_mixing_flow_on_a_vast_horizon_finishes(tmp_path):
     assert done.returncode in (0, 1)
     assert "observer-bound" in json.loads(done.stdout)["checks"]
     assert "Traceback" not in done.stderr
+
+
+def test_overflowing_flow_spans_give_no_rate_and_no_warnings(tmp_path):
+    # on a never-mixing process with a vast horizon the flow spans reach
+    # 5e299, whose squares overflow a least-squares rate fit
+    raw = base_config(
+        process={
+            "n": 2,
+            "pieces": [{"t": 0.0, "weights": [[0.0, 0.0], [0.0, 0.0]]}],
+            "horizon": 1e300,
+        },
+        family=None,
+        t_end=1.0,
+        checks=["observer-bound"],
+    )
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    src = Path(flowtracker_lab.__file__).parents[1]
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-m", "flowtracker_lab.cli", "run", "--config", str(cfg_path),
+         "--out", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert done.returncode == 1
+    assert json.loads(done.stdout)["checks"] == {"observer-bound": False}
+    assert done.stderr == ""
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["checks"]["observer-bound"]["details"]["reason"].startswith(
+        "flow rate fit unavailable"
+    )
 
 
 def test_schema_enums_match_the_code():

@@ -213,13 +213,24 @@ class TestGradientFeedback:
         assert np.array_equal(law(1.0, np.ones((3, 2))), np.zeros((3, 2)))
 
     def test_affine_coefficients_constant_quadratic(self):
-        law = gradient_feedback(mirror_pair(), constant(0.5))
-        scale, offset = law.rowwise_affine()
-        assert np.allclose(scale, [-0.5, -0.5])
-        assert np.allclose(offset, [[0.5], [-0.5]])
+        sched = constant(0.5)
+        law = gradient_feedback(mirror_pair(), sched)
+        scale, offset, schedule = law.rowwise_affine()
+        assert np.allclose(scale, [-1.0, -1.0])
+        assert np.allclose(offset, [[1.0], [-1.0]])
+        assert schedule is sched
 
-    def test_no_affine_for_power_law_or_huber(self):
-        assert gradient_feedback(mirror_pair(), power_law()).rowwise_affine() is None
+    def test_affine_for_any_schedule(self):
+        sched = power_law()
+        law = gradient_feedback(mirror_pair(), sched)
+        scale, offset, schedule = law.rowwise_affine()
+        assert schedule is sched
+        rng = np.random.default_rng(3)
+        for t in rng.uniform(0, 20, 10):
+            y = rng.uniform(-2, 2, (2, 1))
+            assert np.allclose(law(t, y), sched(t) * (scale[:, None] * y + offset), atol=1e-15)
+
+    def test_no_affine_for_huber(self):
         fam = huberized_quadratic(np.zeros((2, 1)), radius=1.0)
         assert gradient_feedback(fam, constant(0.5)).rowwise_affine() is None
 

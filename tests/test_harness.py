@@ -88,15 +88,18 @@ class TestParseConfig:
 
 
     def test_init_aux_keys_come_from_the_systems_table(self):
-        # the run's own blocks are read, blocks only other systems have are
-        # rejected, and keys no system has are ignored
+        # the run's own blocks are read, and blocks only other systems have
+        # and keys no system has are rejected
         cfg = harness.parse_config(
             small_config(
                 dynamics={"name": "saddle-point"},
-                init={"x": [[0.0], [0.0]], "w": [[0.5], [-0.5]], "q": 1.0},
+                init={"x": [[0.0], [0.0]], "w": [[0.5], [-0.5]]},
             )
         )
         assert cfg.init_state.aux["w"].tolist() == [[0.5], [-0.5]]
+        raw = small_config(init={"x": [[0.0], [0.0]], "q": 1.0})
+        with pytest.raises(ConfigError, match="unknown init key 'q'"):
+            harness.parse_config(raw)
         for name, block in (("averaging", "w"), ("spps", "w")):
             init = {"x": [[0.0], [0.0]], block: [0.0, 0.0]}
             raw = small_config(dynamics={"name": name}, init=init)
