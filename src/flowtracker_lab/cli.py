@@ -70,6 +70,8 @@ def _cmd_sweep(args) -> int:
     try:
         raw = _load_raw_config(args)
         values = [float(v) for v in args.values.split(",") if v.strip()]
+        if not values:
+            return _fail("config", f"--values {args.values!r} holds no number")
         out = _default_out(args.out, f"{raw.get('name', 'run')}-sweep")
         results = harness.sweep(raw, args.param, values, out_dir=out)
     except (FlowtrackerError, OSError, ValueError, json.JSONDecodeError) as exc:

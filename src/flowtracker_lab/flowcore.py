@@ -6,6 +6,8 @@ distance of Phi(t, s) to the rank-one stochastic matrices, and the decay
 rate of that distance classifies the flow. The spectral norm is used for
 all matrix distances and is recorded in reports. Spans land on the step
 grid by `graphnet.steps_in_span`, the rule runs and processes share.
+`rk4_maps` is the one RK4 kernel: a piece's propagator is its map of the
+field -L, and the simulator's affine path takes its step maps from it.
 """
 
 from __future__ import annotations
@@ -104,36 +106,38 @@ class FlowMatrix:
         return self.Phi.shape[0]
 
 
-def taylor_polynomial(a: np.ndarray, degree: int = 4, shift: int = 0) -> np.ndarray:
-    """sum_{j=0..degree} a^j * shift! / (j + shift)!, by the recurrence
-    term_j = term_{j-1} @ a / (j + shift), degree >= 1; `a` may be a stack
-    (k, m, m).
+def rk4_maps(f1: np.ndarray, f2: np.ndarray, f3: np.ndarray, h: float) -> np.ndarray:
+    """Exact RK4 one-step maps of the linear fields ds/dt = F(t) s whose
+    values at t, t + h/2 and t + h are f1, f2 and f3, as a stack (k, m, m)
+    or a single (m, m).
 
-    For a linear autonomous right side ds/dt = M s, the four RK4 stages
-    collapse to this polynomial of a = hM with degree 4; iterating it is
-    the RK4 trajectory. With degree 3 and shift 1 it is the factor that
-    maps a constant forcing c to the RK4 step offset h * (...) @ c.
+    Iterating the map is the RK4 trajectory. A constant field passes one
+    matrix three times; an affine field s' = M s + c is the linear field
+    [[M, c], [0, 0]] on (s, 1), whose map is [[R, r], [0, 1]] with
+    s -> R s + r the RK4 step.
     """
-    term = a / (1 + shift)  # the j = 1 term; I @ a is a, bit for bit
-    out = np.eye(a.shape[-1]) + term
-    for j in range(2, degree + 1):
-        term = term @ a / (j + shift)
-        out = out + term
-    return out
+    eye = np.eye(f1.shape[-1])
+    k2 = f2 @ (eye + (0.5 * h) * f1)
+    k3 = f2 @ (eye + (0.5 * h) * k2)
+    k4 = f3 @ (eye + h * k3)
+    return eye + (h / 6.0) * (f1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 class _Propagators:
     """The step grid of a process and h, and the RK4 propagators of its pieces.
 
-    Checks switch alignment once and keeps the step index where each
-    piece starts, so walks along the grid take integer steps. Maps
-    (id(lap), steps) to taylor_polynomial(-h L)^steps, with (id(lap), 1)
-    the one-step propagator; `build` makes the missing ones in stacks of
-    `per_stack` matrices, at most STACK_BYTES, and `power` makes a single
-    missing one.
+    The entry of every flow computation: rejects a step h that is not
+    finite and positive, checks switch alignment once and keeps the step
+    index where each piece starts, so walks along the grid take integer
+    steps. Maps (id(lap), steps) to R^steps, where R = rk4_maps(-L, -L,
+    -L, h) is the one-step propagator kept at (id(lap), 1); `build` makes
+    the missing ones in stacks of `per_stack` matrices, at most
+    STACK_BYTES, and `power` makes a single missing one.
     """
 
     def __init__(self, process: LaplacianProcess, h: float):
+        if not (math.isfinite(h) and h > 0):
+            raise InvalidInputError(f"flow step h must be finite and positive, got {h}")
         self.firsts = check_switch_alignment(process, h)
         self.process = process
         self.h = h
@@ -165,7 +169,8 @@ class _Propagators:
             for lo in range(0, len(laps), self.per_stack):
                 chunk = laps[lo : lo + self.per_stack]
                 if steps == 1:
-                    stack = taylor_polynomial(-self.h * np.stack([lap.matrix for lap in chunk]))
+                    field = -np.stack([lap.matrix for lap in chunk])
+                    stack = rk4_maps(field, field, field, self.h)
                 else:
                     ones = np.stack([self._powers[id(lap), 1] for lap in chunk])
                     stack = matrix_power(ones, steps)
@@ -220,8 +225,6 @@ def transition_matrix(
         raise InvalidInputError(
             f"need 0 <= s <= t <= horizon, got s={s}, t={t}, horizon={process.horizon}"
         )
-    if h <= 0:
-        raise InvalidInputError("step h must be positive")
     integ = _FlowIntegrator(_Propagators(process, h), steps_in_span(s, h, f"start time {s}"))
     phi = integ.advance_to(steps_in_span(t, h, f"end time {t}"))
     return FlowMatrix(s, t, phi)

@@ -74,6 +74,13 @@ KNOWN_CHECKS = (
     "min-cut-window",
 )
 
+# the options of each check that takes any, the keys check_params may hold
+CHECK_OPTIONS = {
+    "consensus": ("tol",),
+    "observer-bound": ("flow_h", "declared"),
+    "min-cut-window": ("T", "beta"),
+}
+
 # the aux blocks an init block may set: those of every system
 INIT_AUX_KEYS = tuple(dict.fromkeys(block for row in SYSTEMS.values() for block, _ in row.aux))
 
@@ -126,6 +133,16 @@ def _resolve_process(spec: dict, h: float) -> LaplacianProcess:
 def _resolve_check_params(raw: dict, h: float) -> dict:
     """Every check's parameters as numbers, with the defaults filled in."""
     params = {name: dict(value) for name, value in raw.items()}
+    for name, options in params.items():
+        if name not in CHECK_OPTIONS:
+            raise ConfigError(
+                f"unknown check_params entry {name!r}; options: {tuple(CHECK_OPTIONS)}"
+            )
+        unknown = sorted(set(options) - set(CHECK_OPTIONS[name]))
+        if unknown:
+            raise ConfigError(
+                f"unknown {name} option {unknown[0]!r}; options: {CHECK_OPTIONS[name]}"
+            )
     observer = params.get("observer-bound", {})
     cut = params.get("min-cut-window", {})
     declared = observer.get("declared")

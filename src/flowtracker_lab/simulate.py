@@ -8,13 +8,15 @@ land on step boundaries so no step straddles a discontinuity.
 
 When the law is affine in the output (quadratic objectives, or no law)
 and the system has no ratio block, the closed loop is affine in the
-state, and each RK4 step is an exact affine map x -> R x + r; the path is
+state: on (state, 1) it is the linear field [[K(L), 0], [0, 0]] + alpha(t)
+* forcing, and each RK4 step is its exact map A = [[R, r], [0, 1]] from
+`flowcore.rk4_maps`, the kernel of the mixing flow too. The path is
 chosen from the system and the law alone, and a law without
 `rowwise_affine` takes the generic one. A constant step size gives every
-step of a piece the same map, whose powers A^1 ... A^m of the augmented
-matrix A = [[R, r], [0, 1]] each piece caches; any other schedule builds
-each step's map from alpha at t, t + h/2 and t + h, and composes the
-maps of each record interval by prefix products. Either way one
+step of a piece the same map, whose powers A^1 ... A^m each piece
+caches; any other schedule builds each step's map from alpha at t,
+t + h/2 and t + h, and composes the maps of each record interval by
+prefix products. Either way one
 matrix-vector product per record interval advances the state, and one
 batched product recovers the state at every step of a block of
 intervals, which is checked for finiteness and the validity box; with
@@ -43,7 +45,7 @@ from .errors import (
     InvalidInputError,
     NumericalFailureError,
 )
-from .flowcore import STACK_BYTES, taylor_polynomial
+from .flowcore import STACK_BYTES, rk4_maps
 from .graphnet import LaplacianProcess, check_switch_alignment, steps_in_span
 from .schedules import evaluate_many
 
@@ -125,30 +127,6 @@ class Trajectory:
                 fh.write(json.dumps(rec) + "\n")
 
 
-def _affine_step_map(system, coupling, coeffs, h):
-    """Exact RK4 one-step map (R, r) under u = row_scale * y + row_offset."""
-    row_scale, row_offset = coeffs
-    nd = system.n * system.d
-    m = coupling.copy()
-    m[:nd, :nd] += np.diag(np.repeat(row_scale, system.d))
-    c = np.zeros(m.shape[0])
-    c[:nd] = row_offset.ravel()
-    hm = h * m
-    return taylor_polynomial(hm), h * (taylor_polynomial(hm, 3, shift=1) @ c)
-
-
-def _rk4_step_maps(fields, forcing, alphas, h):
-    """Exact RK4 maps [[R_k, r_k], [0, 1]] of the steps of the augmented
-    field [[M, c], [0, 0]] = fields[k] + alpha * forcing, from alphas
-    (3, k), the step sizes at t, t + h/2 and t + h of each step."""
-    f1, f2, f3 = (fields + a[:, None, None] * forcing for a in alphas)
-    eye = np.eye(fields.shape[-1])
-    k2 = f2 @ (eye + (0.5 * h) * f1)
-    k3 = f2 @ (eye + (0.5 * h) * k2)
-    k4 = f3 @ (eye + h * k3)
-    return eye + (h / 6.0) * (f1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def _prefix_powers(aug: np.ndarray, count: int) -> np.ndarray:
     """aug^1 ... aug^count as a stack, by doubling."""
     stack = aug[None]
@@ -207,8 +185,14 @@ def _affine_path(system, coeffs, bounds, per_record, h, box, states) -> None:
     nd = n * d
     laps = system.process.laplacians
 
-    def coupling(piece):
-        return system.coupling_matrix(laps[min(piece, len(laps) - 1)].matrix)
+    def field(piece):
+        """The piece's coupling as the linear field [[K(L), 0], [0, 0]] on (state, 1)."""
+        return np.pad(system.coupling_matrix(laps[piece].matrix), (0, 1))
+
+    # u = alpha * (scale * y + offset) adds alpha * forcing to the field
+    forcing = np.zeros((size + 1, size + 1))
+    forcing[:nd, :nd] = np.diag(np.repeat(scale, d))
+    forcing[:nd, -1] = offset.ravel()
 
     # steps per prefix stack, so that one stays within STACK_BYTES
     most_steps = max(1, STACK_BYTES // (8 * (size + 1) ** 2))
@@ -231,30 +215,26 @@ def _affine_path(system, coeffs, bounds, per_record, h, box, states) -> None:
         one length, whose prefix stack (length, ...) all share or which
         have one each, (count, length, ...)."""
         if schedule.kind == "constant":
-            row_coeffs = (schedule.a0 * scale, schedule.a0 * offset)
             for piece in range(len(bounds) - 1):
                 step, stop = bounds[piece], bounds[piece + 1]
-                aug = np.eye(size + 1)
-                aug[:-1, :-1], aug[:-1, -1] = _affine_step_map(
-                    system, coupling(piece), row_coeffs, h
+                f = field(piece) + schedule.a0 * forcing
+                powers = _prefix_powers(
+                    rk4_maps(f, f, f, h), min(per_record, stop - step, most_steps)
                 )
-                powers = _prefix_powers(aug, min(per_record, stop - step, most_steps))
                 for first, length, count in chunks(step, stop, size):
                     yield first, powers[:length], count
             return
-        forcing = np.zeros((size + 1, size + 1))
-        forcing[:nd, :nd] = np.diag(np.repeat(scale, d))
-        forcing[:nd, -1] = offset.ravel()
         for first, length, count in chunks(0, bounds[-1], (size + 1) ** 2):
             steps = np.arange(first, first + count * length)
             t = steps * h
-            alphas = [evaluate_many(schedule, s) for s in (t, t + 0.5 * h, t + h)]
             piece = np.searchsorted(bounds, steps, side="right") - 1
-            fields = np.zeros((piece[-1] - piece[0] + 1, size + 1, size + 1))
-            for i, field_i in enumerate(fields):
-                field_i[:-1, :-1] = coupling(piece[0] + i)
-            maps = _rk4_step_maps(fields[piece - piece[0]], forcing, alphas, h)
-            maps = maps.reshape(count, length, size + 1, size + 1)
+            fields = np.stack([field(p) for p in range(piece[0], piece[-1] + 1)])
+            fields = fields[piece - piece[0]]
+            f1, f2, f3 = (
+                fields + evaluate_many(schedule, s)[:, None, None] * forcing
+                for s in (t, t + 0.5 * h, t + h)
+            )
+            maps = rk4_maps(f1, f2, f3, h).reshape(count, length, size + 1, size + 1)
             for j in range(1, length):
                 maps[:, j] = maps[:, j] @ maps[:, j - 1]
             yield first, maps, count
@@ -303,31 +283,19 @@ def _affine_path(system, coeffs, bounds, per_record, h, box, states) -> None:
 
 def _generic_path(system, law, vec, bounds, steps_per_record, h, box, states):
     """RK4 with the law at every stage; fills `states` and returns the
-    recorded outputs and inputs. The box is checked at every step, the
-    weight floor after every step and finiteness at every record."""
-    process = system.process
+    recorded outputs and inputs. The head of every step forms the output,
+    checks it against the box and evaluates the law, which is the step's
+    first stage and, at a record, the recorded input; finiteness is
+    checked at every record and the weight floor after every step."""
     n, d = system.n, system.d
     nd = n * d
-    m_records = len(states)
-    y_rec = np.empty((m_records, n, d))
-    u_rec = np.empty((m_records, n, d))
+    n_steps = bounds[-1]
+    y_rec = np.empty((len(states), n, d))
+    u_rec = np.empty((len(states), n, d))
     output = system.output_flat
     weights = system.ratio_slice
-
-    def record(j: int, t: float) -> np.ndarray:
-        """Store the state at t and return the control law's value there."""
-        if not np.isfinite(vec).all():
-            raise NumericalFailureError("state became non-finite", t)
-        states[j] = vec
-        y_now = output(vec)
-        y_rec[j] = y_now
-        u_now = u_rec[j] = law(t, y_now)
-        if box is not None and _outside(y_now, box).any():
-            raise NumericalFailureError(_BOX_MESSAGE, t)
-        return u_now
-
-    # law(t, output(vec)) at the current step, when a record already has it
-    u_now = record(0, 0.0)
+    # the Laplacian of each piece, by the step it starts at
+    starts = dict(zip(bounds[:-1], system.process.laplacians))
 
     # the stage derivatives live in the rows of one buffer, so the RK4
     # update is a single weighted sum and the input adds into row views
@@ -336,41 +304,40 @@ def _generic_path(system, law, vec, bounds, steps_per_record, h, box, states):
     k1x, k2x, k3x, k4x = (k[:nd].reshape(n, d) for k in stages)
     rk4_weights = (h / 6.0) * np.array([1.0, 2.0, 2.0, 1.0])
     h2 = 0.5 * h
-    step = 0
-    for seg_idx in range(len(bounds) - 1):
-        seg_end = bounds[seg_idx + 1]
-        lap = process.laplacians[min(seg_idx, len(process.laplacians) - 1)].matrix
-        big = system.coupling_matrix(lap)
-        while step < seg_end:
-            t = step * h
-            if u_now is None:
-                y_now = output(vec)
-                if box is not None and _outside(y_now, box).any():
-                    raise NumericalFailureError(_BOX_MESSAGE, t)
-                u_now = law(t, y_now)
-            np.dot(big, vec, out=k1)
-            k1x += u_now
-            v = vec + h2 * k1
-            np.dot(big, v, out=k2)
-            k2x += law(t + h2, output(v))
-            v = vec + h2 * k2
-            np.dot(big, v, out=k3)
-            k3x += law(t + h2, output(v))
-            v = vec + h * k3
-            np.dot(big, v, out=k4)
-            k4x += law(t + h, output(v))
-            vec = vec + rk4_weights @ stages
-            step += 1
-            u_now = None
-            if weights is not None and vec[weights].min() < W_FLOOR:
-                raise DegenerateWeightsError(
-                    "ratio weight fell below the floor "
-                    f"{W_FLOOR:g}; the mixing flow is not keeping "
-                    "row sums positive",
-                    step * h,
-                )
-            if step % steps_per_record == 0:
-                u_now = record(step // steps_per_record, step * h)
+    for step in range(n_steps + 1):
+        t = step * h
+        j, off_record = divmod(step, steps_per_record)
+        if not off_record and not np.isfinite(vec).all():
+            raise NumericalFailureError("state became non-finite", t)
+        y_now = output(vec)
+        if box is not None and _outside(y_now, box).any():
+            raise NumericalFailureError(_BOX_MESSAGE, t)
+        u_now = law(t, y_now)
+        if not off_record:
+            states[j], y_rec[j], u_rec[j] = vec, y_now, u_now
+        if step == n_steps:
+            break
+        if step in starts:
+            big = system.coupling_matrix(starts[step].matrix)
+        np.dot(big, vec, out=k1)
+        k1x += u_now
+        v = vec + h2 * k1
+        np.dot(big, v, out=k2)
+        k2x += law(t + h2, output(v))
+        v = vec + h2 * k2
+        np.dot(big, v, out=k3)
+        k3x += law(t + h2, output(v))
+        v = vec + h * k3
+        np.dot(big, v, out=k4)
+        k4x += law(t + h, output(v))
+        vec = vec + rk4_weights @ stages
+        if weights is not None and vec[weights].min() < W_FLOOR:
+            raise DegenerateWeightsError(
+                "ratio weight fell below the floor "
+                f"{W_FLOOR:g}; the mixing flow is not keeping "
+                "row sums positive",
+                (step + 1) * h,
+            )
     return y_rec, u_rec
 
 

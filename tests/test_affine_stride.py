@@ -26,10 +26,11 @@ from flowtracker_lab.dynamics import (
     make_system,
 )
 from flowtracker_lab.errors import NumericalFailureError
+from flowtracker_lab.flowcore import rk4_maps
 from flowtracker_lab.graphnet import Laplacian, constant_process, random_process
 from flowtracker_lab.objectives import Box, custom_table, mirror_pair
 from flowtracker_lab.schedules import constant, custom_piecewise, power_law
-from flowtracker_lab.simulate import _affine_step_map, integrate
+from flowtracker_lab.simulate import integrate
 
 H = 0.01
 
@@ -39,7 +40,7 @@ def per_step_affine(system, law, init, t_end, h, record_every):
     constant-step law, with finiteness and the box checked at every step."""
     law = law if law is not None else ZeroControl(system.n, system.d)
     scale, offset, schedule = law.rowwise_affine()
-    coeffs = (schedule.a0 * scale, schedule.a0 * offset)
+    nd = system.n * system.d
     box = getattr(getattr(law, "family", None), "validity_box", None)
     per_record = round(record_every / h)
     n_steps = round(t_end / h)
@@ -63,7 +64,13 @@ def per_step_affine(system, law, init, t_end, h, record_every):
     step = 0
     for k in range(len(bounds) - 1):
         lap = system.process.laplacians[k].matrix
-        mat, off = _affine_step_map(system, system.coupling_matrix(lap), coeffs, h)
+        # dz/dt = F z on z = (state, 1), F = [[K(L) + diag(a0 scale), a0 offset], [0, 0]]
+        field = np.zeros((system.state_size + 1, system.state_size + 1))
+        field[:-1, :-1] = system.coupling_matrix(lap)
+        field[:nd, :nd] += np.diag(np.repeat(schedule.a0 * scale, system.d))
+        field[:nd, -1] = schedule.a0 * offset.ravel()
+        step_map = rk4_maps(field, field, field, h)
+        mat, off = step_map[:-1, :-1], step_map[:-1, -1]
         while step < bounds[k + 1]:
             vec = mat @ vec + off
             step += 1

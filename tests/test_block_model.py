@@ -14,10 +14,11 @@ from hypothesis import strategies as st
 
 from flowtracker_lab import dynamics
 from flowtracker_lab.dynamics import SystemState, gradient_feedback, make_system
+from flowtracker_lab.flowcore import rk4_maps
 from flowtracker_lab.graphnet import process_from_dict, random_process
 from flowtracker_lab.objectives import huberized_quadratic
 from flowtracker_lab.schedules import power_law
-from flowtracker_lab.simulate import _affine_step_map, integrate
+from flowtracker_lab.simulate import integrate
 
 SYSTEMS = ("averaging", "push-sum", "saddle-point", "spps")
 RATIO_BLOCK = {"push-sum": "w", "spps": "v"}
@@ -63,19 +64,21 @@ def oracle_closed_loop(name, a, d, lap, row_scale, row_offset):
 
 
 def oracle_step_map(m, c, h):
+    """(R, r) of the RK4 step x -> R x + r of dx/dt = m x + c. With
+    F = [[m, c], [0, 0]] on (x, 1), the stage k_i is the matrix that sends
+    (x, 1) to the i-th RK4 slope: k_1 = F, k_2 = F (I + h/2 k_1),
+    k_3 = F (I + h/2 k_2), k_4 = F (I + h k_3)."""
     size = m.shape[0]
-    hm = h * m
-    step_mat = np.eye(size)
-    term = np.eye(size)
-    for j in range(1, 5):
-        term = term @ hm / j
-        step_mat = step_mat + term
-    acc = np.eye(size)
-    term = np.eye(size)
-    for j in range(1, 4):
-        term = term @ hm / (j + 1)
-        acc = acc + term
-    return step_mat, h * (acc @ c)
+    field = np.zeros((size + 1, size + 1))
+    field[:size, :size] = m
+    field[:size, size] = c
+    eye = np.eye(size + 1)
+    k1 = field
+    k2 = field @ (eye + (0.5 * h) * k1)
+    k3 = field @ (eye + (0.5 * h) * k2)
+    k4 = field @ (eye + h * k3)
+    step = eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return step[:size, :size], step[:size, size]
 
 
 @st.composite
@@ -143,9 +146,17 @@ def test_affine_step_map_is_bit_identical_to_hand_written_loop(case, t):
     row_scale = -rng.uniform(0.1, 1.0, n)
     row_offset = rng.uniform(-1, 1, (n, d))
     h = 0.01
-    step_mat, step_off = _affine_step_map(
-        system, system.coupling_matrix(lap), (row_scale, row_offset), h
-    )
+    # the affine path's field: the coupling plus the law's forcing on (state, 1)
+    nd = n * d
+    field = np.zeros((system.state_size + 1, system.state_size + 1))
+    field[:-1, :-1] = system.coupling_matrix(lap)
+    forcing = np.zeros_like(field)
+    forcing[:nd, :nd] = np.diag(np.repeat(row_scale, d))
+    forcing[:nd, -1] = row_offset.ravel()
+    field = field + forcing
+    step = rk4_maps(field, field, field, h)
+    step_mat, step_off = step[:-1, :-1], step[:-1, -1]
+    assert np.array_equal(step[-1], np.eye(system.state_size + 1)[-1])
     m, c = oracle_closed_loop(system.name, a, d, lap, row_scale, row_offset)
     expect_mat, expect_off = oracle_step_map(m, c, h)
     assert np.array_equal(step_mat, expect_mat)

@@ -69,6 +69,14 @@ MALFORMED = {
         "checks": ["observer-bound"],
         "check_params": {"observer-bound": {"declared": "x"}},
     },
+    "check-params-unknown-check": {
+        "checks": ["observer-bound"],
+        "check_params": {"observer-bnd": {"flow_h": 0.01}},
+    },
+    "consensus-unknown-option": {
+        "checks": ["consensus"],
+        "check_params": {"consensus": {"tolerance": 1e9}},
+    },
     "window-text": {
         "checks": ["min-cut-window"],
         "check_params": {"min-cut-window": {"T": "x", "beta": 0.1}},
@@ -135,6 +143,8 @@ NAMED = {
     "unknown-expectation": "'nope'",
     "expectation-no-kind": "'kind'",
     "oracle-without-family": "family",
+    "check-params-unknown-check": "unknown check_params entry 'observer-bnd'",
+    "consensus-unknown-option": "unknown consensus option 'tolerance'",
     "flow-step-of-horizon": "flow_h",
     "flow-step-overflow": "flow_h",
     "flow-step-off-switches": "switching time 0.5",
@@ -162,6 +172,36 @@ def test_malformed_config_exits_2_before_integration(tmp_path, capsys, case):
     assert NAMED.get(case, "") in error["error"]
     assert "Traceback" not in captured.err
     # rejected while parsing, so no artifact was written
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("h", ["0", "-0.01", "nan", "inf"])
+def test_flow_step_that_is_not_finite_and_positive_exits_2(tmp_path, capsys, h):
+    path = tmp_path / "proc.json"
+    path.write_text(json.dumps(base_config()["process"]))
+    code = main(["check-flow", "--process", str(path), f"--h={h}", "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 2
+    error = json.loads(captured.out)
+    assert error["kind"] == "config"
+    assert "flow step h" in error["error"]
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("values", [",", " ", ", ,"])
+def test_sweep_without_values_exits_2(tmp_path, capsys, values):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base_config()))
+    code = main(
+        ["sweep", "--config", str(cfg_path), "--param", "schedule.a0", "--values", values,
+         "--out", str(tmp_path / "out")]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    error = json.loads(captured.out)
+    assert error["kind"] == "config"
+    assert "--values" in error["error"]
     assert not (tmp_path / "out").exists()
 
 
@@ -328,6 +368,32 @@ def test_flow_report_and_schedule_keys(tmp_path, capsys):
     }
 
 
+def _cli_subprocess(args, timeout):
+    """The CLI run in a fresh interpreter on this checkout's package."""
+    src = Path(flowtracker_lab.__file__).parents[1]
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run(
+        [sys.executable, "-m", "flowtracker_lab.cli", *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=timeout,
+    )
+
+
+def _stdout_json(done):
+    """The JSON a CLI subprocess printed; when stdout is not JSON, fail with
+    the exit code and stderr, which show why."""
+    try:
+        return json.loads(done.stdout)
+    except json.JSONDecodeError:
+        pytest.fail(
+            f"stdout is not JSON (exit {done.returncode}): {done.stdout!r}\n"
+            f"stderr:\n{done.stderr}"
+        )
+
+
 def test_never_mixing_flow_on_a_vast_horizon_finishes(tmp_path):
     # an edgeless process never mixes, so the flow probes would run to
     # half the horizon without their cap
@@ -343,18 +409,9 @@ def test_never_mixing_flow_on_a_vast_horizon_finishes(tmp_path):
     )
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(raw))
-    src = Path(flowtracker_lab.__file__).parents[1]
-    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
-    env = {**os.environ, "PYTHONPATH": path}
-    done = subprocess.run(
-        [sys.executable, "-m", "flowtracker_lab.cli", "run", "--config", str(cfg_path)],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=10,
-    )
+    done = _cli_subprocess(["run", "--config", str(cfg_path)], timeout=10)
     assert done.returncode in (0, 1)
-    assert "observer-bound" in json.loads(done.stdout)["checks"]
+    assert "observer-bound" in _stdout_json(done)["checks"]
     assert "Traceback" not in done.stderr
 
 
@@ -373,19 +430,11 @@ def test_overflowing_flow_spans_give_no_rate_and_no_warnings(tmp_path):
     )
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(raw))
-    src = Path(flowtracker_lab.__file__).parents[1]
-    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
-    env = {**os.environ, "PYTHONPATH": path}
-    done = subprocess.run(
-        [sys.executable, "-m", "flowtracker_lab.cli", "run", "--config", str(cfg_path),
-         "--out", str(tmp_path / "out")],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=60,
+    done = _cli_subprocess(
+        ["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")], timeout=60
     )
     assert done.returncode == 1
-    assert json.loads(done.stdout)["checks"] == {"observer-bound": False}
+    assert _stdout_json(done)["checks"] == {"observer-bound": False}
     assert done.stderr == ""
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["checks"]["observer-bound"]["details"]["reason"].startswith(
@@ -402,6 +451,12 @@ def test_schema_enums_match_the_code():
     assert tuple(props["checks"]["items"]["enum"]) == harness.KNOWN_CHECKS
     kinds = props["expectations"]["items"]["properties"]["kind"]["enum"]
     assert tuple(kinds) == tuple(harness.EXPECTATION_FIELDS)
+    params = props["check_params"]
+    assert params["additionalProperties"] is False
+    assert tuple(params["properties"]) == tuple(harness.CHECK_OPTIONS)
+    for name, options in harness.CHECK_OPTIONS.items():
+        assert params["properties"][name]["additionalProperties"] is False
+        assert tuple(params["properties"][name]["properties"]) == options
 
 
 def test_selftest_passes(capsys):

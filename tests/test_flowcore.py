@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from numpy.linalg import matrix_power
 from scipy.linalg import expm
 
 from flowtracker_lab import flowcore
+from flowtracker_lab.dynamics import make_system
 from flowtracker_lab.errors import InvalidInputError, NumericalFailureError
 from flowtracker_lab.flowcore import (
     TAU_FLOW,
@@ -15,8 +18,8 @@ from flowtracker_lab.flowcore import (
     default_grid,
     distance_to_rank_one,
     ergodicity_report,
+    rk4_maps,
     semigroup_defect,
-    taylor_polynomial,
     transition_matrix,
 )
 from flowtracker_lab.graphnet import (
@@ -27,6 +30,7 @@ from flowtracker_lab.graphnet import (
     make_laplacian,
     random_process,
 )
+from flowtracker_lab.simulate import integrate
 
 TWO_NODE = Laplacian(np.array([[1.0, -1.0], [-1.0, 1.0]]))
 
@@ -212,14 +216,14 @@ class TestErgodicityReport:
     def test_report_builds_each_piece_propagator_once(self, monkeypatch):
         proc = random_process(6, "directed-ring-rotate", dwell=0.5, horizon=20.0, seed=3)
         built = []
-        real = flowcore.taylor_polynomial
+        real = flowcore.rk4_maps
 
-        def counted(a, *args, **kwargs):
+        def counted(f1, f2, f3, h):
             # a stack of k pieces builds k propagators in one call
-            built.append(len(a) if a.ndim == 3 else 1)
-            return real(a, *args, **kwargs)
+            built.append(len(f1) if f1.ndim == 3 else 1)
+            return real(f1, f2, f3, h)
 
-        monkeypatch.setattr(flowcore, "taylor_polynomial", counted)
+        monkeypatch.setattr(flowcore, "rk4_maps", counted)
         report = ergodicity_report(proc, h=1e-2)
         pieces = {id(lap) for s, t in report.samples for _, _, lap in proc.segments(s, t)}
         assert len(pieces) > 10
@@ -277,7 +281,8 @@ def per_sample_report(process, h):
         for lo, hi, lap in process.segments(s, t):
             key = (id(lap), round((hi - lo) / h))
             if key not in powers:
-                powers[key] = matrix_power(taylor_polynomial(-h * lap.matrix), key[1])
+                field = -lap.matrix
+                powers[key] = matrix_power(rk4_maps(field, field, field, h), key[1])
             phi = powers[key] @ phi
         return phi
 
@@ -349,6 +354,50 @@ class TestFlowProperties:
         assert report.p_star == p_star
         for got, want in zip(report.distances, dists):
             assert abs(got - want) <= 1e-12 * max(1.0, want)
+
+
+def taylor_degree_4(a):
+    """I + a + a^2/2 + a^3/6 + a^4/24, term by term."""
+    out = term = np.eye(len(a))
+    for j in range(1, 5):
+        term = term @ a / j
+        out = out + term
+    return out
+
+
+@st.composite
+def one_piece_processes(draw):
+    """A random weighted digraph of n <= 8 nodes as a one-piece process."""
+    n = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = rng.uniform(0.0, 2.0, (n, n)) * (rng.random((n, n)) < 0.6)
+    np.fill_diagonal(weights, 0.0)
+    return constant_process(make_laplacian(weights), 1.0)
+
+
+class TestOneKernel:
+    """rk4_maps is the one place an RK4 one-step map is formed; these pin it
+    to the Taylor polynomial and to a step of the simulator."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(one_piece_processes(), st.sampled_from([1e-3, 1e-2, 0.1]))
+    def test_constant_field_map_is_the_degree_4_taylor_polynomial(self, proc, h):
+        field = -proc.laplacians[0].matrix
+        got = rk4_maps(field, field, field, h)
+        assert np.abs(got - taylor_degree_4(h * field)).max() <= 1e-14
+
+    @settings(max_examples=60, deadline=None)
+    @given(one_piece_processes(), st.sampled_from([1e-3, 1e-2, 0.1]))
+    def test_flow_step_is_one_simulator_step(self, proc, h):
+        # averaging with d = n from x0 = I and no input carries Phi(t, 0)
+        n = proc.n
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            system = make_system("averaging", proc, d=n)
+        init = system.initial_state(np.eye(n))
+        traj = integrate(system, None, init, t_end=h, h=h, record_every=h)
+        flow = transition_matrix(proc, 0.0, h, h)
+        assert np.abs(flow.Phi - traj.x[1]).max() <= 1e-15
 
 
 def non_finite(phi):

@@ -248,6 +248,20 @@ class TestGuards:
         with pytest.raises(NumericalFailureError, match="box"):
             integrate(sys_, law, init, t_end=1.0, h=1e-2)
 
+    def test_generic_path_reports_non_finite_state_at_its_record(self):
+        # a plain-function law takes the generic path; the state turns
+        # non-finite in the first step and is reported at the first record
+        proc = constant_process(TWO_NODE, 5.0)
+        sys_ = averaging_system(proc)
+        init = sys_.initial_state(np.zeros((2, 1)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalFailureError, match="non-finite") as err:
+                integrate(
+                    sys_, lambda t, y: np.full((2, 1), np.inf), init,
+                    t_end=1.0, h=1e-2, record_every=0.1,
+                )
+        assert err.value.time == pytest.approx(0.1)
+
     def test_misaligned_record_interval(self):
         proc = constant_process(TWO_NODE, 5.0)
         sys_ = averaging_system(proc)
