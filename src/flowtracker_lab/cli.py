@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import harness
-from .errors import FlowtrackerError
+from .errors import ConfigError, FlowtrackerError
 from .graphnet import DEFAULT_STEP, process_from_dict
 
 
@@ -37,45 +37,43 @@ def _load_raw_config(args) -> dict:
         return harness.scenario_raw(args.scenario)
     if args.config:
         with open(args.config) as fh:
-            return json.load(fh)
+            raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ConfigError("a config file must hold a JSON object")
+        return raw
     raise FlowtrackerError("pass --config PATH or --scenario NAME")
 
 
 def _cmd_run(args) -> int:
-    try:
-        raw = _load_raw_config(args)
-        if args.seed is not None:
-            raw["seed"] = args.seed
-        cfg = harness.parse_config(raw)
-    except (FlowtrackerError, OSError, json.JSONDecodeError) as exc:
-        return _fail("config", str(exc))
+    raw = _load_raw_config(args)
+    if args.seed is not None:
+        raw["seed"] = args.seed
+    cfg = harness.parse_config(raw)
     out = _default_out(args.out, cfg.name)
     try:
         summary = harness.run(cfg, out_dir=out, full_resolution=args.full_resolution)
-    except FlowtrackerError as exc:
+    except (FlowtrackerError, OSError) as exc:
         return _fail("runtime", str(exc))
     print(json.dumps(summary.to_dict(), indent=2, sort_keys=True))
     return 0 if summary.all_checks_passed else 1
 
 
 def _cmd_scenario(args) -> int:
-    if args.action == "list":
-        for name in harness.scenario_names():
-            print(name)
-        return 0
-    return _fail("usage", f"unknown scenario action {args.action!r}")
+    for name in harness.scenario_names():
+        print(name)
+    return 0
 
 
 def _cmd_sweep(args) -> int:
+    raw = _load_raw_config(args)
     try:
-        raw = _load_raw_config(args)
         values = [float(v) for v in args.values.split(",") if v.strip()]
-        if not values:
-            return _fail("config", f"--values {args.values!r} holds no number")
-        out = _default_out(args.out, f"{raw.get('name', 'run')}-sweep")
-        results = harness.sweep(raw, args.param, values, out_dir=out)
-    except (FlowtrackerError, OSError, ValueError, json.JSONDecodeError) as exc:
-        return _fail("config", str(exc))
+    except ValueError as exc:
+        return _fail("config", f"--values {args.values!r}: {exc}")
+    if not values:
+        return _fail("config", f"--values {args.values!r} holds no number")
+    out = _default_out(args.out, f"{raw.get('name', 'run')}-sweep")
+    results = harness.sweep(raw, args.param, values, out_dir=out)
     for value, summary in results:
         flag = "ok" if summary.all_checks_passed else "FAILED"
         print(f"{args.param}={value:g}: y_limit={summary.y_limit} [{flag}]")
@@ -83,14 +81,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_check_flow(args) -> int:
-    try:
-        with open(args.process) as fh:
-            process = process_from_dict(json.load(fh))
-        report, passed = harness.check_flow(
-            process, h=args.h, out_dir=_default_out(args.out, "flow")
-        )
-    except (FlowtrackerError, OSError, json.JSONDecodeError) as exc:
-        return _fail("config", str(exc))
+    with open(args.process) as fh:
+        process = process_from_dict(json.load(fh))
+    report, passed = harness.check_flow(process, h=args.h, out_dir=_default_out(args.out, "flow"))
     print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     if not passed:
         print("flow is NOT weakly exponentially ergodic", file=sys.stderr)
@@ -98,15 +91,12 @@ def _cmd_check_flow(args) -> int:
 
 
 def _cmd_check_schedule(args) -> int:
-    try:
-        if args.schedule.strip().startswith("{"):
-            raw = json.loads(args.schedule)
-        else:
-            with open(args.schedule) as fh:
-                raw = json.load(fh)
-        report, valid = harness.check_schedule(raw)
-    except (FlowtrackerError, OSError, json.JSONDecodeError) as exc:
-        return _fail("config", str(exc))
+    if args.schedule.strip().startswith("{"):
+        raw = json.loads(args.schedule)
+    else:
+        with open(args.schedule) as fh:
+            raw = json.load(fh)
+    report, valid = harness.check_schedule(raw)
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0 if valid else 1
 
@@ -163,8 +153,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one verb; its invalid input, an unreadable file or malformed JSON
+    exits 2 with kind config."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (FlowtrackerError, OSError, json.JSONDecodeError) as exc:
+        return _fail("config", str(exc))
 
 
 if __name__ == "__main__":

@@ -427,6 +427,12 @@ def common_stationary_distribution(process: LaplacianProcess) -> np.ndarray | No
 
 RANDOM_MODELS = ("switching-complete", "directed-ring-rotate", "B-window-strongly-connected")
 
+# the most floats a random process may hold, about 128 MB, 32 times the
+# largest a preset or benchmark builds; a piece holds its n x n Laplacian
+# and some 250 bytes of objects, PIECE_OVERHEAD floats
+MAX_PROCESS_FLOATS = 16_000_000
+PIECE_OVERHEAD = 32
+
 
 def _complete_symmetric_weights(n: int, rng: np.random.Generator) -> np.ndarray:
     s = rng.uniform(0.5, 1.5, size=(n, n))
@@ -496,8 +502,13 @@ def random_process(
             raise InvalidInputError("the B-window model needs a window size B >= 1")
         if B > n:
             raise InvalidInputError("window size B cannot exceed the agent count")
+    n_pieces = horizon / dwell
+    if n_pieces * (float(n) * n + PIECE_OVERHEAD) > MAX_PROCESS_FLOATS:
+        raise InvalidInputError(
+            f"{n_pieces:.3g} pieces of {n:.3g} agents pass the {MAX_PROCESS_FLOATS:g}-float cap"
+        )
     rng = np.random.default_rng(seed)
-    n_pieces = max(1, math.ceil(horizon / dwell - 1e-12))
+    n_pieces = max(1, math.ceil(n_pieces - 1e-12))
     times = []
     laps = []
     for k in range(n_pieces):

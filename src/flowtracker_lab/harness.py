@@ -12,6 +12,7 @@ import copy
 import hashlib
 import json
 import math
+import sys
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -86,6 +87,8 @@ INIT_AUX_KEYS = tuple(dict.fromkeys(block for row in SYSTEMS.values() for block,
 
 OUT_ENV_VAR = "FLOWTRACKER_OUT"
 
+FLOAT_MAX = sys.float_info.max
+
 
 @dataclass(eq=False)
 class ExperimentConfig:
@@ -114,7 +117,8 @@ class ExperimentConfig:
 
 def _resolve_process(spec: dict, h: float) -> LaplacianProcess:
     if "file" in spec:
-        with open(spec["file"]) as fh:
+        # a path, never a number, which open() would take for a descriptor
+        with open(Path(spec["file"])) as fh:
             return process_from_dict(json.load(fh))
     if "random" in spec:
         params = dict(spec["random"])
@@ -130,7 +134,7 @@ def _resolve_process(spec: dict, h: float) -> LaplacianProcess:
     return process_from_dict(spec)
 
 
-def _resolve_check_params(raw: dict, h: float) -> dict:
+def _resolve_check_params(raw: dict, checks: tuple, h: float) -> dict:
     """Every check's parameters as numbers, with the defaults filled in."""
     params = {name: dict(value) for name, value in raw.items()}
     for name, options in params.items():
@@ -143,6 +147,8 @@ def _resolve_check_params(raw: dict, h: float) -> dict:
             raise ConfigError(
                 f"unknown {name} option {unknown[0]!r}; options: {CHECK_OPTIONS[name]}"
             )
+        if name not in checks:
+            raise ConfigError(f"check_params sets options of {name!r}, which checks does not list")
     observer = params.get("observer-bound", {})
     cut = params.get("min-cut-window", {})
     declared = observer.get("declared")
@@ -171,13 +177,52 @@ def _resolve_expectation(spec: dict, has_family: bool) -> dict:
     return out
 
 
+def _bad_number(node) -> tuple[str, object] | None:
+    """(path, value) of the first number that is not a finite float, or null
+    in an array, of a raw config; None if none is. Tests exact JSON types."""
+    in_list = type(node) is list
+    for key, value in enumerate(node) if in_list else node.items():
+        kind = type(value)
+        if kind is dict or kind is list:
+            found = _bad_number(value)
+        elif kind is float or kind is int:
+            found = None if -FLOAT_MAX <= value <= FLOAT_MAX else ("", value)
+        else:
+            found = ("", value) if value is None and in_list else None
+        if found is not None:
+            return (f"[{key}]" if in_list else f".{key}") + found[0], found[1]
+    return None
+
+
+class _part:
+    """Read one part of a config: a missing key and the errors of a malformed
+    value become ConfigErrors that name the part; anything else, a bug, shows."""
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, tb):
+        if kind is None or issubclass(kind, ConfigError):
+            return
+        if issubclass(kind, KeyError):
+            raise ConfigError(f"{self.name} is missing field {exc}") from exc
+        if issubclass(kind, (FlowtrackerError, AttributeError, TypeError, ValueError)):
+            raise ConfigError(f"{self.name} invalid: {exc}") from exc
+
+
 def parse_config(raw: dict) -> ExperimentConfig:
     """Validate a raw config dict and resolve every referenced object.
 
     All raw input is converted here, so a malformed config raises
     ConfigError before anything is integrated.
     """
-    try:
+    with _part("config"):
+        bad = _bad_number(raw)
+        if bad is not None:
+            raise ConfigError(f"{bad[0].lstrip('.')} is {json.dumps(bad[1])}, not a finite number")
         h = float(raw["h"])
         t_end = float(raw["t_end"])
         if h <= 0:
@@ -186,50 +231,31 @@ def parse_config(raw: dict) -> ExperimentConfig:
         seed = int(raw.get("seed", 0))
         d = int(raw.get("d", 1))
         dyn = dict(raw.get("dynamics", {}))
-        if "name" not in dyn:
-            raise ConfigError("config needs dynamics.name")
         gain = float(dyn.get("a", DEFAULT_GAIN))
         checks = tuple(raw.get("checks", ()))
-        check_params = _resolve_check_params(dict(raw.get("check_params", {})), h)
+        check_params = _resolve_check_params(dict(raw.get("check_params", {})), checks, h)
         has_family = raw.get("family") is not None
         expectations = tuple(
             _resolve_expectation(dict(spec), has_family)
             for spec in raw.get("expectations", ())
         )
         name = str(raw.get("name", "run"))
-    except FlowtrackerError:
-        raise
-    except KeyError as exc:
-        raise ConfigError(f"config is missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config field malformed: {exc}") from exc
-
-    if raw.get("process") is None:
-        raise ConfigError("config needs a 'process' block")
-    try:
+        if raw.get("process") is None:
+            raise ConfigError("config needs a 'process' block")
+    with _part("process"):
         process = _resolve_process(raw["process"], h)
-    except KeyError as exc:
-        raise ConfigError(f"process spec is missing field {exc}") from exc
-    except (FlowtrackerError, TypeError, ValueError) as exc:
-        raise ConfigError(f"process spec invalid: {exc}") from exc
-    try:
+    with _part("step grid"):
         n_steps, steps_per_record = step_grid(process, t_end, h, record_every)
-    except InvalidInputError as exc:
-        raise ConfigError(f"the run does not fit the step grid: {exc}") from exc
 
     family = None
     schedule = None
     if has_family:
-        try:
+        with _part("family"):
             family = family_from_dict(raw["family"])
-        except FlowtrackerError as exc:
-            raise ConfigError(f"family spec invalid: {exc}") from exc
         if raw.get("schedule") is None:
             raise ConfigError("a family needs a schedule for the gradient feedback")
-        try:
+        with _part("schedule"):
             schedule = schedule_from_dict(raw["schedule"])
-        except FlowtrackerError as exc:
-            raise ConfigError(f"schedule spec invalid: {exc}") from exc
         try:
             # alpha is nonincreasing, so t_end holds its least value on the run
             alpha_end = schedule(t_end)
@@ -239,13 +265,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
             raise ConfigError(
                 f"schedule alpha(t_end) = {alpha_end} is not a finite step in (0, 1]"
             )
-
-    if family is not None:
         d = family.d
-    try:
+    with _part("dynamics"):
         system = make_system(dyn["name"], process, d=d, a=gain)
-    except FlowtrackerError as exc:
-        raise ConfigError(f"dynamics invalid: {exc}") from exc
 
     if family is not None and family.n != system.n:
         raise ConfigError(
@@ -259,23 +281,18 @@ def parse_config(raw: dict) -> ExperimentConfig:
                 f"{tail} here; it needs {MIN_TAIL} (t_end / record_every >= 90)"
             )
         if spec["kind"] == "y-limit":
-            try:
+            with _part(f"y-limit value of shape {spec['value'].shape}"):
                 np.broadcast_to(spec["value"], (system.n, system.d))
-            except ValueError as exc:
-                raise ConfigError(
-                    f"y-limit value of shape {spec['value'].shape} does not broadcast "
-                    f"to the output shape {(system.n, system.d)}"
-                ) from exc
 
-    init_spec = raw.get("init", {})
-    if not isinstance(init_spec, dict):
-        raise ConfigError("init must be an object")
-    unknown = sorted(set(init_spec) - {"x", "random", *INIT_AUX_KEYS})
-    if unknown:
-        raise ConfigError(
-            f"unknown init key {unknown[0]!r}; options: {('x', 'random') + INIT_AUX_KEYS}"
-        )
-    try:
+    with _part("initial condition"):
+        init_spec = raw.get("init", {})
+        if not isinstance(init_spec, dict):
+            raise ConfigError("init must be an object")
+        unknown = sorted(set(init_spec) - {"x", "random", *INIT_AUX_KEYS})
+        if unknown:
+            raise ConfigError(
+                f"unknown init key {unknown[0]!r}; options: {('x', 'random') + INIT_AUX_KEYS}"
+            )
         if "x" in init_spec:
             x0 = np.asarray(init_spec["x"], dtype=float)
         else:
@@ -290,24 +307,26 @@ def parse_config(raw: dict) -> ExperimentConfig:
         }
         init_state = system.initial_state(x0, **aux)
         system.check_initial(init_state)
-    except (FlowtrackerError, AttributeError, TypeError, ValueError) as exc:
-        raise ConfigError(f"initial condition invalid: {exc}") from exc
+        # a ratio block starts at 1, so the initial output is x
+        box = family.validity_box if family is not None else None
+        if box is not None and box.outside(init_state.x).any():
+            raise ConfigError(
+                f"initial outputs {init_state.x.tolist()} leave the validity box {box.to_list()}"
+            )
 
     for check in checks:
         if check not in KNOWN_CHECKS:
             raise ConfigError(f"unknown check {check!r}; options: {KNOWN_CHECKS}")
         if check in FAMILY_CHECKS and family is None:
             raise ConfigError(f"check {check!r} needs an objective family")
-    if "input-tracking" in checks and abs(record_every - h) > 1e-12:
-        raise ConfigError("the input-tracking check needs record_every == h")
+        if check in ("input-tracking", "v-dominated-by-h") and abs(record_every - h) > 1e-12:
+            raise ConfigError(f"the {check} check needs record_every == h")
     if "observer-bound" in checks:
         flow_h = check_params["observer-bound"]["flow_h"]
         if not 0 < flow_h < process.horizon:
             raise ConfigError("observer-bound flow_h must lie in (0, process horizon)")
-        try:
+        with _part("observer-bound flow_h"):
             check_switch_alignment(process, flow_h)
-        except InvalidInputError as exc:
-            raise ConfigError(f"observer-bound flow_h does not fit the process: {exc}") from exc
     if "min-cut-window" in checks and not 0 < check_params["min-cut-window"]["T"] <= t_end:
         raise ConfigError("min-cut-window T must lie in (0, t_end]")
     if expectations and "expectations" not in checks:
@@ -424,7 +443,6 @@ def run(cfg: ExperimentConfig, out_dir=None, full_resolution: bool = False) -> R
         t_end=cfg.t_end,
         h=cfg.h,
         record_every=record_every,
-        extra_meta={"config_digest": cfg.digest(), "seed": cfg.seed},
     )
 
     oracle = gaps = None
@@ -849,7 +867,8 @@ def check_flow(
 
 
 def check_schedule(raw: dict) -> tuple[dict, bool]:
-    schedule = schedule_from_dict(raw)
+    with _part("schedule"):
+        schedule = schedule_from_dict(raw)
     report = check_validity(schedule)
     return report.to_dict(), report.valid
 

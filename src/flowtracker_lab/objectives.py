@@ -44,6 +44,10 @@ class Box:
     def d(self) -> int:
         return self.lo.shape[0]
 
+    def outside(self, y: np.ndarray) -> np.ndarray:
+        """Which entries of the points y (..., d) lie outside; NaN does not."""
+        return (y < self.lo) | (y > self.hi)
+
     def corners(self):
         for choice in itertools.product(*zip(self.lo, self.hi)):
             yield np.array(choice)
@@ -115,9 +119,6 @@ class _Huber:
     def analytic_cap(self):
         return self.curvature * self.radius
 
-    def box_cap(self, box: Box):
-        return self.analytic_cap()
-
 
 def _check_huber_scale(curvature: float, radius: float) -> None:
     """The linear branch's offset curvature * radius^2 / 2 must be a finite float."""
@@ -144,14 +145,10 @@ class _Logistic:
         return np.log1p(np.exp(-np.abs(z))) + np.maximum(z, 0.0)
 
     def grad(self, x):
-        z = self.sign * (float(x[0]) - self.offset)
-        return np.array([self.sign / (1.0 + math.exp(-z))])
+        return np.array([self.sign * expit(self.sign * (float(x[0]) - self.offset))])
 
     def analytic_cap(self):
         return abs(self.sign)
-
-    def box_cap(self, box: Box):
-        return self.analytic_cap()
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,6 +238,8 @@ def custom_table(entries: Sequence[dict], box: Box | None = None) -> ObjectiveFa
     d = None
     for entry in entries:
         center = np.atleast_1d(np.asarray(entry["center"], dtype=float))
+        if center.ndim != 1:
+            raise InvalidInputError(f"a center must be a point, got shape {center.shape}")
         if d is None:
             d = center.shape[0]
         elif center.shape[0] != d:
@@ -457,33 +456,29 @@ def family_to_dict(fam: ObjectiveFamily) -> dict:
 
 
 def family_from_dict(data: dict) -> ObjectiveFamily:
-    try:
-        kind = data["kind"]
-        params = data.get("params", {})
-        if not isinstance(params, dict):
-            raise InvalidInputError(f"family params must be an object, got {params!r}")
-        box = None
-        if data.get("box") is not None:
-            lo, hi = data["box"]
-            box = Box(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
-        if kind == "mirror-pair":
-            return mirror_pair(
-                offset=float(params.get("offset", 1.0)),
-                curvature=float(params.get("curvature", 1.0)),
-                box=box,
-            )
-        if kind == "huberized-quadratic":
-            return huberized_quadratic(
-                params["centers"],
-                radius=float(params["radius"]),
-                curvature=float(params.get("curvature", 1.0)),
-            )
-        if kind == "logistic-scalar":
-            return logistic_scalar(params["signs"], params["offsets"])
-        if kind == "custom-table":
-            return custom_table(params["entries"], box=box)
-    except InvalidInputError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidInputError(f"malformed family spec: {exc!r}") from exc
+    """The family a dict describes; harness guards against a malformed one."""
+    kind = data["kind"]
+    params = data.get("params", {})
+    if not isinstance(params, dict):
+        raise InvalidInputError(f"family params must be an object, got {params!r}")
+    box = None
+    if data.get("box") is not None:
+        lo, hi = data["box"]
+        box = Box(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    if kind == "mirror-pair":
+        return mirror_pair(
+            offset=float(params.get("offset", 1.0)),
+            curvature=float(params.get("curvature", 1.0)),
+            box=box,
+        )
+    if kind == "huberized-quadratic":
+        return huberized_quadratic(
+            params["centers"],
+            radius=float(params["radius"]),
+            curvature=float(params.get("curvature", 1.0)),
+        )
+    if kind == "logistic-scalar":
+        return logistic_scalar(params["signs"], params["offsets"])
+    if kind == "custom-table":
+        return custom_table(params["entries"], box=box)
     raise InvalidInputError(f"unknown objective kind {kind!r}")

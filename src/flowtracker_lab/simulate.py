@@ -21,8 +21,8 @@ matrix-vector product per record interval advances the state, and one
 batched product recovers the state at every step of a block of
 intervals, which is checked for finiteness and the validity box; with
 record_every = h and a constant step the result is bit-identical to one
-map per step. The generic path compares every step's output with the
-box too, so on both paths a run aborts at the first offending step.
+map per step. The generic path checks every step's state and output
+too, so on both paths a run aborts at the first offending step.
 """
 
 from __future__ import annotations
@@ -135,11 +135,6 @@ def _prefix_powers(aug: np.ndarray, count: int) -> np.ndarray:
     return stack
 
 
-def _outside(y: np.ndarray, box) -> np.ndarray:
-    """Which entries of the outputs y (..., d) lie outside the box; NaN does not."""
-    return (y < box.lo) | (y > box.hi)
-
-
 _BOX_MESSAGE = "output left the declared gradient-validity box"
 
 
@@ -243,7 +238,7 @@ def _affine_path(system, coeffs, bounds, per_record, h, box, states) -> None:
         """Raise at the first of the step states from step `first` on that is
         non-finite or whose output leaves the box."""
         finite = np.isfinite(block)
-        outside = None if box is None else _outside(block[:, :nd].reshape(-1, n, d), box)
+        outside = None if box is None else box.outside(block[:, :nd].reshape(-1, n, d))
         if finite.all() and (outside is None or not outside.any()):
             return
         bad = ~finite.all(axis=1)
@@ -283,10 +278,10 @@ def _affine_path(system, coeffs, bounds, per_record, h, box, states) -> None:
 
 def _generic_path(system, law, vec, bounds, steps_per_record, h, box, states):
     """RK4 with the law at every stage; fills `states` and returns the
-    recorded outputs and inputs. The head of every step forms the output,
-    checks it against the box and evaluates the law, which is the step's
-    first stage and, at a record, the recorded input; finiteness is
-    checked at every record and the weight floor after every step."""
+    recorded outputs and inputs. The head of every step checks the state
+    for finiteness, forms the output, checks it against the box and
+    evaluates the law, which is the step's first stage and, at a record,
+    the recorded input; the weight floor is checked after every step."""
     n, d = system.n, system.d
     nd = n * d
     n_steps = bounds[-1]
@@ -307,10 +302,11 @@ def _generic_path(system, law, vec, bounds, steps_per_record, h, box, states):
     for step in range(n_steps + 1):
         t = step * h
         j, off_record = divmod(step, steps_per_record)
-        if not off_record and not np.isfinite(vec).all():
+        # a sum is finite when the entries are, unless it overflows: confirm
+        if not math.isfinite(np.add.reduce(vec)) and not np.isfinite(vec).all():
             raise NumericalFailureError("state became non-finite", t)
         y_now = output(vec)
-        if box is not None and _outside(y_now, box).any():
+        if box is not None and box.outside(y_now).any():
             raise NumericalFailureError(_BOX_MESSAGE, t)
         u_now = law(t, y_now)
         if not off_record:
@@ -348,7 +344,6 @@ def integrate(
     t_end: float,
     h: float,
     record_every: float = DEFAULT_RECORD_EVERY,
-    extra_meta: dict | None = None,
 ) -> Trajectory:
     """Integrate `system` under control `law` from `init` to t_end.
 
@@ -420,8 +415,6 @@ def integrate(
         "ratio": system.ratio,
         "path": "generic" if affine is None else "affine",
     }
-    if extra_meta:
-        meta.update(extra_meta)
     return Trajectory(times, x_rec, aux_rec, y_rec, u_rec, x_rec.mean(axis=1), meta)
 
 

@@ -1,18 +1,22 @@
 """The CLI's input contract: malformed configs exit 2 with a JSON error
 before anything is integrated, and the JSON artifacts keep their keys."""
 
+import copy
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import flowtracker_lab
 from flowtracker_lab import harness
 from flowtracker_lab.cli import main
 from flowtracker_lab.dynamics import SYSTEM_NAMES
+from flowtracker_lab.errors import ConfigError
 from flowtracker_lab.graphnet import RANDOM_MODELS
 
 
@@ -131,6 +135,55 @@ MALFORMED = {
             "params": {"centers": [[0.5], [-0.3]], "radius": 1e300},
         }
     },
+    "dynamics-name-list": {"dynamics": {"name": ["averaging"]}},
+    "dynamics-without-name": {"dynamics": {"a": 5.0}},
+    "process-file-number": {"process": {"file": 5}},
+    "table-center-matrix": {
+        "family": {
+            "kind": "custom-table",
+            "params": {"entries": [{"center": [[0.2]]}, {"center": [-0.2]}]},
+            "box": [[-2.0], [2.0]],
+        }
+    },
+    "random-horizon-vast": {"process": {"random": {**RANDOM_PROCESS, "horizon": 1e300}}},
+    "h-infinite": {"h": float("inf")},
+    "t-end-past-floats": {"t_end": 10**400},
+    "gain-nan": {"dynamics": {"name": "averaging", "a": float("nan")}},
+    "mirror-curvature-nan": {
+        "family": {
+            "kind": "mirror-pair",
+            "params": {"curvature": float("nan")},
+            "box": [[-2.0], [2.0]],
+        }
+    },
+    "init-x-nan": {"init": {"x": [[float("nan")], [0.0]]}},
+    "init-x-null": {"init": {"x": [[None], [0.0]]}},
+    "box-lo-nan": {
+        "family": {"kind": "mirror-pair", "params": {}, "box": [[float("nan")], [2.0]]}
+    },
+    "declared-nan": {
+        "checks": ["observer-bound"],
+        "check_params": {"observer-bound": {"declared": float("nan")}},
+    },
+    "consensus-tol-nan": {
+        "checks": ["consensus"],
+        "check_params": {"consensus": {"tol": float("nan")}},
+    },
+    "beta-nan": {
+        "checks": ["min-cut-window"],
+        "check_params": {"min-cut-window": {"T": 0.5, "beta": float("nan")}},
+    },
+    "gap-settled-tol-nan": {"expectations": [{"kind": "gap-settled", "tol": float("nan")}]},
+    "options-of-an-unlisted-check": {
+        "checks": ["consensus"],
+        "check_params": {"min-cut-window": {"T": 0.5}},
+    },
+    "v-dominated-by-h-on-coarse-records": {"checks": ["v-dominated-by-h"]},
+    "init-outside-box": {"init": {"x": [[0.0], [3.0]]}},
+    "ratio-init-outside-box": {
+        "dynamics": {"name": "push-sum"},
+        "init": {"x": [[0.0], [2.5]], "w": [1.0, 1.0]},
+    },
 }
 
 
@@ -157,6 +210,26 @@ NAMED = {
     "mirror-params-number": "params must be an object",
     "init-z-on-push-sum": "no aux block 'z'",
     "init-misspelt-w-on-push-sum": "unknown init key 'W'",
+    "dynamics-name-list": "dynamics invalid",
+    "dynamics-without-name": "dynamics is missing field 'name'",
+    "process-file-number": "process invalid",
+    "table-center-matrix": "shape (1, 1)",
+    "random-horizon-vast": "cap",
+    "h-infinite": "h is Infinity",
+    "t-end-past-floats": "not a finite number",
+    "gain-nan": "dynamics.a is NaN",
+    "mirror-curvature-nan": "family.params.curvature is NaN",
+    "init-x-nan": "init.x[0][0] is NaN",
+    "init-x-null": "init.x[0][0] is null",
+    "box-lo-nan": "family.box[0][0] is NaN",
+    "declared-nan": "check_params.observer-bound.declared is NaN",
+    "consensus-tol-nan": "check_params.consensus.tol is NaN",
+    "beta-nan": "check_params.min-cut-window.beta is NaN",
+    "gap-settled-tol-nan": "expectations[0].tol is NaN",
+    "options-of-an-unlisted-check": "'min-cut-window', which checks does not list",
+    "v-dominated-by-h-on-coarse-records": "v-dominated-by-h check needs record_every == h",
+    "init-outside-box": "initial outputs [[0.0], [3.0]] leave the validity box",
+    "ratio-init-outside-box": "initial outputs [[0.0], [2.5]]",
 }
 
 
@@ -173,6 +246,167 @@ def test_malformed_config_exits_2_before_integration(tmp_path, capsys, case):
     assert "Traceback" not in captured.err
     # rejected while parsing, so no artifact was written
     assert not (tmp_path / "out").exists()
+
+
+# every value the leaf-mutation contract tries; DELETE removes the leaf
+DELETE = object()
+PROBE_VALUES = ("x", 5, None, [], {}, -1, 0, 1e300, float("nan"), [1], {"a": 1}, True, DELETE)
+
+
+def full_config():
+    """base_config with every field present: options for each check that
+    takes any, and a y-limit and a gap-settled expectation."""
+    return base_config(
+        dynamics={"name": "averaging", "a": 5.0},
+        family={
+            "kind": "mirror-pair",
+            "params": {"offset": 1.0, "curvature": 1.0},
+            "box": [[-2.0], [2.0]],
+        },
+        d=1,
+        checks=["consensus", "observer-bound", "min-cut-window"],
+        check_params={
+            "consensus": {"tol": 1e-2},
+            "observer-bound": {"flow_h": 0.01, "declared": 10.0},
+            "min-cut-window": {"T": 0.5, "beta": 0.1},
+        },
+        expectations=[
+            {"kind": "y-limit", "value": [[0.2], [-0.2]], "tol": 1.0},
+            {"kind": "gap-settled", "tol": 1e-3},
+        ],
+    )
+
+
+def _leaf_paths(node, path=()):
+    if isinstance(node, (dict, list)) and node:
+        keys = node if isinstance(node, dict) else range(len(node))
+        for key in keys:
+            yield from _leaf_paths(node[key], path + (key,))
+    else:
+        yield path
+
+
+def _mutated(raw, path, value):
+    out = copy.deepcopy(raw)
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    if value is DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = copy.deepcopy(value)
+    return out
+
+
+def _holds_nan_or_null(node) -> bool:
+    """Whether a NaN, or a null inside an array, hides anywhere in node."""
+    if isinstance(node, dict):
+        return any(_holds_nan_or_null(value) for value in node.values())
+    if isinstance(node, (list, tuple)):
+        return any(value is None or _holds_nan_or_null(value) for value in node)
+    if isinstance(node, np.ndarray):
+        return bool(np.isnan(node).any())
+    return isinstance(node, float) and math.isnan(node)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_every_leaf_mutation_parses_or_raises_config_error():
+    base = full_config()
+    harness.parse_config(base)
+    outcomes = {"parsed": 0, "rejected": 0}
+    for path in _leaf_paths(base):
+        for value in PROBE_VALUES:
+            case = f"{'.'.join(map(str, path))} = {'<deleted>' if value is DELETE else value!r}"
+            try:
+                cfg = harness.parse_config(_mutated(base, path, value))
+            except ConfigError:
+                outcomes["rejected"] += 1
+                continue
+            except Exception as exc:  # noqa: BLE001 - the contract is ConfigError only
+                pytest.fail(f"{case} raised {type(exc).__name__}: {exc}")
+            outcomes["parsed"] += 1
+            parsed = (
+                cfg.raw, cfg.check_params, cfg.expectations, cfg.init_state.x,
+                cfg.init_state.aux, [cfg.t_end, cfg.h, cfg.record_every],
+            )
+            assert not _holds_nan_or_null(parsed), case
+    assert outcomes["parsed"] > 0 and outcomes["rejected"] > 0
+
+
+def _run_cli(tmp_path, raw, out):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    return main(["run", "--config", str(cfg_path), "--out", str(out)])
+
+
+def test_out_below_a_regular_file_exits_2_with_kind_runtime(tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    code = _run_cli(tmp_path, base_config(), tmp_path / "file" / "out")
+    captured = capsys.readouterr()
+    assert code == 2
+    assert json.loads(captured.out)["kind"] == "runtime"
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("verb", ["run", "sweep"])
+def test_config_file_that_is_not_an_object_exits_2(tmp_path, capsys, verb):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps([base_config()]))
+    args = [verb, "--config", str(cfg_path)]
+    if verb == "sweep":
+        args += ["--param", "schedule.a0", "--values", "0.5"]
+    assert main(args) == 2
+    error = json.loads(capsys.readouterr().out)
+    assert error["kind"] == "config"
+    assert "JSON object" in error["error"]
+
+
+def test_sweep_value_that_is_not_a_number_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base_config()))
+    code = main(
+        ["sweep", "--config", str(cfg_path), "--param", "schedule.a0", "--values", "0.5,x"]
+    )
+    assert code == 2
+    error = json.loads(capsys.readouterr().out)
+    assert error["kind"] == "config"
+    assert "--values" in error["error"]
+
+
+def test_logistic_agent_at_a_vast_offset_runs(tmp_path, capsys):
+    # the far agent's gradient saturates at 0 instead of overflowing, so
+    # the oracle finds the other agents' minimizer
+    weights = [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]
+    raw = base_config(
+        process={"n": 3, "pieces": [{"t": 0.0, "weights": weights}], "horizon": 5.0},
+        family={
+            "kind": "logistic-scalar",
+            "params": {"signs": [1, -1, 1], "offsets": [0.0, 0.5, 1e300]},
+        },
+        init={"x": [[0.0], [0.0], [0.0]]},
+        t_end=1.0,
+        expectations=[{"kind": "y-abs-max", "max": 10.0}],
+    )
+    assert _run_cli(tmp_path, raw, tmp_path / "out") == 0
+    assert json.loads(capsys.readouterr().out)["checks"] == {"expectations": True}
+
+
+@pytest.mark.parametrize(
+    "schedule, named",
+    [
+        ('{"kind": "constant"}', "'a0'"),
+        ('{"kind": "power-law", "a0": "x"}', "schedule invalid"),
+        ('{"kind": "custom-piecewise", "times": [0.0], "values": 5}', "schedule invalid"),
+        ("{not json", "Expecting property name"),
+    ],
+)
+def test_malformed_schedule_to_check_exits_2(capsys, schedule, named):
+    assert main(["check-schedule", "--schedule", schedule]) == 2
+    captured = capsys.readouterr()
+    error = json.loads(captured.out)
+    assert error["kind"] == "config"
+    assert named in error["error"]
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("h", ["0", "-0.01", "nan", "inf"])

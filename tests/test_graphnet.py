@@ -420,6 +420,18 @@ class TestRandomProcess:
         with pytest.raises(InvalidInputError):
             random_process(3, "nope", dwell=0.5, horizon=1.0, seed=0)
 
+    @pytest.mark.parametrize("n, horizon", [(3, 1e300), (2, 1e6), (10**300, 5.0)])
+    def test_process_past_the_size_cap_rejected_before_it_is_built(self, n, horizon):
+        with pytest.raises(InvalidInputError, match="cap"):
+            random_process(n, "switching-complete", dwell=0.5, horizon=horizon, seed=0)
+
+    def test_size_cap_leaves_room_for_the_largest_built_process(self):
+        # the benchmark's flow workload builds 120 pieces at n = 64, the
+        # pushsum-directed preset 2000 pieces at n = 5
+        for pieces, n in ((120, 64), (2000, 5)):
+            floats = pieces * (n * n + graphnet.PIECE_OVERHEAD)
+            assert 20 * floats <= graphnet.MAX_PROCESS_FLOATS
+
 
 class TestSerialization:
     def test_round_trip(self):

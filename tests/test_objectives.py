@@ -229,3 +229,13 @@ class TestConstructorsValidate:
     def test_empty_table_rejected(self):
         with pytest.raises(InvalidInputError):
             custom_table([])
+
+    def test_table_center_must_be_a_point(self):
+        with pytest.raises(InvalidInputError, match=r"shape \(1, 1\)"):
+            custom_table([{"center": [[0.2]]}, {"center": [0.1]}])
+
+
+def test_logistic_gradient_at_a_vast_offset_does_not_overflow():
+    # exp(-z) overflows for z = -1e300; the gradient saturates at 0 instead
+    fam = logistic_scalar([1.0, -1.0], [1e300, 0.0])
+    assert global_gradient(fam, np.zeros(1)).tolist() == [-0.5]

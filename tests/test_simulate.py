@@ -250,7 +250,8 @@ class TestGuards:
 
     def test_generic_path_reports_non_finite_state_at_its_record(self):
         # a plain-function law takes the generic path; the state turns
-        # non-finite in the first step and is reported at the first record
+        # non-finite in the first step and is reported at the next step,
+        # between records
         proc = constant_process(TWO_NODE, 5.0)
         sys_ = averaging_system(proc)
         init = sys_.initial_state(np.zeros((2, 1)))
@@ -260,7 +261,21 @@ class TestGuards:
                     sys_, lambda t, y: np.full((2, 1), np.inf), init,
                     t_end=1.0, h=1e-2, record_every=0.1,
                 )
-        assert err.value.time == pytest.approx(0.1)
+        assert err.value.time == pytest.approx(0.01)
+
+    def test_generic_path_runs_on_a_finite_state_whose_sum_overflows(self):
+        # equal entries of 1e308 sum to inf, but every entry is finite and
+        # the mixing keeps them still
+        proc = constant_process(TWO_NODE, 5.0)
+        sys_ = averaging_system(proc)
+        init = sys_.initial_state(np.full((2, 1), 1e308))
+        with np.errstate(over="ignore"):
+            traj = integrate(
+                sys_, lambda t, y: np.zeros((2, 1)), init, t_end=0.1, h=1e-2,
+                record_every=1e-2,
+            )
+        assert traj.meta["path"] == "generic"
+        assert (traj.x[-1] == 1e308).all()
 
     def test_misaligned_record_interval(self):
         proc = constant_process(TWO_NODE, 5.0)
