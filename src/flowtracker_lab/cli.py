@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import harness
 from .errors import ConfigError, FlowtrackerError
-from .graphnet import DEFAULT_STEP, process_from_dict
+from .graphnet import DEFAULT_STEP
 
 
 def _fail(kind: str, message: str) -> int:
@@ -82,7 +82,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_check_flow(args) -> int:
     with open(args.process) as fh:
-        process = process_from_dict(json.load(fh))
+        process = harness.load_process(json.load(fh))
     report, passed = harness.check_flow(process, h=args.h, out_dir=_default_out(args.out, "flow"))
     print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     if not passed:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import CapabilityError, InvalidInputError
 from .graphnet import LaplacianProcess
-from .objectives import ObjectiveFamily, gradient_affine_map, gradient_map
+from .objectives import ObjectiveFamily, gradient_affine_zone, gradient_map
 from .schedules import StepSchedule, constant, evaluate
 
 # Ratio weights below this abort the run instead of being clamped;
@@ -88,14 +88,21 @@ class FlowTrackerSystem:
         ]
         self.state_size = offsets[-1]
         names = [block for block, _ in aux]
-        self.ratio_slice = (
-            None if ratio is None else self._blocks[1 + names.index(ratio)][0]
-        )
+        self._ratio_block = None if ratio is None else 1 + names.index(ratio)
+        self.ratio_slice = None if ratio is None else self._blocks[self._ratio_block][0]
 
     @property
     def supports_affine(self) -> bool:
-        """A ratio output makes the closed loop nonlinear."""
-        return self.ratio is None
+        """Whether the ratio block, if any, couples only to itself. Then the
+        ratio trajectory is known before the other blocks, and under a law
+        affine in the output the closed loop is affine in those blocks.
+        Every SYSTEMS row qualifies."""
+        k = self._ratio_block
+        if k is None:
+            return True
+        others = self.coupling.copy()
+        others[k, k] = 0.0
+        return not (others[k].any() or others[:, k].any())
 
     def pack(self, state: SystemState) -> np.ndarray:
         if state.x.shape != (self.n, self.d):
@@ -156,22 +163,27 @@ class FlowTrackerSystem:
             )
 
     def coupling_matrix(self, lap_matrix: np.ndarray) -> np.ndarray:
-        """The matrix of the unforced vector field on flat states for one piece."""
-        big = np.zeros((self.state_size, self.state_size))
+        """The matrix of the unforced vector field on flat states for one
+        piece, or a stack of them for a stack of Laplacians (..., n, n)."""
+        lead = lap_matrix.shape[:-2]
+        big = np.zeros((*lead, self.state_size, self.state_size))
         mixing = {}
         for i, (cols, width) in enumerate(self._blocks):
             for j, (rows, _) in enumerate(self._blocks):
                 if self.coupling[i, j]:
                     if width not in mixing:
-                        mixing[width] = np.kron(lap_matrix, np.eye(width))
-                    big[rows, cols] = self.coupling[i, j] * mixing[width]
+                        # L kron I_width, stacked
+                        kron = lap_matrix[..., :, None, :, None] * np.eye(width)[:, None, :]
+                        mixing[width] = kron.reshape(*lead, self.n * width, self.n * width)
+                    big[..., rows, cols] = self.coupling[i, j] * mixing[width]
         return big
 
     def output_flat(self, vec: np.ndarray) -> np.ndarray:
-        x = vec[: self._nd].reshape(self.n, self.d)
+        """The outputs (..., n, d) of flat states (..., state_size)."""
+        x = vec[..., : self._nd].reshape(vec.shape[:-1] + (self.n, self.d))
         if self.ratio_slice is None:
             return x
-        return x / vec[self.ratio_slice, None]
+        return x / vec[..., self.ratio_slice, None]
 
     def deriv_state(self, t: float, state: SystemState, u: np.ndarray) -> SystemState:
         """Structured view of the flat vector field (probe-friendly)."""
@@ -296,14 +308,16 @@ class GradientFeedback:
         return (-evaluate(self.schedule, t)) * self._grad(y)
 
     def rowwise_affine(self):
-        """(scale, offset, schedule) with u(t, y) = alpha(t) * (scale[:, None]
-        * y + offset) and alpha the schedule, if the gradient is affine in y
-        (quadratic agents); any schedule."""
-        affine = gradient_affine_map(self.family)
-        if affine is None:
+        """(scale, offset, schedule, center, radius) with u(t, y) = alpha(t)
+        * (scale[:, None] * y + offset), alpha the schedule, wherever every
+        row y_i lies within radius[i] of center[i]: everywhere (radius inf)
+        for quadratic agents, within the radius for huber ones; any
+        schedule. None for a family without an affine form (logistic)."""
+        zone = gradient_affine_zone(self.family)
+        if zone is None:
             return None
-        slope, intercept = affine
-        return -slope, -intercept, self.schedule
+        slope, intercept, center, radius = zone
+        return -slope, -intercept, self.schedule, center, radius
 
 
 class ZeroControl:
@@ -318,7 +332,8 @@ class ZeroControl:
         return self._zeros
 
     def rowwise_affine(self):
-        return np.zeros(self.n), np.zeros((self.n, self.d)), constant(1.0)
+        zeros = np.zeros((self.n, self.d))
+        return np.zeros(self.n), zeros, constant(1.0), zeros, np.full(self.n, math.inf)
 
 
 def gradient_feedback(family: ObjectiveFamily, schedule: StepSchedule) -> GradientFeedback:

@@ -106,21 +106,33 @@ class FlowMatrix:
         return self.Phi.shape[0]
 
 
-def rk4_maps(f1: np.ndarray, f2: np.ndarray, f3: np.ndarray, h: float) -> np.ndarray:
-    """Exact RK4 one-step maps of the linear fields ds/dt = F(t) s whose
-    values at t, t + h/2 and t + h are f1, f2 and f3, as a stack (k, m, m)
-    or a single (m, m).
+def rk4_maps(
+    f1: np.ndarray, f2: np.ndarray, f3: np.ndarray, f4: np.ndarray, h: float
+) -> np.ndarray:
+    """Exact RK4 one-step maps of the linear fields ds/dt = F s whose
+    values at the four stages are f1 ... f4, as a stack (k, m, m) or a
+    single (m, m).
 
     Iterating the map is the RK4 trajectory. A constant field passes one
-    matrix three times; an affine field s' = M s + c is the linear field
-    [[M, c], [0, 0]] on (s, 1), whose map is [[R, r], [0, 1]] with
-    s -> R s + r the RK4 step.
+    matrix four times; a field that depends on time gives its values at
+    t, t + h/2, t + h/2 and t + h, and a ratio system's gives the two
+    midpoint stages different weights. An affine field s' = M s + c is
+    the linear field [[M, c], [0, 0]] on (s, 1), whose map is [[R, r],
+    [0, 1]] with s -> R s + r the RK4 step.
     """
     eye = np.eye(f1.shape[-1])
     k2 = f2 @ (eye + (0.5 * h) * f1)
-    k3 = f2 @ (eye + (0.5 * h) * k2)
-    k4 = f3 @ (eye + h * k3)
-    return eye + (h / 6.0) * (f1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k3 = f3 @ (eye + (0.5 * h) * k2)
+    k4 = f4 @ (eye + h * k3)
+    # eye + h/6 (f1 + 2 k2 + 2 k3 + k4), accumulated in k2
+    k2 *= 2.0
+    k2 += f1
+    k3 *= 2.0
+    k2 += k3
+    k2 += k4
+    k2 *= h / 6.0
+    k2 += eye
+    return k2
 
 
 class _Propagators:
@@ -130,8 +142,8 @@ class _Propagators:
     finite and positive, checks switch alignment once and keeps the step
     index where each piece starts, so walks along the grid take integer
     steps. Maps (id(lap), steps) to R^steps, where R = rk4_maps(-L, -L,
-    -L, h) is the one-step propagator kept at (id(lap), 1); `build` makes
-    the missing ones in stacks of `per_stack` matrices, at most
+    -L, -L, h) is the one-step propagator kept at (id(lap), 1); `build`
+    makes the missing ones in stacks of `per_stack` matrices, at most
     STACK_BYTES, and `power` makes a single missing one.
     """
 
@@ -170,7 +182,7 @@ class _Propagators:
                 chunk = laps[lo : lo + self.per_stack]
                 if steps == 1:
                     field = -np.stack([lap.matrix for lap in chunk])
-                    stack = rk4_maps(field, field, field, self.h)
+                    stack = rk4_maps(field, field, field, field, self.h)
                 else:
                     ones = np.stack([self._powers[id(lap), 1] for lap in chunk])
                     stack = matrix_power(ones, steps)

@@ -432,6 +432,10 @@ RANDOM_MODELS = ("switching-complete", "directed-ring-rotate", "B-window-strongl
 # and some 250 bytes of objects, PIECE_OVERHEAD floats
 MAX_PROCESS_FLOATS = 16_000_000
 PIECE_OVERHEAD = 32
+# the most pieces, which bounds the build time (some 0.3-0.4 ms a piece at
+# n <= 5, so about 20 s), 25 times the largest a preset, test or benchmark
+# builds (2,000 pieces on pushsum-directed)
+MAX_PROCESS_PIECES = 50_000
 
 
 def _complete_symmetric_weights(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -503,6 +507,10 @@ def random_process(
         if B > n:
             raise InvalidInputError("window size B cannot exceed the agent count")
     n_pieces = horizon / dwell
+    if n_pieces > MAX_PROCESS_PIECES:
+        raise InvalidInputError(
+            f"{n_pieces:.3g} pieces pass the {MAX_PROCESS_PIECES}-piece cap"
+        )
     if n_pieces * (float(n) * n + PIECE_OVERHEAD) > MAX_PROCESS_FLOATS:
         raise InvalidInputError(
             f"{n_pieces:.3g} pieces of {n:.3g} agents pass the {MAX_PROCESS_FLOATS:g}-float cap"

@@ -194,6 +194,15 @@ def _bad_number(node) -> tuple[str, object] | None:
     return None
 
 
+def _reject_bad_number(raw, root: str = "") -> None:
+    """ConfigError naming the first number under `root` of a raw dict or
+    list that `_bad_number` finds."""
+    bad = _bad_number(raw)
+    if bad is not None:
+        path = (root + bad[0]).lstrip(".")
+        raise ConfigError(f"{path} is {json.dumps(bad[1])}, not a finite number")
+
+
 class _part:
     """Read one part of a config: a missing key and the errors of a malformed
     value become ConfigErrors that name the part; anything else, a bug, shows."""
@@ -220,9 +229,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     ConfigError before anything is integrated.
     """
     with _part("config"):
-        bad = _bad_number(raw)
-        if bad is not None:
-            raise ConfigError(f"{bad[0].lstrip('.')} is {json.dumps(bad[1])}, not a finite number")
+        _reject_bad_number(raw)
         h = float(raw["h"])
         t_end = float(raw["t_end"])
         if h <= 0:
@@ -866,8 +873,16 @@ def check_flow(
     return report, passed
 
 
+def load_process(raw) -> LaplacianProcess:
+    """The process a raw process file holds, its numbers walked first."""
+    with _part("process"):
+        _reject_bad_number(raw, "process")
+        return process_from_dict(raw)
+
+
 def check_schedule(raw: dict) -> tuple[dict, bool]:
     with _part("schedule"):
+        _reject_bad_number(raw, "schedule")
         schedule = schedule_from_dict(raw)
     report = check_validity(schedule)
     return report.to_dict(), report.valid

@@ -310,17 +310,22 @@ def gradient_map(fam: ObjectiveFamily):
     return lambda y: np.array([agent.grad(row) for agent, row in zip(agents, y)])
 
 
-def gradient_affine_map(fam: ObjectiveFamily) -> tuple[np.ndarray, np.ndarray] | None:
-    """(slope, intercept) with stacked_gradient(Y) = slope[:, None] * Y + intercept.
+def gradient_affine_zone(fam: ObjectiveFamily):
+    """(slope, intercept, centers, radii) with stacked_gradient(Y) =
+    slope[:, None] * Y + intercept wherever every row lies in its zone,
+    ||y_i - centers[i]|| <= radii[i].
 
-    Exists only for all-quadratic families; used to close the loop
-    analytically when the whole closed-loop vector field is affine.
+    A quadratic agent is affine everywhere (radius inf), a huber agent
+    within its radius; a family with an agent of any other kind has no
+    affine form and gives None.
     """
-    if not all(isinstance(a, _Quadratic) for a in fam.agents):
+    agents = fam.agents
+    if not all(isinstance(a, (_Quadratic, _Huber)) for a in agents):
         return None
-    slope = np.array([a.curvature for a in fam.agents])
-    centers = np.vstack([a.center for a in fam.agents])
-    return slope, -slope[:, None] * centers
+    slope = np.array([a.curvature for a in agents])
+    centers = np.vstack([a.center for a in agents])
+    radii = np.array([a.radius if isinstance(a, _Huber) else math.inf for a in agents])
+    return slope, -slope[:, None] * centers, centers, radii
 
 
 def stacked_gradient(fam: ObjectiveFamily, points: np.ndarray) -> np.ndarray:

@@ -6,29 +6,38 @@ zero-order hold, which preserves 4th-order accuracy for the
 continuous-time model. Switching instants of the Laplacian process must
 land on step boundaries so no step straddles a discontinuity.
 
-When the law is affine in the output (quadratic objectives, or no law)
-and the system has no ratio block, the closed loop is affine in the
-state: on (state, 1) it is the linear field [[K(L), 0], [0, 0]] + alpha(t)
-* forcing, and each RK4 step is its exact map A = [[R, r], [0, 1]] from
-`flowcore.rk4_maps`, the kernel of the mixing flow too. The path is
-chosen from the system and the law alone, and a law without
-`rowwise_affine` takes the generic one. A constant step size gives every
-step of a piece the same map, whose powers A^1 ... A^m each piece
-caches; any other schedule builds each step's map from alpha at t,
-t + h/2 and t + h, and composes the maps of each record interval by
-prefix products. Either way one
-matrix-vector product per record interval advances the state, and one
-batched product recovers the state at every step of a block of
-intervals, which is checked for finiteness and the validity box; with
-record_every = h and a constant step the result is bit-identical to one
-map per step. The generic path checks every step's state and output
-too, so on both paths a run aborts at the first offending step.
+When the law is affine in the output on a zone, u = alpha(t) * (scale *
+y + offset) while every agent's output lies within its radius of its
+center (everywhere for quadratic agents and for no law, the quadratic
+part for huberized ones), the closed loop is affine in the state: a
+ratio block couples only to itself, so its weights w are known before
+the other blocks, and on (state, 1) the field is [[K(L), 0], [0, 0]]
+plus alpha(t) * forcing with scale / w on the x rows. Each RK4 step is
+then its exact map A = [[R, r], [0, 1]] from `flowcore.rk4_maps`, the
+kernel of the mixing flow too. The path is chosen from the system and
+the law alone, and a law without `rowwise_affine`, or whose
+`rowwise_affine` is None, takes the generic one. Without a ratio block
+a constant step size gives every step of a piece the same map, whose
+powers A^1 ... A^m each piece caches; otherwise each block of steps
+first advances the ratio weights alone by the prefix powers of their
+piece's RK4 map, builds each step's map from its four stage fields
+and composes the maps of each record interval by prefix products.
+Either way one matrix-vector product per record interval advances the
+state, and batched products recover the state and the four stages at
+every step of a block, which are checked for finiteness, the validity
+box, the weight floor and the zone; with record_every = h
+and a constant step the result is bit-identical to one map per step.
+At the first step with a stage output outside the zone the generic
+loop takes over from that step's state. The generic path checks every
+step's state and output too, so on both paths a run aborts at the
+first offending step with the same error.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -128,10 +137,12 @@ class Trajectory:
 
 
 def _prefix_powers(aug: np.ndarray, count: int) -> np.ndarray:
-    """aug^1 ... aug^count as a stack, by doubling."""
-    stack = aug[None]
-    while len(stack) < count:
-        stack = np.concatenate((stack, stack[-1] @ stack[: count - len(stack)]))
+    """aug^1 ... aug^count stacked on axis -3, by doubling; a stack of
+    matrices (k, m, m) gives each its own, (k, count, m, m)."""
+    stack = aug[..., None, :, :]
+    while stack.shape[-3] < count:
+        more = stack[..., -1:, :, :] @ stack[..., : count - stack.shape[-3], :, :]
+        stack = np.concatenate((stack, more), axis=-3)
     return stack
 
 
@@ -161,34 +172,60 @@ def step_grid(
     return n_steps, steps_per_record
 
 
-def _affine_path(system, coeffs, bounds, per_record, h, box, states) -> None:
-    """Fill `states`, whose row 0 holds the initial state, with the record
-    states under the affine law u = alpha(t) * (scale * y + offset).
+def _floor_error(t: float) -> DegenerateWeightsError:
+    return DegenerateWeightsError(
+        f"ratio weight fell below the floor {W_FLOOR:g}; the mixing flow is "
+        "not keeping row sums positive",
+        t,
+    )
 
-    The steps go in chunks that advance by prefix products of the step
-    maps: a constant alpha gives every step of a piece the same map, so a
-    chunk stays within a piece and a record interval and uses the piece's
-    powers A^1 ... A^m; any other schedule composes the RK4 map of each
-    step of a block of record intervals. A chunk is cut short where its
-    prefix stack would pass STACK_BYTES. One matrix-vector product per
-    chunk advances the state, one batched product gives the state at
-    every step of a block, and each of those is checked for finiteness
-    and the box; the first bad step raises NumericalFailureError.
+
+def _affine_path(system, coeffs, bounds, per_record, h, box, states):
+    """Fill the rows of `states`, row 0 holding the initial state, with the
+    record states under the law u = alpha(t) * (scale * y + offset), which
+    holds while every stage output y_i lies within radius_i of center_i.
+    Returns (step, state): the run's step count and its final state, or
+    the first step with a stage output outside that zone and its state,
+    from which the generic loop goes on; records up to it are filled.
+
+    Chunks of steps advance by prefix products of the step maps, as the
+    module docstring says, and are cut short where a stack would pass
+    STACK_BYTES. Batched products give every step's state and its four
+    stages. The first step that fails a check raises or hands off, in the
+    generic loop's order: the weight floor, finiteness (of the state, and
+    of the previous step's stage derivatives, which make it non-finite
+    there) and the box at each step's end, then the zone at its stages.
     """
-    scale, offset, schedule = coeffs
+    scale, offset, schedule, center, radius = coeffs
     n, d, size = system.n, system.d, system.state_size
     nd = n * d
     laps = system.process.laplacians
+    rows = system.ratio_slice
+    output = system.output_flat
+    zone = not np.isinf(radius).all()
+    diag = np.arange(nd)
+    gains = np.repeat(scale, d)
 
-    def field(piece):
-        """The piece's coupling as the linear field [[K(L), 0], [0, 0]] on (state, 1)."""
-        return np.pad(system.coupling_matrix(laps[piece].matrix), (0, 1))
+    def fields_of(pieces):
+        """The pieces' couplings as linear fields [[K(L), 0], [0, 0]] on (state, 1)."""
+        out = np.zeros((len(pieces), size + 1, size + 1))
+        out[:, :-1, :-1] = system.coupling_matrix(np.stack([laps[p].matrix for p in pieces]))
+        return out
 
-    # u = alpha * (scale * y + offset) adds alpha * forcing to the field
-    forcing = np.zeros((size + 1, size + 1))
-    forcing[:nd, :nd] = np.diag(np.repeat(scale, d))
-    forcing[:nd, -1] = offset.ravel()
+    def stage_fields(fields, alpha, r):
+        """The steps' fields at one stage, step sizes alpha and ratio weights
+        r (None without a ratio block): the law adds alpha * scale / r to
+        the x diagonal and alpha * offset to the last column."""
+        alpha = alpha[:, None]
+        out = fields.copy()
+        out[:, :nd, -1] = alpha * offset.ravel()
+        gain = alpha * gains
+        if r is not None:
+            gain /= np.repeat(r, d, axis=1)
+        out[:, diag, diag] += gain
+        return out
 
+    edges = np.asarray(bounds)
     # steps per prefix stack, so that one stays within STACK_BYTES
     most_steps = max(1, STACK_BYTES // (8 * (size + 1) ** 2))
 
@@ -205,53 +242,135 @@ def _affine_path(system, coeffs, bounds, per_record, h, box, states) -> None:
                 yield step + first * length, length, min(most, count - first)
             step += count * length
 
+    # the prefix powers of the ratio maps of the pieces a block touches
+    ratio_powers = {}
+
+    def ratio_run(r, first, stop, piece_fields, p0):
+        """The ratio weights at steps first ... stop from r at `first`,
+        advanced alone by the prefix powers of each piece's RK4 map; the
+        fields of pieces p0, ... are `piece_fields`."""
+        for piece in [p for p in ratio_powers if p < p0]:
+            del ratio_powers[piece]
+        new = [p for p in range(p0, p0 + len(piece_fields)) if p not in ratio_powers]
+        if new:
+            lap = piece_fields[np.array(new) - p0][:, rows, rows]
+            longest = max(bounds[p + 1] - bounds[p] for p in new)
+            fit = max(1, STACK_BYTES // (8 * n * n * len(new)))
+            maps = rk4_maps(lap, lap, lap, lap, h)
+            powers = _prefix_powers(maps, min(longest, stop - first, fit))
+            ratio_powers.update(zip(new, powers))
+        out = [r[None]]
+        while first < stop:
+            piece = bisect_right(bounds, first) - 1
+            powers = ratio_powers[piece]
+            take = min(bounds[piece + 1], stop, first + len(powers)) - first
+            out.append(powers[:take] @ out[-1][-1])
+            first += take
+        return np.concatenate(out)
+
     def blocks():
-        """(first step, prefix stack, chunk count) of consecutive chunks of
-        one length, whose prefix stack (length, ...) all share or which
-        have one each, (count, length, ...)."""
-        if schedule.kind == "constant":
+        """(first step, prefix stack, chunk count, stages, ratio weights) of
+        consecutive chunks of one length, whose prefix stack (length, ...)
+        all share or which have one each, (count, length, ...). The stages
+        are the coupling, one or one per step, the step sizes alpha of the
+        four stages and a bound, at least 1, on the stage fields' row sums
+        and on 1 / r; the ratio weights, None without a ratio block, are
+        those at the steps' ends."""
+        if schedule.kind == "constant" and rows is None:
+            forcing = np.zeros((size + 1, size + 1))
+            forcing[:nd, :nd] = np.diag(gains)
+            forcing[:nd, -1] = offset.ravel()
             for piece in range(len(bounds) - 1):
                 step, stop = bounds[piece], bounds[piece + 1]
-                f = field(piece) + schedule.a0 * forcing
+                coupling = fields_of([piece])[0]
+                f = coupling + schedule.a0 * forcing
                 powers = _prefix_powers(
-                    rk4_maps(f, f, f, h), min(per_record, stop - step, most_steps)
+                    rk4_maps(f, f, f, f, h), min(per_record, stop - step, most_steps)
                 )
+                reach = np.abs(f).sum(axis=1).max() + 1.0
+                stages = (coupling[:-1, :-1], np.full(4, schedule.a0), reach)
                 for first, length, count in chunks(step, stop, size):
-                    yield first, powers[:length], count
+                    yield first, powers[:length], count, stages, None
             return
+        r = None if rows is None else states[0, rows]
+        ends = None
         for first, length, count in chunks(0, bounds[-1], (size + 1) ** 2):
             steps = np.arange(first, first + count * length)
             t = steps * h
-            piece = np.searchsorted(bounds, steps, side="right") - 1
-            fields = np.stack([field(p) for p in range(piece[0], piece[-1] + 1)])
-            fields = fields[piece - piece[0]]
-            f1, f2, f3 = (
-                fields + evaluate_many(schedule, s)[:, None, None] * forcing
-                for s in (t, t + 0.5 * h, t + h)
-            )
-            maps = rk4_maps(f1, f2, f3, h).reshape(count, length, size + 1, size + 1)
+            piece = np.searchsorted(edges, steps, side="right") - 1
+            piece_fields = fields_of(range(piece[0], piece[-1] + 1))
+            fields = piece_fields[piece - piece[0]]
+            a1, a2, a4 = (evaluate_many(schedule, s) for s in (t, t + 0.5 * h, t + h))
+            alphas = (a1, a2, a2, a4)
+            if rows is None:
+                f1, f2, f4 = (stage_fields(fields, a, None) for a in (a1, a2, a4))
+                f3 = f2
+            else:
+                run = ratio_run(r, first, first + len(steps), piece_fields, piece[0])
+                r = run[-1]
+                # the ratio block of a stage state is the ratio RK4's stage
+                lap = fields[:, rows, rows]
+                r1 = run[:-1]
+                r2 = r1 + (0.5 * h) * _matvec(lap, r1)
+                r3 = r1 + (0.5 * h) * _matvec(lap, r2)
+                r4 = r1 + h * _matvec(lap, r3)
+                f1, f2, f3, f4 = (
+                    stage_fields(fields, a, ri) for a, ri in zip(alphas, (r1, r2, r3, r4))
+                )
+                ends = run[1:]
+            # bounds the stage fields' row sums and 1 / r
+            low = 1.0 if rows is None else min(w.min() for w in (r1, r2, r3, r4))
+            by_law = max(a.max() for a in alphas) * (np.abs(gains).max() / low + np.abs(offset).max())
+            coupled = np.abs(piece_fields).sum(axis=-1).max()
+            reach = coupled + by_law + max(1.0, 1.0 / low) if low > 0 else np.inf
+            maps = rk4_maps(f1, f2, f3, f4, h).reshape(count, length, size + 1, size + 1)
             for j in range(1, length):
                 maps[:, j] = maps[:, j] @ maps[:, j - 1]
-            yield first, maps, count
+            yield first, maps, count, (fields[:, :-1, :-1], alphas, reach), ends
 
-    def check(block, first):
-        """Raise at the first of the step states from step `first` on that is
-        non-finite or whose output leaves the box."""
-        finite = np.isfinite(block)
-        outside = None if box is None else box.outside(block[:, :nd].reshape(-1, n, d))
-        if finite.all() and (outside is None or not outside.any()):
-            return
-        bad = ~finite.all(axis=1)
-        if outside is not None:
-            bad |= outside.any(axis=(1, 2))
-        k = int(bad.argmax())
-        raise NumericalFailureError(
-            _BOX_MESSAGE if finite[k].all() else "state became non-finite", (first + k) * h
-        )
+    def stage_faults(heads, coupling, alphas, reach):
+        """Per step, the generic loop's four stages from its start state,
+        batched, with the coupling (one, or one per step), the step sizes
+        of each stage and a bound on the stage fields' row sums and 1 / r:
+        whether a stage output leaves the zone (NaN does); whether a stage
+        derivative is not finite, so that the next state is not; and
+        whether that already holds by stage 3, which leaves the next ratio
+        weights NaN rather than under the floor."""
+        none = np.zeros(len(heads), dtype=bool)
+        # a stage's derivative and output are at most reach times its
+        # state, which is at most (1 + h reach)^3 times the step's start
+        safe = 1e300 / (reach * (1.0 + h * reach) ** 3)
+        bounded = 1.0 < safe and np.abs(heads).max() < safe
+        if bounded and not zone:
+            return none, none, none
+        inside = np.ones((len(heads), n), dtype=bool)
+        finite = np.ones(heads.shape, dtype=bool)
+        v = heads
+        for alpha, coeff in zip(alphas, (0.5 * h, 0.5 * h, h, None)):
+            y = output(v)
+            if zone:
+                delta = y - center
+                dist = np.abs(delta[..., 0]) if d == 1 else np.sqrt((delta * delta).sum(axis=2))
+                inside &= dist <= radius
+            u = np.reshape(alpha, (-1, 1, 1)) * (scale[:, None] * y + offset)
+            k = _matvec(coupling, v)
+            k[:, :nd] += u.reshape(len(v), nd)
+            if coeff is None:
+                by_stage_3 = finite.copy()
+            if not bounded:
+                finite &= np.isfinite(k)
+            if coeff is not None:
+                v = heads + coeff * k
+        if inside.all() and finite.all():
+            return none, none, none
+        return ~inside.all(axis=1), ~by_stage_3.all(axis=1), ~finite.all(axis=1)
 
     z = states[0]
-    check(z[None], 0)
-    for first, prefix, count in blocks():
+    if not np.isfinite(z).all():
+        raise NumericalFailureError("state became non-finite", 0.0)
+    if box is not None and box.outside(output(z)).any():
+        raise NumericalFailureError(_BOX_MESSAGE, 0.0)
+    for first, prefix, count, stages, weights in blocks():
         lin, off = prefix[..., :-1, :-1], prefix[..., :-1, -1]
         length = lin.shape[-3]
         starts = np.empty((count, size))
@@ -270,27 +389,68 @@ def _affine_path(system, coeffs, bounds, per_record, h, box, states) -> None:
         flat_lin = lin.reshape(*lin.shape[:-3], length * size, size)
         block = (flat_lin @ starts[:, :, None]).reshape(count, length, size) + off
         block[:, -1] = ends
-        check(block.reshape(-1, size), first + 1)
         stops = first + length * np.arange(1, count + 1)
         at = stops % per_record == 0
         states[stops[at] // per_record] = ends[at]
 
+        heads = np.concatenate((starts[:, None], block[:, :-1]), axis=1).reshape(-1, size)
+        leaves, dirty, blows = stage_faults(heads, *stages)
+        block = block.reshape(-1, size)
+        finite = np.isfinite(block)
+        outside = None if box is None else box.outside(output(block))
+        if not (
+            leaves.any()
+            or blows.any()
+            or not finite.all()
+            or (outside is not None and outside.any())
+            or (weights is not None and (weights < W_FLOOR).any())
+        ):
+            continue
+        # bad[k, c]: check c fails at step first + k, in the generic
+        # loop's order: weight floor, finiteness, box, then the zone
+        bad = np.zeros((len(block) + 1, 4), dtype=bool)
+        if weights is not None:
+            bad[1:, 0] = (weights.min(axis=1) < W_FLOOR) & ~dirty
+        bad[1:, 1] = blows | ~finite.all(axis=1)
+        if outside is not None:
+            bad[1:, 2] = outside.any(axis=(1, 2))
+        bad[:-1, 3] = leaves
+        if bad.any():
+            k, check = divmod(int(bad.argmax()), 4)
+            t = (first + k) * h
+            if check == 0:
+                raise _floor_error(t)
+            if check == 1:
+                raise NumericalFailureError("state became non-finite", t)
+            if check == 2:
+                raise NumericalFailureError(_BOX_MESSAGE, t)
+            return first + k, heads[k]
+    return bounds[-1], z
 
-def _generic_path(system, law, vec, bounds, steps_per_record, h, box, states):
-    """RK4 with the law at every stage; fills `states` and returns the
-    recorded outputs and inputs. The head of every step checks the state
-    for finiteness, forms the output, checks it against the box and
-    evaluates the law, which is the step's first stage and, at a record,
-    the recorded input; the weight floor is checked after every step."""
+
+def _matvec(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """mats[k] @ vecs[k] for each k; one matrix serves every k."""
+    if mats.ndim == 2:
+        return vecs @ mats.T
+    return (mats @ vecs[..., None])[..., 0]
+
+
+def _generic_path(system, law, vec, start, bounds, steps_per_record, h, box, states, y_rec, u_rec):
+    """RK4 with the law at every stage from step `start` and its state
+    `vec`; fills the records of `states`, `y_rec` and `u_rec` from there.
+    The head of every step checks the state for finiteness, forms the
+    output, checks it against the box and evaluates the law, which is the
+    step's first stage and, at a record, the recorded input; the weight
+    floor is checked after every step."""
     n, d = system.n, system.d
     nd = n * d
     n_steps = bounds[-1]
-    y_rec = np.empty((len(states), n, d))
-    u_rec = np.empty((len(states), n, d))
     output = system.output_flat
     weights = system.ratio_slice
-    # the Laplacian of each piece, by the step it starts at
-    starts = dict(zip(bounds[:-1], system.process.laplacians))
+    # the Laplacian of each piece, by the step it starts at, and of the start
+    laps = system.process.laplacians
+    starts = dict(zip(bounds[:-1], laps))
+    starts[start] = laps[bisect_right(bounds, start) - 1]
 
     # the stage derivatives live in the rows of one buffer, so the RK4
     # update is a single weighted sum and the input adds into row views
@@ -299,7 +459,7 @@ def _generic_path(system, law, vec, bounds, steps_per_record, h, box, states):
     k1x, k2x, k3x, k4x = (k[:nd].reshape(n, d) for k in stages)
     rk4_weights = (h / 6.0) * np.array([1.0, 2.0, 2.0, 1.0])
     h2 = 0.5 * h
-    for step in range(n_steps + 1):
+    for step in range(start, n_steps + 1):
         t = step * h
         j, off_record = divmod(step, steps_per_record)
         # a sum is finite when the entries are, unless it overflows: confirm
@@ -328,13 +488,7 @@ def _generic_path(system, law, vec, bounds, steps_per_record, h, box, states):
         k4x += law(t + h, output(v))
         vec = vec + rk4_weights @ stages
         if weights is not None and vec[weights].min() < W_FLOOR:
-            raise DegenerateWeightsError(
-                "ratio weight fell below the floor "
-                f"{W_FLOOR:g}; the mixing flow is not keeping "
-                "row sums positive",
-                (step + 1) * h,
-            )
-    return y_rec, u_rec
+            raise _floor_error((step + 1) * h)
 
 
 def integrate(
@@ -356,6 +510,13 @@ def integrate(
     record_every : float
         Sampling interval of the returned trajectory; pass h for
         full-resolution records (needed by derivative-based checks).
+
+    The run takes the exact affine path while the law is affine on its
+    zone (see the module docstring), with the ratio weights advanced
+    alone per block of steps, and hands off to the generic RK4 loop at
+    the first step with a stage output outside the zone; meta "path"
+    names the path the run started on and "handoff_step" the step of
+    the handoff, or None.
 
     Raises
     ------
@@ -390,18 +551,23 @@ def integrate(
     # step indices of piece boundaries, clipped to the run
     bounds = [b for b in check_switch_alignment(process, h) if b < n_steps] + [n_steps]
 
+    y_rec = np.empty((m_records, n, d))
+    u_rec = np.empty_like(y_rec)
+    step = 0
     if affine is not None:
         states[0] = vec
-        _affine_path(system, affine, bounds, steps_per_record, h, box, states)
-        # no ratio block, so the output is x
-        y_rec = system.split(states)[0].copy()
-        u_rec = np.empty_like(y_rec)
-        for j, y_now in enumerate(y_rec):
-            u_rec[j] = law_or_zero(j * steps_per_record * h, y_now)
-    else:
-        y_rec, u_rec = _generic_path(
-            system, law_or_zero, vec, bounds, steps_per_record, h, box, states
+        # values past the first bad step are discarded, and checks find it
+        with np.errstate(all="ignore"):
+            step, vec = _affine_path(system, affine, bounds, steps_per_record, h, box, states)
+    # the records before `step` are the affine path's
+    done = m_records if step == n_steps else -(-step // steps_per_record)
+    if step < n_steps:
+        _generic_path(
+            system, law_or_zero, vec, step, bounds, steps_per_record, h, box, states, y_rec, u_rec
         )
+    y_rec[:done] = system.output_flat(states[:done])
+    for j in range(done):
+        u_rec[j] = law_or_zero(j * steps_per_record * h, y_rec[j])
     x_rec, aux_rec = system.split(states)
 
     meta = {
@@ -414,6 +580,8 @@ def integrate(
         "c1": system.c1,
         "ratio": system.ratio,
         "path": "generic" if affine is None else "affine",
+        # the step where an affine run's outputs left the law's affine zone
+        "handoff_step": step if affine is not None and step < n_steps else None,
     }
     return Trajectory(times, x_rec, aux_rec, y_rec, u_rec, x_rec.mean(axis=1), meta)
 

@@ -4,13 +4,17 @@
 constant-step law, kept as an oracle. The strided path must agree with
 it within 1e-12, bit for bit when every step is recorded, and must abort
 at the oracle's time when an output leaves the validity box. Under any
-other schedule the affine path must agree with the generic RK4 loop,
-reached through a plain-function law, within 1e-12. On both paths an
-output that leaves the box between records aborts the run at the first
-offending step.
+other schedule, on every system, and for huber agents within their
+radius the affine path must agree with the generic RK4 loop, reached
+through a law with no affine form, within 1e-12, and raise what it
+raises when it raises it; outside the radius it hands off to that loop.
+On both paths an output that leaves the box between records aborts the
+run at the first offending step.
 """
 
+import math
 import warnings
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -20,15 +24,24 @@ from hypothesis import strategies as st
 
 from flowtracker_lab import harness, simulate
 from flowtracker_lab.dynamics import (
+    SYSTEM_NAMES,
+    SYSTEMS,
+    GradientFeedback,
     ZeroControl,
     averaging_system,
     gradient_feedback,
     make_system,
 )
-from flowtracker_lab.errors import NumericalFailureError
+from flowtracker_lab.errors import DegenerateWeightsError, NumericalFailureError
 from flowtracker_lab.flowcore import rk4_maps
-from flowtracker_lab.graphnet import Laplacian, constant_process, random_process
-from flowtracker_lab.objectives import Box, custom_table, mirror_pair
+from flowtracker_lab.graphnet import (
+    Laplacian,
+    LaplacianProcess,
+    constant_process,
+    make_laplacian,
+    random_process,
+)
+from flowtracker_lab.objectives import Box, custom_table, logistic_scalar, mirror_pair
 from flowtracker_lab.schedules import constant, custom_piecewise, power_law
 from flowtracker_lab.simulate import integrate
 
@@ -39,7 +52,7 @@ def per_step_affine(system, law, init, t_end, h, record_every):
     """Records (times, states, y, u) of one affine map per RK4 step of a
     constant-step law, with finiteness and the box checked at every step."""
     law = law if law is not None else ZeroControl(system.n, system.d)
-    scale, offset, schedule = law.rowwise_affine()
+    scale, offset, schedule = law.rowwise_affine()[:3]
     nd = system.n * system.d
     box = getattr(getattr(law, "family", None), "validity_box", None)
     per_record = round(record_every / h)
@@ -69,7 +82,7 @@ def per_step_affine(system, law, init, t_end, h, record_every):
         field[:-1, :-1] = system.coupling_matrix(lap)
         field[:nd, :nd] += np.diag(np.repeat(schedule.a0 * scale, system.d))
         field[:nd, -1] = schedule.a0 * offset.ravel()
-        step_map = rk4_maps(field, field, field, h)
+        step_map = rk4_maps(field, field, field, field, h)
         mat, off = step_map[:-1, :-1], step_map[:-1, -1]
         while step < bounds[k + 1]:
             vec = mat @ vec + off
@@ -206,16 +219,19 @@ def test_stacks_of_a_few_steps_change_nothing(run):
 
 
 def oscillating_law(form, schedule, box=None):
-    """Gradient feedback of two mirrored agents, quadratic or huber."""
-    extra = {"radius": 10.0} if form == "huber" else {}
-    entries = [{"form": form, "center": [c], **extra} for c in (1.0, -1.0)]
-    return gradient_feedback(custom_table(entries, box=box), schedule)
+    """Gradient feedback of two mirrored agents, quadratic or logistic; a
+    logistic law has no affine form, so it takes the generic path."""
+    if form == "logistic":
+        family = replace(logistic_scalar([1.0, -1.0], [1.0, -1.0]), validity_box=box)
+    else:
+        family = custom_table([{"center": [c]} for c in (1.0, -1.0)], box=box)
+    return gradient_feedback(family, schedule)
 
 
 @pytest.mark.parametrize(
     "form, schedule, path",
     [
-        ("huber", constant(0.5), "generic"),
+        ("logistic", constant(0.5), "generic"),
         ("quadratic", constant(0.5), "affine"),
         ("quadratic", power_law(1.0, 1.0), "affine"),
     ],
@@ -249,14 +265,19 @@ def test_box_left_between_records_aborts_at_the_first_offending_step(form, sched
 @pytest.mark.parametrize("record_every", [0.5, 5.0, 25.0])
 def test_blow_up_aborts_at_the_oracle_step(record_every):
     # h * 20 lies outside RK4's stability region, so the state overflows
-    # after some 80 steps; no box, so only the finiteness check can stop it
+    # after some 80 steps; no box, so only the finiteness check can stop it.
+    # The oracle is the generic loop: a step whose RK4 stages overflow
+    # leaves a non-finite state there, one step before the product of the
+    # step maps overflows
     lap = Laplacian(np.array([[10.0, -10.0], [-10.0, 10.0]]))
     system = averaging_system(constant_process(lap, 100.0))
     law = gradient_feedback(custom_table([{"center": [1.0]}, {"center": [-1.0]}]), constant(0.5))
     init = system.initial_state(np.array([[0.5], [0.0]]))
     with np.errstate(all="ignore"):
         with pytest.raises(NumericalFailureError, match="non-finite") as oracle:
-            per_step_affine(system, law, init, 100.0, 0.5, record_every)
+            integrate(
+                system, lambda t, y: law(t, y), init, t_end=100.0, h=0.5, record_every=record_every
+            )
         with pytest.raises(NumericalFailureError, match="non-finite") as got:
             integrate(system, law, init, t_end=100.0, h=0.5, record_every=record_every)
     assert got.value.time == oracle.value.time
@@ -266,10 +287,10 @@ def test_blow_up_aborts_at_the_oracle_step(record_every):
 PRESET_PATHS = {
     "counterexample": "affine",
     "counterexample-diminishing": "affine",
-    "pushsum-directed": "generic",
-    "averaging-ergodic": "generic",
-    "saddlepoint-mincut": "generic",
-    "spps-stationary": "generic",
+    "pushsum-directed": "affine",
+    "averaging-ergodic": "affine",
+    "saddlepoint-mincut": "affine",
+    "spps-stationary": "affine",
 }
 
 
@@ -288,3 +309,338 @@ def test_every_preset_takes_its_pinned_path(name):
         cfg.system, law, cfg.init_state, t_end=t_end, h=cfg.h, record_every=cfg.record_every
     )
     assert traj.meta["path"] == PRESET_PATHS[name]
+
+
+class WithoutAffineForm(GradientFeedback):
+    """The same law with no affine form, so integrate runs the generic loop
+    on it and checks its box there."""
+
+    def rowwise_affine(self):
+        return None
+
+
+def draining_process(n, dwell, pieces, rng):
+    """Pieces on which agent 0 reads no one and the others read it hard,
+    so that its ratio weight drains toward the floor."""
+    laps = []
+    for _ in range(pieces):
+        weights = rng.uniform(0.5, 1.5, (n, n))
+        np.fill_diagonal(weights, 0.0)
+        weights[0] = 0.0
+        weights[:, 0] *= 30.0
+        laps.append(make_laplacian(weights))
+    return LaplacianProcess(tuple(k * dwell for k in range(pieces)), tuple(laps), pieces * dwell)
+
+
+@st.composite
+def zone_runs(draw):
+    """A multi-piece run of any system under huber or quadratic agents,
+    with radii a little past each agent's initial distance to its center,
+    so that some runs leave the affine zone mid-run. Some draw a box. Some
+    stress the run: a system without a ratio block gets a process scaled
+    until RK4 is unstable, so that its state blows up; a ratio system
+    gets one on which agent 0 reads no one and the others read it hard,
+    so that its weight drains through the floor. A stressed run lasts
+    long enough to reach its error, t_end >= 3."""
+    name = draw(st.sampled_from(SYSTEM_NAMES))
+    n = draw(st.integers(2, 6))
+    d = 1 if SYSTEMS[name].scalar else draw(st.sampled_from((1, 2)))
+    per_record = draw(st.sampled_from((1, 2, 5, 10)))
+    dwell = draw(st.integers(2, 30)) * H
+    stress = draw(st.sampled_from((False, False, False, True)))
+    fewest = math.ceil(3.0 / (per_record * H)) if stress else 2
+    t_end = per_record * draw(st.integers(fewest, fewest + 18)) * H
+    seed = draw(st.integers(0, 2**31 - 1))
+    rng = np.random.default_rng(seed)
+    if stress and SYSTEMS[name].ratio is not None:
+        process = draining_process(n, dwell, math.ceil(t_end / dwell) + 1, rng)
+    else:
+        model = "switching-complete" if name == "saddle-point" else draw(
+            st.sampled_from(("switching-complete", "directed-ring-rotate"))
+        )
+        process = random_process(n, model, dwell=dwell, horizon=t_end + 1.0, seed=seed, h=H)
+        if stress:
+            laps = tuple(Laplacian(1000.0 * lap.matrix) for lap in process.laplacians)
+            process = LaplacianProcess(process.start_times, laps, process.horizon)
+    kind = draw(st.sampled_from(("constant", "power-law", "custom")))
+    if kind == "constant":
+        schedule = constant(rng.uniform(0.1, 1.0))
+    elif kind == "power-law":
+        schedule = power_law(rng.uniform(0.1, 1.0), rng.uniform(0.0, 2.0))
+    else:
+        starts = np.sort(rng.uniform(0.0, t_end, draw(st.integers(1, 6))))
+        schedule = custom_piecewise([0.0, *starts], rng.uniform(0.05, 1.0, len(starts) + 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        system = make_system(name, process, d=d, a=draw(st.floats(0.5, 5.0)))
+    x0 = rng.uniform(-1, 1, (n, d))
+    entries = []
+    for row in x0:
+        center = rng.uniform(-1, 1, d)
+        entry = {"center": center.tolist(), "curvature": rng.uniform(0.2, 3.0)}
+        if draw(st.booleans()):
+            reach = float(np.linalg.norm(row - center))
+            entry.update(form="huber", radius=reach + rng.uniform(0.01, 0.5))
+        entries.append(entry)
+    box = None
+    if draw(st.booleans()):
+        bound = rng.uniform(1.0, 2.0)
+        box = Box(np.full(d, -bound), np.full(d, bound))
+    family = custom_table(entries, box=box)
+    return system, family, schedule, system.initial_state(x0), t_end, per_record * H, stress
+
+
+def outcome(system, law, init, t_end, record_every):
+    """The trajectory, or the type and time of the error the run raised."""
+    try:
+        with np.errstate(all="ignore"):
+            return integrate(system, law, init, t_end=t_end, h=H, record_every=record_every)
+    except (DegenerateWeightsError, NumericalFailureError) as exc:
+        return type(exc), exc.time
+
+
+@settings(max_examples=150, deadline=None)
+@given(zone_runs())
+def test_zone_path_matches_generic_loop_on_every_system(run):
+    system, family, schedule, init, t_end, record_every, stress = run
+    law = gradient_feedback(family, schedule)
+    got = outcome(system, law, init, t_end, record_every)
+    if family.validity_box is None:
+        # a plain function has no rowwise_affine, so it takes the generic path
+        ref = outcome(system, lambda t, y: law(t, y), init, t_end, record_every)
+    else:
+        ref = outcome(system, WithoutAffineForm(family, schedule), init, t_end, record_every)
+    if isinstance(ref, tuple):
+        assert got == ref
+        return
+    assert not stress, "a stressed run reaches its error"
+    assert got.meta["path"] == "affine" and ref.meta["path"] == "generic"
+    arrays = [(got.x, ref.x), (got.y, ref.y), (got.u, ref.u)]
+    arrays += [(got.aux[key], ref.aux[key]) for key in ref.aux]
+    assert max(np.abs(g - e).max() for g, e in arrays) <= 1e-12
+
+
+def test_outputs_leaving_the_radius_hand_off_to_the_generic_loop():
+    # pushsum-directed started at its centers: the outputs drift past a
+    # radius of 0.4 some 50 steps in, and the generic loop finishes the run
+    raw = harness.scenario_raw("pushsum-directed")
+    raw["family"]["params"]["radius"] = 0.4
+    raw["init"] = {"x": raw["family"]["params"]["centers"]}
+    raw["t_end"] = 3.0
+    cfg = harness.parse_config(raw)
+    law = gradient_feedback(cfg.family, cfg.schedule)
+    plain = lambda t, y: law(t, y)  # noqa: E731
+    traj = integrate(cfg.system, law, cfg.init_state, cfg.t_end, cfg.h, cfg.record_every)
+    step = traj.meta["handoff_step"]
+    assert traj.meta["path"] == "affine" and 0 < step < 100
+    # every step's output up to the handoff lies within the radius
+    every = integrate(cfg.system, plain, cfg.init_state, cfg.t_end, cfg.h, cfg.h)
+    centers = np.asarray(raw["family"]["params"]["centers"])
+    reach = np.linalg.norm(every.y - centers, axis=2).max(axis=1)
+    assert (reach[: step + 1] <= 0.4).all() and reach.max() > 0.4
+    ref = integrate(cfg.system, plain, cfg.init_state, cfg.t_end, cfg.h, cfg.record_every)
+    arrays = [(traj.x, ref.x), (traj.y, ref.y), (traj.u, ref.u), (traj.aux["w"], ref.aux["w"])]
+    assert max(np.abs(g - e).max() for g, e in arrays) <= 1e-12
+
+
+def draining_process(n, dwell, pieces, rng):
+    """Pieces on which agent 0 reads no one and the others read it hard,
+    so that its ratio weight drains toward the floor."""
+    laps = []
+    for _ in range(pieces):
+        weights = rng.uniform(0.5, 1.5, (n, n))
+        np.fill_diagonal(weights, 0.0)
+        weights[0] = 0.0
+        weights[:, 0] *= 30.0
+        laps.append(make_laplacian(weights))
+    return LaplacianProcess(tuple(k * dwell for k in range(pieces)), tuple(laps), pieces * dwell)
+
+
+@st.composite
+def zone_runs(draw):
+    """A multi-piece run of any system under huber or quadratic agents,
+    with radii a little past each agent's initial distance to its center,
+    so that some runs leave the affine zone mid-run. Some draw a box. Some
+    stress the run: a system without a ratio block gets a process scaled
+    until RK4 is unstable, so that its state blows up; a ratio system
+    gets one on which agent 0 reads no one and the others read it hard,
+    so that its weight drains through the floor. A stressed run lasts
+    long enough to reach its error, t_end >= 3."""
+    name = draw(st.sampled_from(SYSTEM_NAMES))
+    n = draw(st.integers(2, 6))
+    d = 1 if SYSTEMS[name].scalar else draw(st.sampled_from((1, 2)))
+    per_record = draw(st.sampled_from((1, 2, 5, 10)))
+    dwell = draw(st.integers(2, 30)) * H
+    stress = draw(st.sampled_from((False, False, False, True)))
+    fewest = math.ceil(3.0 / (per_record * H)) if stress else 2
+    t_end = per_record * draw(st.integers(fewest, fewest + 18)) * H
+    seed = draw(st.integers(0, 2**31 - 1))
+    rng = np.random.default_rng(seed)
+    if stress and SYSTEMS[name].ratio is not None:
+        process = draining_process(n, dwell, math.ceil(t_end / dwell) + 1, rng)
+    else:
+        model = "switching-complete" if name == "saddle-point" else draw(
+            st.sampled_from(("switching-complete", "directed-ring-rotate"))
+        )
+        process = random_process(n, model, dwell=dwell, horizon=t_end + 1.0, seed=seed, h=H)
+        if stress:
+            laps = tuple(Laplacian(1000.0 * lap.matrix) for lap in process.laplacians)
+            process = LaplacianProcess(process.start_times, laps, process.horizon)
+    kind = draw(st.sampled_from(("constant", "power-law", "custom")))
+    if kind == "constant":
+        schedule = constant(rng.uniform(0.1, 1.0))
+    elif kind == "power-law":
+        schedule = power_law(rng.uniform(0.1, 1.0), rng.uniform(0.0, 2.0))
+    else:
+        starts = np.sort(rng.uniform(0.0, t_end, draw(st.integers(1, 6))))
+        schedule = custom_piecewise([0.0, *starts], rng.uniform(0.05, 1.0, len(starts) + 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        system = make_system(name, process, d=d, a=draw(st.floats(0.5, 5.0)))
+    x0 = rng.uniform(-1, 1, (n, d))
+    entries = []
+    for row in x0:
+        center = rng.uniform(-1, 1, d)
+        entry = {"center": center.tolist(), "curvature": rng.uniform(0.2, 3.0)}
+        if draw(st.booleans()):
+            reach = float(np.linalg.norm(row - center))
+            entry.update(form="huber", radius=reach + rng.uniform(0.01, 0.5))
+        entries.append(entry)
+    box = None
+    if draw(st.booleans()):
+        bound = rng.uniform(1.0, 2.0)
+        box = Box(np.full(d, -bound), np.full(d, bound))
+    family = custom_table(entries, box=box)
+    return system, family, schedule, system.initial_state(x0), t_end, per_record * H, stress
+
+
+def outcome(system, law, init, t_end, record_every):
+    """The trajectory, or the type and time of the error the run raised."""
+    try:
+        with np.errstate(all="ignore"):
+            return integrate(system, law, init, t_end=t_end, h=H, record_every=record_every)
+    except (DegenerateWeightsError, NumericalFailureError) as exc:
+        return type(exc), exc.time
+
+
+@settings(max_examples=150, deadline=None)
+@given(zone_runs())
+def test_zone_path_matches_generic_loop_on_every_system(run):
+    system, family, schedule, init, t_end, record_every, stress = run
+    law = gradient_feedback(family, schedule)
+    got = outcome(system, law, init, t_end, record_every)
+    if family.validity_box is None:
+        # a plain function has no rowwise_affine, so it takes the generic path
+        ref = outcome(system, lambda t, y: law(t, y), init, t_end, record_every)
+    else:
+        ref = outcome(system, WithoutAffineForm(family, schedule), init, t_end, record_every)
+    if isinstance(ref, tuple):
+        assert got == ref
+        return
+    assert not stress, "a stressed run reaches its error"
+    assert got.meta["path"] == "affine" and ref.meta["path"] == "generic"
+    arrays = [(got.x, ref.x), (got.y, ref.y), (got.u, ref.u)]
+    arrays += [(got.aux[key], ref.aux[key]) for key in ref.aux]
+    assert max(np.abs(g - e).max() for g, e in arrays) <= 1e-12
+
+
+def test_outputs_leaving_the_radius_hand_off_to_the_generic_loop():
+    # pushsum-directed started at its centers: the outputs drift past a
+    # radius of 0.4 some 50 steps in, and the generic loop finishes the run
+    raw = harness.scenario_raw("pushsum-directed")
+    raw["family"]["params"]["radius"] = 0.4
+    raw["init"] = {"x": raw["family"]["params"]["centers"]}
+    raw["t_end"] = 3.0
+    cfg = harness.parse_config(raw)
+    law = gradient_feedback(cfg.family, cfg.schedule)
+    plain = lambda t, y: law(t, y)  # noqa: E731
+    traj = integrate(cfg.system, law, cfg.init_state, cfg.t_end, cfg.h, cfg.record_every)
+    step = traj.meta["handoff_step"]
+    assert traj.meta["path"] == "affine" and 0 < step < 100
+    # every step's output up to the handoff lies within the radius
+    every = integrate(cfg.system, plain, cfg.init_state, cfg.t_end, cfg.h, cfg.h)
+    centers = np.asarray(raw["family"]["params"]["centers"])
+    reach = np.linalg.norm(every.y - centers, axis=2).max(axis=1)
+    assert (reach[: step + 1] <= 0.4).all() and reach.max() > 0.4
+    ref = integrate(cfg.system, plain, cfg.init_state, cfg.t_end, cfg.h, cfg.record_every)
+    arrays = [(traj.x, ref.x), (traj.y, ref.y), (traj.u, ref.u), (traj.aux["w"], ref.aux["w"])]
+    assert max(np.abs(g - e).max() for g, e in arrays) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "name, schedule",
+    [
+        ("averaging", constant(0.5)),
+        ("saddle-point", power_law(1.0, 1.0)),
+        ("push-sum", constant(0.5)),
+        ("spps", power_law(0.8, 0.5)),
+    ],
+)
+def test_handoff_at_the_first_step_whose_stage_output_leaves_the_radius(name, schedule):
+    model = "switching-complete" if name == "saddle-point" else "directed-ring-rotate"
+    process = random_process(4, model, dwell=0.5, horizon=6.0, seed=3, h=H)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        system = make_system(name, process, d=1, a=5.0)
+    centers = np.array([[-0.6], [-0.2], [0.2], [0.6]])
+    family = custom_table([{"form": "huber", "center": c, "radius": 0.3} for c in centers])
+    law = gradient_feedback(family, schedule)
+    seen = []
+
+    def plain(t, y):
+        seen.append(y.copy())
+        return law(t, y)
+
+    # the generic loop calls the law at a step's four stages in order
+    init = system.initial_state(centers)
+    integrate(system, plain, init, t_end=5.0, h=H, record_every=0.1)
+    reach = np.array([np.linalg.norm(y - centers, axis=1).max() for y in seen])
+    traj = integrate(system, law, init, t_end=5.0, h=H, record_every=0.1)
+    assert traj.meta["handoff_step"] == int(np.argmax(reach > 0.3)) // 4 > 0
+
+
+@pytest.mark.parametrize("name, n, seed", [("spps", 4, 5), ("push-sum", 3, 70)])
+def test_weight_under_the_floor_as_the_stages_blow_up_is_a_non_finite_state(name, n, seed):
+    # the law's gain alpha * curvature / w grows past RK4's stability as w
+    # drains, and the state overflows in the step that takes w under the
+    # floor; the generic loop's weights are NaN by then, so it reports the
+    # non-finite state, and so must the affine path
+    rng = np.random.default_rng(seed)
+    system = make_system(name, draining_process(n, 0.5, 8, rng), d=1, a=5.0)
+    entries = [{"center": [c], "curvature": rng.uniform(0.2, 3.0)} for c in rng.uniform(-1, 1, n)]
+    law = gradient_feedback(custom_table(entries), constant(rng.uniform(0.1, 1.0)))
+    init = system.initial_state(rng.uniform(-1, 1, (n, 1)))
+    ref = outcome(system, lambda t, y: law(t, y), init, 3.0, H)
+    assert ref[0] is NumericalFailureError
+    assert outcome(system, law, init, 3.0, H) == ref
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_handoff_at_the_first_step_whose_stage_output_leaves_the_radius(seed):
+    # agents start at their centers and drift past a small radius
+    rng = np.random.default_rng(seed)
+    name = SYSTEM_NAMES[seed % 4]
+    n = 2 + seed % 3
+    model = "switching-complete" if name == "saddle-point" else "directed-ring-rotate"
+    process = random_process(n, model, dwell=0.5, horizon=4.0, seed=seed, h=H)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        system = make_system(name, process, d=1, a=5.0)
+    centers = rng.uniform(-1, 1, (n, 1))
+    entry = {"form": "huber", "curvature": rng.uniform(0.5, 10.0), "radius": rng.uniform(0.05, 0.6)}
+    family = custom_table([{**entry, "center": c} for c in centers])
+    a0 = rng.uniform(0.3, 1.0)
+    law = gradient_feedback(family, constant(a0) if seed // 4 % 2 else power_law(a0, 1.0))
+    seen = []
+
+    def plain(t, y):
+        seen.append(y.copy())
+        return law(t, y)
+
+    # the generic loop calls the law at a step's four stages in order
+    init = system.initial_state(centers)
+    integrate(system, plain, init, t_end=3.0, h=H, record_every=0.1)
+    outside = np.abs(np.array(seen) - centers).max(axis=(1, 2)) > entry["radius"]
+    traj = integrate(system, law, init, t_end=3.0, h=H, record_every=0.1)
+    expect = int(np.argmax(outside)) // 4 if outside.any() else None
+    assert traj.meta["handoff_step"] == expect

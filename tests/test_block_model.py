@@ -154,7 +154,7 @@ def test_affine_step_map_is_bit_identical_to_hand_written_loop(case, t):
     forcing[:nd, :nd] = np.diag(np.repeat(row_scale, d))
     forcing[:nd, -1] = row_offset.ravel()
     field = field + forcing
-    step = rk4_maps(field, field, field, h)
+    step = rk4_maps(field, field, field, field, h)
     step_mat, step_off = step[:-1, :-1], step[:-1, -1]
     assert np.array_equal(step[-1], np.eye(system.state_size + 1)[-1])
     m, c = oracle_closed_loop(system.name, a, d, lap, row_scale, row_offset)

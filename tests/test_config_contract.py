@@ -146,6 +146,10 @@ MALFORMED = {
         }
     },
     "random-horizon-vast": {"process": {"random": {**RANDOM_PROCESS, "horizon": 1e300}}},
+    # 100,000 pieces of 2 agents: within the float cap, past the piece cap
+    "random-too-many-pieces": {
+        "process": {"random": {**RANDOM_PROCESS, "dwell": 0.01, "horizon": 1000.0}}
+    },
     "h-infinite": {"h": float("inf")},
     "t-end-past-floats": {"t_end": 10**400},
     "gain-nan": {"dynamics": {"name": "averaging", "a": float("nan")}},
@@ -215,6 +219,7 @@ NAMED = {
     "process-file-number": "process invalid",
     "table-center-matrix": "shape (1, 1)",
     "random-horizon-vast": "cap",
+    "random-too-many-pieces": "piece cap",
     "h-infinite": "h is Infinity",
     "t-end-past-floats": "not a finite number",
     "gain-nan": "dynamics.a is NaN",
@@ -398,6 +403,7 @@ def test_logistic_agent_at_a_vast_offset_runs(tmp_path, capsys):
         ('{"kind": "power-law", "a0": "x"}', "schedule invalid"),
         ('{"kind": "custom-piecewise", "times": [0.0], "values": 5}', "schedule invalid"),
         ("{not json", "Expecting property name"),
+        ('{"kind": "power-law", "a0": 1.0, "p": NaN}', "schedule.p is NaN"),
     ],
 )
 def test_malformed_schedule_to_check_exits_2(capsys, schedule, named):
@@ -407,6 +413,28 @@ def test_malformed_schedule_to_check_exits_2(capsys, schedule, named):
     assert error["kind"] == "config"
     assert named in error["error"]
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "field, named",
+    [("horizon", "process.horizon is NaN"), ("weights", "process.pieces[0].weights[0][1] is NaN")],
+)
+def test_process_file_with_nan_exits_2(tmp_path, capsys, field, named):
+    process = base_config()["process"]
+    if field == "horizon":
+        process["horizon"] = float("nan")
+    else:
+        process["pieces"][0]["weights"][0][1] = float("nan")
+    proc_path = tmp_path / "proc.json"
+    proc_path.write_text(json.dumps(process))
+    code = main(["check-flow", "--process", str(proc_path), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 2
+    error = json.loads(captured.out)
+    assert error["kind"] == "config"
+    assert named in error["error"]
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("h", ["0", "-0.01", "nan", "inf"])

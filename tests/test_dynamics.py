@@ -23,7 +23,13 @@ from flowtracker_lab.graphnet import (
     make_laplacian,
     random_process,
 )
-from flowtracker_lab.objectives import Box, gradient_bound, huberized_quadratic, mirror_pair
+from flowtracker_lab.objectives import (
+    Box,
+    gradient_bound,
+    huberized_quadratic,
+    logistic_scalar,
+    mirror_pair,
+)
 from flowtracker_lab.schedules import constant, power_law
 
 TWO_NODE = Laplacian(np.array([[1.0, -1.0], [-1.0, 1.0]]))
@@ -215,24 +221,50 @@ class TestGradientFeedback:
     def test_affine_coefficients_constant_quadratic(self):
         sched = constant(0.5)
         law = gradient_feedback(mirror_pair(), sched)
-        scale, offset, schedule = law.rowwise_affine()
+        scale, offset, schedule, center, radius = law.rowwise_affine()
         assert np.allclose(scale, [-1.0, -1.0])
         assert np.allclose(offset, [[1.0], [-1.0]])
         assert schedule is sched
+        # a quadratic agent is affine everywhere
+        assert np.array_equal(center, [[1.0], [-1.0]])
+        assert np.isinf(radius).all()
 
     def test_affine_for_any_schedule(self):
         sched = power_law()
         law = gradient_feedback(mirror_pair(), sched)
-        scale, offset, schedule = law.rowwise_affine()
+        scale, offset, schedule, _, _ = law.rowwise_affine()
         assert schedule is sched
         rng = np.random.default_rng(3)
         for t in rng.uniform(0, 20, 10):
             y = rng.uniform(-2, 2, (2, 1))
             assert np.allclose(law(t, y), sched(t) * (scale[:, None] * y + offset), atol=1e-15)
 
-    def test_no_affine_for_huber(self):
-        fam = huberized_quadratic(np.zeros((2, 1)), radius=1.0)
+    def test_no_affine_for_logistic(self):
+        fam = logistic_scalar([1.0, -1.0], [0.0, 0.0])
         assert gradient_feedback(fam, constant(0.5)).rowwise_affine() is None
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_huber_is_affine_within_its_radius(self, d):
+        sched = power_law()
+        rng = np.random.default_rng(5)
+        centers = rng.uniform(-1, 1, (3, d))
+        law = gradient_feedback(huberized_quadratic(centers, radius=0.7, curvature=1.5), sched)
+        scale, offset, schedule, center, radius = law.rowwise_affine()
+        assert schedule is sched
+        assert np.array_equal(center, centers) and np.array_equal(radius, [0.7] * 3)
+        for t in rng.uniform(0, 20, 10):
+            direction = rng.normal(size=(3, d))
+            direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+            inside = centers + rng.uniform(0, 0.7, (3, 1)) * direction
+            affine = sched(t) * (scale[:, None] * inside + offset)
+            assert np.allclose(law(t, inside), affine, atol=1e-15)
+            # beyond the radius the gradient saturates, so the form fails
+            outside = centers + 1.4 * direction
+            assert not np.allclose(law(t, outside), sched(t) * (scale[:, None] * outside + offset))
+
+    def test_zero_control_is_affine_everywhere(self):
+        scale, offset, _, _, radius = ZeroControl(3, 2).rowwise_affine()
+        assert not scale.any() and not offset.any() and np.isinf(radius).all()
 
 
 class TestPredictedRate:

@@ -218,10 +218,10 @@ class TestErgodicityReport:
         built = []
         real = flowcore.rk4_maps
 
-        def counted(f1, f2, f3, h):
+        def counted(f1, f2, f3, f4, h):
             # a stack of k pieces builds k propagators in one call
             built.append(len(f1) if f1.ndim == 3 else 1)
-            return real(f1, f2, f3, h)
+            return real(f1, f2, f3, f4, h)
 
         monkeypatch.setattr(flowcore, "rk4_maps", counted)
         report = ergodicity_report(proc, h=1e-2)
@@ -282,7 +282,7 @@ def per_sample_report(process, h):
             key = (id(lap), round((hi - lo) / h))
             if key not in powers:
                 field = -lap.matrix
-                powers[key] = matrix_power(rk4_maps(field, field, field, h), key[1])
+                powers[key] = matrix_power(rk4_maps(field, field, field, field, h), key[1])
             phi = powers[key] @ phi
         return phi
 
@@ -383,7 +383,7 @@ class TestOneKernel:
     @given(one_piece_processes(), st.sampled_from([1e-3, 1e-2, 0.1]))
     def test_constant_field_map_is_the_degree_4_taylor_polynomial(self, proc, h):
         field = -proc.laplacians[0].matrix
-        got = rk4_maps(field, field, field, h)
+        got = rk4_maps(field, field, field, field, h)
         assert np.abs(got - taylor_degree_4(h * field)).max() <= 1e-14
 
     @settings(max_examples=60, deadline=None)

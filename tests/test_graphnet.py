@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from flowtracker_lab import graphnet
+from flowtracker_lab import graphnet, harness
 from flowtracker_lab.errors import InvalidInputError
 from flowtracker_lab.graphnet import (
     DirectedGraph,
@@ -431,6 +431,20 @@ class TestRandomProcess:
         for pieces, n in ((120, 64), (2000, 5)):
             floats = pieces * (n * n + graphnet.PIECE_OVERHEAD)
             assert 20 * floats <= graphnet.MAX_PROCESS_FLOATS
+
+    def test_piece_cap_leaves_room_for_the_largest_built_process(self):
+        # pushsum-directed builds the most pieces of any preset, test or
+        # benchmark workload
+        pieces = len(harness.scenario("pushsum-directed").process.laplacians)
+        assert pieces == 2000
+        assert 20 * pieces <= graphnet.MAX_PROCESS_PIECES
+
+    def test_process_past_the_piece_cap_rejected_before_it_is_built(self):
+        # within the float cap: 2 agents hold 36 floats a piece
+        pieces = graphnet.MAX_PROCESS_PIECES + 1
+        assert pieces * (4 + graphnet.PIECE_OVERHEAD) <= graphnet.MAX_PROCESS_FLOATS
+        with pytest.raises(InvalidInputError, match="piece cap"):
+            random_process(2, "switching-complete", dwell=0.5, horizon=0.5 * pieces, seed=0)
 
 
 class TestSerialization:
