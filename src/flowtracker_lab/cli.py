@@ -48,10 +48,10 @@ def _cmd_run(args) -> int:
     raw = _load_raw_config(args)
     if args.seed is not None:
         raw["seed"] = args.seed
-    cfg = harness.parse_config(raw)
+    cfg = harness.parse_config(raw, full_resolution=args.full_resolution)
     out = _default_out(args.out, cfg.name)
     try:
-        summary = harness.run(cfg, out_dir=out, full_resolution=args.full_resolution)
+        summary = harness.run(cfg, out_dir=out)
     except (FlowtrackerError, OSError) as exc:
         return _fail("runtime", str(exc))
     print(json.dumps(summary.to_dict(), indent=2, sort_keys=True))
@@ -120,7 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--full-resolution",
         action="store_true",
-        help="record every integrator step (needed by derivative checks)",
+        help="record every integrator step, as the checks "
+        f"{', '.join(n for n, row in harness.CHECKS.items() if row.every_step)} need",
     )
     p_run.set_defaults(func=_cmd_run)
 

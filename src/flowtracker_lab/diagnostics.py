@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -281,16 +280,6 @@ def gap_integral_check(
     bounded = tail_change < GAP_TAIL_TOL
     passed = bounded and integrand_min >= -TOL_INEQ_BASE
     return GapIntegralReport(float(partial[-1]), bounded, tail_change, integrand_min, passed)
-
-
-def matrix_norm_bound_check(x: np.ndarray) -> tuple[float, float, bool]:
-    """Spectral norm against sqrt(n) times the worst row norm."""
-    mat = np.atleast_2d(np.asarray(x, dtype=float))
-    if not np.all(np.isfinite(mat)):
-        raise InvalidInputError("matrix must be finite")
-    lhs = float(np.linalg.norm(mat, 2))
-    rhs = float(math.sqrt(mat.shape[0]) * np.linalg.norm(mat, axis=1).max())
-    return lhs, rhs, bool(lhs <= rhs + 1e-12 * max(1.0, rhs))
 
 
 def weight_conservation_check(traj: Trajectory) -> dict:

@@ -16,6 +16,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -50,38 +51,6 @@ from .simulate import (
     tail_length,
 )
 
-# checks and expectation kinds that compare the run with the optimizer oracle
-FAMILY_CHECKS = ("v-dominated-by-h", "vdot-bound", "gap-integral")
-ORACLE_EXPECTATIONS = ("y-final-near-oracle", "nonconvergence", "gap-settled")
-
-# the numeric fields of each expectation kind; None marks a required one
-EXPECTATION_FIELDS = {
-    "y-limit": {"value": None, "tol": None},
-    "y-abs-max": {"max": None},
-    "y-final-near-oracle": {"tol": None},
-    "nonconvergence": {"min_distance": None},
-    "gap-settled": {"tol": 1e-3},
-}
-
-KNOWN_CHECKS = (
-    "expectations",
-    "consensus",
-    "input-tracking",
-    "v-dominated-by-h",
-    "vdot-bound",
-    "gap-integral",
-    "weight-conservation",
-    "observer-bound",
-    "min-cut-window",
-)
-
-# the options of each check that takes any, the keys check_params may hold
-CHECK_OPTIONS = {
-    "consensus": ("tol",),
-    "observer-bound": ("flow_h", "declared"),
-    "min-cut-window": ("T", "beta"),
-}
-
 # the aux blocks an init block may set: those of every system
 INIT_AUX_KEYS = tuple(dict.fromkeys(block for row in SYSTEMS.values() for block, _ in row.aux))
 
@@ -102,11 +71,10 @@ class ExperimentConfig:
     init_state: object
     t_end: float
     h: float
-    record_every: float
+    record_every: float  # the grid the run records: h under full resolution
     seed: int
-    checks: tuple[str, ...]
-    check_params: dict
-    expectations: tuple[dict, ...]
+    checks: dict  # check name -> its resolved options, in the order run
+    expectations: dict  # expectation kind -> its resolved fields
     name: str = "run"
 
     def digest(self) -> str:
@@ -132,49 +100,6 @@ def _resolve_process(spec: dict, h: float) -> LaplacianProcess:
             B=params.get("B"),
         )
     return process_from_dict(spec)
-
-
-def _resolve_check_params(raw: dict, checks: tuple, h: float) -> dict:
-    """Every check's parameters as numbers, with the defaults filled in."""
-    params = {name: dict(value) for name, value in raw.items()}
-    for name, options in params.items():
-        if name not in CHECK_OPTIONS:
-            raise ConfigError(
-                f"unknown check_params entry {name!r}; options: {tuple(CHECK_OPTIONS)}"
-            )
-        unknown = sorted(set(options) - set(CHECK_OPTIONS[name]))
-        if unknown:
-            raise ConfigError(
-                f"unknown {name} option {unknown[0]!r}; options: {CHECK_OPTIONS[name]}"
-            )
-        if name not in checks:
-            raise ConfigError(f"check_params sets options of {name!r}, which checks does not list")
-    observer = params.get("observer-bound", {})
-    cut = params.get("min-cut-window", {})
-    declared = observer.get("declared")
-    if declared not in (None, "3/p_star"):
-        declared = float(declared)
-    return {
-        "consensus": {"tol": float(params.get("consensus", {}).get("tol", 1e-2))},
-        "observer-bound": {"flow_h": float(observer.get("flow_h", h)), "declared": declared},
-        "min-cut-window": {"T": float(cut.get("T", 1.0)), "beta": float(cut.get("beta", 0.0))},
-    }
-
-
-def _resolve_expectation(spec: dict, has_family: bool) -> dict:
-    """An expectation with its kind checked and its numbers converted."""
-    kind = spec["kind"]
-    if kind not in EXPECTATION_FIELDS:
-        raise ConfigError(
-            f"unknown expectation kind {kind!r}; options: {tuple(EXPECTATION_FIELDS)}"
-        )
-    if kind in ORACLE_EXPECTATIONS and not has_family:
-        raise ConfigError(f"expectation {kind!r} needs an objective family")
-    out = {"kind": kind}
-    for key, default in EXPECTATION_FIELDS[kind].items():
-        value = spec[key] if default is None else spec.get(key, default)
-        out[key] = np.asarray(value, dtype=float) if key == "value" else float(value)
-    return out
 
 
 def _bad_number(node) -> tuple[str, object] | None:
@@ -222,11 +147,192 @@ class _part:
             raise ConfigError(f"{self.name} invalid: {exc}") from exc
 
 
-def parse_config(raw: dict) -> ExperimentConfig:
+# --- checks and expectations -------------------------------------------------
+
+# marks a field that the config must give
+REQUIRED = object()
+
+# how a field that is not a plain number is read
+_READ = {
+    "value": lambda value: np.asarray(value, dtype=float),
+    "declared": lambda value: value if value in (None, "3/p_star") else float(value),
+}
+
+
+@dataclass(frozen=True)
+class Row:
+    """One check or one expectation kind: its verdict, each field's default
+    (REQUIRED for one the config must give), its needs (an objective family
+    and the oracle, records at every step, a record tail of MIN_TAIL), and
+    a hook that checks the resolved fields against the parsed config."""
+
+    verdict: Callable
+    fields: dict = field(default_factory=dict)
+    family: bool = False
+    every_step: bool = False
+    tail: bool = False
+    hook: Callable = lambda opts, cfg: None
+
+    def resolve(self, spec: dict) -> dict:
+        """The fields read from spec, a missing one as its default."""
+        out = dict(self.fields)
+        for key, default in self.fields.items():
+            if key in spec or default is REQUIRED:
+                out[key] = _READ.get(key, float)(spec[key])
+        return out
+
+
+def _flow_step_fits(opts: dict, cfg: ExperimentConfig) -> None:
+    if opts["flow_h"] is None:
+        opts["flow_h"] = cfg.h
+    if not 0 < opts["flow_h"] < cfg.process.horizon:
+        raise ConfigError("observer-bound flow_h must lie in (0, process horizon)")
+    with _part("observer-bound flow_h"):
+        check_switch_alignment(cfg.process, opts["flow_h"])
+
+
+def _window_fits(opts: dict, cfg: ExperimentConfig) -> None:
+    if not 0 < opts["T"] <= cfg.t_end:
+        raise ConfigError("min-cut-window T must lie in (0, t_end]")
+
+
+def _value_fits(opts: dict, cfg: ExperimentConfig) -> None:
+    with _part(f"y-limit value of shape {opts['value'].shape}"):
+        np.broadcast_to(opts["value"], (cfg.system.n, cfg.system.d))
+
+
+@dataclass(frozen=True, eq=False)
+class RunContext:
+    """What the verdicts read. The oracle (x*, f*), the gaps F(xbar) - f*
+    and the limit estimate are None where the run has none; `series` takes
+    the series a verdict adds to the report. Each method is one row's
+    verdict. It looks the layer functions up when called, so a wrapper put
+    on a module attribute (as perfbench's tracer does) sees every call."""
+
+    cfg: ExperimentConfig
+    traj: Trajectory
+    oracle: tuple | None
+    gaps: np.ndarray | None
+    est: LimitEstimate | None
+    series: dict
+
+    def expectations(self, opts: dict) -> tuple[bool, dict]:
+        details = {}
+        for kind, spec in self.cfg.expectations.items():
+            passed, detail = EXPECTATIONS[kind].verdict(self, spec)
+            details[kind] = {**detail, "passed": passed}
+        return all(entry["passed"] for entry in details.values()), details
+
+    def consensus(self, opts: dict) -> tuple[bool, dict]:
+        final = float(self.series["consensus_error"][-1])
+        return final <= opts["tol"], {"final": final, "tol": opts["tol"]}
+
+    def input_tracking(self, opts: dict) -> tuple[bool, dict]:
+        report = diag.input_tracking_check(self.traj, c1=self.cfg.system.c1)
+        self.series["input_tracking_residual"] = np.concatenate(([0.0], report.residuals, [0.0]))
+        return report.passed, report.to_dict()
+
+    def v_dominated_by_h(self, opts: dict) -> tuple[bool, dict]:
+        cap = gradient_bound(self.cfg.family)
+        report = diag.v_dominated_by_h_check(self.traj, self.oracle[0], cap, self.cfg.schedule)
+        return report.passed, report.to_dict()
+
+    def vdot_bound(self, opts: dict) -> tuple[bool, dict]:
+        report = diag.vdot_bound_check(
+            self.traj, self.cfg.family, self.cfg.schedule, *self.oracle, c1=self.cfg.system.c1
+        )
+        return report.passed, report.to_dict()
+
+    def gap_integral(self, opts: dict) -> tuple[bool, dict]:
+        cfg = self.cfg
+        report = diag.gap_integral_check(self.traj, cfg.family, cfg.schedule, self.oracle[1])
+        return report.passed, report.to_dict()
+
+    def weight_conservation(self, opts: dict) -> tuple[bool, dict]:
+        results = diag.weight_conservation_check(self.traj)
+        return all(entry["passed"] for entry in results.values()), results
+
+    def observer_bound(self, opts: dict) -> tuple[bool, dict]:
+        flow = ergodicity_report(self.cfg.process, h=opts["flow_h"])
+        declared = opts["declared"]
+        if declared == "3/p_star":
+            declared = 3.0 / flow.p_star if flow.p_star > 0 else None
+        if flow.rate is None or not (0 < flow.rate < 1):
+            return False, {"reason": "flow rate fit unavailable or >= 1"}
+        report = diag.observer_bound_fit(self.traj, flow.rate, declared_c2=declared)
+        ok = not report.infeasible and (declared is None or report.violations == 0)
+        return ok, {**report.to_dict(), "p_star": flow.p_star}
+
+    def min_cut_window(self, opts: dict) -> tuple[bool, dict]:
+        window, beta = opts["T"], opts["beta"]
+        starts = np.arange(0.0, self.cfg.t_end - window + 1e-9, window / 2)
+        cuts: dict[int, float] = {}
+        worst = min(
+            integrated_min_cut(self.cfg.process, float(t0), window, cuts=cuts) for t0 in starts
+        )
+        return worst >= beta, {"worst_window": worst, "beta": beta, "T": window}
+
+    def y_limit(self, spec: dict) -> tuple[bool, dict]:
+        tol, est = spec["tol"], self.est
+        err = float(np.abs(est.y_limit - spec["value"]).max())
+        good = err <= tol and est.residual <= tol
+        return good, {"error": err, "residual": est.residual, "tol": tol}
+
+    def y_abs_max(self, spec: dict) -> tuple[bool, dict]:
+        worst = float(np.abs(self.traj.y[-1]).max())
+        return worst <= spec["max"], {"worst": worst, "max": spec["max"]}
+
+    def y_final_near_oracle(self, spec: dict) -> tuple[bool, dict]:
+        err = float(np.linalg.norm(self.traj.y[-1] - self.oracle[0][None, :], axis=1).max())
+        return err <= spec["tol"], {"error": err, "tol": spec["tol"]}
+
+    def nonconvergence(self, spec: dict) -> tuple[bool, dict]:
+        floor = spec["min_distance"]
+        dist = float(np.linalg.norm(self.est.y_limit - self.oracle[0][None, :], axis=1).min())
+        return dist >= floor, {"distance": dist, "min_distance": floor}
+
+    def gap_settled(self, spec: dict) -> tuple[bool, dict]:
+        window = self.traj.times >= float(self.traj.times[-1]) / 10.0
+        change = float(self.gaps[window].max() - self.gaps[window].min())
+        return change <= spec["tol"], {"change": change, "tol": spec["tol"]}
+
+
+EXPECTATIONS_CHECK = "expectations"  # runs the expectations, listed in checks or not
+
+CHECKS = {
+    EXPECTATIONS_CHECK: Row(RunContext.expectations),
+    "consensus": Row(RunContext.consensus, {"tol": 1e-2}),
+    "input-tracking": Row(RunContext.input_tracking, every_step=True),
+    "v-dominated-by-h": Row(RunContext.v_dominated_by_h, family=True, every_step=True),
+    "vdot-bound": Row(RunContext.vdot_bound, family=True),
+    "gap-integral": Row(RunContext.gap_integral, family=True),
+    "weight-conservation": Row(RunContext.weight_conservation),
+    # flow_h None is the run's step h
+    "observer-bound": Row(
+        RunContext.observer_bound, {"flow_h": None, "declared": None}, hook=_flow_step_fits
+    ),
+    "min-cut-window": Row(RunContext.min_cut_window, {"T": 1.0, "beta": 0.0}, hook=_window_fits),
+}
+
+EXPECTATIONS = {
+    "y-limit": Row(
+        RunContext.y_limit, {"value": REQUIRED, "tol": REQUIRED}, tail=True, hook=_value_fits
+    ),
+    "y-abs-max": Row(RunContext.y_abs_max, {"max": REQUIRED}),
+    "y-final-near-oracle": Row(RunContext.y_final_near_oracle, {"tol": REQUIRED}, family=True),
+    "nonconvergence": Row(
+        RunContext.nonconvergence, {"min_distance": REQUIRED}, family=True, tail=True
+    ),
+    "gap-settled": Row(RunContext.gap_settled, {"tol": 1e-3}, family=True),
+}
+
+
+def parse_config(raw: dict, full_resolution: bool = False) -> ExperimentConfig:
     """Validate a raw config dict and resolve every referenced object.
 
     All raw input is converted here, so a malformed config raises
-    ConfigError before anything is integrated.
+    ConfigError before anything is integrated. With full_resolution the
+    run records every step, and the checks' needs are judged on that grid.
     """
     with _part("config"):
         _reject_bad_number(raw)
@@ -240,23 +346,33 @@ def parse_config(raw: dict) -> ExperimentConfig:
         dyn = dict(raw.get("dynamics", {}))
         gain = float(dyn.get("a", DEFAULT_GAIN))
         checks = tuple(raw.get("checks", ()))
-        check_params = _resolve_check_params(dict(raw.get("check_params", {})), checks, h)
-        has_family = raw.get("family") is not None
-        expectations = tuple(
-            _resolve_expectation(dict(spec), has_family)
-            for spec in raw.get("expectations", ())
-        )
+        params = {key: dict(value) for key, value in dict(raw.get("check_params", {})).items()}
+        expectations = [(spec["kind"], spec) for spec in map(dict, raw.get("expectations", ()))]
         name = str(raw.get("name", "run"))
+        for key, options in params.items():
+            fields = tuple(CHECKS[key].fields) if key in CHECKS else ()
+            if not fields:
+                optioned = tuple(check for check, row in CHECKS.items() if row.fields)
+                raise ConfigError(f"unknown check_params entry {key!r}; options: {optioned}")
+            unknown = sorted(set(options) - set(fields))
+            if unknown:
+                raise ConfigError(f"unknown {key} option {unknown[0]!r}; options: {fields}")
+            if key not in checks:
+                raise ConfigError(
+                    f"check_params sets options of {key!r}, which checks does not list"
+                )
         if raw.get("process") is None:
             raise ConfigError("config needs a 'process' block")
     with _part("process"):
         process = _resolve_process(raw["process"], h)
     with _part("step grid"):
-        n_steps, steps_per_record = step_grid(process, t_end, h, record_every)
+        n_steps, per_record = step_grid(process, t_end, h, record_every)
+    if full_resolution:
+        record_every, per_record = h, 1
 
     family = None
     schedule = None
-    if has_family:
+    if raw.get("family") is not None:
         with _part("family"):
             family = family_from_dict(raw["family"])
         if raw.get("schedule") is None:
@@ -280,17 +396,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError(
             f"family has {family.n} agents but the process has {system.n}"
         )
-    tail = tail_length(n_steps // steps_per_record + 1)
-    for spec in expectations:
-        if spec["kind"] in ("y-limit", "nonconvergence") and tail < MIN_TAIL:
-            raise ConfigError(
-                f"expectation {spec['kind']!r} averages the last tenth of the records, "
-                f"{tail} here; it needs {MIN_TAIL} (t_end / record_every >= 90)"
-            )
-        if spec["kind"] == "y-limit":
-            with _part(f"y-limit value of shape {spec['value'].shape}"):
-                np.broadcast_to(spec["value"], (system.n, system.d))
-
     with _part("initial condition"):
         init_spec = raw.get("init", {})
         if not isinstance(init_spec, dict):
@@ -321,25 +426,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
                 f"initial outputs {init_state.x.tolist()} leave the validity box {box.to_list()}"
             )
 
-    for check in checks:
-        if check not in KNOWN_CHECKS:
-            raise ConfigError(f"unknown check {check!r}; options: {KNOWN_CHECKS}")
-        if check in FAMILY_CHECKS and family is None:
-            raise ConfigError(f"check {check!r} needs an objective family")
-        if check in ("input-tracking", "v-dominated-by-h") and abs(record_every - h) > 1e-12:
-            raise ConfigError(f"the {check} check needs record_every == h")
-    if "observer-bound" in checks:
-        flow_h = check_params["observer-bound"]["flow_h"]
-        if not 0 < flow_h < process.horizon:
-            raise ConfigError("observer-bound flow_h must lie in (0, process horizon)")
-        with _part("observer-bound flow_h"):
-            check_switch_alignment(process, flow_h)
-    if "min-cut-window" in checks and not 0 < check_params["min-cut-window"]["T"] <= t_end:
-        raise ConfigError("min-cut-window T must lie in (0, t_end]")
-    if expectations and "expectations" not in checks:
-        checks = checks + ("expectations",)
-
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         raw=raw,
         process=process,
         system=system,
@@ -350,11 +437,36 @@ def parse_config(raw: dict) -> ExperimentConfig:
         h=h,
         record_every=record_every,
         seed=seed,
-        checks=checks,
-        check_params=check_params,
-        expectations=expectations,
+        checks={},
+        expectations={},
         name=name,
     )
+    if expectations and EXPECTATIONS_CHECK not in checks:
+        checks += (EXPECTATIONS_CHECK,)
+    with _part("checks"):
+        rows = [(CHECKS, "check", key, params.get(key, {}), cfg.checks) for key in checks]
+    rows += [(EXPECTATIONS, "expectation", *pair, cfg.expectations) for pair in expectations]
+    tail = tail_length(n_steps // per_record + 1)
+    for table, label, key, spec, resolved in rows:
+        # a tuple, since a kind read from JSON may be a list, which no dict can hash
+        if key not in tuple(table):
+            raise ConfigError(f"unknown {label} {key!r}; options: {tuple(table)}")
+        if key in resolved:
+            raise ConfigError(f"{label} {key!r} is listed twice")
+        row = table[key]
+        if row.family and family is None:
+            raise ConfigError(f"the {key} {label} needs an objective family")
+        if row.every_step and abs(record_every - h) > 1e-12:
+            raise ConfigError(f"the {key} {label} needs record_every == h")
+        if row.tail and tail < MIN_TAIL:
+            raise ConfigError(
+                f"the {key} {label} averages the last tenth of the records, "
+                f"{tail} here; it needs {MIN_TAIL} (t_end / record_every >= 90)"
+            )
+        with _part(f"the {key} {label}"):
+            resolved[key] = row.resolve(spec)
+            row.hook(resolved[key], cfg)
+    return cfg
 
 
 @dataclass(eq=False)
@@ -381,65 +493,13 @@ class RunSummary:
         }
 
 
-def _check_expectations(
-    cfg: ExperimentConfig,
-    traj: Trajectory,
-    oracle: tuple | None,
-    gaps: np.ndarray | None,
-    est: LimitEstimate | None,
-) -> tuple[bool, dict]:
-    """Compare the run with each expectation, reusing the run's gap series
-    and limit estimate (None on a tail too short, whose error then shows)."""
-    details = {}
-    ok = True
-    for spec in cfg.expectations:
-        kind = spec["kind"]
-        if kind == "y-limit":
-            est = est or estimate_limit(traj)
-            tol = spec["tol"]
-            err = float(np.abs(est.y_limit - spec["value"]).max())
-            good = err <= tol and est.residual <= tol
-            details[kind] = {"error": err, "residual": est.residual, "tol": tol, "passed": good}
-        elif kind == "y-abs-max":
-            bound = spec["max"]
-            worst = float(np.abs(traj.y[-1]).max())
-            good = worst <= bound
-            details[kind] = {"worst": worst, "max": bound, "passed": good}
-        elif kind == "y-final-near-oracle":
-            x_star = oracle[0]
-            tol = spec["tol"]
-            err = float(
-                np.linalg.norm(traj.y[-1] - x_star[None, :], axis=1).max()
-            )
-            good = err <= tol
-            details[kind] = {"error": err, "tol": tol, "passed": good}
-        elif kind == "nonconvergence":
-            x_star = oracle[0]
-            est = est or estimate_limit(traj)
-            dist = float(
-                np.linalg.norm(est.y_limit - x_star[None, :], axis=1).min()
-            )
-            floor = spec["min_distance"]
-            good = dist >= floor
-            details[kind] = {"distance": dist, "min_distance": floor, "passed": good}
-        else:  # gap-settled
-            window = traj.times >= float(traj.times[-1]) / 10.0
-            change = float(gaps[window].max() - gaps[window].min())
-            tol = spec["tol"]
-            good = change <= tol
-            details[kind] = {"change": change, "tol": tol, "passed": good}
-        ok = ok and good
-    return ok, details
-
-
-def run(cfg: ExperimentConfig, out_dir=None, full_resolution: bool = False) -> RunSummary:
+def run(cfg: ExperimentConfig, out_dir=None) -> RunSummary:
     """Integrate, run the requested checks, and emit artifacts.
 
     Writes trajectory.csv, report.json, and summary.json into out_dir
     when one is given. The summary's check map defines the CLI exit code.
     """
     started = time.perf_counter()
-    record_every = cfg.h if full_resolution else cfg.record_every
     law = None
     if cfg.family is not None:
         law = gradient_feedback(cfg.family, cfg.schedule)
@@ -449,7 +509,7 @@ def run(cfg: ExperimentConfig, out_dir=None, full_resolution: bool = False) -> R
         cfg.init_state,
         t_end=cfg.t_end,
         h=cfg.h,
-        record_every=record_every,
+        record_every=cfg.record_every,
     )
 
     oracle = gaps = None
@@ -460,75 +520,11 @@ def run(cfg: ExperimentConfig, out_dir=None, full_resolution: bool = False) -> R
 
     err_series = diag.consensus_error(traj)
     series: dict[str, np.ndarray] = {"consensus_error": err_series}
-    checks: dict[str, diag.CheckResult] = {}
-    params = cfg.check_params
-
-    for name in cfg.checks:
-        if name == "expectations":
-            ok, details = _check_expectations(cfg, traj, oracle, gaps, est)
-            checks[name] = diag.CheckResult(name, ok, details)
-        elif name == "consensus":
-            tol = params["consensus"]["tol"]
-            final = float(err_series[-1])
-            checks[name] = diag.CheckResult(
-                name, final <= tol, {"final": final, "tol": tol}
-            )
-        elif name == "input-tracking":
-            report = diag.input_tracking_check(traj, c1=cfg.system.c1)
-            series["input_tracking_residual"] = np.concatenate(
-                ([0.0], report.residuals, [0.0])
-            )
-            checks[name] = diag.CheckResult(name, report.passed, report.to_dict())
-        elif name == "weight-conservation":
-            results = diag.weight_conservation_check(traj)
-            ok = all(entry["passed"] for entry in results.values())
-            checks[name] = diag.CheckResult(name, ok, results)
-        elif name == "observer-bound":
-            observer = params["observer-bound"]
-            flow_report = ergodicity_report(cfg.process, h=observer["flow_h"])
-            declared_c2 = observer["declared"]
-            if declared_c2 == "3/p_star":
-                declared_c2 = (
-                    3.0 / flow_report.p_star if flow_report.p_star > 0 else None
-                )
-            if flow_report.rate is None or not (0 < flow_report.rate < 1):
-                checks[name] = diag.CheckResult(
-                    name, False, {"reason": "flow rate fit unavailable or >= 1"}
-                )
-            else:
-                report = diag.observer_bound_fit(
-                    traj, flow_report.rate, declared_c2=declared_c2
-                )
-                ok = not report.infeasible and (
-                    declared_c2 is None or report.violations == 0
-                )
-                details = report.to_dict()
-                details["p_star"] = flow_report.p_star
-                checks[name] = diag.CheckResult(name, ok, details)
-        elif name in FAMILY_CHECKS:
-            x_star, f_star = oracle
-            cap = gradient_bound(cfg.family)
-            if name == "v-dominated-by-h":
-                report = diag.v_dominated_by_h_check(traj, x_star, cap, cfg.schedule)
-            elif name == "vdot-bound":
-                report = diag.vdot_bound_check(
-                    traj, cfg.family, cfg.schedule, x_star, f_star, c1=cfg.system.c1
-                )
-            else:
-                report = diag.gap_integral_check(traj, cfg.family, cfg.schedule, f_star)
-            checks[name] = diag.CheckResult(name, report.passed, report.to_dict())
-        elif name == "min-cut-window":
-            window = params["min-cut-window"]["T"]
-            beta = params["min-cut-window"]["beta"]
-            starts = np.arange(0.0, cfg.t_end - window + 1e-9, window / 2)
-            cuts: dict[int, float] = {}
-            worst = min(
-                integrated_min_cut(cfg.process, float(t0), window, cuts=cuts)
-                for t0 in starts
-            )
-            checks[name] = diag.CheckResult(
-                name, worst >= beta, {"worst_window": worst, "beta": beta, "T": window}
-            )
+    ctx = RunContext(cfg, traj, oracle, gaps, est, series)
+    checks = {
+        name: diag.CheckResult(name, *CHECKS[name].verdict(ctx, opts))
+        for name, opts in cfg.checks.items()
+    }
 
     if cfg.family is not None:
         series["lyapunov"] = diag.lyapunov_series(traj, oracle[0])

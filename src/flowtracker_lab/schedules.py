@@ -138,14 +138,6 @@ def check_validity(schedule: StepSchedule, t_max: float = 1e3) -> ScheduleReport
     )
 
 
-def partial_square_integral(schedule: StepSchedule, t_hi: float, step: float = 1e-2) -> float:
-    """Trapezoid integral of alpha(t)^2 over [0, t_hi]."""
-    n = max(2, int(round(t_hi / step)))
-    grid = np.linspace(0.0, t_hi, n + 1)
-    vals = evaluate_many(schedule, grid) ** 2
-    return float(trapezoid(vals, grid))
-
-
 # --- the auxiliary integral inequality --------------------------------------
 
 

@@ -183,6 +183,10 @@ MALFORMED = {
         "check_params": {"min-cut-window": {"T": 0.5}},
     },
     "v-dominated-by-h-on-coarse-records": {"checks": ["v-dominated-by-h"]},
+    "check-listed-twice": {"checks": ["observer-bound", "consensus", "observer-bound"]},
+    "expectation-listed-twice": {
+        "expectations": [{"kind": "y-abs-max", "max": 1e-9}, {"kind": "y-abs-max", "max": 1.0}]
+    },
     "init-outside-box": {"init": {"x": [[0.0], [3.0]]}},
     "ratio-init-outside-box": {
         "dynamics": {"name": "push-sum"},
@@ -233,6 +237,8 @@ NAMED = {
     "gap-settled-tol-nan": "expectations[0].tol is NaN",
     "options-of-an-unlisted-check": "'min-cut-window', which checks does not list",
     "v-dominated-by-h-on-coarse-records": "v-dominated-by-h check needs record_every == h",
+    "check-listed-twice": "check 'observer-bound' is listed twice",
+    "expectation-listed-twice": "expectation 'y-abs-max' is listed twice",
     "init-outside-box": "initial outputs [[0.0], [3.0]] leave the validity box",
     "ratio-init-outside-box": "initial outputs [[0.0], [2.5]]",
 }
@@ -251,6 +257,114 @@ def test_malformed_config_exits_2_before_integration(tmp_path, capsys, case):
     assert "Traceback" not in captured.err
     # rejected while parsing, so no artifact was written
     assert not (tmp_path / "out").exists()
+
+
+# a value for each required expectation field
+REQUIRED_VALUES = {"value": [[0.0], [0.0]], "tol": 1.0, "max": 10.0, "min_distance": 0.0}
+
+ROWS = [("check", name, row) for name, row in harness.CHECKS.items()] + [
+    ("expectation", name, row) for name, row in harness.EXPECTATIONS.items()
+]
+ROW_IDS = [f"{label}:{name}" for label, name, _ in ROWS]
+
+
+def _with_row(label, name, row, **overrides):
+    """base_config with one check or one expectation, required fields given."""
+    if label == "check":
+        return base_config(checks=[name], **overrides)
+    given = {
+        key: REQUIRED_VALUES[key]
+        for key, default in row.fields.items()
+        if default is harness.REQUIRED
+    }
+    return base_config(expectations=[{"kind": name, **given}], **overrides)
+
+
+# the rows with each need, as the README and the schema state them
+ROWS_WITH_NEED = {
+    "family": {
+        "v-dominated-by-h", "vdot-bound", "gap-integral",
+        "y-final-near-oracle", "nonconvergence", "gap-settled",
+    },
+    "every_step": {"input-tracking", "v-dominated-by-h"},
+    "tail": {"y-limit", "nonconvergence"},
+}
+
+# each need: overrides that break it alone, and what the error then says
+UNMET_NEEDS = {
+    "family": ({"family": None, "record_every": 0.01}, "needs an objective family"),
+    "every_step": ({"record_every": 0.05}, "needs record_every == h"),
+    "tail": (
+        {"h": 0.1, "t_end": 2.0, "record_every": 0.1},
+        "averages the last tenth of the records, 3 here",
+    ),
+}
+
+
+@pytest.mark.parametrize("need", sorted(UNMET_NEEDS))
+@pytest.mark.parametrize("label, name, row", ROWS, ids=ROW_IDS)
+def test_each_row_needs_what_its_table_row_declares(tmp_path, capsys, label, name, row, need):
+    # a row that declares the need exits 2 naming itself; one that does not
+    # runs without it to a verdict
+    assert getattr(row, need) == (name in ROWS_WITH_NEED[need])
+    overrides, says = UNMET_NEEDS[need]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_with_row(label, name, row, **overrides)))
+    code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    printed = json.loads(capsys.readouterr().out)
+    if not getattr(row, need):
+        assert code in (0, 1), printed
+        return
+    assert code == 2
+    assert printed["kind"] == "config"
+    assert f"the {name} {label} {says}" in printed["error"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("label, name, row", ROWS, ids=ROW_IDS)
+def test_each_row_runs_when_its_needs_are_met(tmp_path, label, name, row):
+    # push-sum, so that weight-conservation has a ratio block to report
+    raw = _with_row(label, name, row, dynamics={"name": "push-sum"}, record_every=0.01)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) in (0, 1)
+    checks = json.loads((out / "report.json").read_text())["checks"]
+    if label == "check":
+        assert list(checks) == [name]
+        details = checks[name]["details"]
+    else:
+        assert list(checks) == [harness.EXPECTATIONS_CHECK]
+        details = checks[harness.EXPECTATIONS_CHECK]["details"][name]
+        assert isinstance(details["passed"], bool)
+    assert details or name == harness.EXPECTATIONS_CHECK
+
+
+@pytest.mark.parametrize(
+    "overrides, check",
+    [
+        ({"record_every": 0.1, "checks": ["input-tracking"]}, "input-tracking"),
+        (
+            {
+                "t_end": 2.0,
+                "record_every": 0.1,
+                "expectations": [{"kind": "y-limit", "value": [[0.0], [0.0]], "tol": 1.0}],
+            },
+            "expectations",
+        ),
+    ],
+    ids=["every-step-check", "short-tail"],
+)
+def test_full_resolution_needs_are_judged_on_the_recorded_grid(
+    tmp_path, capsys, overrides, check
+):
+    # coarse records fail the need; run --full-resolution records every step
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base_config(**overrides)))
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    assert json.loads(capsys.readouterr().out)["kind"] == "config"
+    assert main(["run", "--config", str(cfg_path), "--full-resolution"]) in (0, 1)
+    assert set(json.loads(capsys.readouterr().out)["checks"]) == {check}
 
 
 # every value the leaf-mutation contract tries; DELETE removes the leaf
@@ -331,7 +445,7 @@ def test_every_leaf_mutation_parses_or_raises_config_error():
                 pytest.fail(f"{case} raised {type(exc).__name__}: {exc}")
             outcomes["parsed"] += 1
             parsed = (
-                cfg.raw, cfg.check_params, cfg.expectations, cfg.init_state.x,
+                cfg.raw, cfg.checks, cfg.expectations, cfg.init_state.x,
                 cfg.init_state.aux, [cfg.t_end, cfg.h, cfg.record_every],
             )
             assert not _holds_nan_or_null(parsed), case
@@ -710,15 +824,23 @@ def test_schema_enums_match_the_code():
     random_spec = props["process"]["oneOf"][2]["properties"]["random"]
     assert tuple(props["dynamics"]["properties"]["name"]["enum"]) == SYSTEM_NAMES
     assert tuple(random_spec["properties"]["model"]["enum"]) == RANDOM_MODELS
-    assert tuple(props["checks"]["items"]["enum"]) == harness.KNOWN_CHECKS
-    kinds = props["expectations"]["items"]["properties"]["kind"]["enum"]
-    assert tuple(kinds) == tuple(harness.EXPECTATION_FIELDS)
+    assert tuple(props["checks"]["items"]["enum"]) == tuple(harness.CHECKS)
+    assert props["checks"]["uniqueItems"] is True
+    items = props["expectations"]["items"]["properties"]
+    assert tuple(items["kind"]["enum"]) == tuple(harness.EXPECTATIONS)
+    fields = {key for row in harness.EXPECTATIONS.values() for key in row.fields}
+    assert set(items) == {"kind"} | fields
     params = props["check_params"]
     assert params["additionalProperties"] is False
-    assert tuple(params["properties"]) == tuple(harness.CHECK_OPTIONS)
-    for name, options in harness.CHECK_OPTIONS.items():
-        assert params["properties"][name]["additionalProperties"] is False
-        assert tuple(params["properties"][name]["properties"]) == options
+    optioned = {name: row.fields for name, row in harness.CHECKS.items() if row.fields}
+    assert tuple(params["properties"]) == tuple(optioned)
+    for name, defaults in optioned.items():
+        options = params["properties"][name]
+        assert options["additionalProperties"] is False
+        assert tuple(options["properties"]) == tuple(defaults)
+        # a schema default is the row's default; no default is None
+        schema_defaults = {key: spec.get("default") for key, spec in options["properties"].items()}
+        assert schema_defaults == defaults, name
 
 
 def test_selftest_passes(capsys):

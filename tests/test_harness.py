@@ -140,8 +140,9 @@ class TestRun:
         assert not summary.all_checks_passed
 
     def test_full_resolution_flag(self):
-        cfg = harness.parse_config(small_config(checks=[], record_every=0.1))
-        summary = harness.run(cfg, full_resolution=True)
+        cfg = harness.parse_config(small_config(checks=[], record_every=0.1), full_resolution=True)
+        assert cfg.record_every == cfg.h
+        summary = harness.run(cfg)
         assert summary.all_checks_passed  # no checks; just runs
 
 
