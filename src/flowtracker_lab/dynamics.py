@@ -25,7 +25,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import CapabilityError, InvalidInputError
+from .errors import CapabilityError, InvalidInputError, check_known
 from .graphnet import LaplacianProcess
 from .objectives import ObjectiveFamily, gradient_affine_zone, gradient_map
 from .schedules import StepSchedule, constant, evaluate
@@ -239,9 +239,9 @@ def make_system(
     name: str, process: LaplacianProcess, d: int = 1, a: float = DEFAULT_GAIN
 ) -> FlowTrackerSystem:
     """The SYSTEMS row `name` on `process`, once the row's requirements hold."""
-    row = SYSTEMS.get(name)
-    if row is None:
-        raise InvalidInputError(f"unknown dynamics {name!r}; options: {SYSTEM_NAMES}")
+    check_known(name, SYSTEM_NAMES, "dynamics")
+    row = SYSTEMS[name]
+    a = float(a)  # a number on every row, also where the coupling ignores it
     if row.scalar and d != 1:
         raise CapabilityError(f"{name} is defined for scalar agent states (d = 1)")
     if row.gain and a <= 0:

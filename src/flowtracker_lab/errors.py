@@ -34,3 +34,9 @@ class DegenerateWeightsError(NumericalFailureError):
 
 class ConfigError(InvalidInputError):
     """An experiment configuration failed validation."""
+
+
+def check_known(key, options: tuple, what: str) -> None:
+    """Raise InvalidInputError naming `key` and the options unless it is one."""
+    if key not in options:
+        raise InvalidInputError(f"unknown {what} {key!r}; options: {options}")

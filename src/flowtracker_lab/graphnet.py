@@ -13,6 +13,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
@@ -20,7 +21,7 @@ from typing import Iterable, Iterator
 import numpy as np
 from scipy.optimize import linprog
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_known
 
 # Tolerance for structural predicates (balance, stationarity, null spaces).
 # Constructions are exact up to rounding, so this is generous.
@@ -471,7 +472,7 @@ def random_process(
     model: str,
     dwell: float,
     horizon: float,
-    seed: int,
+    seed: int = 0,
     h: float = DEFAULT_STEP,
     B: int | None = None,
 ) -> LaplacianProcess:
@@ -494,8 +495,9 @@ def random_process(
     """
     if n < 2:
         raise InvalidInputError("random processes need at least 2 agents")
-    if model not in RANDOM_MODELS:
-        raise InvalidInputError(f"unknown model {model!r}; options: {RANDOM_MODELS}")
+    check_known(model, RANDOM_MODELS, "model")
+    if not isinstance(seed, numbers.Integral):
+        raise InvalidInputError(f"seed must be an integer, got {seed!r}")
     if dwell <= 0:
         raise InvalidInputError("dwell must be positive")
     steps_in_span(dwell, h, "dwell")

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import diagnostics as diag
 from .dynamics import DEFAULT_GAIN, SYSTEMS, FlowTrackerSystem, gradient_feedback, make_system
-from .errors import ConfigError, FlowtrackerError, InvalidInputError
+from .errors import ConfigError, FlowtrackerError, InvalidInputError, check_known
 from .flowcore import ErgodicityReport, ergodicity_report
 from .graphnet import (
     DEFAULT_STEP,
@@ -35,7 +35,6 @@ from .graphnet import (
 from .objectives import (
     ObjectiveFamily,
     family_from_dict,
-    global_objective,
     gradient_bound,
     optimizer_oracle,
 )
@@ -78,8 +77,7 @@ class ExperimentConfig:
     name: str = "run"
 
     def digest(self) -> str:
-        canon = {k: v for k, v in self.raw.items() if k != "out"}
-        blob = json.dumps(canon, sort_keys=True, separators=(",", ":"))
+        blob = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
@@ -89,16 +87,7 @@ def _resolve_process(spec: dict, h: float) -> LaplacianProcess:
         with open(Path(spec["file"])) as fh:
             return process_from_dict(json.load(fh))
     if "random" in spec:
-        params = dict(spec["random"])
-        return random_process(
-            n=int(params["n"]),
-            model=params["model"],
-            dwell=float(params["dwell"]),
-            horizon=float(params["horizon"]),
-            seed=int(params.get("seed", 0)),
-            h=h,
-            B=params.get("B"),
-        )
+        return random_process(**spec["random"], h=h)
     return process_from_dict(spec)
 
 
@@ -163,18 +152,23 @@ _READ = {
 class Row:
     """One check or one expectation kind: its verdict, each field's default
     (REQUIRED for one the config must give), its needs (an objective family
-    and the oracle, records at every step, a record tail of MIN_TAIL), and
-    a hook that checks the resolved fields against the parsed config."""
+    and the oracle, records at every step, a record tail of MIN_TAIL, a
+    ratio block), and a hook that checks the resolved fields against the
+    parsed config."""
 
     verdict: Callable
     fields: dict = field(default_factory=dict)
     family: bool = False
     every_step: bool = False
     tail: bool = False
+    ratio: bool = False
     hook: Callable = lambda opts, cfg: None
 
-    def resolve(self, spec: dict) -> dict:
-        """The fields read from spec, a missing one as its default."""
+    def resolve(self, name: str, spec: dict) -> dict:
+        """The fields read from spec, a missing one as its default; a key
+        that is not a field of the row named `name` is rejected."""
+        for key in spec:
+            check_known(key, tuple(self.fields), f"{name} option")
         out = dict(self.fields)
         for key, default in self.fields.items():
             if key in spec or default is REQUIRED:
@@ -306,7 +300,7 @@ CHECKS = {
     "v-dominated-by-h": Row(RunContext.v_dominated_by_h, family=True, every_step=True),
     "vdot-bound": Row(RunContext.vdot_bound, family=True),
     "gap-integral": Row(RunContext.gap_integral, family=True),
-    "weight-conservation": Row(RunContext.weight_conservation),
+    "weight-conservation": Row(RunContext.weight_conservation, ratio=True),
     # flow_h None is the run's step h
     "observer-bound": Row(
         RunContext.observer_bound, {"flow_h": None, "declared": None}, hook=_flow_step_fits
@@ -344,19 +338,13 @@ def parse_config(raw: dict, full_resolution: bool = False) -> ExperimentConfig:
         seed = int(raw.get("seed", 0))
         d = int(raw.get("d", 1))
         dyn = dict(raw.get("dynamics", {}))
-        gain = float(dyn.get("a", DEFAULT_GAIN))
         checks = tuple(raw.get("checks", ()))
         params = {key: dict(value) for key, value in dict(raw.get("check_params", {})).items()}
-        expectations = [(spec["kind"], spec) for spec in map(dict, raw.get("expectations", ()))]
+        expectations = [(spec.pop("kind"), spec) for spec in map(dict, raw.get("expectations", ()))]
         name = str(raw.get("name", "run"))
-        for key, options in params.items():
-            fields = tuple(CHECKS[key].fields) if key in CHECKS else ()
-            if not fields:
-                optioned = tuple(check for check, row in CHECKS.items() if row.fields)
-                raise ConfigError(f"unknown check_params entry {key!r}; options: {optioned}")
-            unknown = sorted(set(options) - set(fields))
-            if unknown:
-                raise ConfigError(f"unknown {key} option {unknown[0]!r}; options: {fields}")
+        optioned = tuple(check for check, row in CHECKS.items() if row.fields)
+        for key in params:
+            check_known(key, optioned, "check_params entry")
             if key not in checks:
                 raise ConfigError(
                     f"check_params sets options of {key!r}, which checks does not list"
@@ -390,7 +378,7 @@ def parse_config(raw: dict, full_resolution: bool = False) -> ExperimentConfig:
             )
         d = family.d
     with _part("dynamics"):
-        system = make_system(dyn["name"], process, d=d, a=gain)
+        system = make_system(dyn.pop("name"), process, d=d, **dyn)
 
     if family is not None and family.n != system.n:
         raise ConfigError(
@@ -400,11 +388,8 @@ def parse_config(raw: dict, full_resolution: bool = False) -> ExperimentConfig:
         init_spec = raw.get("init", {})
         if not isinstance(init_spec, dict):
             raise ConfigError("init must be an object")
-        unknown = sorted(set(init_spec) - {"x", "random", *INIT_AUX_KEYS})
-        if unknown:
-            raise ConfigError(
-                f"unknown init key {unknown[0]!r}; options: {('x', 'random') + INIT_AUX_KEYS}"
-            )
+        for key in init_spec:
+            check_known(key, ("x", "random") + INIT_AUX_KEYS, "init key")
         if "x" in init_spec:
             x0 = np.asarray(init_spec["x"], dtype=float)
         else:
@@ -443,6 +428,8 @@ def parse_config(raw: dict, full_resolution: bool = False) -> ExperimentConfig:
     )
     if expectations and EXPECTATIONS_CHECK not in checks:
         checks += (EXPECTATIONS_CHECK,)
+    elif not expectations and EXPECTATIONS_CHECK in checks:
+        raise ConfigError(f"the {EXPECTATIONS_CHECK} check has no expectations to check")
     with _part("checks"):
         rows = [(CHECKS, "check", key, params.get(key, {}), cfg.checks) for key in checks]
     rows += [(EXPECTATIONS, "expectation", *pair, cfg.expectations) for pair in expectations]
@@ -458,13 +445,15 @@ def parse_config(raw: dict, full_resolution: bool = False) -> ExperimentConfig:
             raise ConfigError(f"the {key} {label} needs an objective family")
         if row.every_step and abs(record_every - h) > 1e-12:
             raise ConfigError(f"the {key} {label} needs record_every == h")
+        if row.ratio and system.ratio is None:
+            raise ConfigError(f"the {key} {label} needs dynamics with a ratio block")
         if row.tail and tail < MIN_TAIL:
             raise ConfigError(
                 f"the {key} {label} averages the last tenth of the records, "
                 f"{tail} here; it needs {MIN_TAIL} (t_end / record_every >= 90)"
             )
         with _part(f"the {key} {label}"):
-            resolved[key] = row.resolve(spec)
+            resolved[key] = row.resolve(key, spec)
             row.hook(resolved[key], cfg)
     return cfg
 
@@ -535,11 +524,8 @@ def run(cfg: ExperimentConfig, out_dir=None) -> RunSummary:
             )
 
     report = diag.DiagnosticsReport(traj.times, series, checks)
-    gap_end = (
-        float(global_objective(cfg.family, traj.xbar[-1]) - oracle[1])
-        if cfg.family is not None
-        else None
-    )
+    # the gap series' last entry, so that the summary and the CSV agree
+    gap_end = float(gaps[-1]) if gaps is not None else None
     summary = RunSummary(
         name=cfg.name,
         digest=cfg.digest(),

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 from scipy.special import expit
 
-from .errors import CapabilityError, InvalidInputError, NumericalFailureError
+from .errors import CapabilityError, InvalidInputError, NumericalFailureError, check_known
 
 ORACLE_GRAD_TOL = 1e-12
 
@@ -153,13 +153,15 @@ class _Logistic:
 
 @dataclass(frozen=True, eq=False)
 class ObjectiveFamily:
-    """n convex differentiable per-agent objectives on R^d."""
+    """n convex differentiable per-agent objectives on R^d, with the
+    parameters its constructor validated, as FAMILIES[kind] takes them."""
 
     kind: str
     n: int
     d: int
     agents: tuple
     validity_box: Box | None = None
+    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.n < 1 or self.d < 1:
@@ -190,29 +192,35 @@ def mirror_pair(
     """
     if offset <= 0 or curvature <= 0:
         raise InvalidInputError("offset and curvature must be positive")
+    offset, curvature = float(offset), float(curvature)
     if box is None:
         box = Box(np.array([-2.0]), np.array([2.0]))
     agents = (
         _Quadratic(np.array([offset]), curvature),
         _Quadratic(np.array([-offset]), curvature),
     )
-    return ObjectiveFamily("mirror-pair", 2, 1, agents, box)
+    params = {"offset": offset, "curvature": curvature}
+    return ObjectiveFamily("mirror-pair", 2, 1, agents, box, params)
 
 
 def huberized_quadratic(
-    centers: Sequence, radius: float, curvature: float = 1.0
+    centers: Sequence, radius: float, curvature: float = 1.0, box: Box | None = None
 ) -> ObjectiveFamily:
     """Per-agent huberized quadratics centered at `centers` (n x d)."""
     c = np.atleast_2d(np.asarray(centers, dtype=float))
     if radius <= 0 or curvature <= 0:
         raise InvalidInputError("radius and curvature must be positive")
+    radius, curvature = float(radius), float(curvature)
     _check_huber_scale(curvature, radius)
     n, d = c.shape
     agents = tuple(_Huber(c[i].copy(), curvature, radius) for i in range(n))
-    return ObjectiveFamily("huberized-quadratic", n, d, agents)
+    params = {"centers": c.tolist(), "radius": radius, "curvature": curvature}
+    return ObjectiveFamily("huberized-quadratic", n, d, agents, box, params)
 
 
-def logistic_scalar(signs: Sequence[float], offsets: Sequence[float]) -> ObjectiveFamily:
+def logistic_scalar(
+    signs: Sequence[float], offsets: Sequence[float], box: Box | None = None
+) -> ObjectiveFamily:
     """Scalar softplus ramps; mixed signs make the sum coercive."""
     signs = [float(s) for s in signs]
     offsets = [float(b) for b in offsets]
@@ -223,7 +231,11 @@ def logistic_scalar(signs: Sequence[float], offsets: Sequence[float]) -> Objecti
     if 1.0 not in signs or -1.0 not in signs:
         raise InvalidInputError("need both signs so the sum has a minimizer")
     agents = tuple(_Logistic(s, b) for s, b in zip(signs, offsets))
-    return ObjectiveFamily("logistic-scalar", len(signs), 1, agents)
+    params = {"signs": signs, "offsets": offsets}
+    return ObjectiveFamily("logistic-scalar", len(signs), 1, agents, box, params)
+
+
+TABLE_ENTRY_KEYS = ("form", "center", "curvature", "radius")
 
 
 def custom_table(entries: Sequence[dict], box: Box | None = None) -> ObjectiveFamily:
@@ -235,8 +247,11 @@ def custom_table(entries: Sequence[dict], box: Box | None = None) -> ObjectiveFa
     if not entries:
         raise InvalidInputError("custom table needs at least one entry")
     agents = []
+    normalized = []
     d = None
     for entry in entries:
+        for key in entry:
+            check_known(key, TABLE_ENTRY_KEYS, "custom-table entry key")
         center = np.atleast_1d(np.asarray(entry["center"], dtype=float))
         if center.ndim != 1:
             raise InvalidInputError(f"a center must be a point, got shape {center.shape}")
@@ -248,6 +263,7 @@ def custom_table(entries: Sequence[dict], box: Box | None = None) -> ObjectiveFa
         if curv <= 0:
             raise InvalidInputError("curvature must be positive")
         form = entry.get("form", "quadratic")
+        spec = {"form": form, "center": center.tolist(), "curvature": curv}
         if form == "quadratic":
             agents.append(_Quadratic(center, curv))
         elif form == "huber":
@@ -256,9 +272,21 @@ def custom_table(entries: Sequence[dict], box: Box | None = None) -> ObjectiveFa
                 raise InvalidInputError("huber radius must be positive")
             _check_huber_scale(curv, radius)
             agents.append(_Huber(center, curv, radius))
+            spec["radius"] = radius
         else:
             raise InvalidInputError(f"unknown objective form {form!r}")
-    return ObjectiveFamily("custom-table", len(agents), d, tuple(agents), box)
+        normalized.append(spec)
+    params = {"entries": normalized}
+    return ObjectiveFamily("custom-table", len(agents), d, tuple(agents), box, params)
+
+
+# each kind's constructor, which takes the kind's params and a box
+FAMILIES = {
+    "mirror-pair": mirror_pair,
+    "huberized-quadratic": huberized_quadratic,
+    "logistic-scalar": logistic_scalar,
+    "custom-table": custom_table,
+}
 
 
 # --- evaluation -------------------------------------------------------------
@@ -418,43 +446,7 @@ def gradient_bound(fam: ObjectiveFamily, box: Box | None = None) -> float:
 
 
 def family_to_dict(fam: ObjectiveFamily) -> dict:
-    params: dict = {}
-    if fam.kind == "mirror-pair":
-        agent = fam.agents[0]
-        params = {"offset": float(agent.center[0]), "curvature": agent.curvature}
-    elif fam.kind == "huberized-quadratic":
-        params = {
-            "centers": [agent.center.tolist() for agent in fam.agents],
-            "radius": fam.agents[0].radius,
-            "curvature": fam.agents[0].curvature,
-        }
-    elif fam.kind == "logistic-scalar":
-        params = {
-            "signs": [agent.sign for agent in fam.agents],
-            "offsets": [agent.offset for agent in fam.agents],
-        }
-    elif fam.kind == "custom-table":
-        entries = []
-        for agent in fam.agents:
-            if isinstance(agent, _Huber):
-                entries.append(
-                    {
-                        "form": "huber",
-                        "center": agent.center.tolist(),
-                        "curvature": agent.curvature,
-                        "radius": agent.radius,
-                    }
-                )
-            else:
-                entries.append(
-                    {
-                        "form": "quadratic",
-                        "center": agent.center.tolist(),
-                        "curvature": agent.curvature,
-                    }
-                )
-        params = {"entries": entries}
-    out = {"kind": fam.kind, "n": fam.n, "d": fam.d, "params": params}
+    out = {"kind": fam.kind, "n": fam.n, "d": fam.d, "params": fam.params}
     if fam.validity_box is not None:
         out["box"] = fam.validity_box.to_list()
     return out
@@ -463,27 +455,11 @@ def family_to_dict(fam: ObjectiveFamily) -> dict:
 def family_from_dict(data: dict) -> ObjectiveFamily:
     """The family a dict describes; harness guards against a malformed one."""
     kind = data["kind"]
+    check_known(kind, tuple(FAMILIES), "objective kind")
     params = data.get("params", {})
     if not isinstance(params, dict):
         raise InvalidInputError(f"family params must be an object, got {params!r}")
-    box = None
-    if data.get("box") is not None:
-        lo, hi = data["box"]
-        box = Box(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
-    if kind == "mirror-pair":
-        return mirror_pair(
-            offset=float(params.get("offset", 1.0)),
-            curvature=float(params.get("curvature", 1.0)),
-            box=box,
-        )
-    if kind == "huberized-quadratic":
-        return huberized_quadratic(
-            params["centers"],
-            radius=float(params["radius"]),
-            curvature=float(params.get("curvature", 1.0)),
-        )
-    if kind == "logistic-scalar":
-        return logistic_scalar(params["signs"], params["offsets"])
-    if kind == "custom-table":
-        return custom_table(params["entries"], box=box)
-    raise InvalidInputError(f"unknown objective kind {kind!r}")
+    box = data.get("box")
+    if box is not None:
+        box = Box(*box)
+    return FAMILIES[kind](**params, box=box)

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.integrate import trapezoid
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_known
 
 LEMMA_STEP = 1e-2
 LEMMA_TOL = 1e-4
@@ -31,7 +31,7 @@ class StepSchedule:
     pieces: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self):
-        if self.kind not in ("power-law", "constant", "custom-piecewise"):
+        if self.kind not in SCHEDULES:
             raise InvalidInputError(f"unknown schedule kind {self.kind!r}")
         if self.kind == "custom-piecewise":
             if not self.pieces:
@@ -64,6 +64,9 @@ def custom_piecewise(times: Sequence[float], values: Sequence[float]) -> StepSch
     if len(times) != len(values):
         raise InvalidInputError("times and values must have equal length")
     return StepSchedule("custom-piecewise", pieces=tuple(zip(map(float, times), map(float, values))))
+
+
+SCHEDULES = {"power-law": power_law, "constant": constant, "custom-piecewise": custom_piecewise}
 
 
 def evaluate(schedule: StepSchedule, t: float) -> float:
@@ -259,11 +262,7 @@ def schedule_to_dict(schedule: StepSchedule) -> dict:
 
 def schedule_from_dict(data: dict) -> StepSchedule:
     """The schedule a dict describes; harness guards against a malformed one."""
-    kind = data["kind"]
-    if kind == "power-law":
-        return power_law(float(data.get("a0", 1.0)), float(data.get("p", 1.0)))
-    if kind == "constant":
-        return constant(float(data["a0"]))
-    if kind == "custom-piecewise":
-        return custom_piecewise(data["times"], data["values"])
-    raise InvalidInputError(f"unknown schedule kind {kind!r}")
+    rest = dict(data)
+    kind = rest.pop("kind")
+    check_known(kind, tuple(SCHEDULES), "schedule kind")
+    return SCHEDULES[kind](**rest)

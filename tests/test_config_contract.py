@@ -2,6 +2,7 @@
 before anything is integrated, and the JSON artifacts keep their keys."""
 
 import copy
+import inspect
 import json
 import math
 import os
@@ -15,9 +16,11 @@ import pytest
 import flowtracker_lab
 from flowtracker_lab import harness
 from flowtracker_lab.cli import main
-from flowtracker_lab.dynamics import SYSTEM_NAMES
+from flowtracker_lab.dynamics import SYSTEM_NAMES, make_system
 from flowtracker_lab.errors import ConfigError
 from flowtracker_lab.graphnet import RANDOM_MODELS
+from flowtracker_lab.objectives import FAMILIES
+from flowtracker_lab.schedules import SCHEDULES
 
 
 def base_config(**overrides):
@@ -80,6 +83,27 @@ MALFORMED = {
     "consensus-unknown-option": {
         "checks": ["consensus"],
         "check_params": {"consensus": {"tolerance": 1e9}},
+    },
+    "gap-settled-unknown-field": {"expectations": [{"kind": "gap-settled", "tolerance": 1e-9}]},
+    "weight-conservation-without-ratio": {"checks": ["weight-conservation"]},
+    "expectations-check-without-expectations": {"checks": ["expectations"]},
+    "dynamics-misspelt-gain": {"dynamics": {"name": "saddle-point", "gain": 3}},
+    "power-law-misspelt-p": {"schedule": {"kind": "power-law", "a0": 0.5, "P": 0.6}},
+    "mirror-misspelt-offset": {"family": {"kind": "mirror-pair", "params": {"ofset": 3.0}}},
+    "random-misspelt-seed": {"process": {"random": {**RANDOM_PROCESS, "sed": 7}}},
+    "random-fractional-seed": {"process": {"random": {**RANDOM_PROCESS, "seed": 1.5}}},
+    "random-seed-list": {"process": {"random": {**RANDOM_PROCESS, "seed": [1, 2]}}},
+    "averaging-gain-text": {"dynamics": {"name": "averaging", "a": "x"}},
+    "table-misspelt-radius": {
+        "family": {
+            "kind": "custom-table",
+            "params": {
+                "entries": [
+                    {"form": "huber", "center": [0.2], "radius": 1.0},
+                    {"form": "huber", "center": [-0.2], "radus": 1.0},
+                ]
+            },
+        }
     },
     "window-text": {
         "checks": ["min-cut-window"],
@@ -206,6 +230,25 @@ NAMED = {
     "oracle-without-family": "family",
     "check-params-unknown-check": "unknown check_params entry 'observer-bnd'",
     "consensus-unknown-option": "unknown consensus option 'tolerance'",
+    "gap-settled-unknown-field": "unknown gap-settled option 'tolerance'",
+    "weight-conservation-without-ratio": (
+        "the weight-conservation check needs dynamics with a ratio"
+    ),
+    "expectations-check-without-expectations": "expectations check has no expectations",
+    "dynamics-misspelt-gain": (
+        "dynamics invalid: make_system() got an unexpected keyword argument 'gain'"
+    ),
+    "power-law-misspelt-p": "schedule invalid: power_law() got an unexpected keyword argument 'P'",
+    "mirror-misspelt-offset": (
+        "family invalid: mirror_pair() got an unexpected keyword argument 'ofset'"
+    ),
+    "random-misspelt-seed": (
+        "process invalid: random_process() got an unexpected keyword argument 'sed'"
+    ),
+    "random-fractional-seed": "process invalid: seed must be an integer, got 1.5",
+    "random-seed-list": "process invalid: seed must be an integer, got [1, 2]",
+    "averaging-gain-text": "dynamics invalid",
+    "table-misspelt-radius": "family invalid: unknown custom-table entry key 'radus'",
     "flow-step-of-horizon": "flow_h",
     "flow-step-overflow": "flow_h",
     "flow-step-off-switches": "switching time 0.5",
@@ -269,8 +312,13 @@ ROW_IDS = [f"{label}:{name}" for label, name, _ in ROWS]
 
 
 def _with_row(label, name, row, **overrides):
-    """base_config with one check or one expectation, required fields given."""
+    """base_config on push-sum, whose ratio block weight-conservation needs,
+    with one check or one expectation, required fields given; the
+    expectations check gets a y-abs-max expectation to check."""
+    overrides = {"dynamics": {"name": "push-sum"}, **overrides}
     if label == "check":
+        if name == harness.EXPECTATIONS_CHECK:
+            overrides["expectations"] = [{"kind": "y-abs-max", "max": REQUIRED_VALUES["max"]}]
         return base_config(checks=[name], **overrides)
     given = {
         key: REQUIRED_VALUES[key]
@@ -288,6 +336,7 @@ ROWS_WITH_NEED = {
     },
     "every_step": {"input-tracking", "v-dominated-by-h"},
     "tail": {"y-limit", "nonconvergence"},
+    "ratio": {"weight-conservation"},
 }
 
 # each need: overrides that break it alone, and what the error then says
@@ -297,6 +346,10 @@ UNMET_NEEDS = {
     "tail": (
         {"h": 0.1, "t_end": 2.0, "record_every": 0.1},
         "averages the last tenth of the records, 3 here",
+    ),
+    "ratio": (
+        {"dynamics": {"name": "averaging"}, "record_every": 0.01},
+        "needs dynamics with a ratio block",
     ),
 }
 
@@ -323,8 +376,7 @@ def test_each_row_needs_what_its_table_row_declares(tmp_path, capsys, label, nam
 
 @pytest.mark.parametrize("label, name, row", ROWS, ids=ROW_IDS)
 def test_each_row_runs_when_its_needs_are_met(tmp_path, label, name, row):
-    # push-sum, so that weight-conservation has a ratio block to report
-    raw = _with_row(label, name, row, dynamics={"name": "push-sum"}, record_every=0.01)
+    raw = _with_row(label, name, row, record_every=0.01)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(raw))
     out = tmp_path / "out"
@@ -337,7 +389,7 @@ def test_each_row_runs_when_its_needs_are_met(tmp_path, label, name, row):
         assert list(checks) == [harness.EXPECTATIONS_CHECK]
         details = checks[harness.EXPECTATIONS_CHECK]["details"][name]
         assert isinstance(details["passed"], bool)
-    assert details or name == harness.EXPECTATIONS_CHECK
+    assert details
 
 
 @pytest.mark.parametrize(
@@ -693,6 +745,22 @@ def test_artifact_json_keys(tmp_path, capsys):
     assert all(isinstance(path, str) for path in summary["files"])
 
 
+def test_summary_gap_is_the_last_entry_of_the_gap_series(tmp_path, capsys):
+    # at d = 2 the scalar objective sums in another order than the series;
+    # on these points the two once differed in the last digits
+    raw = base_config(
+        family={
+            "kind": "huberized-quadratic",
+            "params": {"centers": [[0.02, 0.9], [-0.71, 0.9]], "radius": 2.0},
+        },
+        init={"x": [[-0.38, -0.15], [0.66, -0.18]]},
+        t_end=0.5,
+    )
+    _, summary = _run_keys(tmp_path, raw)
+    last_row = (tmp_path / "out" / "optimality_gap.csv").read_text().splitlines()[-1]
+    assert summary["optimality_gap_end"] == float(last_row.split(",")[1])
+
+
 def test_observer_bound_without_rate_keys(tmp_path, capsys):
     # a graph with no edges never mixes, so the rate fit is unavailable
     raw = base_config(
@@ -823,6 +891,10 @@ def test_schema_enums_match_the_code():
     props = schema["properties"]
     random_spec = props["process"]["oneOf"][2]["properties"]["random"]
     assert tuple(props["dynamics"]["properties"]["name"]["enum"]) == SYSTEM_NAMES
+    gain = inspect.signature(make_system).parameters["a"].default
+    assert props["dynamics"]["properties"]["a"]["default"] == gain
+    assert tuple(props["family"]["properties"]["kind"]["enum"]) == tuple(FAMILIES)
+    assert tuple(props["schedule"]["properties"]["kind"]["enum"]) == tuple(SCHEDULES)
     assert tuple(random_spec["properties"]["model"]["enum"]) == RANDOM_MODELS
     assert tuple(props["checks"]["items"]["enum"]) == tuple(harness.CHECKS)
     assert props["checks"]["uniqueItems"] is True

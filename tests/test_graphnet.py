@@ -379,6 +379,27 @@ class TestStationaryDistribution:
         assert found is not None
         assert np.allclose(found, pi, atol=1e-9)
 
+    @pytest.mark.parametrize(
+        "weights, pi",
+        [
+            # two disjoint pairs, weights (1, 2) and (1, 1)
+            ({(0, 1): 1.0, (1, 0): 2.0, (2, 3): 1.0, (3, 2): 1.0}, [0.2, 0.4, 0.2, 0.2]),
+            # a 1:3 pair and an isolated agent
+            ({(0, 1): 1.0, (1, 0): 3.0}, [0.2, 0.6, 0.2]),
+        ],
+        ids=["two-pairs", "pair-and-isolated"],
+    )
+    def test_reducible_process_maximizes_the_smallest_entry(self, weights, pi):
+        # each component holds one null direction; of their normalized
+        # combinations the linear program picks the one whose least entry
+        # is largest, which gives every component the same least entry
+        w = np.zeros((len(pi), len(pi)))
+        for edge, value in weights.items():
+            w[edge] = value
+        found = common_stationary_distribution(constant_process(make_laplacian(w), 1.0))
+        assert found is not None
+        assert np.allclose(found, pi, atol=1e-9)
+
 
 class TestRandomProcess:
     def test_deterministic_for_fixed_seed(self):

@@ -3,6 +3,7 @@ import pytest
 
 from flowtracker_lab.errors import CapabilityError, InvalidInputError
 from flowtracker_lab.objectives import (
+    FAMILIES,
     Box,
     custom_table,
     family_from_dict,
@@ -203,6 +204,7 @@ class TestSerialization:
     @pytest.mark.parametrize("fam", all_families(), ids=lambda f: f.kind)
     def test_round_trip(self, fam):
         back = family_from_dict(family_to_dict(fam))
+        assert family_to_dict(back) == family_to_dict(fam)
         assert back.kind == fam.kind
         assert back.n == fam.n and back.d == fam.d
         rng = np.random.default_rng(31)
@@ -211,6 +213,13 @@ class TestSerialization:
             assert np.allclose(
                 stacked_gradient(fam, pts), stacked_gradient(back, pts)
             )
+
+    @pytest.mark.parametrize("kind", sorted(FAMILIES))
+    def test_declared_box_is_kept_for_every_kind(self, kind):
+        fam = next(f for f in all_families() if f.kind == kind)
+        data = {**family_to_dict(fam), "box": [[-5.0] * fam.d, [5.0] * fam.d]}
+        back = family_from_dict(data)
+        assert family_to_dict(back) == data
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(InvalidInputError):
