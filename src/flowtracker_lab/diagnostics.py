@@ -55,8 +55,8 @@ def lyapunov_series(traj: Trajectory, x_star: np.ndarray) -> np.ndarray:
 
 
 def objective_series(traj: Trajectory, family: ObjectiveFamily) -> np.ndarray:
-    """F(xbar(t_k)) for every sample, one array pass per agent."""
-    return sum(agent.values(traj.xbar) for agent in family.agents)
+    """F(xbar(t_k)) for every sample, in one array pass."""
+    return family.objective(traj.xbar)
 
 
 @dataclass(frozen=True)

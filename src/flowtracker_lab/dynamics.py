@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import CapabilityError, InvalidInputError, check_known
 from .graphnet import LaplacianProcess
-from .objectives import ObjectiveFamily, gradient_affine_zone, gradient_map
+from .objectives import ObjectiveFamily
 from .schedules import StepSchedule, constant, evaluate
 
 # Ratio weights below this abort the run instead of being clamped;
@@ -300,9 +300,7 @@ class GradientFeedback:
     def __init__(self, family: ObjectiveFamily, schedule: StepSchedule):
         self.family = family
         self.schedule = schedule
-        self.n = family.n
-        self.d = family.d
-        self._grad = gradient_map(family)
+        self._grad = family.form.grad
 
     def __call__(self, t: float, y: np.ndarray) -> np.ndarray:
         return (-evaluate(self.schedule, t)) * self._grad(y)
@@ -313,7 +311,7 @@ class GradientFeedback:
         row y_i lies within radius[i] of center[i]: everywhere (radius inf)
         for quadratic agents, within the radius for huber ones; any
         schedule. None for a family without an affine form (logistic)."""
-        zone = gradient_affine_zone(self.family)
+        zone = self.family.form.affine_zone()
         if zone is None:
             return None
         slope, intercept, center, radius = zone

@@ -1,5 +1,7 @@
 """Exception hierarchy shared by all flowtracker-lab modules."""
 
+import numbers
+
 
 class FlowtrackerError(Exception):
     """Base class for everything raised on purpose by this package."""
@@ -40,3 +42,9 @@ def check_known(key, options: tuple, what: str) -> None:
     """Raise InvalidInputError naming `key` and the options unless it is one."""
     if key not in options:
         raise InvalidInputError(f"unknown {what} {key!r}; options: {options}")
+
+
+def check_integer(value, what: str) -> None:
+    """Raise InvalidInputError unless value is an integer: not 1.5, nor [1, 2]."""
+    if not isinstance(value, numbers.Integral):
+        raise InvalidInputError(f"{what} must be an integer, got {value!r}")

@@ -13,7 +13,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-import numbers
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
@@ -21,7 +20,7 @@ from typing import Iterable, Iterator
 import numpy as np
 from scipy.optimize import linprog
 
-from .errors import InvalidInputError, check_known
+from .errors import InvalidInputError, check_integer, check_known
 
 # Tolerance for structural predicates (balance, stationarity, null spaces).
 # Constructions are exact up to rounding, so this is generous.
@@ -34,6 +33,8 @@ DEFAULT_STEP = 1e-3
 def steps_in_span(span: float, h: float, what: str) -> int:
     """Steps of size h in span, which must land on the step grid within
     a relative 1e-9; the one grid rule of processes, flows and runs."""
+    if not h > 0:
+        raise InvalidInputError(f"step h must be positive, got {h}")
     steps = span / h
     if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9 * max(1.0, abs(steps)):
         raise InvalidInputError(f"{what} ({span}) is not a multiple of the step {h}")
@@ -104,11 +105,11 @@ class Laplacian:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvalidInputError("Laplacian must be a square matrix")
         if not np.all(np.isfinite(m)):
-            raise InvalidInputError("Laplacian entries must be finite")
+            raise InvalidInputError("weights and Laplacian entries must be finite")
         off = m.copy()
         np.fill_diagonal(off, 0.0)
         if np.any(off > 0):
-            raise InvalidInputError("off-diagonal Laplacian entries must be <= 0")
+            raise InvalidInputError("weights must be nonnegative (off-diagonal entries <= 0)")
         col = np.abs(m.sum(axis=0))
         if np.any(col > TAU_STRUCT):
             raise InvalidInputError(
@@ -144,14 +145,11 @@ def make_laplacian(weights: np.ndarray) -> Laplacian:
     w = np.asarray(weights, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise InvalidInputError("weights must be a square matrix")
-    if not np.all(np.isfinite(w)):
-        raise InvalidInputError("weights must be finite")
-    if np.any(w < 0):
-        raise InvalidInputError("weights must be nonnegative")
     if np.any(np.diagonal(w) != 0):
         raise InvalidInputError("weights must have a zero diagonal")
     lap = -w
     np.fill_diagonal(lap, w.sum(axis=0))
+    # the Laplacian's own checks reject non-finite and negative weights
     return Laplacian(lap)
 
 
@@ -496,8 +494,7 @@ def random_process(
     if n < 2:
         raise InvalidInputError("random processes need at least 2 agents")
     check_known(model, RANDOM_MODELS, "model")
-    if not isinstance(seed, numbers.Integral):
-        raise InvalidInputError(f"seed must be an integer, got {seed!r}")
+    check_integer(seed, "seed")
     if dwell <= 0:
         raise InvalidInputError("dwell must be positive")
     steps_in_span(dwell, h, "dwell")

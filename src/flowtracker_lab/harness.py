@@ -22,7 +22,7 @@ import numpy as np
 
 from . import diagnostics as diag
 from .dynamics import DEFAULT_GAIN, SYSTEMS, FlowTrackerSystem, gradient_feedback, make_system
-from .errors import ConfigError, FlowtrackerError, InvalidInputError, check_known
+from .errors import ConfigError, FlowtrackerError, InvalidInputError, check_integer, check_known
 from .flowcore import ErgodicityReport, ergodicity_report
 from .graphnet import (
     DEFAULT_STEP,
@@ -79,6 +79,15 @@ class ExperimentConfig:
     def digest(self) -> str:
         blob = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+def random_init(n: int, d: int, seed: int, scale: float = 1.0) -> np.ndarray:
+    """Initial outputs drawn uniformly from [-scale, scale]; init.random's
+    keys are this function's keyword arguments, seed the config's by default."""
+    check_integer(seed, "seed")
+    if not scale > 0:
+        raise InvalidInputError(f"scale must be positive, got {scale!r}")
+    return np.random.default_rng(seed).uniform(-scale, scale, (n, d))
 
 
 def _resolve_process(spec: dict, h: float) -> LaplacianProcess:
@@ -332,8 +341,6 @@ def parse_config(raw: dict, full_resolution: bool = False) -> ExperimentConfig:
         _reject_bad_number(raw)
         h = float(raw["h"])
         t_end = float(raw["t_end"])
-        if h <= 0:
-            raise ConfigError("h must be positive")
         record_every = float(raw.get("record_every", DEFAULT_RECORD_EVERY))
         seed = int(raw.get("seed", 0))
         d = int(raw.get("d", 1))
@@ -393,10 +400,7 @@ def parse_config(raw: dict, full_resolution: bool = False) -> ExperimentConfig:
         if "x" in init_spec:
             x0 = np.asarray(init_spec["x"], dtype=float)
         else:
-            rand = init_spec.get("random", {})
-            rng = np.random.default_rng(int(rand.get("seed", seed)))
-            scale = float(rand.get("scale", 1.0))
-            x0 = rng.uniform(-scale, scale, (system.n, system.d))
+            x0 = random_init(system.n, system.d, **{"seed": seed, **init_spec.get("random", {})})
         aux = {
             key: np.asarray(init_spec[key], dtype=float)
             for key in INIT_AUX_KEYS

@@ -1,16 +1,17 @@
 """Per-agent convex objective families, gradients, bounds, and minimizer oracles.
 
 Each family assigns a convex differentiable f_i to each of n agents; the
-network-wide objective is their sum. Kinds with intrinsically bounded
-gradients (huberized quadratics, logistic) carry an analytic gradient cap;
-plain quadratics have unbounded gradients, so they carry a validity box
-instead and the cap is taken over that box. Simulations are expected to
-assert that trajectories stay inside the declared box.
+network-wide objective is their sum. A family holds its agents as the rows
+of one of two forms, HuberForm (a quadratic is a huber objective of
+infinite radius) or LogisticForm, and each form evaluates every agent in
+one array pass. Huber agents of finite radius and logistic agents have
+intrinsically bounded gradients; quadratic agents do not, so a family with
+one carries a validity box and the cap is taken over that box. Simulations
+are expected to assert that trajectories stay inside the declared box.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -21,6 +22,7 @@ from scipy.special import expit
 from .errors import CapabilityError, InvalidInputError, NumericalFailureError, check_known
 
 ORACLE_GRAD_TOL = 1e-12
+FLOAT_MAX = np.finfo(float).max
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,10 +50,6 @@ class Box:
         """Which entries of the points y (..., d) lie outside; NaN does not."""
         return (y < self.lo) | (y > self.hi)
 
-    def corners(self):
-        for choice in itertools.product(*zip(self.lo, self.hi)):
-            yield np.array(choice)
-
     def to_list(self) -> list:
         return [self.lo.tolist(), self.hi.tolist()]
 
@@ -63,119 +61,149 @@ def _point(x, d: int) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True, eq=False)
-class _Quadratic:
-    center: np.ndarray
-    curvature: float
+class HuberForm:
+    """n huber objectives, one per row: agent i's is 0.5 c_i r^2 within
+    r = ||x - centers[i]|| <= radius[i] and c_i radius_i r - 0.5 c_i
+    radius_i^2 beyond, so its gradient norm caps at c_i radius_i. A
+    quadratic agent has radius inf: its gradient is affine everywhere and
+    bounded only over a box. The one constructor of quadratic and huber
+    families, and the one place their parameters are checked. The minimizer
+    oracle starts at the mean of the centers."""
 
-    def value(self, x):
-        r = x - self.center
-        return 0.5 * self.curvature * float(r @ r)
+    def __init__(self, centers, curvature, radius):
+        self.centers = np.array(centers, dtype=float)
+        self.n, self.d = self.centers.shape
+        self.curvature = np.full(self.n, curvature, dtype=float)
+        self.radius = np.full(self.n, radius, dtype=float)
+        self.start = self.centers.sum(axis=0) / self.n  # the mean, as np.mean forms it
+        for arr in (self.centers, self.curvature, self.radius):
+            arr.setflags(write=False)
+        if not self.curvature.min() > 0:
+            raise InvalidInputError("curvature must be positive")
+        if not self.radius.min() > 0:
+            raise InvalidInputError("radius must be positive")
+        with np.errstate(over="ignore"):
+            self._cap = self.curvature * self.radius
+            # the linear branch's offset: inf on a quadratic row, finite on a huber one
+            self._offset = 0.5 * self.curvature * self.radius**2
+        quadratic = np.isinf(self.radius)
+        over = np.isinf(self._offset) & ~quadratic
+        if over.any():
+            c, r = self.curvature[over][0], self.radius[over][0]
+            raise InvalidInputError(
+                f"huber curvature {c} and radius {r} overflow: curvature * radius^2 is not finite"
+            )
+        self._all_quadratic = quadratic.all()
+        # (n, 1) columns for the gradient, which runs at every RK4 stage
+        self._curv = self.curvature[:, None]
+        self._radius = self.radius[:, None]
+        self._neg_radius = -self._radius
+        self._finite_radius = np.minimum(self._radius, FLOAT_MAX)
 
-    def values(self, pts):
-        r = pts - self.center
-        return 0.5 * self.curvature * (r * r).sum(axis=1)
+    def values(self, pts: np.ndarray) -> np.ndarray:
+        """(m, n): each agent's value at each row of the (m, d) points."""
+        # agent-major (n, m) arrays: each operation runs along the samples, and
+        # a sum over agents adds them in order, as a loop over agents would
+        delta = pts - self.centers[:, None, :]
+        r = np.sqrt((delta * delta).sum(axis=2))
+        # a quadratic row's unused linear branch is inf - inf
+        with np.errstate(invalid="ignore"):
+            linear = self._cap[:, None] * r - self._offset[:, None]
+        return np.where(r <= self._radius, 0.5 * self._curv * r * r, linear).T
 
-    def grad(self, x):
-        return self.curvature * (x - self.center)
+    def grad(self, y: np.ndarray) -> np.ndarray:
+        """(n, d): row i is agent i's gradient at row i of y, unchecked."""
+        delta = y - self.centers
+        if self._all_quadratic:
+            return self._curv * delta
+        if self.d == 1:
+            # |delta| <= radius keeps c delta; beyond, c radius sign(delta)
+            return self._curv * np.minimum(np.maximum(delta, self._neg_radius), self._radius)
+        r = np.sqrt((delta * delta).sum(axis=1, keepdims=True))
+        # radius / max(r, radius), a quadratic row's inf radius taken as the largest float
+        # in the max: its quotient is then inf, not inf / inf, and fmin takes 1
+        return self._curv * np.fmin(self._radius / np.maximum(r, self._finite_radius), 1.0) * delta
 
-    def analytic_cap(self):
+    def caps(self, box: Box | None) -> np.ndarray:
+        """(n,) gradient norm bounds: c radius, or for a quadratic row c
+        times its distance to the farthest corner of the box."""
+        quadratic = np.isinf(self.radius)
+        if not quadratic.any():
+            return self._cap
+        if box is None:
+            raise CapabilityError("quadratic gradients are unbounded; supply a validity box")
+        # the farthest corner takes the farther bound in each coordinate
+        far = np.maximum(np.abs(box.lo - self.centers), np.abs(box.hi - self.centers))
+        return np.where(quadratic, self.curvature * np.sqrt((far * far).sum(axis=1)), self._cap)
+
+    def affine_zone(self):
+        """(slope, intercept, centers, radii): the gradient at the (n, d)
+        points Y is slope[:, None] * Y + intercept wherever every row lies
+        in its zone, ||y_i - centers[i]|| <= radii[i]."""
+        slope = self.curvature
+        return slope, -slope[:, None] * self.centers, self.centers, self.radius
+
+
+class LogisticForm:
+    """n scalar softplus ramps, one per row: agent i's is
+    softplus(signs[i] * (x - offsets[i])), increasing for sign +1 and
+    decreasing for -1. Every gradient norm is at most 1, no gradient is
+    affine on a zone, and the minimizer oracle starts at the origin."""
+
+    def __init__(self, signs, offsets):
+        self.signs = np.array(signs, dtype=float)
+        self.offsets = np.array(offsets, dtype=float)
+        self.n, self.d = len(signs), 1
+        self.start = np.zeros(1)
+
+    def values(self, pts: np.ndarray) -> np.ndarray:
+        z = self.signs[:, None] * (pts[:, 0] - self.offsets[:, None])  # agent-major, as above
+        return (np.log1p(np.exp(-np.abs(z))) + np.maximum(z, 0.0)).T
+
+    def grad(self, y: np.ndarray) -> np.ndarray:
+        return (self.signs * expit(self.signs * (y[:, 0] - self.offsets)))[:, None]
+
+    def caps(self, box: Box | None) -> np.ndarray:
+        return np.abs(self.signs)
+
+    def affine_zone(self):
         return None
-
-    def box_cap(self, box: Box):
-        return self.curvature * max(
-            float(np.linalg.norm(c - self.center)) for c in box.corners()
-        )
-
-
-@dataclass(frozen=True, eq=False)
-class _Huber:
-    """Quadratic near the center, linear beyond `radius`; gradient norm
-    caps at curvature * radius everywhere."""
-
-    center: np.ndarray
-    curvature: float
-    radius: float
-
-    def value(self, x):
-        r = float(np.linalg.norm(x - self.center))
-        if r <= self.radius:
-            return 0.5 * self.curvature * r * r
-        return self.curvature * self.radius * r - 0.5 * self.curvature * self.radius**2
-
-    def values(self, pts):
-        delta = pts - self.center
-        r = np.sqrt((delta * delta).sum(axis=1))
-        c, rad = self.curvature, self.radius
-        return np.where(r <= rad, 0.5 * c * r * r, c * rad * r - 0.5 * c * rad**2)
-
-    def grad(self, x):
-        delta = x - self.center
-        r = float(np.linalg.norm(delta))
-        if r <= self.radius:
-            return self.curvature * delta
-        return self.curvature * self.radius * delta / r
-
-    def analytic_cap(self):
-        return self.curvature * self.radius
-
-
-def _check_huber_scale(curvature: float, radius: float) -> None:
-    """The linear branch's offset curvature * radius^2 / 2 must be a finite float."""
-    if not math.isfinite(curvature * radius * radius):
-        raise InvalidInputError(
-            f"huber curvature {curvature} and radius {radius} overflow: "
-            "curvature * radius^2 is not finite"
-        )
-
-
-@dataclass(frozen=True, eq=False)
-class _Logistic:
-    """Scalar softplus ramp: sign=+1 increases, sign=-1 decreases."""
-
-    sign: float
-    offset: float
-
-    def value(self, x):
-        z = self.sign * (float(x[0]) - self.offset)
-        return math.log1p(math.exp(-abs(z))) + max(z, 0.0)
-
-    def values(self, pts):
-        z = self.sign * (pts[:, 0] - self.offset)
-        return np.log1p(np.exp(-np.abs(z))) + np.maximum(z, 0.0)
-
-    def grad(self, x):
-        return np.array([self.sign * expit(self.sign * (float(x[0]) - self.offset))])
-
-    def analytic_cap(self):
-        return abs(self.sign)
 
 
 @dataclass(frozen=True, eq=False)
 class ObjectiveFamily:
-    """n convex differentiable per-agent objectives on R^d, with the
-    parameters its constructor validated, as FAMILIES[kind] takes them."""
+    """n convex differentiable per-agent objectives on R^d, held as the
+    rows of a form, with the parameters its constructor validated, as
+    FAMILIES[kind] takes them."""
 
     kind: str
-    n: int
-    d: int
-    agents: tuple
+    form: HuberForm | LogisticForm
     validity_box: Box | None = None
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.n < 1 or self.d < 1:
             raise InvalidInputError("need n >= 1 agents and d >= 1 dimensions")
-        if len(self.agents) != self.n:
-            raise InvalidInputError("need one objective per agent")
         if self.validity_box is not None and self.validity_box.d != self.d:
             raise InvalidInputError("validity box dimension mismatch")
 
+    @property
+    def n(self) -> int:
+        return self.form.n
+
+    @property
+    def d(self) -> int:
+        return self.form.d
+
+    def objective(self, pts: np.ndarray) -> np.ndarray:
+        """F at each row of the (m, d) points, unchecked."""
+        return self.form.values(pts).sum(axis=1)
+
     def value_i(self, i: int, x) -> float:
-        return self.agents[i].value(_point(x, self.d))
+        return float(self.form.values(_point(x, self.d)[None, :])[0, i])
 
     def grad_i(self, i: int, x) -> np.ndarray:
-        return self.agents[i].grad(_point(x, self.d))
+        return self.form.grad(np.broadcast_to(_point(x, self.d), (self.n, self.d)))[i]
 
 
 # --- constructors -----------------------------------------------------------
@@ -190,32 +218,24 @@ def mirror_pair(
     so the network optimum sits exactly at 0. Quadratics have unbounded
     gradients, so a validity box (default [-2, 2]) bounds them.
     """
-    if offset <= 0 or curvature <= 0:
-        raise InvalidInputError("offset and curvature must be positive")
+    if not offset > 0:
+        raise InvalidInputError("offset must be positive")
     offset, curvature = float(offset), float(curvature)
     if box is None:
         box = Box(np.array([-2.0]), np.array([2.0]))
-    agents = (
-        _Quadratic(np.array([offset]), curvature),
-        _Quadratic(np.array([-offset]), curvature),
-    )
+    form = HuberForm([[offset], [-offset]], curvature, math.inf)
     params = {"offset": offset, "curvature": curvature}
-    return ObjectiveFamily("mirror-pair", 2, 1, agents, box, params)
+    return ObjectiveFamily("mirror-pair", form, box, params)
 
 
 def huberized_quadratic(
     centers: Sequence, radius: float, curvature: float = 1.0, box: Box | None = None
 ) -> ObjectiveFamily:
     """Per-agent huberized quadratics centered at `centers` (n x d)."""
-    c = np.atleast_2d(np.asarray(centers, dtype=float))
-    if radius <= 0 or curvature <= 0:
-        raise InvalidInputError("radius and curvature must be positive")
     radius, curvature = float(radius), float(curvature)
-    _check_huber_scale(curvature, radius)
-    n, d = c.shape
-    agents = tuple(_Huber(c[i].copy(), curvature, radius) for i in range(n))
-    params = {"centers": c.tolist(), "radius": radius, "curvature": curvature}
-    return ObjectiveFamily("huberized-quadratic", n, d, agents, box, params)
+    form = HuberForm(np.atleast_2d(np.asarray(centers, dtype=float)), curvature, radius)
+    params = {"centers": form.centers.tolist(), "radius": radius, "curvature": curvature}
+    return ObjectiveFamily("huberized-quadratic", form, box, params)
 
 
 def logistic_scalar(
@@ -230,9 +250,8 @@ def logistic_scalar(
         raise InvalidInputError("signs must be +1 or -1")
     if 1.0 not in signs or -1.0 not in signs:
         raise InvalidInputError("need both signs so the sum has a minimizer")
-    agents = tuple(_Logistic(s, b) for s, b in zip(signs, offsets))
     params = {"signs": signs, "offsets": offsets}
-    return ObjectiveFamily("logistic-scalar", len(signs), 1, agents, box, params)
+    return ObjectiveFamily("logistic-scalar", LogisticForm(signs, offsets), box, params)
 
 
 TABLE_ENTRY_KEYS = ("form", "center", "curvature", "radius")
@@ -246,38 +265,28 @@ def custom_table(entries: Sequence[dict], box: Box | None = None) -> ObjectiveFa
     """
     if not entries:
         raise InvalidInputError("custom table needs at least one entry")
-    agents = []
     normalized = []
-    d = None
     for entry in entries:
         for key in entry:
             check_known(key, TABLE_ENTRY_KEYS, "custom-table entry key")
         center = np.atleast_1d(np.asarray(entry["center"], dtype=float))
         if center.ndim != 1:
             raise InvalidInputError(f"a center must be a point, got shape {center.shape}")
-        if d is None:
-            d = center.shape[0]
-        elif center.shape[0] != d:
-            raise InvalidInputError("all centers must share a dimension")
-        curv = float(entry.get("curvature", 1.0))
-        if curv <= 0:
-            raise InvalidInputError("curvature must be positive")
         form = entry.get("form", "quadratic")
-        spec = {"form": form, "center": center.tolist(), "curvature": curv}
-        if form == "quadratic":
-            agents.append(_Quadratic(center, curv))
-        elif form == "huber":
-            radius = float(entry["radius"])
-            if radius <= 0:
-                raise InvalidInputError("huber radius must be positive")
-            _check_huber_scale(curv, radius)
-            agents.append(_Huber(center, curv, radius))
-            spec["radius"] = radius
-        else:
-            raise InvalidInputError(f"unknown objective form {form!r}")
+        check_known(form, ("quadratic", "huber"), "objective form")
+        curvature = float(entry.get("curvature", 1.0))
+        spec = {"form": form, "center": center.tolist(), "curvature": curvature}
+        if form == "huber":
+            spec["radius"] = float(entry["radius"])
         normalized.append(spec)
-    params = {"entries": normalized}
-    return ObjectiveFamily("custom-table", len(agents), d, tuple(agents), box, params)
+    if len({len(spec["center"]) for spec in normalized}) > 1:
+        raise InvalidInputError("all centers must share a dimension")
+    form = HuberForm(
+        [spec["center"] for spec in normalized],
+        [spec["curvature"] for spec in normalized],
+        [spec.get("radius", math.inf) for spec in normalized],
+    )
+    return ObjectiveFamily("custom-table", form, box, {"entries": normalized})
 
 
 # each kind's constructor, which takes the kind's params and a box
@@ -294,66 +303,12 @@ FAMILIES = {
 
 def global_objective(fam: ObjectiveFamily, x) -> float:
     """F(x): sum of all per-agent objectives at a common point."""
-    x = _point(x, fam.d)
-    return float(sum(agent.value(x) for agent in fam.agents))
+    return float(fam.objective(_point(x, fam.d)[None, :])[0])
 
 
 def global_gradient(fam: ObjectiveFamily, x) -> np.ndarray:
-    x = _point(x, fam.d)
-    g = np.zeros(fam.d)
-    for agent in fam.agents:
-        g += agent.grad(x)
-    return g
-
-
-def gradient_map(fam: ObjectiveFamily):
-    """The stacked gradient as a function of the (n x d) points, unchecked.
-
-    Trajectory integration evaluates the stacked gradient at every RK4
-    stage, so homogeneous families get a closure vectorized across agents.
-    """
-    agents = fam.agents
-    if all(isinstance(a, _Quadratic) for a in agents):
-        curv = np.array([a.curvature for a in agents])[:, None]
-        centers = np.vstack([a.center for a in agents])
-        return lambda y: curv * (y - centers)
-    if all(isinstance(a, _Huber) for a in agents):
-        curv = np.array([a.curvature for a in agents])[:, None]
-        radius = np.array([a.radius for a in agents])[:, None]
-        centers = np.vstack([a.center for a in agents])
-        if fam.d == 1:
-            # |delta| <= radius keeps curv * delta; beyond, curv * radius * sign
-            return lambda y: curv * np.minimum(np.maximum(y - centers, -radius), radius)
-
-        def huber_grad(y):
-            delta = y - centers
-            r = np.sqrt((delta * delta).sum(axis=1, keepdims=True))
-            return curv * (radius / np.maximum(r, radius)) * delta
-
-        return huber_grad
-    if all(isinstance(a, _Logistic) for a in agents):
-        signs = np.array([a.sign for a in agents])
-        offsets = np.array([a.offset for a in agents])
-        return lambda y: (signs * expit(signs * (y[:, 0] - offsets)))[:, None]
-    return lambda y: np.array([agent.grad(row) for agent, row in zip(agents, y)])
-
-
-def gradient_affine_zone(fam: ObjectiveFamily):
-    """(slope, intercept, centers, radii) with stacked_gradient(Y) =
-    slope[:, None] * Y + intercept wherever every row lies in its zone,
-    ||y_i - centers[i]|| <= radii[i].
-
-    A quadratic agent is affine everywhere (radius inf), a huber agent
-    within its radius; a family with an agent of any other kind has no
-    affine form and gives None.
-    """
-    agents = fam.agents
-    if not all(isinstance(a, (_Quadratic, _Huber)) for a in agents):
-        return None
-    slope = np.array([a.curvature for a in agents])
-    centers = np.vstack([a.center for a in agents])
-    radii = np.array([a.radius if isinstance(a, _Huber) else math.inf for a in agents])
-    return slope, -slope[:, None] * centers, centers, radii
+    rows = np.broadcast_to(_point(x, fam.d), (fam.n, fam.d))
+    return fam.form.grad(rows).sum(axis=0)
 
 
 def stacked_gradient(fam: ObjectiveFamily, points: np.ndarray) -> np.ndarray:
@@ -363,7 +318,7 @@ def stacked_gradient(fam: ObjectiveFamily, points: np.ndarray) -> np.ndarray:
         raise InvalidInputError(f"expected shape ({fam.n}, {fam.d}), got {pts.shape}")
     if not np.all(np.isfinite(pts)):
         raise InvalidInputError("evaluation points must be finite")
-    return gradient_map(fam)(pts)
+    return fam.form.grad(pts)
 
 
 # --- oracles ---------------------------------------------------------------
@@ -400,23 +355,12 @@ def _descend(fam: ObjectiveFamily, x0: np.ndarray, tol: float, max_iter: int) ->
 def optimizer_oracle(fam: ObjectiveFamily) -> tuple[np.ndarray, float]:
     """A global minimizer of the summed objective and its value.
 
-    The mirror pair is solved analytically; every other built-in kind
-    runs a centralized backtracking gradient descent to gradient norm
-    ORACLE_GRAD_TOL, which is far tighter than any tolerance used when
-    comparing simulations against the oracle.
+    A centralized backtracking gradient descent from the form's start
+    point runs to gradient norm ORACLE_GRAD_TOL, which is far tighter than
+    any tolerance used when comparing simulations against the oracle. A
+    mirror pair starts at its minimizer 0, where the gradients cancel.
     """
-    if fam.kind == "mirror-pair":
-        x_star = np.zeros(1)
-        return x_star, global_objective(fam, x_star)
-    if fam.kind not in ("huberized-quadratic", "logistic-scalar", "custom-table"):
-        raise CapabilityError(f"no minimizer oracle for kind {fam.kind!r}")
-    centers = [
-        np.asarray(agent.center)
-        for agent in fam.agents
-        if hasattr(agent, "center")
-    ]
-    x0 = np.mean(centers, axis=0) if centers else np.zeros(fam.d)
-    x_star = _descend(fam, x0, ORACLE_GRAD_TOL, 200_000)
+    x_star = _descend(fam, fam.form.start, ORACLE_GRAD_TOL, 200_000)
     return x_star, global_objective(fam, x_star)
 
 
@@ -427,26 +371,15 @@ def gradient_bound(fam: ObjectiveFamily, box: Box | None = None) -> float:
     box (their gradients grow without one) and the bound is attained at
     a box corner.
     """
-    if box is None:
-        box = fam.validity_box
-    caps = []
-    for agent in fam.agents:
-        cap = agent.analytic_cap()
-        if cap is None:
-            if box is None:
-                raise CapabilityError(
-                    "quadratic gradients are unbounded; supply a validity box"
-                )
-            cap = agent.box_cap(box)
-        caps.append(cap)
-    return float(max(caps))
+    return float(fam.form.caps(fam.validity_box if box is None else box).max())
 
 
 # --- serialization ----------------------------------------------------------
 
 
 def family_to_dict(fam: ObjectiveFamily) -> dict:
-    out = {"kind": fam.kind, "n": fam.n, "d": fam.d, "params": fam.params}
+    """The keys family_from_dict reads: kind, params and, if set, box."""
+    out = {"kind": fam.kind, "params": fam.params}
     if fam.validity_box is not None:
         out["box"] = fam.validity_box.to_list()
     return out
@@ -454,6 +387,8 @@ def family_to_dict(fam: ObjectiveFamily) -> dict:
 
 def family_from_dict(data: dict) -> ObjectiveFamily:
     """The family a dict describes; harness guards against a malformed one."""
+    for key in data:
+        check_known(key, ("kind", "params", "box"), "family key")
     kind = data["kind"]
     check_known(kind, tuple(FAMILIES), "objective kind")
     params = data.get("params", {})

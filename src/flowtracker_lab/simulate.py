@@ -154,8 +154,6 @@ def step_grid(
 ) -> tuple[int, int]:
     """(steps, steps per record) of a run to t_end; InvalidInputError unless
     the switches, record_every and t_end land on the step grid of h."""
-    if h <= 0:
-        raise InvalidInputError("step h must be positive")
     if t_end <= 0:
         raise InvalidInputError("t_end must be positive")
     if t_end > process.horizon + 1e-12:

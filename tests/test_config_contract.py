@@ -93,6 +93,18 @@ MALFORMED = {
     "random-misspelt-seed": {"process": {"random": {**RANDOM_PROCESS, "sed": 7}}},
     "random-fractional-seed": {"process": {"random": {**RANDOM_PROCESS, "seed": 1.5}}},
     "random-seed-list": {"process": {"random": {**RANDOM_PROCESS, "seed": [1, 2]}}},
+    "random-zero-h": {"h": 0, "process": {"random": RANDOM_PROCESS}},
+    "negative-weight": {
+        "process": {
+            "n": 2,
+            "pieces": [{"t": 0.0, "weights": [[0.0, -1.0], [1.0, 0.0]]}],
+            "horizon": 5.0,
+        }
+    },
+    "family-misspelt-params": {"family": {"kind": "mirror-pair", "parms": {"offset": 3.0}}},
+    "init-random-misspelt-seed": {"init": {"random": {"sed": 7}}},
+    "init-random-fractional-seed": {"init": {"random": {"seed": 1.5}}},
+    "init-random-zero-scale": {"init": {"random": {"seed": 1, "scale": 0}}},
     "averaging-gain-text": {"dynamics": {"name": "averaging", "a": "x"}},
     "table-misspelt-radius": {
         "family": {
@@ -247,6 +259,14 @@ NAMED = {
     ),
     "random-fractional-seed": "process invalid: seed must be an integer, got 1.5",
     "random-seed-list": "process invalid: seed must be an integer, got [1, 2]",
+    "random-zero-h": "h must be positive",
+    "negative-weight": "weights must be nonnegative",
+    "family-misspelt-params": "family invalid: unknown family key 'parms'",
+    "init-random-misspelt-seed": (
+        "initial condition invalid: random_init() got an unexpected keyword argument 'sed'"
+    ),
+    "init-random-fractional-seed": "initial condition invalid: seed must be an integer, got 1.5",
+    "init-random-zero-scale": "initial condition invalid: scale must be positive, got 0",
     "averaging-gain-text": "dynamics invalid",
     "table-misspelt-radius": "family invalid: unknown custom-table entry key 'radus'",
     "flow-step-of-horizon": "flow_h",
@@ -886,8 +906,21 @@ def test_overflowing_flow_spans_give_no_rate_and_no_warnings(tmp_path):
     )
 
 
+SCHEMA_PATH = Path(__file__).parents[1] / "docs" / "config_schema.json"
+
+
+@pytest.mark.parametrize("name", ["base"] + harness.scenario_names())
+def test_presets_and_the_base_config_satisfy_the_schema(name):
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = json.loads(SCHEMA_PATH.read_text())
+    jsonschema.Draft7Validator.check_schema(schema)
+    raw = base_config() if name == "base" else harness.scenario_raw(name)
+    errors = [error.message for error in jsonschema.Draft7Validator(schema).iter_errors(raw)]
+    assert errors == []
+
+
 def test_schema_enums_match_the_code():
-    schema = json.loads((Path(__file__).parents[1] / "docs" / "config_schema.json").read_text())
+    schema = json.loads(SCHEMA_PATH.read_text())
     props = schema["properties"]
     random_spec = props["process"]["oneOf"][2]["properties"]["random"]
     assert tuple(props["dynamics"]["properties"]["name"]["enum"]) == SYSTEM_NAMES

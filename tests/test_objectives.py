@@ -162,7 +162,7 @@ class TestOptimizerOracle:
         x_star, f_star = optimizer_oracle(fam)
         assert np.linalg.norm(global_gradient(fam, x_star)) < 1e-10
         # centers all within the huber radius of the mean: plain average
-        centers = np.array([agent.center for agent in fam.agents])
+        centers = fam.form.centers
         assert np.allclose(x_star, centers.mean(axis=0), atol=1e-9)
 
     def test_logistic_mixture_stationary(self):
