@@ -15,13 +15,13 @@ stacked norm of u.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import CapabilityError, InvalidInputError
+from .flowcore import write_table
 from .objectives import ObjectiveFamily
 from .schedules import StepSchedule, evaluate_many
 from .simulate import Trajectory
@@ -328,12 +328,6 @@ class DiagnosticsReport:
         written = []
         for name, values in self.series.items():
             path = f"{directory}/{name.replace(' ', '_')}.csv"
-            with open(path, "w", newline="") as fh:
-                csv.writer(fh).writerow(["t", name])
-                # the excel dialect ends rows with \r\n, so the rows do too
-                fh.writelines(
-                    "%.17g,%.17g\r\n" % pair
-                    for pair in zip(map(float, self.times), map(float, values))
-                )
+            write_table(path, ["t", name], [self.times, values], "\r\n")
             written.append(path)
         return written

@@ -45,6 +45,6 @@ def check_known(key, options: tuple, what: str) -> None:
 
 
 def check_integer(value, what: str) -> None:
-    """Raise InvalidInputError unless value is an integer: not 1.5, nor [1, 2]."""
-    if not isinstance(value, numbers.Integral):
+    """Raise InvalidInputError unless value is an integer: not 1.5, [1, 2] or true."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise InvalidInputError(f"{what} must be an integer, got {value!r}")

@@ -12,7 +12,6 @@ field -L, and the simulator's affine path takes its step maps from it.
 
 from __future__ import annotations
 
-import csv
 import math
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
@@ -349,6 +348,19 @@ def _adaptive_grid(props: _Propagators) -> FlowGrid:
     return _grid(process, h, cap)
 
 
+def write_table(path, header: list[str], columns, end: str) -> None:
+    """Write `columns`, arrays of m rows, under `header`, one name per column,
+    as 17-significant-digit text with lines ending in `end`; rows are stacked
+    and formatted by one % call per stack of at most STACK_BYTES."""
+    line = ",".join(["%.17g"] * len(header)) + end
+    rows = max(1, STACK_BYTES // (8 * len(header)))
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + end)
+        for lo in range(0, len(columns[0]), rows):
+            stack = np.column_stack([col[lo : lo + rows] for col in columns])
+            fh.write(line * len(stack) % tuple(stack.ravel().tolist()))
+
+
 @dataclass(frozen=True, eq=False)
 class ErgodicityReport:
     """Distance-decay samples of a flow and the fitted exponential envelope.
@@ -391,11 +403,8 @@ class ErgodicityReport:
         }
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["s", "t", "distance"])
-            for (s, t), d in zip(self.samples, self.distances):
-                writer.writerow([f"{s:.17g}", f"{t:.17g}", f"{d:.17g}"])
+        columns = [np.array(self.samples), np.array(self.distances)]
+        write_table(path, ["s", "t", "distance"], columns, "\r\n")
 
 
 def _fit_rate(spans: np.ndarray, dists: np.ndarray) -> tuple[float | None, float | None, float | None]:

@@ -548,12 +548,17 @@ def process_to_dict(process: LaplacianProcess) -> dict:
 
 def process_from_dict(data: dict) -> LaplacianProcess:
     try:
+        for key in data:
+            check_known(key, ("n", "pieces", "horizon"), "process key")
         n = int(data["n"])
         horizon = float(data["horizon"])
-        pieces = [
-            (float(piece["t"]), np.asarray(piece["weights"], dtype=float))
-            for piece in data["pieces"]
-        ]
+        pieces = []
+        for piece in data["pieces"]:
+            for key in piece:
+                check_known(key, ("t", "weights"), "piece key")
+            pieces.append((float(piece["t"]), np.asarray(piece["weights"], dtype=float)))
+    except InvalidInputError:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"malformed process spec: {exc}") from exc
     if not pieces:

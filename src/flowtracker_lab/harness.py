@@ -50,6 +50,12 @@ from .simulate import (
     tail_length,
 )
 
+# the top-level keys of a config
+CONFIG_KEYS = (
+    "name", "process", "dynamics", "family", "schedule", "init", "d", "t_end", "h",
+    "record_every", "seed", "checks", "check_params", "expectations", "jsonl",
+)
+
 # the aux blocks an init block may set: those of every system
 INIT_AUX_KEYS = tuple(dict.fromkeys(block for row in SYSTEMS.values() for block, _ in row.aux))
 
@@ -92,10 +98,14 @@ def random_init(n: int, d: int, seed: int, scale: float = 1.0) -> np.ndarray:
 
 def _resolve_process(spec: dict, h: float) -> LaplacianProcess:
     if "file" in spec:
+        for key in spec:
+            check_known(key, ("file",), "process key")
         # a path, never a number, which open() would take for a descriptor
         with open(Path(spec["file"])) as fh:
             return process_from_dict(json.load(fh))
     if "random" in spec:
+        for key in spec:
+            check_known(key, ("random",), "process key")
         return random_process(**spec["random"], h=h)
     return process_from_dict(spec)
 
@@ -339,11 +349,16 @@ def parse_config(raw: dict, full_resolution: bool = False) -> ExperimentConfig:
     """
     with _part("config"):
         _reject_bad_number(raw)
+        for key in raw:
+            check_known(key, CONFIG_KEYS, "config key")
         h = float(raw["h"])
         t_end = float(raw["t_end"])
         record_every = float(raw.get("record_every", DEFAULT_RECORD_EVERY))
-        seed = int(raw.get("seed", 0))
-        d = int(raw.get("d", 1))
+        seed, d = raw.get("seed", 0), raw.get("d", 1)
+        check_integer(seed, "seed")
+        check_integer(d, "d")
+        if d < 1:
+            raise ConfigError(f"d must be at least 1, got {d}")
         dyn = dict(raw.get("dynamics", {}))
         checks = tuple(raw.get("checks", ()))
         params = {key: dict(value) for key, value in dict(raw.get("check_params", {})).items()}
@@ -361,7 +376,7 @@ def parse_config(raw: dict, full_resolution: bool = False) -> ExperimentConfig:
     with _part("process"):
         process = _resolve_process(raw["process"], h)
     with _part("step grid"):
-        n_steps, per_record = step_grid(process, t_end, h, record_every)
+        n_steps, per_record, _ = step_grid(process, t_end, h, record_every)
     if full_resolution:
         record_every, per_record = h, 1
 
@@ -383,6 +398,8 @@ def parse_config(raw: dict, full_resolution: bool = False) -> ExperimentConfig:
             raise ConfigError(
                 f"schedule alpha(t_end) = {alpha_end} is not a finite step in (0, 1]"
             )
+        if "d" in raw and d != family.d:
+            raise ConfigError(f"d is {d}, but the family's agents have dimension {family.d}")
         d = family.d
     with _part("dynamics"):
         system = make_system(dyn.pop("name"), process, d=d, **dyn)

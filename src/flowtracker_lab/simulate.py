@@ -54,7 +54,7 @@ from .errors import (
     InvalidInputError,
     NumericalFailureError,
 )
-from .flowcore import STACK_BYTES, rk4_maps
+from .flowcore import STACK_BYTES, rk4_maps, write_table
 from .graphnet import LaplacianProcess, check_switch_alignment, steps_in_span
 from .schedules import evaluate_many
 
@@ -97,30 +97,14 @@ class Trajectory:
         h = self.meta.get("h")
         return h is not None and self.n_samples > 1 and abs(self.record_interval - h) < 1e-12
 
-    def _csv_header(self) -> list[str]:
-        n, d = self.n, self.d
-        cols = ["t"]
-        cols += [f"x_{i + 1}" for i in range(n * d)]
-        for name, arr in self.aux.items():
-            width = int(np.prod(arr.shape[1:]))
-            cols += [f"{name}_{i + 1}" for i in range(width)]
-        cols += [f"y_{i + 1}" for i in range(n * d)]
-        cols += [f"u_{i + 1}" for i in range(n * d)]
-        cols += [f"xbar_{i + 1}" for i in range(d)]
-        return cols
-
     def write_csv(self, path) -> None:
         """17-significant-digit text: re-running a config reproduces bytes."""
-        m = self.n_samples
-        table = np.hstack(
-            [self.times[:, None], self.x.reshape(m, -1)]
-            + [arr.reshape(m, -1) for arr in self.aux.values()]
-            + [self.y.reshape(m, -1), self.u.reshape(m, -1), self.xbar]
-        )
-        row = ",".join(["%.17g"] * table.shape[1]) + "\n"
-        with open(path, "w") as fh:
-            fh.write(",".join(self._csv_header()) + "\n")
-            fh.writelines(row % tuple(values.tolist()) for values in table)
+        groups = [("x", self.x), *self.aux.items(), ("y", self.y), ("u", self.u), ("xbar", self.xbar)]
+        columns = [arr.reshape(self.n_samples, -1) for _, arr in groups]
+        header = ["t"] + [
+            f"{name}_{i + 1}" for (name, _), col in zip(groups, columns) for i in range(col.shape[1])
+        ]
+        write_table(path, header, [self.times, *columns], "\n")
 
     def write_jsonl(self, path) -> None:
         with open(path, "w") as fh:
@@ -151,23 +135,24 @@ _BOX_MESSAGE = "output left the declared gradient-validity box"
 
 def step_grid(
     process: LaplacianProcess, t_end: float, h: float, record_every: float
-) -> tuple[int, int]:
-    """(steps, steps per record) of a run to t_end; InvalidInputError unless
-    the switches, record_every and t_end land on the step grid of h."""
+) -> tuple[int, int, list[int]]:
+    """(steps, steps per record, the step index of each piece's start) of a
+    run to t_end; InvalidInputError unless the switches, record_every and
+    t_end land on the step grid of h."""
     if t_end <= 0:
         raise InvalidInputError("t_end must be positive")
     if t_end > process.horizon + 1e-12:
         raise InvalidInputError(
             f"t_end {t_end} exceeds the process horizon {process.horizon}"
         )
-    check_switch_alignment(process, h)
+    starts = check_switch_alignment(process, h)
     steps_per_record = steps_in_span(record_every, h, "record_every")
     if steps_per_record < 1:
         raise InvalidInputError("record_every must be at least h")
     n_steps = steps_in_span(t_end, h, "t_end")
     if n_steps % steps_per_record:
         raise InvalidInputError("t_end must be a multiple of record_every")
-    return n_steps, steps_per_record
+    return n_steps, steps_per_record, starts
 
 
 def _floor_error(t: float) -> DegenerateWeightsError:
@@ -268,7 +253,7 @@ def _affine_path(system, coeffs, bounds, per_record, h, box, states):
 
     def blocks():
         """(first step, prefix stack, chunk count, stages, ratio weights) of
-        consecutive chunks of one length, whose prefix stack (length, ...)
+        consecutive chunks of one length, whose prefix stack (1, length, ...)
         all share or which have one each, (count, length, ...). The stages
         are the coupling, one or one per step, the step sizes alpha of the
         four stages and a bound, at least 1, on the stage fields' row sums
@@ -288,7 +273,7 @@ def _affine_path(system, coeffs, bounds, per_record, h, box, states):
                 reach = np.abs(f).sum(axis=1).max() + 1.0
                 stages = (coupling[:-1, :-1], np.full(4, schedule.a0), reach)
                 for first, length, count in chunks(step, stop, size):
-                    yield first, powers[:length], count, stages, None
+                    yield first, powers[None, :length], count, stages, None
             return
         r = None if rows is None else states[0, rows]
         ends = None
@@ -372,19 +357,14 @@ def _affine_path(system, coeffs, bounds, per_record, h, box, states):
         lin, off = prefix[..., :-1, :-1], prefix[..., :-1, -1]
         length = lin.shape[-3]
         starts = np.empty((count, size))
-        if prefix.ndim == 3:
-            mat, shift = lin[-1].copy(), off[-1].copy()
-            for i in range(count):
-                starts[i] = z
-                z = mat @ z + shift
-        else:
-            mats, shifts = lin[:, -1].copy(), off[:, -1].copy()
-            for i in range(count):
-                starts[i] = z
-                z = mats[i] @ z + shifts[i]
+        # one map that every chunk shares, or one per chunk
+        mats, shifts = lin[:, -1].copy(), off[:, -1].copy()
+        for i in range(count):
+            starts[i] = z
+            z = mats[i % len(mats)] @ z + shifts[i % len(mats)]
         ends = np.concatenate((starts[1:], z[None]))
         # one (length * size, size) product per chunk, not one per step
-        flat_lin = lin.reshape(*lin.shape[:-3], length * size, size)
+        flat_lin = lin.reshape(len(lin), length * size, size)
         block = (flat_lin @ starts[:, :, None]).reshape(count, length, size) + off
         block[:, -1] = ends
         stops = first + length * np.arange(1, count + 1)
@@ -528,7 +508,7 @@ def integrate(
         the time of the first step that shows it.
     """
     process = system.process
-    n_steps, steps_per_record = step_grid(process, t_end, h, record_every)
+    n_steps, steps_per_record, piece_starts = step_grid(process, t_end, h, record_every)
     system.check_initial(init)
     vec = system.pack(init)
 
@@ -547,7 +527,7 @@ def integrate(
         affine = law_or_zero.rowwise_affine()
 
     # step indices of piece boundaries, clipped to the run
-    bounds = [b for b in check_switch_alignment(process, h) if b < n_steps] + [n_steps]
+    bounds = [b for b in piece_starts if b < n_steps] + [n_steps]
 
     y_rec = np.empty((m_records, n, d))
     u_rec = np.empty_like(y_rec)

@@ -443,130 +443,6 @@ def test_outputs_leaving_the_radius_hand_off_to_the_generic_loop():
     assert max(np.abs(g - e).max() for g, e in arrays) <= 1e-12
 
 
-def draining_process(n, dwell, pieces, rng):
-    """Pieces on which agent 0 reads no one and the others read it hard,
-    so that its ratio weight drains toward the floor."""
-    laps = []
-    for _ in range(pieces):
-        weights = rng.uniform(0.5, 1.5, (n, n))
-        np.fill_diagonal(weights, 0.0)
-        weights[0] = 0.0
-        weights[:, 0] *= 30.0
-        laps.append(make_laplacian(weights))
-    return LaplacianProcess(tuple(k * dwell for k in range(pieces)), tuple(laps), pieces * dwell)
-
-
-@st.composite
-def zone_runs(draw):
-    """A multi-piece run of any system under huber or quadratic agents,
-    with radii a little past each agent's initial distance to its center,
-    so that some runs leave the affine zone mid-run. Some draw a box. Some
-    stress the run: a system without a ratio block gets a process scaled
-    until RK4 is unstable, so that its state blows up; a ratio system
-    gets one on which agent 0 reads no one and the others read it hard,
-    so that its weight drains through the floor. A stressed run lasts
-    long enough to reach its error, t_end >= 3."""
-    name = draw(st.sampled_from(SYSTEM_NAMES))
-    n = draw(st.integers(2, 6))
-    d = 1 if SYSTEMS[name].scalar else draw(st.sampled_from((1, 2)))
-    per_record = draw(st.sampled_from((1, 2, 5, 10)))
-    dwell = draw(st.integers(2, 30)) * H
-    stress = draw(st.sampled_from((False, False, False, True)))
-    fewest = math.ceil(3.0 / (per_record * H)) if stress else 2
-    t_end = per_record * draw(st.integers(fewest, fewest + 18)) * H
-    seed = draw(st.integers(0, 2**31 - 1))
-    rng = np.random.default_rng(seed)
-    if stress and SYSTEMS[name].ratio is not None:
-        process = draining_process(n, dwell, math.ceil(t_end / dwell) + 1, rng)
-    else:
-        model = "switching-complete" if name == "saddle-point" else draw(
-            st.sampled_from(("switching-complete", "directed-ring-rotate"))
-        )
-        process = random_process(n, model, dwell=dwell, horizon=t_end + 1.0, seed=seed, h=H)
-        if stress:
-            laps = tuple(Laplacian(1000.0 * lap.matrix) for lap in process.laplacians)
-            process = LaplacianProcess(process.start_times, laps, process.horizon)
-    kind = draw(st.sampled_from(("constant", "power-law", "custom")))
-    if kind == "constant":
-        schedule = constant(rng.uniform(0.1, 1.0))
-    elif kind == "power-law":
-        schedule = power_law(rng.uniform(0.1, 1.0), rng.uniform(0.0, 2.0))
-    else:
-        starts = np.sort(rng.uniform(0.0, t_end, draw(st.integers(1, 6))))
-        schedule = custom_piecewise([0.0, *starts], rng.uniform(0.05, 1.0, len(starts) + 1))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        system = make_system(name, process, d=d, a=draw(st.floats(0.5, 5.0)))
-    x0 = rng.uniform(-1, 1, (n, d))
-    entries = []
-    for row in x0:
-        center = rng.uniform(-1, 1, d)
-        entry = {"center": center.tolist(), "curvature": rng.uniform(0.2, 3.0)}
-        if draw(st.booleans()):
-            reach = float(np.linalg.norm(row - center))
-            entry.update(form="huber", radius=reach + rng.uniform(0.01, 0.5))
-        entries.append(entry)
-    box = None
-    if draw(st.booleans()):
-        bound = rng.uniform(1.0, 2.0)
-        box = Box(np.full(d, -bound), np.full(d, bound))
-    family = custom_table(entries, box=box)
-    return system, family, schedule, system.initial_state(x0), t_end, per_record * H, stress
-
-
-def outcome(system, law, init, t_end, record_every):
-    """The trajectory, or the type and time of the error the run raised."""
-    try:
-        with np.errstate(all="ignore"):
-            return integrate(system, law, init, t_end=t_end, h=H, record_every=record_every)
-    except (DegenerateWeightsError, NumericalFailureError) as exc:
-        return type(exc), exc.time
-
-
-@settings(max_examples=150, deadline=None)
-@given(zone_runs())
-def test_zone_path_matches_generic_loop_on_every_system(run):
-    system, family, schedule, init, t_end, record_every, stress = run
-    law = gradient_feedback(family, schedule)
-    got = outcome(system, law, init, t_end, record_every)
-    if family.validity_box is None:
-        # a plain function has no rowwise_affine, so it takes the generic path
-        ref = outcome(system, lambda t, y: law(t, y), init, t_end, record_every)
-    else:
-        ref = outcome(system, WithoutAffineForm(family, schedule), init, t_end, record_every)
-    if isinstance(ref, tuple):
-        assert got == ref
-        return
-    assert not stress, "a stressed run reaches its error"
-    assert got.meta["path"] == "affine" and ref.meta["path"] == "generic"
-    arrays = [(got.x, ref.x), (got.y, ref.y), (got.u, ref.u)]
-    arrays += [(got.aux[key], ref.aux[key]) for key in ref.aux]
-    assert max(np.abs(g - e).max() for g, e in arrays) <= 1e-12
-
-
-def test_outputs_leaving_the_radius_hand_off_to_the_generic_loop():
-    # pushsum-directed started at its centers: the outputs drift past a
-    # radius of 0.4 some 50 steps in, and the generic loop finishes the run
-    raw = harness.scenario_raw("pushsum-directed")
-    raw["family"]["params"]["radius"] = 0.4
-    raw["init"] = {"x": raw["family"]["params"]["centers"]}
-    raw["t_end"] = 3.0
-    cfg = harness.parse_config(raw)
-    law = gradient_feedback(cfg.family, cfg.schedule)
-    plain = lambda t, y: law(t, y)  # noqa: E731
-    traj = integrate(cfg.system, law, cfg.init_state, cfg.t_end, cfg.h, cfg.record_every)
-    step = traj.meta["handoff_step"]
-    assert traj.meta["path"] == "affine" and 0 < step < 100
-    # every step's output up to the handoff lies within the radius
-    every = integrate(cfg.system, plain, cfg.init_state, cfg.t_end, cfg.h, cfg.h)
-    centers = np.asarray(raw["family"]["params"]["centers"])
-    reach = np.linalg.norm(every.y - centers, axis=2).max(axis=1)
-    assert (reach[: step + 1] <= 0.4).all() and reach.max() > 0.4
-    ref = integrate(cfg.system, plain, cfg.init_state, cfg.t_end, cfg.h, cfg.record_every)
-    arrays = [(traj.x, ref.x), (traj.y, ref.y), (traj.u, ref.u), (traj.aux["w"], ref.aux["w"])]
-    assert max(np.abs(g - e).max() for g, e in arrays) <= 1e-12
-
-
 @pytest.mark.parametrize(
     "name, schedule",
     [
@@ -576,7 +452,9 @@ def test_outputs_leaving_the_radius_hand_off_to_the_generic_loop():
         ("spps", power_law(0.8, 0.5)),
     ],
 )
-def test_handoff_at_the_first_step_whose_stage_output_leaves_the_radius(name, schedule):
+def test_four_agent_table_hands_off_at_the_first_step_whose_stage_output_leaves_the_radius(
+    name, schedule
+):
     model = "switching-complete" if name == "saddle-point" else "directed-ring-rotate"
     process = random_process(4, model, dwell=0.5, horizon=6.0, seed=3, h=H)
     with warnings.catch_warnings():

@@ -18,7 +18,7 @@ from flowtracker_lab import harness
 from flowtracker_lab.cli import main
 from flowtracker_lab.dynamics import SYSTEM_NAMES, make_system
 from flowtracker_lab.errors import ConfigError
-from flowtracker_lab.graphnet import RANDOM_MODELS
+from flowtracker_lab.graphnet import RANDOM_MODELS, random_process
 from flowtracker_lab.objectives import FAMILIES
 from flowtracker_lab.schedules import SCHEDULES
 
@@ -105,6 +105,32 @@ MALFORMED = {
     "init-random-misspelt-seed": {"init": {"random": {"sed": 7}}},
     "init-random-fractional-seed": {"init": {"random": {"seed": 1.5}}},
     "init-random-zero-scale": {"init": {"random": {"seed": 1, "scale": 0}}},
+    "fractional-seed": {"seed": 1.5},
+    "boolean-seed": {"seed": True},
+    "fractional-d": {"family": None, "schedule": None, "d": 1.5},
+    "boolean-d": {"family": None, "schedule": None, "d": True},
+    "zero-d": {"family": None, "schedule": None, "d": 0},
+    "d-beside-a-mirror-pair": {"d": 3},
+    "random-boolean-seed": {"process": {"random": {**RANDOM_PROCESS, "seed": True}}},
+    "init-random-boolean-seed": {"init": {"random": {"seed": True}}},
+    "misspelt-record-every": {"recrd_every": 0.5},
+    "inline-process-extra-key": {
+        "process": {
+            "n": 2,
+            "pieces": [{"t": 0.0, "weights": [[0.0, 1.0], [1.0, 0.0]]}],
+            "horizon": 5.0,
+            "dwell": 1.0,
+        }
+    },
+    "piece-extra-key": {
+        "process": {
+            "n": 2,
+            "pieces": [{"t": 0.0, "weights": [[0.0, 1.0], [1.0, 0.0]], "until": 5.0}],
+            "horizon": 5.0,
+        }
+    },
+    "file-process-extra-key": {"process": {"file": "process.json", "n": 2}},
+    "random-process-extra-key": {"process": {"random": RANDOM_PROCESS, "seed": 3}},
     "averaging-gain-text": {"dynamics": {"name": "averaging", "a": "x"}},
     "table-misspelt-radius": {
         "family": {
@@ -267,6 +293,19 @@ NAMED = {
     ),
     "init-random-fractional-seed": "initial condition invalid: seed must be an integer, got 1.5",
     "init-random-zero-scale": "initial condition invalid: scale must be positive, got 0",
+    "fractional-seed": "config invalid: seed must be an integer, got 1.5",
+    "boolean-seed": "config invalid: seed must be an integer, got True",
+    "fractional-d": "config invalid: d must be an integer, got 1.5",
+    "boolean-d": "config invalid: d must be an integer, got True",
+    "zero-d": "d must be at least 1, got 0",
+    "d-beside-a-mirror-pair": "d is 3, but the family's agents have dimension 1",
+    "random-boolean-seed": "process invalid: seed must be an integer, got True",
+    "init-random-boolean-seed": "initial condition invalid: seed must be an integer, got True",
+    "misspelt-record-every": "config invalid: unknown config key 'recrd_every'",
+    "inline-process-extra-key": "unknown process key 'dwell'",
+    "piece-extra-key": "unknown piece key 'until'",
+    "file-process-extra-key": "process invalid: unknown process key 'n'",
+    "random-process-extra-key": "process invalid: unknown process key 'seed'",
     "averaging-gain-text": "dynamics invalid",
     "table-misspelt-radius": "family invalid: unknown custom-table entry key 'radus'",
     "flow-step-of-horizon": "flow_h",
@@ -922,7 +961,16 @@ def test_presets_and_the_base_config_satisfy_the_schema(name):
 def test_schema_enums_match_the_code():
     schema = json.loads(SCHEMA_PATH.read_text())
     props = schema["properties"]
-    random_spec = props["process"]["oneOf"][2]["properties"]["random"]
+    assert tuple(props) == harness.CONFIG_KEYS
+    inline, file_form, random_form = props["process"]["oneOf"]
+    piece = inline["properties"]["pieces"]["items"]
+    random_spec = random_form["properties"]["random"]
+    closed = [schema, inline, piece, file_form, random_form, random_spec]
+    assert all(node["additionalProperties"] is False for node in closed)
+    assert tuple(inline["properties"]) == ("n", "pieces", "horizon")
+    assert tuple(piece["properties"]) == ("t", "weights")
+    random_args = inspect.signature(random_process).parameters
+    assert set(random_spec["properties"]) == set(random_args) - {"h"}
     assert tuple(props["dynamics"]["properties"]["name"]["enum"]) == SYSTEM_NAMES
     gain = inspect.signature(make_system).parameters["a"].default
     assert props["dynamics"]["properties"]["a"]["default"] == gain

@@ -1,3 +1,4 @@
+import csv
 import warnings
 
 import numpy as np
@@ -12,6 +13,7 @@ from flowtracker_lab.dynamics import make_system
 from flowtracker_lab.errors import InvalidInputError, NumericalFailureError
 from flowtracker_lab.flowcore import (
     TAU_FLOW,
+    ErgodicityReport,
     FlowGrid,
     FlowMatrix,
     adaptive_grid,
@@ -205,6 +207,35 @@ class TestErgodicityReport:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "s,t,distance"
         assert len(lines) == len(report.samples) + 1
+
+    @staticmethod
+    def write_csv_by_csv_writer(report, path):
+        """The former flow_distances.csv writer: one csv.writer row of
+        f-strings per sample."""
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["s", "t", "distance"])
+            for (s, t), d in zip(report.samples, report.distances):
+                writer.writerow([f"{s:.17g}", f"{t:.17g}", f"{d:.17g}"])
+
+    def test_csv_bytes_match_the_csv_writer(self, tmp_path):
+        proc = random_process(5, "directed-ring-rotate", dwell=1.0, horizon=12.0, seed=7, h=1e-2)
+        rng = np.random.default_rng(5)
+        m = 12_001  # past two stacks of rows
+        spans = rng.uniform(0, 50, (m, 2))
+        dists = rng.standard_normal(m) * 10.0 ** rng.uniform(-300, 300, m)
+        specials = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e-310, 1.0 / 3.0]
+        dists[: len(specials)] = specials
+        spans[-len(specials) :, 1] = specials
+        fabricated = ErgodicityReport(
+            tuple(map(tuple, spans.tolist())), tuple(dists.tolist()), None, None, None, 1.0
+        )
+        for k, report in enumerate([ergodicity_report(proc, h=1e-2), fabricated]):
+            report.write_csv(tmp_path / f"new{k}.csv")
+            self.write_csv_by_csv_writer(report, tmp_path / f"old{k}.csv")
+            new = (tmp_path / f"new{k}.csv").read_bytes()
+            assert new.count(b"\r\n") == len(report.samples) + 1
+            assert new == (tmp_path / f"old{k}.csv").read_bytes()
 
     def test_default_grid_within_horizon(self):
         proc = constant_process(TWO_NODE, 10.0)

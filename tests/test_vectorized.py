@@ -204,13 +204,21 @@ def test_mixed_table_run_feeds_every_stage_the_reference_gradient():
 
 
 def per_value_csv(traj, path):
-    """The writer that formatted one value at a time."""
+    """The writer that formatted one value at a time, with the header it
+    built column group by column group."""
 
     def fmt(v: float) -> str:
         return f"{v:.17g}"
 
+    n, d = traj.n, traj.d
+    header = ["t"] + [f"x_{i + 1}" for i in range(n * d)]
+    for name, arr in traj.aux.items():
+        header += [f"{name}_{i + 1}" for i in range(int(np.prod(arr.shape[1:])))]
+    header += [f"y_{i + 1}" for i in range(n * d)]
+    header += [f"u_{i + 1}" for i in range(n * d)]
+    header += [f"xbar_{i + 1}" for i in range(d)]
     with open(path, "w") as fh:
-        fh.write(",".join(traj._csv_header()) + "\n")
+        fh.write(",".join(header) + "\n")
         for k in range(traj.n_samples):
             row = [fmt(traj.times[k])]
             row += [fmt(v) for v in traj.x[k].ravel()]
@@ -237,9 +245,11 @@ def test_write_csv_bytes_match_per_value_writer(tmp_path, name, d):
 
 def test_write_csv_bytes_match_on_special_values(tmp_path):
     rng = np.random.default_rng(4)
-    traj = random_trajectory(rng, 2, 1, 6, aux_layout=(("w", (2,)),))
+    # 3,001 rows of 10 columns span two stacks of rows
+    traj = random_trajectory(rng, 2, 1, 3_001, aux_layout=(("w", (2,)),))
     specials = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e300, 0.1, -1 / 3]
     traj.x.ravel()[: len(specials)] = specials
+    traj.u.ravel()[-len(specials) :] = specials
     traj.aux["w"].ravel()[:4] = specials[:4]
     traj.write_csv(tmp_path / "new.csv")
     per_value_csv(traj, tmp_path / "old.csv")
