@@ -10,13 +10,11 @@ from .errors import (
     NumericalFailureError,
 )
 from .graphnet import (
-    DirectedGraph,
     Laplacian,
     LaplacianProcess,
     common_stationary_distribution,
     constant_process,
     cut_value,
-    graph_from_edges,
     integrated_min_cut,
     is_weight_balanced,
     make_laplacian,

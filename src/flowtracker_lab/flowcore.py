@@ -140,8 +140,8 @@ class _Propagators:
     The entry of every flow computation: rejects a step h that is not
     finite and positive, checks switch alignment once and keeps the step
     index where each piece starts, so walks along the grid take integer
-    steps. Maps (id(lap), steps) to R^steps, where R = rk4_maps(-L, -L,
-    -L, -L, h) is the one-step propagator kept at (id(lap), 1); `build`
+    steps. Maps (distinct piece, steps) to R^steps, where R = rk4_maps(-L,
+    -L, -L, -L, h) is the one-step propagator kept at (piece, 1); `build`
     makes the missing ones in stacks of `per_stack` matrices, at most
     STACK_BYTES, and `power` makes a single missing one.
     """
@@ -156,7 +156,7 @@ class _Propagators:
         self._powers: dict = {}
 
     def legs(self, i0: int, i1: int):
-        """(Laplacian, steps) of each piece on the walk from step i0 to i1."""
+        """(distinct piece, steps) of each piece on the walk from step i0 to i1."""
         if i1 <= i0:
             return
         firsts = self.firsts
@@ -165,33 +165,33 @@ class _Propagators:
             if firsts[k] >= i1:
                 break
             hi = i1 if k == last else min(firsts[k + 1], i1)
-            yield self.process.laplacians[k], hi - max(firsts[k], i0)
+            yield self.process.distinct[k], hi - max(firsts[k], i0)
 
     def build(self, legs) -> None:
-        """Make the missing propagators of (Laplacian, steps) legs: the
+        """Make the missing propagators of (piece, steps) legs: the
         one-step ones first, then each power, in stacks of STACK_BYTES."""
         groups: dict[int, dict] = {1: {}}
-        for lap, steps in legs:
+        for piece, steps in legs:
             for m in {1, steps}:
-                if (id(lap), m) not in self._powers:
-                    groups.setdefault(m, {})[id(lap)] = lap
-        for steps, laps in groups.items():
-            laps = list(laps.values())
-            for lo in range(0, len(laps), self.per_stack):
-                chunk = laps[lo : lo + self.per_stack]
+                if (piece, m) not in self._powers:
+                    groups.setdefault(m, {})[piece] = None
+        for steps, pieces in groups.items():
+            pieces = list(pieces)
+            for lo in range(0, len(pieces), self.per_stack):
+                chunk = pieces[lo : lo + self.per_stack]
                 if steps == 1:
-                    field = -np.stack([lap.matrix for lap in chunk])
+                    field = -self.process.matrices[chunk]
                     stack = rk4_maps(field, field, field, field, self.h)
                 else:
-                    ones = np.stack([self._powers[id(lap), 1] for lap in chunk])
+                    ones = np.stack([self._powers[piece, 1] for piece in chunk])
                     stack = matrix_power(ones, steps)
-                for lap, power in zip(chunk, stack):
-                    self._powers[id(lap), steps] = power
+                for piece, power in zip(chunk, stack):
+                    self._powers[piece, steps] = power
 
-    def power(self, lap, steps: int) -> np.ndarray:
-        key = (id(lap), steps)
+    def power(self, piece: int, steps: int) -> np.ndarray:
+        key = (piece, steps)
         if key not in self._powers:
-            self.build([(lap, steps)])
+            self.build([key])
         return self._powers[key]
 
 
@@ -211,8 +211,8 @@ class _FlowIntegrator:
     def advance_to(self, i: int) -> np.ndarray:
         if i < self.i:
             raise InvalidInputError("flow integrator cannot move backwards")
-        for lap, steps in self.props.legs(self.i, i):
-            self.phi = self.props.power(lap, steps) @ self.phi
+        for piece, steps in self.props.legs(self.i, i):
+            self.phi = self.props.power(piece, steps) @ self.phi
         self.i = i
         return self.phi
 

@@ -41,81 +41,69 @@ def steps_in_span(span: float, h: float, what: str) -> int:
     return int(round(steps))
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float)
-    out.setflags(write=False)
-    return out
+# the rules of a generalized Laplacian, in the order a piece is judged by
+LAPLACIAN_RULES = (
+    "weights and Laplacian entries must be finite",
+    "weights must be nonnegative (off-diagonal entries <= 0)",
+    "columns must sum to zero (max |sum| = {:.3e})",
+)
 
 
-@dataclass(frozen=True, eq=False)
-class DirectedGraph:
-    """A weighted directed graph on n agents, no self-loops.
-
-    `weights[i, j] > 0` encodes the edge (i, j): agent i reads agent j.
-    """
-
-    n: int
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if self.n < 1:
-            raise InvalidInputError("agent count must be positive")
-        if w.shape != (self.n, self.n):
-            raise InvalidInputError(f"weights must be {self.n}x{self.n}")
-        if not np.all(np.isfinite(w)):
-            raise InvalidInputError("weights must be finite")
-        if np.any(w < 0):
-            raise InvalidInputError("weights must be nonnegative")
-        if np.any(np.diagonal(w) != 0):
-            raise InvalidInputError("self-loops are not allowed (diagonal must be zero)")
-        object.__setattr__(self, "weights", _frozen(w))
-
-    @property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        ii, jj = np.nonzero(self.weights)
-        return tuple(zip(ii.tolist(), jj.tolist()))
-
-    def laplacian(self) -> "Laplacian":
-        return make_laplacian(self.weights)
+def _check_laplacians(stack: np.ndarray) -> None:
+    """InvalidInputError naming the first piece of a stack (m, n, n) that is
+    not a generalized Laplacian and the first of LAPLACIAN_RULES it breaks;
+    the one validator of Laplacians, by reductions without a stack-sized temporary."""
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        raise InvalidInputError("Laplacian must be a square matrix")
+    m, n = stack.shape[:2]
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf, or past the floats
+        sums = np.abs(stack.sum(axis=1)).max(axis=1, initial=0.0)
+    # the off-diagonal entries: a flat matrix from entry 1 on, rows of n + 1
+    off = stack.reshape(m, -1)[:, 1:].reshape(m, max(n - 1, 0), n + 1)[:, :, :-1]
+    positive = off.max(axis=(1, 2), initial=0.0) > 0
+    # a non-finite entry makes its column's sum non-finite, which fails here
+    bad = ~(sums <= TAU_STRUCT) | positive
+    if bad.any():
+        k = int(bad.argmax())
+        rule = 0 if not np.isfinite(stack[k]).all() else 1 if positive[k] else 2
+        raise InvalidInputError(f"piece {k}: " + LAPLACIAN_RULES[rule].format(sums[k]))
 
 
-def graph_from_edges(n: int, edge_weights: dict[tuple[int, int], float]) -> DirectedGraph:
-    """Build a DirectedGraph from an {(i, j): weight} mapping."""
-    w = np.zeros((n, n))
-    for (i, j), wt in edge_weights.items():
-        if not (0 <= i < n and 0 <= j < n):
-            raise InvalidInputError(f"edge ({i},{j}) out of range for n={n}")
-        if i == j:
-            raise InvalidInputError("self-loops are not allowed")
-        if wt <= 0:
-            raise InvalidInputError("edge weights must be positive")
-        w[i, j] = wt
-    return DirectedGraph(n, w)
+def _laplacians_in_place(w: np.ndarray) -> np.ndarray:
+    """The generalized Laplacians (see make_laplacian) of a C-contiguous
+    float stack (m, n, n) of weight matrices, formed in the stack itself."""
+    if w.ndim != 3 or w.shape[1] != w.shape[2]:
+        raise InvalidInputError("weights must be a square matrix")
+    m, n = w.shape[:2]
+    diagonal = w.reshape(m, -1)[:, :: n + 1]
+    if (diagonal != 0).any():
+        k = int((diagonal != 0).any(axis=1).argmax())
+        raise InvalidInputError(f"piece {k}: weights must have a zero diagonal")
+    degrees = w.sum(axis=1)
+    np.negative(w, out=w)
+    diagonal[...] = degrees
+    return w
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Laplacian:
-    """A generalized Laplacian: off-diagonal <= 0, columns sum to zero."""
+    """A generalized Laplacian: off-diagonal <= 0, columns sum to zero; the
+    type of one piece, which a process views in its stack (`_view`)."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise InvalidInputError("Laplacian must be a square matrix")
-        if not np.all(np.isfinite(m)):
-            raise InvalidInputError("weights and Laplacian entries must be finite")
-        off = m.copy()
-        np.fill_diagonal(off, 0.0)
-        if np.any(off > 0):
-            raise InvalidInputError("weights must be nonnegative (off-diagonal entries <= 0)")
-        col = np.abs(m.sum(axis=0))
-        if np.any(col > TAU_STRUCT):
-            raise InvalidInputError(
-                f"columns must sum to zero (max |sum| = {col.max():.3e})"
-            )
-        object.__setattr__(self, "matrix", _frozen(m))
+        m = np.array(self.matrix, dtype=float)
+        _check_laplacians(m[None])
+        m.setflags(write=False)
+        object.__setattr__(self, "matrix", m)
+
+    @classmethod
+    def _view(cls, matrix: np.ndarray) -> "Laplacian":
+        """A piece of a validated, read-only stack, as a Laplacian."""
+        lap = object.__new__(cls)
+        object.__setattr__(lap, "matrix", matrix)
+        return lap
 
     @property
     def n(self) -> int:
@@ -124,7 +112,6 @@ class Laplacian:
     def weight_matrix(self) -> np.ndarray:
         """Recover the nonnegative weight matrix (off-diagonal, negated)."""
         a = -self.matrix
-        a = a.copy()
         np.fill_diagonal(a, 0.0)
         return a
 
@@ -142,15 +129,9 @@ def make_laplacian(weights: np.ndarray) -> Laplacian:
         Nonnegative edge weights with zero diagonal; ``weights[i, j]`` is
         the weight agent i places on agent j's state.
     """
-    w = np.asarray(weights, dtype=float)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise InvalidInputError("weights must be a square matrix")
-    if np.any(np.diagonal(w) != 0):
-        raise InvalidInputError("weights must have a zero diagonal")
-    lap = -w
-    np.fill_diagonal(lap, w.sum(axis=0))
+    w = np.array(weights, dtype=float)
     # the Laplacian's own checks reject non-finite and negative weights
-    return Laplacian(lap)
+    return Laplacian(_laplacians_in_place(w[None])[0])
 
 
 def is_weight_balanced(lap: Laplacian, tol: float = TAU_STRUCT) -> bool:
@@ -257,24 +238,48 @@ def min_cut(lap: Laplacian) -> float:
     return best
 
 
+def _first_copies(stack: np.ndarray) -> tuple[int, ...]:
+    """The index of each piece's first bitwise-identical piece in a stack; a
+    piece whose bytes hash as an earlier, different piece's counts as new."""
+    seen: dict[int, int] = {}  # hash of a piece's bytes -> the first piece with it
+    firsts = []
+    for k, piece in enumerate(stack):
+        raw = piece.tobytes()
+        j = seen.setdefault(hash(raw), k)
+        firsts.append(j if j == k or stack[j].tobytes() == raw else k)
+    return tuple(firsts)
+
+
 @dataclass(frozen=True, eq=False)
 class LaplacianProcess:
     """A piecewise-constant Laplacian-valued signal on [0, horizon].
 
     Piece k is active on [start_times[k], start_times[k+1]) and the last
     piece runs to the horizon. Start times must begin at 0 and increase
-    strictly.
+    strictly. The pieces come as a sequence of Laplacians or as a stack
+    (m, n, n) of their matrices, taken over without a copy, and are held
+    as `matrices`, that stack, read-only and validated in one pass;
+    `distinct`, the index of each piece's first bitwise-identical piece,
+    which keys every cache of per-piece work; and `laplacians`, a view of
+    each piece, one object per distinct piece.
     """
 
     start_times: tuple[float, ...]
     laplacians: tuple[Laplacian, ...]
     horizon: float
-    max_entry: float = field(init=False)
+    matrices: np.ndarray = field(init=False, repr=False)
+    distinct: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
+        laps = self.laplacians
+        if not isinstance(laps, np.ndarray):
+            if len({lap.n for lap in laps}) > 1:
+                raise InvalidInputError("all pieces must have the same agent count")
+            laps = [lap.matrix for lap in laps] or np.empty((0, 0, 0))
+        stack = np.ascontiguousarray(laps, dtype=float)
+        _check_laplacians(stack)
         ts = tuple(float(t) for t in self.start_times)
-        laps = tuple(self.laplacians)
-        if len(ts) == 0 or len(ts) != len(laps):
+        if len(ts) == 0 or len(ts) != len(stack):
             raise InvalidInputError("need one start time per Laplacian piece")
         if ts[0] != 0.0:
             raise InvalidInputError("first piece must start at time 0")
@@ -282,19 +287,23 @@ class LaplacianProcess:
             raise InvalidInputError("start times must increase strictly")
         if not self.horizon > ts[-1]:
             raise InvalidInputError("horizon must exceed the last start time")
-        sizes = {lap.n for lap in laps}
-        if len(sizes) != 1:
-            raise InvalidInputError("all pieces must have the same agent count")
+        stack.setflags(write=False)
+        distinct = _first_copies(stack)
+        views = {k: Laplacian._view(stack[k]) for k in dict.fromkeys(distinct)}
         object.__setattr__(self, "start_times", ts)
-        object.__setattr__(self, "laplacians", laps)
+        object.__setattr__(self, "laplacians", tuple(map(views.__getitem__, distinct)))
         object.__setattr__(self, "horizon", float(self.horizon))
-        object.__setattr__(
-            self, "max_entry", float(max(np.abs(lap.matrix).max() for lap in laps))
-        )
+        object.__setattr__(self, "matrices", stack)
+        object.__setattr__(self, "distinct", distinct)
 
     @property
     def n(self) -> int:
-        return self.laplacians[0].n
+        return self.matrices.shape[1]
+
+    @property
+    def max_entry(self) -> float:
+        """The largest |entry|; diagonal entries are >= 0 and the others <= 0."""
+        return float(max(-self.matrices.min(initial=0.0), self.matrices.max(initial=0.0)))
 
     def at(self, t: float) -> Laplacian:
         """Piece active at time t (right-continuous; horizon maps to the last piece)."""
@@ -303,8 +312,8 @@ class LaplacianProcess:
         k = int(np.searchsorted(self.start_times, t, side="right")) - 1
         return self.laplacians[k]
 
-    def segments(self, t0: float, t1: float) -> Iterator[tuple[float, float, Laplacian]]:
-        """Yield (start, end, Laplacian) covering [t0, t1] piece by piece."""
+    def pieces(self, t0: float, t1: float) -> Iterator[tuple[float, float, int]]:
+        """Yield (start, end, piece index) covering [t0, t1] piece by piece."""
         if not (0 <= t0 <= t1 <= self.horizon):
             raise InvalidInputError(f"window [{t0}, {t1}] outside [0, {self.horizon}]")
         starts = self.start_times
@@ -317,16 +326,30 @@ class LaplacianProcess:
             b = starts[k + 1] if k < last else self.horizon
             lo, hi = max(a, t0), min(b, t1)
             if hi > lo:
-                yield lo, hi, self.laplacians[k]
+                yield lo, hi, k
+
+    def segments(self, t0: float, t1: float) -> Iterator[tuple[float, float, Laplacian]]:
+        """Yield (start, end, Laplacian) covering [t0, t1] piece by piece."""
+        return ((lo, hi, self.laplacians[k]) for lo, hi, k in self.pieces(t0, t1))
 
     def is_weight_balanced(self, tol: float = TAU_STRUCT) -> bool:
-        return all(is_weight_balanced(lap, tol) for lap in self.laplacians)
+        return bool((np.abs(self.matrices.sum(axis=2)) <= tol).all())
 
 
 def check_switch_alignment(process: LaplacianProcess, h: float) -> list[int]:
     """Step index of each piece's start; InvalidInputError unless every
-    switch lands on the step grid of h."""
-    return [0] + [steps_in_span(t, h, f"switching time {t}") for t in process.start_times[1:]]
+    switch lands on the step grid of h, by the rule of `steps_in_span`."""
+    if len(process.start_times) == 1:
+        return [0]
+    if not h > 0:
+        raise InvalidInputError(f"step h must be positive, got {h}")
+    steps = np.array(process.start_times) / h
+    rounded = np.round(steps)
+    off = ~(np.abs(steps - rounded) <= 1e-9 * np.maximum(1.0, np.abs(steps)))
+    if off.any():
+        t = process.start_times[int(off.argmax())]
+        steps_in_span(t, h, f"switching time {t}")
+    return [int(k) for k in rounded.tolist()]
 
 
 def constant_process(lap: Laplacian, horizon: float) -> LaplacianProcess:
@@ -340,10 +363,10 @@ def integrated_min_cut(
     """Integral of the per-piece min-cut over [t, t + window].
 
     Exact for piecewise-constant processes: each overlapping piece
-    contributes overlap length times its cut value. `cuts` maps id(piece)
-    to its min cut; pass one dict to a sweep of windows over the same
-    process so that each piece is cut once. It must not outlive the
-    process, whose pieces' ids it holds.
+    contributes overlap length times its cut value. `cuts` maps a
+    distinct piece's index (`process.distinct`) to its min cut; pass one
+    dict to a sweep of windows over the same process so that each distinct
+    piece is cut once. It holds only for that process.
     """
     if window < 0:
         raise InvalidInputError("window must be nonnegative")
@@ -353,26 +376,14 @@ def integrated_min_cut(
         )
     if window == 0:
         return 0.0
-    if cuts is None:
-        cuts = {}
+    cuts = {} if cuts is None else cuts
     total = 0.0
-    for lo, hi, lap in process.segments(t, min(t + window, process.horizon)):
-        key = id(lap)
+    for lo, hi, k in process.pieces(t, min(t + window, process.horizon)):
+        key = process.distinct[k]
         if key not in cuts:
-            cuts[key] = min_cut(lap)
+            cuts[key] = min_cut(process.laplacians[k])
         total += (hi - lo) * cuts[key]
     return total
-
-
-def _common_null_basis(process: LaplacianProcess) -> np.ndarray:
-    """Orthonormal basis (n x m) of the intersection of the pieces' null spaces."""
-    stacked = np.vstack([lap.matrix for lap in process.laplacians])
-    _, sing, vt = np.linalg.svd(stacked)
-    scale = max(sing[0], 1.0) if sing.size else 1.0
-    null_mask = np.zeros(vt.shape[0], dtype=bool)
-    null_mask[sing.size :] = True
-    null_mask[: sing.size] = sing <= TAU_STRUCT * scale
-    return vt[null_mask].T
 
 
 def common_stationary_distribution(process: LaplacianProcess) -> np.ndarray | None:
@@ -382,7 +393,11 @@ def common_stationary_distribution(process: LaplacianProcess) -> np.ndarray | No
     piece (within TAU_STRUCT), or None when no such vector exists.
     """
     n = process.n
-    basis = _common_null_basis(process)
+    # an orthonormal basis (n x m) of the intersection of the pieces' null spaces
+    _, sing, vt = np.linalg.svd(process.matrices.reshape(-1, n))
+    null_mask = np.ones(vt.shape[0], dtype=bool)
+    null_mask[: sing.size] = sing <= TAU_STRUCT * (max(sing[0], 1.0) if sing.size else 1.0)
+    basis = vt[null_mask].T
     if basis.shape[1] == 0:
         return None
     if basis.shape[1] == 1:
@@ -402,12 +417,7 @@ def common_stationary_distribution(process: LaplacianProcess) -> np.ndarray | No
         a_eq = np.concatenate([basis.sum(axis=0), [0.0]])[None, :]
         b_eq = np.array([1.0])
         res = linprog(
-            c_obj,
-            A_ub=a_ub,
-            b_ub=b_ub,
-            A_eq=a_eq,
-            b_eq=b_eq,
-            bounds=[(None, None)] * (m + 1),
+            c_obj, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=[(None, None)] * (m + 1),
             method="highs",
         )
         if not res.success or res.x[-1] <= 0:
@@ -416,7 +426,7 @@ def common_stationary_distribution(process: LaplacianProcess) -> np.ndarray | No
         pi = pi / pi.sum()
     if np.any(pi <= 0):
         return None
-    residual = max(np.abs(lap.matrix @ pi).max() for lap in process.laplacians)
+    residual = np.abs(process.matrices @ pi).max()
     if residual > TAU_STRUCT * max(1.0, process.max_entry):
         return None
     return pi
@@ -427,42 +437,15 @@ def common_stationary_distribution(process: LaplacianProcess) -> np.ndarray | No
 RANDOM_MODELS = ("switching-complete", "directed-ring-rotate", "B-window-strongly-connected")
 
 # the most floats a random process may hold, about 128 MB, 32 times the
-# largest a preset or benchmark builds; a piece holds its n x n Laplacian
-# and some 250 bytes of objects, PIECE_OVERHEAD floats
+# largest a preset or benchmark builds; a piece holds its n x n slice of
+# the stack and some 240 bytes of objects (its start time, its entry in
+# `distinct` and its Laplacian view), within PIECE_OVERHEAD floats
 MAX_PROCESS_FLOATS = 16_000_000
 PIECE_OVERHEAD = 32
-# the most pieces, which bounds the build time (some 0.3-0.4 ms a piece at
-# n <= 5, so about 20 s), 25 times the largest a preset, test or benchmark
-# builds (2,000 pieces on pushsum-directed)
+# the most pieces, 25 times the largest a preset, test or benchmark builds
+# (2,000 pieces on pushsum-directed); a build takes some 3-4 us a piece at
+# n = 5, 17 us on the B-window model, so at most about 1 s
 MAX_PROCESS_PIECES = 50_000
-
-
-def _complete_symmetric_weights(n: int, rng: np.random.Generator) -> np.ndarray:
-    s = rng.uniform(0.5, 1.5, size=(n, n))
-    w = 0.5 * (s + s.T)
-    np.fill_diagonal(w, 0.0)
-    return w
-
-
-def _ring_weights(n: int, skip: int, rng: np.random.Generator) -> np.ndarray:
-    w = np.zeros((n, n))
-    for i in range(n):
-        w[i, (i + skip) % n] = rng.uniform(0.5, 1.5)
-    return w
-
-
-def _window_piece_weights(n: int, k: int, b: int, rng: np.random.Generator) -> np.ndarray:
-    w = np.zeros((n, n))
-    group = k % b
-    for i in range(n):
-        if i % b == group:
-            w[i, (i + 1) % n] = rng.uniform(0.5, 1.5)
-    # one extra random edge keeps pieces from being bare ring fragments
-    i = int(rng.integers(0, n))
-    j = int(rng.integers(0, n - 1))
-    j = j if j < i else j + 1
-    w[i, j] = max(w[i, j], rng.uniform(0.5, 1.5))
-    return w
 
 
 def random_process(
@@ -507,28 +490,41 @@ def random_process(
             raise InvalidInputError("window size B cannot exceed the agent count")
     n_pieces = horizon / dwell
     if n_pieces > MAX_PROCESS_PIECES:
-        raise InvalidInputError(
-            f"{n_pieces:.3g} pieces pass the {MAX_PROCESS_PIECES}-piece cap"
-        )
+        raise InvalidInputError(f"{n_pieces:.3g} pieces pass the {MAX_PROCESS_PIECES}-piece cap")
     if n_pieces * (float(n) * n + PIECE_OVERHEAD) > MAX_PROCESS_FLOATS:
         raise InvalidInputError(
             f"{n_pieces:.3g} pieces of {n:.3g} agents pass the {MAX_PROCESS_FLOATS:g}-float cap"
         )
     rng = np.random.default_rng(seed)
-    n_pieces = max(1, math.ceil(n_pieces - 1e-12))
-    times = []
-    laps = []
-    for k in range(n_pieces):
-        if model == "switching-complete":
-            w = _complete_symmetric_weights(n, rng)
-        elif model == "directed-ring-rotate":
-            skip = 1 + (k % (n - 1)) if n > 2 else 1
-            w = _ring_weights(n, skip, rng)
+    m = max(1, math.ceil(n_pieces - 1e-12))
+    # each model draws what a piece-by-piece loop would, in the same order
+    if model == "switching-complete":
+        w = rng.uniform(0.5, 1.5, size=(m, n, n))
+        for i in range(n):  # w = 0.5 (w + w^T) in place, one row at a time
+            upper = w[:, i, i + 1 :]
+            upper += w[:, i + 1 :, i]
+            upper *= 0.5
+            w[:, i + 1 :, i] = upper
+            w[:, i, i] = 0.0
+    else:
+        w = np.zeros((m, n, n))
+        agents = np.arange(n)
+        if model == "directed-ring-rotate":
+            skips = 1 + np.arange(m)[:, None] % (n - 1)
+            draws = rng.uniform(0.5, 1.5, size=(m, n))
+            w[np.arange(m)[:, None], agents, (agents + skips) % n] = draws
         else:
-            w = _window_piece_weights(n, k, B, rng)
-        times.append(k * dwell)
-        laps.append(make_laplacian(w))
-    return LaplacianProcess(tuple(times), tuple(laps), horizon)
+            groups = agents % B
+            for k, piece in enumerate(w):
+                ring = agents[groups == k % B]
+                piece[ring, (ring + 1) % n] = rng.uniform(0.5, 1.5, size=ring.size)
+                # one extra random edge keeps pieces from being bare ring fragments
+                i = int(rng.integers(0, n))
+                j = int(rng.integers(0, n - 1))
+                j = j if j < i else j + 1
+                piece[i, j] = max(piece[i, j], rng.uniform(0.5, 1.5))
+    times = tuple((np.arange(m) * dwell).tolist())
+    return LaplacianProcess(times, _laplacians_in_place(w), horizon)
 
 
 # --- serialization ---------------------------------------------------------
@@ -566,4 +562,4 @@ def process_from_dict(data: dict) -> LaplacianProcess:
     if any(w.shape != (n, n) for _, w in pieces):
         raise InvalidInputError(f"piece weights must be {n}x{n}")
     times = tuple(t for t, _ in pieces)
-    return LaplacianProcess(times, tuple(make_laplacian(w) for _, w in pieces), horizon)
+    return LaplacianProcess(times, _laplacians_in_place(np.array([w for _, w in pieces])), horizon)

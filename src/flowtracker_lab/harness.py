@@ -110,30 +110,33 @@ def _resolve_process(spec: dict, h: float) -> LaplacianProcess:
     return process_from_dict(spec)
 
 
-def _bad_number(node) -> tuple[str, object] | None:
-    """(path, value) of the first number that is not a finite float, or null
-    in an array, of a raw config; None if none is. Tests exact JSON types."""
+def _bad_leaves(node, path: str = ""):
+    """Yield (path, value) of each leaf of a raw config that no number field
+    may hold, in document order: a number that is not a finite float, a
+    boolean, or null in an array. Tests exact JSON types."""
     in_list = type(node) is list
     for key, value in enumerate(node) if in_list else node.items():
         kind = type(value)
-        if kind is dict or kind is list:
-            found = _bad_number(value)
-        elif kind is float or kind is int:
-            found = None if -FLOAT_MAX <= value <= FLOAT_MAX else ("", value)
+        if kind is float or kind is int:
+            if -FLOAT_MAX <= value <= FLOAT_MAX:
+                continue
+        elif kind is dict or kind is list:
+            yield from _bad_leaves(value, f"{path}[{key}]" if in_list else f"{path}.{key}")
+            continue
+        elif kind is not bool and (value is not None or not in_list):
+            continue
+        yield (f"{path}[{key}]" if in_list else f"{path}.{key}"), value
+
+
+def _reject_bad_number(raw, root: str = "", booleans: list | None = None) -> None:
+    """ConfigError naming the first leaf under `root` of a raw dict or list
+    that `_bad_leaves` finds; a boolean's (path, value) goes to the list
+    `booleans` instead, where one is given."""
+    for path, value in _bad_leaves(raw, root):
+        if booleans is not None and type(value) is bool:
+            booleans.append((path, value))
         else:
-            found = ("", value) if value is None and in_list else None
-        if found is not None:
-            return (f"[{key}]" if in_list else f".{key}") + found[0], found[1]
-    return None
-
-
-def _reject_bad_number(raw, root: str = "") -> None:
-    """ConfigError naming the first number under `root` of a raw dict or
-    list that `_bad_number` finds."""
-    bad = _bad_number(raw)
-    if bad is not None:
-        path = (root + bad[0]).lstrip(".")
-        raise ConfigError(f"{path} is {json.dumps(bad[1])}, not a finite number")
+            raise ConfigError(f"{path.lstrip('.')} is {json.dumps(value)}, not a finite number")
 
 
 class _part:
@@ -347,8 +350,13 @@ def parse_config(raw: dict, full_resolution: bool = False) -> ExperimentConfig:
     ConfigError before anything is integrated. With full_resolution the
     run records every step, and the checks' needs are judged on that grid.
     """
+    # a boolean is rejected once every part is read, so that a part's check names it first
+    booleans: list = []
     with _part("config"):
-        _reject_bad_number(raw)
+        for key, kind, what in (("name", str, "a string"), ("jsonl", bool, "true or false")):
+            if key in raw and type(raw[key]) is not kind:
+                raise ConfigError(f"{key} must be {what}, got {json.dumps(raw[key])}")
+        _reject_bad_number({k: v for k, v in raw.items() if k != "jsonl"}, booleans=booleans)
         for key in raw:
             check_known(key, CONFIG_KEYS, "config key")
         h = float(raw["h"])
@@ -363,7 +371,7 @@ def parse_config(raw: dict, full_resolution: bool = False) -> ExperimentConfig:
         checks = tuple(raw.get("checks", ()))
         params = {key: dict(value) for key, value in dict(raw.get("check_params", {})).items()}
         expectations = [(spec.pop("kind"), spec) for spec in map(dict, raw.get("expectations", ()))]
-        name = str(raw.get("name", "run"))
+        name = raw.get("name", "run")
         optioned = tuple(check for check, row in CHECKS.items() if row.fields)
         for key in params:
             check_known(key, optioned, "check_params entry")
@@ -395,9 +403,7 @@ def parse_config(raw: dict, full_resolution: bool = False) -> ExperimentConfig:
         except OverflowError:
             alpha_end = 0.0
         if not 0 < alpha_end <= 1:
-            raise ConfigError(
-                f"schedule alpha(t_end) = {alpha_end} is not a finite step in (0, 1]"
-            )
+            raise ConfigError(f"schedule alpha(t_end) = {alpha_end} is not a finite step in (0, 1]")
         if "d" in raw and d != family.d:
             raise ConfigError(f"d is {d}, but the family's agents have dimension {family.d}")
         d = family.d
@@ -405,9 +411,7 @@ def parse_config(raw: dict, full_resolution: bool = False) -> ExperimentConfig:
         system = make_system(dyn.pop("name"), process, d=d, **dyn)
 
     if family is not None and family.n != system.n:
-        raise ConfigError(
-            f"family has {family.n} agents but the process has {system.n}"
-        )
+        raise ConfigError(f"family has {family.n} agents but the process has {system.n}")
     with _part("initial condition"):
         init_spec = raw.get("init", {})
         if not isinstance(init_spec, dict):
@@ -476,6 +480,9 @@ def parse_config(raw: dict, full_resolution: bool = False) -> ExperimentConfig:
         with _part(f"the {key} {label}"):
             resolved[key] = row.resolve(key, spec)
             row.hook(resolved[key], cfg)
+    if booleans:
+        path, value = booleans[0]
+        raise ConfigError(f"{path.lstrip('.')} is {json.dumps(value)}, not a finite number")
     return cfg
 
 

@@ -142,9 +142,7 @@ def step_grid(
     if t_end <= 0:
         raise InvalidInputError("t_end must be positive")
     if t_end > process.horizon + 1e-12:
-        raise InvalidInputError(
-            f"t_end {t_end} exceeds the process horizon {process.horizon}"
-        )
+        raise InvalidInputError(f"t_end {t_end} exceeds the process horizon {process.horizon}")
     starts = check_switch_alignment(process, h)
     steps_per_record = steps_in_span(record_every, h, "record_every")
     if steps_per_record < 1:
@@ -182,7 +180,7 @@ def _affine_path(system, coeffs, bounds, per_record, h, box, states):
     scale, offset, schedule, center, radius = coeffs
     n, d, size = system.n, system.d, system.state_size
     nd = n * d
-    laps = system.process.laplacians
+    matrices = system.process.matrices
     rows = system.ratio_slice
     output = system.output_flat
     zone = not np.isinf(radius).all()
@@ -191,8 +189,8 @@ def _affine_path(system, coeffs, bounds, per_record, h, box, states):
 
     def fields_of(pieces):
         """The pieces' couplings as linear fields [[K(L), 0], [0, 0]] on (state, 1)."""
-        out = np.zeros((len(pieces), size + 1, size + 1))
-        out[:, :-1, :-1] = system.coupling_matrix(np.stack([laps[p].matrix for p in pieces]))
+        out = np.zeros((len(matrices[pieces]), size + 1, size + 1))
+        out[:, :-1, :-1] = system.coupling_matrix(matrices[pieces])
         return out
 
     def stage_fields(fields, alpha, r):
@@ -265,7 +263,7 @@ def _affine_path(system, coeffs, bounds, per_record, h, box, states):
             forcing[:nd, -1] = offset.ravel()
             for piece in range(len(bounds) - 1):
                 step, stop = bounds[piece], bounds[piece + 1]
-                coupling = fields_of([piece])[0]
+                coupling = fields_of(slice(piece, piece + 1))[0]
                 f = coupling + schedule.a0 * forcing
                 powers = _prefix_powers(
                     rk4_maps(f, f, f, f, h), min(per_record, stop - step, most_steps)
@@ -281,7 +279,7 @@ def _affine_path(system, coeffs, bounds, per_record, h, box, states):
             steps = np.arange(first, first + count * length)
             t = steps * h
             piece = np.searchsorted(edges, steps, side="right") - 1
-            piece_fields = fields_of(range(piece[0], piece[-1] + 1))
+            piece_fields = fields_of(slice(piece[0], piece[-1] + 1))
             fields = piece_fields[piece - piece[0]]
             a1, a2, a4 = (evaluate_many(schedule, s) for s in (t, t + 0.5 * h, t + h))
             alphas = (a1, a2, a2, a4)
@@ -425,10 +423,10 @@ def _generic_path(system, law, vec, start, bounds, steps_per_record, h, box, sta
     n_steps = bounds[-1]
     output = system.output_flat
     weights = system.ratio_slice
-    # the Laplacian of each piece, by the step it starts at, and of the start
-    laps = system.process.laplacians
-    starts = dict(zip(bounds[:-1], laps))
-    starts[start] = laps[bisect_right(bounds, start) - 1]
+    # the index of each piece, by the step it starts at, and of the start's
+    starts = {step: k for k, step in enumerate(bounds[:-1])}
+    starts[start] = bisect_right(bounds, start) - 1
+    matrices = system.process.matrices
 
     # the stage derivatives live in the rows of one buffer, so the RK4
     # update is a single weighted sum and the input adds into row views
@@ -452,7 +450,7 @@ def _generic_path(system, law, vec, start, bounds, steps_per_record, h, box, sta
         if step == n_steps:
             break
         if step in starts:
-            big = system.coupling_matrix(starts[step].matrix)
+            big = system.coupling_matrix(matrices[starts[step]])
         np.dot(big, vec, out=k1)
         k1x += u_now
         v = vec + h2 * k1

@@ -254,6 +254,22 @@ MALFORMED = {
         "dynamics": {"name": "push-sum"},
         "init": {"x": [[0.0], [2.5]], "w": [1.0, 1.0]},
     },
+    "name-number": {"name": 5},
+    "jsonl-number": {"jsonl": 5},
+    "schedule-boolean-a0": {"schedule": {"kind": "constant", "a0": True}},
+    "boolean-t-end": {"t_end": True},
+    "random-boolean-dwell": {"process": {"random": {**RANDOM_PROCESS, "dwell": True}}},
+    "boolean-weight": {
+        "process": {
+            "n": 2,
+            "pieces": [{"t": 0.0, "weights": [[0.0, True], [1.0, 0.0]]}],
+            "horizon": 5.0,
+        }
+    },
+    "consensus-tol-boolean": {
+        "checks": ["consensus"],
+        "check_params": {"consensus": {"tol": False}},
+    },
 }
 
 
@@ -343,6 +359,13 @@ NAMED = {
     "expectation-listed-twice": "expectation 'y-abs-max' is listed twice",
     "init-outside-box": "initial outputs [[0.0], [3.0]] leave the validity box",
     "ratio-init-outside-box": "initial outputs [[0.0], [2.5]]",
+    "name-number": "name must be a string, got 5",
+    "jsonl-number": "jsonl must be true or false, got 5",
+    "schedule-boolean-a0": "schedule.a0 is true, not a finite number",
+    "boolean-t-end": "t_end is true, not a finite number",
+    "random-boolean-dwell": "process.random.dwell is true, not a finite number",
+    "boolean-weight": "process.pieces[0].weights[0][1] is true, not a finite number",
+    "consensus-tol-boolean": "check_params.consensus.tol is false, not a finite number",
 }
 
 
@@ -629,6 +652,7 @@ def test_logistic_agent_at_a_vast_offset_runs(tmp_path, capsys):
         ('{"kind": "custom-piecewise", "times": [0.0], "values": 5}', "schedule invalid"),
         ("{not json", "Expecting property name"),
         ('{"kind": "power-law", "a0": 1.0, "p": NaN}', "schedule.p is NaN"),
+        ('{"kind": "constant", "a0": true}', "schedule.a0 is true"),
     ],
 )
 def test_malformed_schedule_to_check_exits_2(capsys, schedule, named):
@@ -642,12 +666,18 @@ def test_malformed_schedule_to_check_exits_2(capsys, schedule, named):
 
 @pytest.mark.parametrize(
     "field, named",
-    [("horizon", "process.horizon is NaN"), ("weights", "process.pieces[0].weights[0][1] is NaN")],
+    [
+        ("horizon", "process.horizon is NaN"),
+        ("weights", "process.pieces[0].weights[0][1] is NaN"),
+        ("n", "process.n is true"),
+    ],
 )
 def test_process_file_with_nan_exits_2(tmp_path, capsys, field, named):
     process = base_config()["process"]
     if field == "horizon":
         process["horizon"] = float("nan")
+    elif field == "n":
+        process["n"] = True
     else:
         process["pieces"][0]["weights"][0][1] = float("nan")
     proc_path = tmp_path / "proc.json"

@@ -10,13 +10,11 @@ from hypothesis.extra.numpy import arrays
 from flowtracker_lab import graphnet, harness
 from flowtracker_lab.errors import InvalidInputError
 from flowtracker_lab.graphnet import (
-    DirectedGraph,
     Laplacian,
     LaplacianProcess,
     common_stationary_distribution,
     constant_process,
     cut_value,
-    graph_from_edges,
     integrated_min_cut,
     is_weight_balanced,
     make_laplacian,
@@ -149,6 +147,13 @@ class TestMakeLaplacian:
             np.fill_diagonal(w, 0.0)
             lap = make_laplacian(w)
             assert np.abs(lap.matrix.sum(axis=0)).max() < 1e-12
+
+    def test_edge_weights_become_laplacian(self):
+        # edges (0, 1) of weight 1 and (1, 2) of weight 2
+        lap = make_laplacian([[0, 1, 0], [0, 0, 2], [0, 0, 0]])
+        assert lap.matrix[0, 1] == -1.0
+        assert lap.matrix[2, 2] == 2.0
+        assert np.array_equal(np.diagonal(lap.matrix), [0.0, 1.0, 2.0])
 
     def test_negative_weight_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -486,20 +491,3 @@ class TestSerialization:
     def test_malformed_rejected(self):
         with pytest.raises(InvalidInputError):
             process_from_dict({"n": 2, "pieces": [], "horizon": 1.0})
-
-
-class TestDirectedGraph:
-    def test_edges_and_laplacian(self):
-        g = graph_from_edges(3, {(0, 1): 1.0, (1, 2): 2.0})
-        assert g.edges == ((0, 1), (1, 2))
-        lap = g.laplacian()
-        assert lap.matrix[0, 1] == -1.0
-        assert lap.matrix[2, 2] == 2.0
-
-    def test_self_loop_rejected(self):
-        with pytest.raises(InvalidInputError):
-            graph_from_edges(2, {(0, 0): 1.0})
-
-    def test_negative_weight_rejected(self):
-        with pytest.raises(InvalidInputError):
-            DirectedGraph(2, np.array([[0.0, -1.0], [0.0, 0.0]]))
