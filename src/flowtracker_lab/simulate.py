@@ -24,13 +24,14 @@ piece's RK4 map, builds each step's map from its four stage fields
 and composes the maps of each record interval by prefix products.
 Either way one matrix-vector product per record interval advances the
 state, and batched products recover the state and the four stages at
-every step of a block, which are checked for finiteness, the validity
-box, the weight floor and the zone; with record_every = h
-and a constant step the result is bit-identical to one map per step.
-At the first step with a stage output outside the zone the generic
-loop takes over from that step's state. The generic path checks every
-step's state and output too, so on both paths a run aborts at the
-first offending step with the same error.
+every step of a block; with record_every = h and a constant step the
+result is bit-identical to one map per step. Only the generic loop
+raises a run's numerical errors. The affine path finds the first faulty
+step: a stage output leaves the zone or a stage derivative is not
+finite, or the end state is not finite, leaves the validity box or has
+a weight under the floor; step 0 is faulty when the initial state is.
+The generic loop takes over from that step's state, redoes it with the
+law and raises what it finds, or goes on if the step is fine after all.
 """
 
 from __future__ import annotations
@@ -130,9 +131,6 @@ def _prefix_powers(aug: np.ndarray, count: int) -> np.ndarray:
     return stack
 
 
-_BOX_MESSAGE = "output left the declared gradient-validity box"
-
-
 def step_grid(
     process: LaplacianProcess, t_end: float, h: float, record_every: float
 ) -> tuple[int, int, list[int]]:
@@ -153,29 +151,18 @@ def step_grid(
     return n_steps, steps_per_record, starts
 
 
-def _floor_error(t: float) -> DegenerateWeightsError:
-    return DegenerateWeightsError(
-        f"ratio weight fell below the floor {W_FLOOR:g}; the mixing flow is "
-        "not keeping row sums positive",
-        t,
-    )
-
-
 def _affine_path(system, coeffs, bounds, per_record, h, box, states):
     """Fill the rows of `states`, row 0 holding the initial state, with the
     record states under the law u = alpha(t) * (scale * y + offset), which
     holds while every stage output y_i lies within radius_i of center_i.
     Returns (step, state): the run's step count and its final state, or
-    the first step with a stage output outside that zone and its state,
-    from which the generic loop goes on; records up to it are filled.
+    the first faulty step (see the module docstring) and its state, from
+    which the generic loop goes on; records up to it are filled.
 
     Chunks of steps advance by prefix products of the step maps, as the
     module docstring says, and are cut short where a stack would pass
     STACK_BYTES. Batched products give every step's state and its four
-    stages. The first step that fails a check raises or hands off, in the
-    generic loop's order: the weight floor, finiteness (of the state, and
-    of the previous step's stage derivatives, which make it non-finite
-    there) and the box at each step's end, then the zone at its stages.
+    stages.
     """
     scale, offset, schedule, center, radius = coeffs
     n, d, size = system.n, system.d, system.state_size
@@ -310,20 +297,17 @@ def _affine_path(system, coeffs, bounds, per_record, h, box, states):
             yield first, maps, count, (fields[:, :-1, :-1], alphas, reach), ends
 
     def stage_faults(heads, coupling, alphas, reach):
-        """Per step, the generic loop's four stages from its start state,
-        batched, with the coupling (one, or one per step), the step sizes
-        of each stage and a bound on the stage fields' row sums and 1 / r:
-        whether a stage output leaves the zone (NaN does); whether a stage
-        derivative is not finite, so that the next state is not; and
-        whether that already holds by stage 3, which leaves the next ratio
-        weights NaN rather than under the floor."""
-        none = np.zeros(len(heads), dtype=bool)
+        """Per step, whether the generic loop's four stages from its start
+        state, batched, with the coupling (one, or one per step), the step
+        sizes of each stage and a bound on the stage fields' row sums and
+        1 / r, put an output outside the zone (NaN is outside) or give a
+        derivative that is not finite; None when no step does."""
         # a stage's derivative and output are at most reach times its
         # state, which is at most (1 + h reach)^3 times the step's start
         safe = 1e300 / (reach * (1.0 + h * reach) ** 3)
         bounded = 1.0 < safe and np.abs(heads).max() < safe
         if bounded and not zone:
-            return none, none, none
+            return None
         inside = np.ones((len(heads), n), dtype=bool)
         finite = np.ones(heads.shape, dtype=bool)
         v = heads
@@ -336,21 +320,17 @@ def _affine_path(system, coeffs, bounds, per_record, h, box, states):
             u = np.reshape(alpha, (-1, 1, 1)) * (scale[:, None] * y + offset)
             k = _matvec(coupling, v)
             k[:, :nd] += u.reshape(len(v), nd)
-            if coeff is None:
-                by_stage_3 = finite.copy()
             if not bounded:
                 finite &= np.isfinite(k)
             if coeff is not None:
                 v = heads + coeff * k
         if inside.all() and finite.all():
-            return none, none, none
-        return ~inside.all(axis=1), ~by_stage_3.all(axis=1), ~finite.all(axis=1)
+            return None
+        return ~(inside.all(axis=1) & finite.all(axis=1))
 
     z = states[0]
-    if not np.isfinite(z).all():
-        raise NumericalFailureError("state became non-finite", 0.0)
-    if box is not None and box.outside(output(z)).any():
-        raise NumericalFailureError(_BOX_MESSAGE, 0.0)
+    if not np.isfinite(z).all() or (box is not None and box.outside(output(z)).any()):
+        return 0, z
     for first, prefix, count, stages, weights in blocks():
         lin, off = prefix[..., :-1, :-1], prefix[..., :-1, -1]
         length = lin.shape[-3]
@@ -370,37 +350,21 @@ def _affine_path(system, coeffs, bounds, per_record, h, box, states):
         states[stops[at] // per_record] = ends[at]
 
         heads = np.concatenate((starts[:, None], block[:, :-1]), axis=1).reshape(-1, size)
-        leaves, dirty, blows = stage_faults(heads, *stages)
+        faulty = stage_faults(heads, *stages)
         block = block.reshape(-1, size)
-        finite = np.isfinite(block)
-        outside = None if box is None else box.outside(output(block))
-        if not (
-            leaves.any()
-            or blows.any()
-            or not finite.all()
-            or (outside is not None and outside.any())
-            or (weights is not None and (weights < W_FLOOR).any())
-        ):
-            continue
-        # bad[k, c]: check c fails at step first + k, in the generic
-        # loop's order: weight floor, finiteness, box, then the zone
-        bad = np.zeros((len(block) + 1, 4), dtype=bool)
+        # each step's end state: not finite, outside the box, under the floor
+        bad_ends = [~np.isfinite(block)]
+        if box is not None:
+            bad_ends.append(box.outside(output(block)).reshape(len(block), -1))
         if weights is not None:
-            bad[1:, 0] = (weights.min(axis=1) < W_FLOOR) & ~dirty
-        bad[1:, 1] = blows | ~finite.all(axis=1)
-        if outside is not None:
-            bad[1:, 2] = outside.any(axis=(1, 2))
-        bad[:-1, 3] = leaves
-        if bad.any():
-            k, check = divmod(int(bad.argmax()), 4)
-            t = (first + k) * h
-            if check == 0:
-                raise _floor_error(t)
-            if check == 1:
-                raise NumericalFailureError("state became non-finite", t)
-            if check == 2:
-                raise NumericalFailureError(_BOX_MESSAGE, t)
-            return first + k, heads[k]
+            bad_ends.append(weights < W_FLOOR)
+        # whole-block checks first: per-step masks cost a clean block dearly
+        if faulty is None and not any(bad.any() for bad in bad_ends):
+            continue
+        if faulty is not None:
+            bad_ends.append(faulty[:, None])
+        k = int(np.any([bad.any(axis=1) for bad in bad_ends], axis=0).argmax())
+        return first + k, heads[k]
     return bounds[-1], z
 
 
@@ -443,7 +407,7 @@ def _generic_path(system, law, vec, start, bounds, steps_per_record, h, box, sta
             raise NumericalFailureError("state became non-finite", t)
         y_now = output(vec)
         if box is not None and box.outside(y_now).any():
-            raise NumericalFailureError(_BOX_MESSAGE, t)
+            raise NumericalFailureError("output left the declared gradient-validity box", t)
         u_now = law(t, y_now)
         if not off_record:
             states[j], y_rec[j], u_rec[j] = vec, y_now, u_now
@@ -464,7 +428,11 @@ def _generic_path(system, law, vec, start, bounds, steps_per_record, h, box, sta
         k4x += law(t + h, output(v))
         vec = vec + rk4_weights @ stages
         if weights is not None and vec[weights].min() < W_FLOOR:
-            raise _floor_error((step + 1) * h)
+            raise DegenerateWeightsError(
+                f"ratio weight fell below the floor {W_FLOOR:g}; the mixing flow is "
+                "not keeping row sums positive",
+                (step + 1) * h,
+            )
 
 
 def integrate(
@@ -490,9 +458,9 @@ def integrate(
     The run takes the exact affine path while the law is affine on its
     zone (see the module docstring), with the ratio weights advanced
     alone per block of steps, and hands off to the generic RK4 loop at
-    the first step with a stage output outside the zone; meta "path"
-    names the path the run started on and "handoff_step" the step of
-    the handoff, or None.
+    the first faulty step. That loop redoes the step and raises what it
+    finds, or runs on. Meta "path" names the path the run started on and
+    "handoff_step" the handoff step, or None.
 
     Raises
     ------
@@ -556,7 +524,7 @@ def integrate(
         "c1": system.c1,
         "ratio": system.ratio,
         "path": "generic" if affine is None else "affine",
-        # the step where an affine run's outputs left the law's affine zone
+        # the first faulty step of an affine run, where the generic loop took over
         "handoff_step": step if affine is not None and step < n_steps else None,
     }
     return Trajectory(times, x_rec, aux_rec, y_rec, u_rec, x_rec.mean(axis=1), meta)

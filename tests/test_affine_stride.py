@@ -9,7 +9,8 @@ radius the affine path must agree with the generic RK4 loop, reached
 through a law with no affine form, within 1e-12, and raise what it
 raises when it raises it; outside the radius it hands off to that loop.
 On both paths an output that leaves the box between records aborts the
-run at the first offending step.
+run at the first offending step. The affine path raises nothing itself:
+it hands its first faulty step to the generic loop, which raises.
 """
 
 import math
@@ -313,7 +314,16 @@ def test_every_preset_takes_its_pinned_path(name):
 
 class WithoutAffineForm(GradientFeedback):
     """The same law with no affine form, so integrate runs the generic loop
-    on it and checks its box there."""
+    on it and checks its box there; `seen` keeps the outputs it is called
+    on, which the generic loop forms at a step's four stages in order."""
+
+    def __init__(self, family, schedule):
+        super().__init__(family, schedule)
+        self.seen = []
+
+    def __call__(self, t, y):
+        self.seen.append(y.copy())
+        return super().__call__(t, y)
 
     def rowwise_affine(self):
         return None
@@ -337,29 +347,32 @@ def zone_runs(draw):
     """A multi-piece run of any system under huber or quadratic agents,
     with radii a little past each agent's initial distance to its center,
     so that some runs leave the affine zone mid-run. Some draw a box. Some
-    stress the run: a system without a ratio block gets a process scaled
-    until RK4 is unstable, so that its state blows up; a ratio system
-    gets one on which agent 0 reads no one and the others read it hard,
-    so that its weight drains through the floor. A stressed run lasts
-    long enough to reach its error, t_end >= 3."""
+    stress the run. Under "blow-up" a system without a ratio block gets a
+    process scaled until RK4 is unstable, so that its state blows up; a
+    ratio system gets one on which agent 0 reads no one and the others
+    read it hard, so that its weight drains through the floor. Such a run
+    lasts long enough to reach its error, t_end >= 3. Under "box" an
+    RK4-stable run gets a box inside the range of its outputs: one the
+    outputs leave mid-run, or, where they never pass their initial size,
+    one the initial output lies outside."""
     name = draw(st.sampled_from(SYSTEM_NAMES))
     n = draw(st.integers(2, 6))
     d = 1 if SYSTEMS[name].scalar else draw(st.sampled_from((1, 2)))
     per_record = draw(st.sampled_from((1, 2, 5, 10)))
     dwell = draw(st.integers(2, 30)) * H
-    stress = draw(st.sampled_from((False, False, False, True)))
-    fewest = math.ceil(3.0 / (per_record * H)) if stress else 2
+    stress = draw(st.sampled_from((None, None, "blow-up", "box")))
+    fewest = math.ceil(3.0 / (per_record * H)) if stress == "blow-up" else 2
     t_end = per_record * draw(st.integers(fewest, fewest + 18)) * H
     seed = draw(st.integers(0, 2**31 - 1))
     rng = np.random.default_rng(seed)
-    if stress and SYSTEMS[name].ratio is not None:
+    if stress == "blow-up" and SYSTEMS[name].ratio is not None:
         process = draining_process(n, dwell, math.ceil(t_end / dwell) + 1, rng)
     else:
         model = "switching-complete" if name == "saddle-point" else draw(
             st.sampled_from(("switching-complete", "directed-ring-rotate"))
         )
         process = random_process(n, model, dwell=dwell, horizon=t_end + 1.0, seed=seed, h=H)
-        if stress:
+        if stress == "blow-up":
             laps = tuple(Laplacian(1000.0 * lap.matrix) for lap in process.laplacians)
             process = LaplacianProcess(process.start_times, laps, process.horizon)
     kind = draw(st.sampled_from(("constant", "power-law", "custom")))
@@ -383,7 +396,14 @@ def zone_runs(draw):
             entry.update(form="huber", radius=reach + rng.uniform(0.01, 0.5))
         entries.append(entry)
     box = None
-    if draw(st.booleans()):
+    if stress == "box":
+        # every step's largest output size, on the generic loop
+        law = WithoutAffineForm(custom_table(entries), schedule)
+        integrate(system, law, system.initial_state(x0), t_end=t_end, h=H, record_every=H)
+        peak = np.abs(np.array(law.seen[::4])).max(axis=(1, 2))
+        bound = rng.uniform(peak[0], peak.max()) if peak.max() > peak[0] else 0.5 * peak[0]
+        box = Box(np.full(d, -bound), np.full(d, bound))
+    elif draw(st.booleans()):
         bound = rng.uniform(1.0, 2.0)
         box = Box(np.full(d, -bound), np.full(d, bound))
     family = custom_table(entries, box=box)
@@ -399,17 +419,14 @@ def outcome(system, law, init, t_end, record_every):
         return type(exc), exc.time
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(zone_runs())
 def test_zone_path_matches_generic_loop_on_every_system(run):
     system, family, schedule, init, t_end, record_every, stress = run
     law = gradient_feedback(family, schedule)
     got = outcome(system, law, init, t_end, record_every)
-    if family.validity_box is None:
-        # a plain function has no rowwise_affine, so it takes the generic path
-        ref = outcome(system, lambda t, y: law(t, y), init, t_end, record_every)
-    else:
-        ref = outcome(system, WithoutAffineForm(family, schedule), init, t_end, record_every)
+    plain = WithoutAffineForm(family, schedule)
+    ref = outcome(system, plain, init, t_end, record_every)
     if isinstance(ref, tuple):
         assert got == ref
         return
@@ -418,6 +435,11 @@ def test_zone_path_matches_generic_loop_on_every_system(run):
     arrays = [(got.x, ref.x), (got.y, ref.y), (got.u, ref.u)]
     arrays += [(got.aux[key], ref.aux[key]) for key in ref.aux]
     assert max(np.abs(g - e).max() for g, e in arrays) <= 1e-12
+    # the handoff is the first step with a stage output outside the zone
+    center, radius = law.rowwise_affine()[3:]
+    stages = np.array(plain.seen[: 4 * round(t_end / H)])
+    outside = (np.linalg.norm(stages - center, axis=2) > radius).any(axis=1)
+    assert got.meta["handoff_step"] == (int(np.argmax(outside)) // 4 if outside.any() else None)
 
 
 def test_outputs_leaving_the_radius_hand_off_to_the_generic_loop():
@@ -491,6 +513,72 @@ def test_weight_under_the_floor_as_the_stages_blow_up_is_a_non_finite_state(name
     ref = outcome(system, lambda t, y: law(t, y), init, 3.0, H)
     assert ref[0] is NumericalFailureError
     assert outcome(system, law, init, 3.0, H) == ref
+
+
+def boxed_pair_run(schedule):
+    """The quadratic saddle-point pair of the box test, boxed between the
+    peak of its outputs at records of 10 steps and their peak at steps."""
+    process = constant_process(Laplacian(np.array([[1.0, -1.0], [-1.0, 1.0]])), 20.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        system = make_system("saddle-point", process, d=1, a=0.5)
+    init = system.initial_state(np.zeros((2, 1)))
+    free = integrate(system, oscillating_law("quadratic", schedule), init, 10.0, H, H)
+    peak = np.abs(free.y).max(axis=(1, 2))
+    bound = 0.5 * (peak.max() + peak[::10].max())
+    law = oscillating_law("quadratic", schedule, Box(np.array([-bound]), np.array([bound])))
+    return system, law, init, 10.0, H, 10 * H
+
+
+def draining_run(name, n, seed):
+    """The run of the floor test that overflows as its weight drains."""
+    rng = np.random.default_rng(seed)
+    system = make_system(name, draining_process(n, 0.5, 8, rng), d=1, a=5.0)
+    entries = [{"center": [c], "curvature": rng.uniform(0.2, 3.0)} for c in rng.uniform(-1, 1, n)]
+    law = gradient_feedback(custom_table(entries), constant(rng.uniform(0.1, 1.0)))
+    return system, law, system.initial_state(rng.uniform(-1, 1, (n, 1))), 3.0, H, H
+
+
+def blow_up_run():
+    """The run of the blow-up test, outside RK4's stability region."""
+    lap = Laplacian(np.array([[10.0, -10.0], [-10.0, 10.0]]))
+    system = averaging_system(constant_process(lap, 100.0))
+    law = gradient_feedback(custom_table([{"center": [1.0]}, {"center": [-1.0]}]), constant(0.5))
+    return system, law, system.initial_state(np.array([[0.5], [0.0]])), 100.0, 0.5, 5.0
+
+
+def outside_start_run():
+    """A quadratic pair whose initial output lies outside its box."""
+    system, _, init, t_end, h, record_every = boxed_pair_run(constant(0.5))
+    law = oscillating_law("quadratic", constant(0.5), Box(np.array([0.5]), np.array([1.0])))
+    return system, law, init, t_end, h, record_every
+
+
+@pytest.mark.parametrize(
+    "make, error",
+    [
+        (lambda: boxed_pair_run(constant(0.5)), "validity box"),
+        (lambda: boxed_pair_run(power_law(1.0, 1.0)), "validity box"),
+        (lambda: draining_run("spps", 4, 5), "non-finite"),
+        (lambda: draining_run("push-sum", 3, 70), "non-finite"),
+        (blow_up_run, "non-finite"),
+        (outside_start_run, "validity box"),
+    ],
+    ids=["box-constant", "box-power-law", "floor-spps", "floor-push-sum", "blow-up", "start"],
+)
+def test_the_generic_loop_raises_an_affine_runs_error(make, error):
+    # the affine path finds the faulty step and hands it to the generic
+    # loop, which redoes it and raises: the step before the error's, or
+    # step 0 for a faulty initial state
+    system, law, init, t_end, h, record_every = make()
+    spy = mock.patch.object(simulate, "_generic_path", wraps=simulate._generic_path)
+    with spy as generic, np.errstate(all="ignore"), pytest.raises(NumericalFailureError) as got:
+        integrate(system, law, init, t_end=t_end, h=h, record_every=record_every)
+    assert error in str(got.value)
+    assert generic.call_count == 1
+    step = round(got.value.time / h)
+    assert generic.call_args.args[3] == max(step - 1, 0)
+    assert got.traceback[-1].name == "_generic_path"
 
 
 @pytest.mark.parametrize("seed", range(16))

@@ -89,6 +89,9 @@ MALFORMED = {
     "expectations-check-without-expectations": {"checks": ["expectations"]},
     "dynamics-misspelt-gain": {"dynamics": {"name": "saddle-point", "gain": 3}},
     "power-law-misspelt-p": {"schedule": {"kind": "power-law", "a0": 0.5, "P": 0.6}},
+    "init-y": {"init": {"x": [[0.0], [0.0]], "y": [[0.0], [0.0]]}},
+    "constant-with-p": {"schedule": {"kind": "constant", "a0": 0.5, "p": 1.0}},
+    "power-law-with-times": {"schedule": {"kind": "power-law", "a0": 0.5, "times": [0.0]}},
     "mirror-misspelt-offset": {"family": {"kind": "mirror-pair", "params": {"ofset": 3.0}}},
     "random-misspelt-seed": {"process": {"random": {**RANDOM_PROCESS, "sed": 7}}},
     "random-fractional-seed": {"process": {"random": {**RANDOM_PROCESS, "seed": 1.5}}},
@@ -996,16 +999,33 @@ def test_schema_enums_match_the_code():
     piece = inline["properties"]["pieces"]["items"]
     random_spec = random_form["properties"]["random"]
     closed = [schema, inline, piece, file_form, random_form, random_spec]
+    closed += [props["dynamics"], props["init"], *props["schedule"]["oneOf"][1:]]
     assert all(node["additionalProperties"] is False for node in closed)
     assert tuple(inline["properties"]) == ("n", "pieces", "horizon")
     assert tuple(piece["properties"]) == ("t", "weights")
     random_args = inspect.signature(random_process).parameters
     assert set(random_spec["properties"]) == set(random_args) - {"h"}
-    assert tuple(props["dynamics"]["properties"]["name"]["enum"]) == SYSTEM_NAMES
-    gain = inspect.signature(make_system).parameters["a"].default
-    assert props["dynamics"]["properties"]["a"]["default"] == gain
+    dynamics = props["dynamics"]
+    assert tuple(dynamics["properties"]["name"]["enum"]) == SYSTEM_NAMES
+    # make_system's keyword arguments but d, which is a top-level key
+    system_args = inspect.signature(make_system).parameters
+    keywords = {key for key, arg in system_args.items() if arg.default is not arg.empty}
+    assert set(dynamics["properties"]) == {"name"} | keywords - {"d"}
+    assert dynamics["properties"]["a"]["default"] == system_args["a"].default
     assert tuple(props["family"]["properties"]["kind"]["enum"]) == tuple(FAMILIES)
-    assert tuple(props["schedule"]["properties"]["kind"]["enum"]) == tuple(SCHEDULES)
+    null, *branches = props["schedule"]["oneOf"]
+    assert null == {"type": "null"}
+    assert tuple(branch["properties"]["kind"]["const"] for branch in branches) == tuple(SCHEDULES)
+    empty = inspect.Parameter.empty
+    for branch in branches:
+        specs = dict(branch["properties"])
+        args = inspect.signature(SCHEDULES[specs.pop("kind")["const"]]).parameters
+        assert tuple(specs) == tuple(args)
+        required = [key for key, arg in args.items() if arg.default is empty]
+        assert branch["required"] == ["kind", *required]
+        defaults = {key: spec.get("default", empty) for key, spec in specs.items()}
+        assert defaults == {key: arg.default for key, arg in args.items()}
+    assert set(props["init"]["properties"]) == {"x", "random", *harness.INIT_AUX_KEYS}
     assert tuple(random_spec["properties"]["model"]["enum"]) == RANDOM_MODELS
     assert tuple(props["checks"]["items"]["enum"]) == tuple(harness.CHECKS)
     assert props["checks"]["uniqueItems"] is True
@@ -1024,6 +1044,11 @@ def test_schema_enums_match_the_code():
         # a schema default is the row's default; no default is None
         schema_defaults = {key: spec.get("default") for key, spec in options["properties"].items()}
         assert schema_defaults == defaults, name
+    # configs that parse_config rejects, and the closed objects now too
+    jsonschema = pytest.importorskip("jsonschema")
+    probes = ["dynamics-misspelt-gain", "init-y", "constant-with-p", "power-law-with-times"]
+    for case in probes:
+        assert not jsonschema.Draft7Validator(schema).is_valid(base_config(**MALFORMED[case])), case
 
 
 def test_selftest_passes(capsys):
