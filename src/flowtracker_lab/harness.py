@@ -110,10 +110,12 @@ def _resolve_process(spec: dict, h: float) -> LaplacianProcess:
     return process_from_dict(spec)
 
 
-def _bad_leaves(node, path: str = ""):
-    """Yield (path, value) of each leaf of a raw config that no number field
-    may hold, in document order: a number that is not a finite float, a
-    boolean, or null in an array. Tests exact JSON types."""
+def _bad_leaves(node):
+    """Yield (steps, value) of each leaf of a raw config that no number
+    field may hold, in document order: a number that is not a finite float,
+    a boolean, or null in an array. Tests exact JSON types. `steps` spells
+    the leaf's path below node, last step first; only a leaf that is
+    reported has its path spelt."""
     in_list = type(node) is list
     for key, value in enumerate(node) if in_list else node.items():
         kind = type(value)
@@ -121,18 +123,21 @@ def _bad_leaves(node, path: str = ""):
             if -FLOAT_MAX <= value <= FLOAT_MAX:
                 continue
         elif kind is dict or kind is list:
-            yield from _bad_leaves(value, f"{path}[{key}]" if in_list else f"{path}.{key}")
+            for steps, leaf in _bad_leaves(value):
+                steps.append(f"[{key}]" if in_list else f".{key}")
+                yield steps, leaf
             continue
         elif kind is not bool and (value is not None or not in_list):
             continue
-        yield (f"{path}[{key}]" if in_list else f"{path}.{key}"), value
+        yield [f"[{key}]" if in_list else f".{key}"], value
 
 
 def _reject_bad_number(raw, root: str = "", booleans: list | None = None) -> None:
     """ConfigError naming the first leaf under `root` of a raw dict or list
     that `_bad_leaves` finds; a boolean's (path, value) goes to the list
     `booleans` instead, where one is given."""
-    for path, value in _bad_leaves(raw, root):
+    for steps, value in _bad_leaves(raw):
+        path = root + "".join(reversed(steps))
         if booleans is not None and type(value) is bool:
             booleans.append((path, value))
         else:
@@ -614,193 +619,101 @@ def _shared_stationary_pieces(horizon: float, dwell: float) -> dict:
     return {"n": 3, "pieces": pieces, "horizon": horizon}
 
 
-def _seeded_centers(n: int, seed: int) -> list:
-    rng = np.random.default_rng(seed)
-    return rng.uniform(-1.0, 1.0, (n, 1)).tolist()
-
-
-SCENARIO_BUILDERS = {}
-
-
-def _scenario(fn):
-    SCENARIO_BUILDERS[fn.__name__.replace("_scenario_", "").replace("_", "-")] = fn
-    return fn
-
-
-@_scenario
-def _scenario_counterexample() -> dict:
+def _mirror_pair_preset(
+    t_end: float, h: float, schedule: dict, checks: list, expectations: list
+) -> dict:
+    """Averaging of the mirror pair on the two-node complete graph from 0."""
     return {
-        "name": "counterexample",
-        "process": _two_node_complete_pieces(50.0),
+        "process": _two_node_complete_pieces(t_end),
         "dynamics": {"name": "averaging"},
         "family": {"kind": "mirror-pair", "params": {}, "box": [[-2.0], [2.0]]},
-        "schedule": {"kind": "constant", "a0": 0.5},
+        "schedule": schedule,
         "init": {"x": [[0.0], [0.0]]},
-        "t_end": 50.0,
-        "h": 1e-3,
+        "t_end": t_end,
+        "h": h,
         "record_every": 0.1,
-        "seed": 0,
-        "checks": ["expectations"],
-        "expectations": [
+        "checks": checks,
+        "expectations": expectations,
+    }
+
+
+def _huberized_preset(
+    graph, dynamics: dict, n: int, seed: int, a0: float, t_end: float, record_every: float,
+    checks: list, tol: float, check_params: dict | None = None,
+) -> dict:
+    """n huberized agents whose centers and initial outputs are seeded draws,
+    expected to end within tol of the optimum. `graph` is an inline process
+    or the (model, seed) of a random process over the run."""
+    if isinstance(graph, tuple):
+        model, graph_seed = graph
+        random = {"n": n, "model": model, "dwell": 0.5, "horizon": t_end, "seed": graph_seed}
+        graph = {"random": random}
+    centers = np.random.default_rng(seed).uniform(-1.0, 1.0, (n, 1)).tolist()
+    raw = {
+        "process": graph,
+        "dynamics": dynamics,
+        "family": {
+            "kind": "huberized-quadratic",
+            "params": {"centers": centers, "radius": 2.0, "curvature": 1.0},
+        },
+        "schedule": {"kind": "power-law", "a0": a0, "p": 1.0},
+        "init": {"random": {"seed": 10 * seed, "scale": 1.0}},
+        "t_end": t_end,
+        "h": 0.01,
+        "record_every": record_every,
+        "checks": checks,
+        "expectations": [{"kind": "y-final-near-oracle", "tol": tol}],
+    }
+    if check_params is not None:
+        raw["check_params"] = check_params
+    return raw
+
+
+# each name's builder call: every call builds afresh, since callers mutate what they get
+PRESETS = {
+    # a constant step settles at a/(2+a) * (1, -1), not at the optimum 0
+    "counterexample": lambda: _mirror_pair_preset(
+        t_end=50.0, h=1e-3, schedule={"kind": "constant", "a0": 0.5}, checks=["expectations"],
+        expectations=[
             {"kind": "y-limit", "value": [[0.2], [-0.2]], "tol": 1e-4},
             {"kind": "nonconvergence", "min_distance": 0.1},
         ],
-    }
-
-
-@_scenario
-def _scenario_counterexample_diminishing() -> dict:
-    return {
-        "name": "counterexample-diminishing",
-        "process": _two_node_complete_pieces(2000.0),
-        "dynamics": {"name": "averaging"},
-        "family": {"kind": "mirror-pair", "params": {}, "box": [[-2.0], [2.0]]},
-        "schedule": {"kind": "power-law", "a0": 1.0, "p": 1.0},
-        "init": {"x": [[0.0], [0.0]]},
-        "t_end": 2000.0,
-        "h": 0.02,
-        "record_every": 0.1,
-        "seed": 0,
-        "checks": ["expectations", "gap-integral"],
-        "expectations": [
-            {"kind": "y-abs-max", "max": 0.05},
-            {"kind": "gap-settled", "tol": 1e-3},
-        ],
-    }
-
-
-@_scenario
-def _scenario_averaging_ergodic() -> dict:
-    return {
-        "name": "averaging-ergodic",
-        "process": {
-            "random": {
-                "n": 4,
-                "model": "switching-complete",
-                "dwell": 0.5,
-                "horizon": 250.0,
-                "seed": 42,
-            }
-        },
-        "dynamics": {"name": "averaging"},
-        "family": {
-            "kind": "huberized-quadratic",
-            "params": {"centers": _seeded_centers(4, 421), "radius": 2.0, "curvature": 1.0},
-        },
-        "schedule": {"kind": "power-law", "a0": 0.5, "p": 1.0},
-        "init": {"random": {"seed": 4210, "scale": 1.0}},
-        "t_end": 250.0,
-        "h": 0.01,
-        "record_every": 0.01,
-        "seed": 0,
-        "checks": [
-            "consensus",
-            "input-tracking",
-            "v-dominated-by-h",
-            "vdot-bound",
-            "gap-integral",
-        ],
-        "expectations": [{"kind": "y-final-near-oracle", "tol": 0.05}],
-    }
-
-
-@_scenario
-def _scenario_pushsum_directed() -> dict:
-    return {
-        "name": "pushsum-directed",
-        "process": {
-            "random": {
-                "n": 5,
-                "model": "directed-ring-rotate",
-                "dwell": 0.5,
-                "horizon": 1000.0,
-                "seed": 7,
-            }
-        },
-        "dynamics": {"name": "push-sum"},
-        "family": {
-            "kind": "huberized-quadratic",
-            "params": {"centers": _seeded_centers(5, 75), "radius": 2.0, "curvature": 1.0},
-        },
-        "schedule": {"kind": "power-law", "a0": 1.0, "p": 1.0},
-        "init": {"random": {"seed": 750, "scale": 1.0}},
-        "t_end": 1000.0,
-        "h": 0.01,
-        "record_every": 0.1,
-        "seed": 0,
-        "checks": [
-            "consensus",
-            "weight-conservation",
-            "observer-bound",
-        ],
-        "check_params": {
+    ),
+    # a diminishing step reaches it
+    "counterexample-diminishing": lambda: _mirror_pair_preset(
+        t_end=2000.0, h=0.02, schedule={"kind": "power-law", "a0": 1.0, "p": 1.0},
+        checks=["expectations", "gap-integral"],
+        expectations=[{"kind": "y-abs-max", "max": 0.05}, {"kind": "gap-settled", "tol": 1e-3}],
+    ),
+    "averaging-ergodic": lambda: _huberized_preset(
+        ("switching-complete", 42), {"name": "averaging"}, n=4, seed=421, a0=0.5, t_end=250.0,
+        record_every=0.01, tol=0.05,
+        checks=["consensus", "input-tracking", "v-dominated-by-h", "vdot-bound", "gap-integral"],
+    ),
+    "pushsum-directed": lambda: _huberized_preset(
+        ("directed-ring-rotate", 7), {"name": "push-sum"}, n=5, seed=75, a0=1.0, t_end=1000.0,
+        record_every=0.1, tol=1e-2, checks=["consensus", "weight-conservation", "observer-bound"],
+        check_params={
             "observer-bound": {"declared": "3/p_star", "flow_h": 0.01},
             "consensus": {"tol": 1e-2},
         },
-        "expectations": [{"kind": "y-final-near-oracle", "tol": 1e-2}],
-    }
-
-
-@_scenario
-def _scenario_saddlepoint_mincut() -> dict:
-    return {
-        "name": "saddlepoint-mincut",
-        "process": {
-            "random": {
-                "n": 3,
-                "model": "switching-complete",
-                "dwell": 0.5,
-                "horizon": 250.0,
-                "seed": 11,
-            }
-        },
-        "dynamics": {"name": "saddle-point", "a": DEFAULT_GAIN},
-        "family": {
-            "kind": "huberized-quadratic",
-            "params": {"centers": _seeded_centers(3, 113), "radius": 2.0, "curvature": 1.0},
-        },
-        "schedule": {"kind": "power-law", "a0": 0.5, "p": 1.0},
-        "init": {"random": {"seed": 1130, "scale": 1.0}},
-        "t_end": 250.0,
-        "h": 0.01,
-        "record_every": 0.01,
-        "seed": 0,
-        "checks": [
-            "consensus",
-            "input-tracking",
-            "v-dominated-by-h",
-            "vdot-bound",
-            "min-cut-window",
-        ],
-        "check_params": {"min-cut-window": {"T": 0.5, "beta": 0.25}},
-        "expectations": [{"kind": "y-final-near-oracle", "tol": 0.05}],
-    }
-
-
-@_scenario
-def _scenario_spps_stationary() -> dict:
-    return {
-        "name": "spps-stationary",
-        "process": _shared_stationary_pieces(300.0, 0.5),
-        "dynamics": {"name": "spps", "a": DEFAULT_GAIN},
-        "family": {
-            "kind": "huberized-quadratic",
-            "params": {"centers": _seeded_centers(3, 31), "radius": 2.0, "curvature": 1.0},
-        },
-        "schedule": {"kind": "power-law", "a0": 1.0, "p": 1.0},
-        "init": {"random": {"seed": 310, "scale": 1.0}},
-        "t_end": 300.0,
-        "h": 0.01,
-        "record_every": 0.1,
-        "seed": 0,
-        "checks": ["consensus", "weight-conservation"],
-        "check_params": {"consensus": {"tol": 1e-2}},
-        "expectations": [{"kind": "y-final-near-oracle", "tol": 0.05}],
-    }
+    ),
+    "saddlepoint-mincut": lambda: _huberized_preset(
+        ("switching-complete", 11), {"name": "saddle-point", "a": DEFAULT_GAIN}, n=3, seed=113,
+        a0=0.5, t_end=250.0, record_every=0.01, tol=0.05,
+        checks=["consensus", "input-tracking", "v-dominated-by-h", "vdot-bound", "min-cut-window"],
+        check_params={"min-cut-window": {"T": 0.5, "beta": 0.25}},
+    ),
+    "spps-stationary": lambda: _huberized_preset(
+        _shared_stationary_pieces(300.0, 0.5), {"name": "spps", "a": DEFAULT_GAIN}, n=3, seed=31,
+        a0=1.0, t_end=300.0, record_every=0.1, tol=0.05,
+        checks=["consensus", "weight-conservation"], check_params={"consensus": {"tol": 1e-2}},
+    ),
+}
 
 
 def scenario_names() -> list[str]:
-    return sorted(SCENARIO_BUILDERS)
+    return sorted(PRESETS)
 
 
 def scenario(name: str) -> ExperimentConfig:
@@ -809,11 +722,11 @@ def scenario(name: str) -> ExperimentConfig:
 
 
 def scenario_raw(name: str) -> dict:
-    if name not in SCENARIO_BUILDERS:
+    if name not in PRESETS:
         raise InvalidInputError(
             f"unknown scenario {name!r}; available: {', '.join(scenario_names())}"
         )
-    return SCENARIO_BUILDERS[name]()
+    return {"name": name, **PRESETS[name](), "seed": 0}
 
 
 # --- sweeps ------------------------------------------------------------------
@@ -829,7 +742,7 @@ def _set_by_path(data: dict, path: str, value) -> None:
     last = keys[-1]
     if not isinstance(node, dict) or last not in node:
         raise ConfigError(f"sweep path {path!r} does not address the config")
-    if not isinstance(node[last], (int, float)):
+    if type(node[last]) is bool or not isinstance(node[last], (int, float)):
         raise ConfigError(f"sweep path {path!r} must address a numeric field")
     node[last] = value
 
@@ -840,7 +753,9 @@ def sweep(base_raw: dict, path: str, values, out_dir=None) -> list[tuple[float, 
     for value in values:
         raw = copy.deepcopy(base_raw)
         _set_by_path(raw, path, value)
-        raw["name"] = f"{raw.get('name', 'run')}[{path}={value}]"
+        name = raw.get("name", "run")
+        if isinstance(name, str):  # parse_config rejects any other name
+            raw["name"] = f"{name}[{path}={value}]"
         cfg = parse_config(raw)
         sub_out = None
         if out_dir is not None:

@@ -19,7 +19,7 @@ from flowtracker_lab.cli import main
 from flowtracker_lab.dynamics import SYSTEM_NAMES, make_system
 from flowtracker_lab.errors import ConfigError
 from flowtracker_lab.graphnet import RANDOM_MODELS, random_process
-from flowtracker_lab.objectives import FAMILIES
+from flowtracker_lab.objectives import FAMILIES, TABLE_ENTRY_KEYS
 from flowtracker_lab.schedules import SCHEDULES
 
 
@@ -93,6 +93,17 @@ MALFORMED = {
     "constant-with-p": {"schedule": {"kind": "constant", "a0": 0.5, "p": 1.0}},
     "power-law-with-times": {"schedule": {"kind": "power-law", "a0": 0.5, "times": [0.0]}},
     "mirror-misspelt-offset": {"family": {"kind": "mirror-pair", "params": {"ofset": 3.0}}},
+    "huber-without-radius": {
+        "family": {"kind": "huberized-quadratic", "params": {"centers": [[0.5], [-0.3]]}}
+    },
+    "logistic-with-centers": {
+        "family": {
+            "kind": "logistic-scalar",
+            "params": {"signs": [1, -1], "offsets": [0.0, 0.5], "centers": [[0.0], [0.0]]},
+        }
+    },
+    "y-abs-max-with-tol": {"expectations": [{"kind": "y-abs-max", "max": 1.0, "tol": 0.1}]},
+    "y-limit-without-tol": {"expectations": [{"kind": "y-limit", "value": [[0.0], [0.0]]}]},
     "random-misspelt-seed": {"process": {"random": {**RANDOM_PROCESS, "sed": 7}}},
     "random-fractional-seed": {"process": {"random": {**RANDOM_PROCESS, "seed": 1.5}}},
     "random-seed-list": {"process": {"random": {**RANDOM_PROCESS, "seed": [1, 2]}}},
@@ -327,6 +338,10 @@ NAMED = {
     "random-process-extra-key": "process invalid: unknown process key 'seed'",
     "averaging-gain-text": "dynamics invalid",
     "table-misspelt-radius": "family invalid: unknown custom-table entry key 'radus'",
+    "huber-without-radius": "missing 1 required positional argument: 'radius'",
+    "logistic-with-centers": "logistic_scalar() got an unexpected keyword argument 'centers'",
+    "y-abs-max-with-tol": "unknown y-abs-max option 'tol'",
+    "y-limit-without-tol": "the y-limit expectation is missing field 'tol'",
     "flow-step-of-horizon": "flow_h",
     "flow-step-overflow": "flow_h",
     "flow-step-off-switches": "switching time 0.5",
@@ -627,6 +642,28 @@ def test_sweep_value_that_is_not_a_number_exits_2(tmp_path, capsys):
     error = json.loads(capsys.readouterr().out)
     assert error["kind"] == "config"
     assert "--values" in error["error"]
+
+
+@pytest.mark.parametrize(
+    "overrides, param, named",
+    [
+        ({"name": 5}, "schedule.a0", "name must be a string, got 5"),
+        ({"jsonl": True}, "jsonl", "sweep path 'jsonl' must address a numeric field"),
+    ],
+)
+def test_sweep_that_run_would_reject_exits_2(tmp_path, capsys, overrides, param, named):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base_config(**overrides)))
+    code = main(
+        ["sweep", "--config", str(cfg_path), "--param", param, "--values", "0.5",
+         "--out", str(tmp_path / "out")]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    error = json.loads(captured.out)
+    assert error["kind"] == "config"
+    assert named in error["error"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_logistic_agent_at_a_vast_offset_runs(tmp_path, capsys):
@@ -991,6 +1028,18 @@ def test_presets_and_the_base_config_satisfy_the_schema(name):
     assert errors == []
 
 
+def _assert_binds(node, defaults, missing, fixed=()):
+    """A closed schema object whose properties but `fixed` are the keys of
+    `defaults`, in order: it requires `fixed` and each key whose default is
+    `missing`, and every other key's schema default is its default."""
+    assert node["additionalProperties"] is False
+    specs = {key: spec for key, spec in node["properties"].items() if key not in fixed}
+    assert tuple(specs) == tuple(defaults)
+    required = [key for key, default in defaults.items() if default is missing]
+    assert node.get("required", []) == [*fixed, *required]
+    assert {key: spec.get("default", missing) for key, spec in specs.items()} == defaults
+
+
 def test_schema_enums_match_the_code():
     schema = json.loads(SCHEMA_PATH.read_text())
     props = schema["properties"]
@@ -999,7 +1048,7 @@ def test_schema_enums_match_the_code():
     piece = inline["properties"]["pieces"]["items"]
     random_spec = random_form["properties"]["random"]
     closed = [schema, inline, piece, file_form, random_form, random_spec]
-    closed += [props["dynamics"], props["init"], *props["schedule"]["oneOf"][1:]]
+    closed += [props["dynamics"], props["init"]]
     assert all(node["additionalProperties"] is False for node in closed)
     assert tuple(inline["properties"]) == ("n", "pieces", "horizon")
     assert tuple(piece["properties"]) == ("t", "weights")
@@ -1012,27 +1061,36 @@ def test_schema_enums_match_the_code():
     keywords = {key for key, arg in system_args.items() if arg.default is not arg.empty}
     assert set(dynamics["properties"]) == {"name"} | keywords - {"d"}
     assert dynamics["properties"]["a"]["default"] == system_args["a"].default
-    assert tuple(props["family"]["properties"]["kind"]["enum"]) == tuple(FAMILIES)
-    null, *branches = props["schedule"]["oneOf"]
-    assert null == {"type": "null"}
-    assert tuple(branch["properties"]["kind"]["const"] for branch in branches) == tuple(SCHEDULES)
     empty = inspect.Parameter.empty
-    for branch in branches:
-        specs = dict(branch["properties"])
-        args = inspect.signature(SCHEDULES[specs.pop("kind")["const"]]).parameters
-        assert tuple(specs) == tuple(args)
-        required = [key for key, arg in args.items() if arg.default is empty]
-        assert branch["required"] == ["kind", *required]
-        defaults = {key: spec.get("default", empty) for key, spec in specs.items()}
-        assert defaults == {key: arg.default for key, arg in args.items()}
+    # one branch per kind, bound to the signature of its constructor
+    for part, table in (("schedule", SCHEDULES), ("family", FAMILIES)):
+        null, *branches = props[part]["oneOf"]
+        assert null == {"type": "null"}
+        assert [branch["properties"]["kind"]["const"] for branch in branches] == list(table)
+    for branch, constructor in zip(props["schedule"]["oneOf"][1:], SCHEDULES.values()):
+        args = inspect.signature(constructor).parameters
+        _assert_binds(branch, {key: arg.default for key, arg in args.items()}, empty, ("kind",))
+    # a family's params are its constructor's arguments but box, which sits beside kind
+    for branch, constructor in zip(props["family"]["oneOf"][1:], FAMILIES.values()):
+        args = inspect.signature(constructor).parameters
+        defaults = {key: arg.default for key, arg in args.items() if key != "box"}
+        assert tuple(branch["properties"]) == ("kind", "params", "box")
+        assert branch["additionalProperties"] is False
+        required = ["kind", "params"] if empty in defaults.values() else ["kind"]
+        assert branch["required"] == required
+        _assert_binds(branch["properties"]["params"], defaults, empty)
+    entry = props["family"]["oneOf"][-1]["properties"]["params"]["properties"]["entries"]
+    assert tuple(entry["items"]["properties"]) == TABLE_ENTRY_KEYS
     assert set(props["init"]["properties"]) == {"x", "random", *harness.INIT_AUX_KEYS}
     assert tuple(random_spec["properties"]["model"]["enum"]) == RANDOM_MODELS
     assert tuple(props["checks"]["items"]["enum"]) == tuple(harness.CHECKS)
     assert props["checks"]["uniqueItems"] is True
-    items = props["expectations"]["items"]["properties"]
-    assert tuple(items["kind"]["enum"]) == tuple(harness.EXPECTATIONS)
-    fields = {key for row in harness.EXPECTATIONS.values() for key in row.fields}
-    assert set(items) == {"kind"} | fields
+    # one closed branch per expectation row: a REQUIRED field is a required key
+    items = props["expectations"]["items"]["oneOf"]
+    kinds = [item["properties"]["kind"]["const"] for item in items]
+    assert kinds == list(harness.EXPECTATIONS)
+    for kind, item in zip(kinds, items):
+        _assert_binds(item, harness.EXPECTATIONS[kind].fields, harness.REQUIRED, fixed=("kind",))
     params = props["check_params"]
     assert params["additionalProperties"] is False
     optioned = {name: row.fields for name, row in harness.CHECKS.items() if row.fields}
@@ -1047,6 +1105,8 @@ def test_schema_enums_match_the_code():
     # configs that parse_config rejects, and the closed objects now too
     jsonschema = pytest.importorskip("jsonschema")
     probes = ["dynamics-misspelt-gain", "init-y", "constant-with-p", "power-law-with-times"]
+    probes += ["mirror-misspelt-offset", "huber-without-radius", "logistic-with-centers"]
+    probes += ["y-abs-max-with-tol", "y-limit-without-tol"]
     for case in probes:
         assert not jsonschema.Draft7Validator(schema).is_valid(base_config(**MALFORMED[case])), case
 

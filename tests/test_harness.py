@@ -146,7 +146,37 @@ class TestRun:
         assert summary.all_checks_passed  # no checks; just runs
 
 
+# each preset's config digest, which hashes its raw dict
+PRESET_DIGESTS = {
+    "averaging-ergodic": "6057fb167a063e35",
+    "counterexample": "abaca662257a6c6d",
+    "counterexample-diminishing": "d6d825f6dd55c029",
+    "pushsum-directed": "40f72fabd2442cfe",
+    "saddlepoint-mincut": "036ebb450bdc4fb1",
+    "spps-stationary": "f489340360a77981",
+}
+
+
+def _spoil(node):
+    """Add a key to every dict and an item to every list of a raw config."""
+    for value in list(node.values() if isinstance(node, dict) else node):
+        if isinstance(value, (dict, list)):
+            _spoil(value)
+    if isinstance(node, dict):
+        node["spoilt"] = True
+    else:
+        node.append(None)
+
+
 class TestScenarios:
+    @pytest.mark.parametrize("name", harness.scenario_names())
+    def test_preset_is_pinned_and_built_afresh_by_each_call(self, name):
+        # the CLI's --seed and sweep mutate what scenario_raw returns
+        spoilt = harness.scenario_raw(name)
+        _spoil(spoilt)
+        assert "spoilt" in spoilt["family"]["params"] and "spoilt" in spoilt["process"]
+        assert harness.scenario(name).digest() == PRESET_DIGESTS[name]
+
     def test_names_listed(self):
         names = harness.scenario_names()
         assert "counterexample" in names
