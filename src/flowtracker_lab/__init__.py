@@ -14,13 +14,10 @@ from .graphnet import (
     LaplacianProcess,
     common_stationary_distribution,
     constant_process,
-    cut_value,
     integrated_min_cut,
-    is_weight_balanced,
     make_laplacian,
     min_cut,
     process_from_dict,
-    process_to_dict,
     random_process,
 )
 from .flowcore import (
@@ -28,10 +25,7 @@ from .flowcore import (
     FlowGrid,
     FlowMatrix,
     adaptive_grid,
-    default_grid,
-    distance_to_rank_one,
     ergodicity_report,
-    semigroup_defect,
     transition_matrix,
 )
 from .objectives import (
@@ -39,7 +33,6 @@ from .objectives import (
     ObjectiveFamily,
     custom_table,
     family_from_dict,
-    family_to_dict,
     global_gradient,
     global_objective,
     gradient_bound,
@@ -47,7 +40,6 @@ from .objectives import (
     logistic_scalar,
     mirror_pair,
     optimizer_oracle,
-    stacked_gradient,
 )
 from .schedules import (
     StepSchedule,
@@ -58,7 +50,6 @@ from .schedules import (
     lemma_aux_check,
     power_law,
     schedule_from_dict,
-    schedule_to_dict,
 )
 from .dynamics import (
     GradientFeedback,

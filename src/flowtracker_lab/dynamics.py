@@ -11,8 +11,8 @@ So one class describes all four: a k x k coupling matrix over the state
 blocks, the shape of each aux block, and the ratio block if the output
 is a ratio. The SYSTEMS table holds these, and each system's
 requirements, as one row per system. States are exchanged with
-integrators as flat vectors; `pack`/`unpack` translate to the
-structured SystemState view.
+integrators as flat vectors; `pack` flattens the structured SystemState
+view and `split` reads x and the aux blocks back out of flat states.
 """
 
 from __future__ import annotations
@@ -129,10 +129,6 @@ class FlowTrackerSystem:
         }
         return x, aux
 
-    def unpack(self, vec: np.ndarray) -> SystemState:
-        x, aux = self.split(vec)
-        return SystemState(x.copy(), {name: block.copy() for name, block in aux.items()})
-
     def initial_state(self, x, **aux) -> SystemState:
         """x plus the aux blocks given; the rest start at 0, a ratio block at 1."""
         names = [name for name, _ in self.aux_layout]
@@ -184,15 +180,6 @@ class FlowTrackerSystem:
         if self.ratio_slice is None:
             return x
         return x / vec[..., self.ratio_slice, None]
-
-    def deriv_state(self, t: float, state: SystemState, u: np.ndarray) -> SystemState:
-        """Structured view of the flat vector field (probe-friendly)."""
-        out = self.coupling_matrix(self.process.at(t).matrix) @ self.pack(state)
-        out[: self._nd] += np.asarray(u, dtype=float).ravel()
-        return self.unpack(out)
-
-    def output_state(self, t: float, state: SystemState) -> np.ndarray:
-        return self.output_flat(self.pack(state))
 
 
 # --- the systems -------------------------------------------------------------

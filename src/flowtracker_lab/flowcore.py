@@ -241,34 +241,6 @@ def transition_matrix(
     return FlowMatrix(s, t, phi)
 
 
-def distance_to_rank_one(m) -> float:
-    """Upper bound on the spectral-norm distance to rank-one stochastic matrices.
-
-    Projects onto pi 1^T with pi = (1/n) M 1 (the row means, a stochastic
-    vector when M is column-stochastic). The value is zero exactly when M
-    already has identical columns, and never underestimates the true
-    distance.
-    """
-    mat = np.asarray(m.Phi) if isinstance(m, FlowMatrix) else np.asarray(m, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise InvalidInputError("expected a square matrix")
-    if mat.min() < -100 * TAU_FLOW or np.abs(mat.sum(axis=0) - 1.0).max() > 100 * TAU_FLOW:
-        raise InvalidInputError("matrix is not column-stochastic")
-    return float(_distances(mat))
-
-
-def semigroup_defect(
-    process: LaplacianProcess, s: float, r: float, t: float, h: float = DEFAULT_STEP
-) -> float:
-    """Spectral norm of Phi(t,r) Phi(r,s) - Phi(t,s); should be near zero."""
-    if not (s <= r <= t):
-        raise InvalidInputError("need s <= r <= t")
-    phi_ts = transition_matrix(process, s, t, h).Phi
-    phi_tr = transition_matrix(process, r, t, h).Phi
-    phi_rs = transition_matrix(process, s, r, h).Phi
-    return float(np.linalg.norm(phi_tr @ phi_rs - phi_ts, 2))
-
-
 @dataclass(frozen=True)
 class FlowGrid:
     """Sample layout for ergodicity reports: all (s, s + dt) pairs."""
@@ -296,11 +268,6 @@ def _grid(process: LaplacianProcess, h: float, dt_max: float) -> FlowGrid:
     dt_raw = np.linspace(dt_max / 12, dt_max, 12)
     dt_vals = sorted({snap(x) for x in dt_raw if snap(x) > 0})
     return FlowGrid(tuple(s_vals), tuple(dt_vals))
-
-
-def default_grid(process: LaplacianProcess, h: float = DEFAULT_STEP) -> FlowGrid:
-    """Three start times and a dozen spans up to half the horizon."""
-    return _grid(process, h, process.horizon / 2)
 
 
 def adaptive_grid(process: LaplacianProcess, h: float = DEFAULT_STEP) -> FlowGrid:

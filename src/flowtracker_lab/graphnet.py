@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 from scipy.optimize import linprog
@@ -132,31 +132,6 @@ def make_laplacian(weights: np.ndarray) -> Laplacian:
     w = np.array(weights, dtype=float)
     # the Laplacian's own checks reject non-finite and negative weights
     return Laplacian(_laplacians_in_place(w[None])[0])
-
-
-def is_weight_balanced(lap: Laplacian, tol: float = TAU_STRUCT) -> bool:
-    """True iff rows also sum to zero, i.e. the transpose is a Laplacian too."""
-    return bool(np.all(np.abs(lap.matrix.sum(axis=1)) <= tol))
-
-
-def cut_value(lap: Laplacian, s1: Iterable[int], s2: Iterable[int]) -> float:
-    """Sum of Laplacian entries over the index block s1 x s2.
-
-    Indices are 0-based. For a Laplacian this is <= 0 whenever s2 is
-    disjoint from s1 (off-diagonal block); use `min_cut` for the
-    nonnegative weighted-cut convention.
-    """
-    s1 = sorted(set(s1))
-    s2 = sorted(set(s2))
-    n = lap.n
-    if not s1:
-        raise InvalidInputError("s1 must be nonempty")
-    for idx in (*s1, *s2):
-        if not (0 <= idx < n):
-            raise InvalidInputError(f"index {idx} out of range for n={n}")
-    if not s2:
-        return 0.0
-    return float(lap.matrix[np.ix_(s1, s2)].sum())
 
 
 def _capped_source_side(
@@ -305,13 +280,6 @@ class LaplacianProcess:
         """The largest |entry|; diagonal entries are >= 0 and the others <= 0."""
         return float(max(-self.matrices.min(initial=0.0), self.matrices.max(initial=0.0)))
 
-    def at(self, t: float) -> Laplacian:
-        """Piece active at time t (right-continuous; horizon maps to the last piece)."""
-        if t < 0 or t > self.horizon:
-            raise InvalidInputError(f"time {t} outside [0, {self.horizon}]")
-        k = int(np.searchsorted(self.start_times, t, side="right")) - 1
-        return self.laplacians[k]
-
     def pieces(self, t0: float, t1: float) -> Iterator[tuple[float, float, int]]:
         """Yield (start, end, piece index) covering [t0, t1] piece by piece."""
         if not (0 <= t0 <= t1 <= self.horizon):
@@ -332,8 +300,8 @@ class LaplacianProcess:
         """Yield (start, end, Laplacian) covering [t0, t1] piece by piece."""
         return ((lo, hi, self.laplacians[k]) for lo, hi, k in self.pieces(t0, t1))
 
-    def is_weight_balanced(self, tol: float = TAU_STRUCT) -> bool:
-        return bool((np.abs(self.matrices.sum(axis=2)) <= tol).all())
+    def is_weight_balanced(self) -> bool:
+        return bool((np.abs(self.matrices.sum(axis=2)) <= TAU_STRUCT).all())
 
 
 def check_switch_alignment(process: LaplacianProcess, h: float) -> list[int]:
@@ -528,18 +496,6 @@ def random_process(
 
 
 # --- serialization ---------------------------------------------------------
-
-
-def process_to_dict(process: LaplacianProcess) -> dict:
-    """JSON-ready form; weights (not Laplacians) are the on-disk representation."""
-    return {
-        "n": process.n,
-        "pieces": [
-            {"t": t, "weights": lap.weight_matrix().tolist()}
-            for t, lap in zip(process.start_times, process.laplacians)
-        ],
-        "horizon": process.horizon,
-    }
 
 
 def process_from_dict(data: dict) -> LaplacianProcess:

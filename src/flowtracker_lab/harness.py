@@ -93,6 +93,8 @@ def random_init(n: int, d: int, seed: int, scale: float = 1.0) -> np.ndarray:
     check_integer(seed, "seed")
     if not scale > 0:
         raise InvalidInputError(f"scale must be positive, got {scale!r}")
+    if not math.isfinite(2 * scale):
+        raise InvalidInputError(f"scale must leave 2 * scale finite, got {scale!r}")
     return np.random.default_rng(seed).uniform(-scale, scale, (n, d))
 
 
@@ -165,13 +167,21 @@ class _part:
 
 # --- checks and expectations -------------------------------------------------
 
+
+def _number(value, name: str, read: Callable = float):
+    """read(value) for a number field; a string, which float() would read, is a ConfigError."""
+    if np.asarray(value).dtype.kind == "U":
+        raise ConfigError(f"{name} is {json.dumps(value)}, not a finite number")
+    return read(value)
+
+
 # marks a field that the config must give
 REQUIRED = object()
 
 # how a field that is not a plain number is read
 _READ = {
-    "value": lambda value: np.asarray(value, dtype=float),
-    "declared": lambda value: value if value in (None, "3/p_star") else float(value),
+    "value": lambda value, name: _number(value, name, lambda v: np.asarray(v, dtype=float)),
+    "declared": lambda value, name: value if value in (None, "3/p_star") else _number(value, name),
 }
 
 
@@ -199,7 +209,7 @@ class Row:
         out = dict(self.fields)
         for key, default in self.fields.items():
             if key in spec or default is REQUIRED:
-                out[key] = _READ.get(key, float)(spec[key])
+                out[key] = _READ.get(key, _number)(spec[key], f"{name} {key}")
         return out
 
 
@@ -364,9 +374,9 @@ def parse_config(raw: dict, full_resolution: bool = False) -> ExperimentConfig:
         _reject_bad_number({k: v for k, v in raw.items() if k != "jsonl"}, booleans=booleans)
         for key in raw:
             check_known(key, CONFIG_KEYS, "config key")
-        h = float(raw["h"])
-        t_end = float(raw["t_end"])
-        record_every = float(raw.get("record_every", DEFAULT_RECORD_EVERY))
+        h = _number(raw["h"], "h")
+        t_end = _number(raw["t_end"], "t_end")
+        record_every = _number(raw.get("record_every", DEFAULT_RECORD_EVERY), "record_every")
         seed, d = raw.get("seed", 0), raw.get("d", 1)
         check_integer(seed, "seed")
         check_integer(d, "d")

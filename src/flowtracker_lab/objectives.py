@@ -199,12 +199,6 @@ class ObjectiveFamily:
         """F at each row of the (m, d) points, unchecked."""
         return self.form.values(pts).sum(axis=1)
 
-    def value_i(self, i: int, x) -> float:
-        return float(self.form.values(_point(x, self.d)[None, :])[0, i])
-
-    def grad_i(self, i: int, x) -> np.ndarray:
-        return self.form.grad(np.broadcast_to(_point(x, self.d), (self.n, self.d)))[i]
-
 
 # --- constructors -----------------------------------------------------------
 
@@ -311,16 +305,6 @@ def global_gradient(fam: ObjectiveFamily, x) -> np.ndarray:
     return fam.form.grad(rows).sum(axis=0)
 
 
-def stacked_gradient(fam: ObjectiveFamily, points: np.ndarray) -> np.ndarray:
-    """Row i is agent i's gradient at row i of `points` (n x d)."""
-    pts = np.asarray(points, dtype=float)
-    if pts.shape != (fam.n, fam.d):
-        raise InvalidInputError(f"expected shape ({fam.n}, {fam.d}), got {pts.shape}")
-    if not np.all(np.isfinite(pts)):
-        raise InvalidInputError("evaluation points must be finite")
-    return fam.form.grad(pts)
-
-
 # --- oracles ---------------------------------------------------------------
 
 
@@ -364,25 +348,17 @@ def optimizer_oracle(fam: ObjectiveFamily) -> tuple[np.ndarray, float]:
     return x_star, global_objective(fam, x_star)
 
 
-def gradient_bound(fam: ObjectiveFamily, box: Box | None = None) -> float:
+def gradient_bound(fam: ObjectiveFamily) -> float:
     """Uniform bound K on all per-agent gradient norms.
 
-    Analytic for huberized and logistic agents; quadratic agents need a
-    box (their gradients grow without one) and the bound is attained at
-    a box corner.
+    Analytic for huberized and logistic agents; quadratic agents need the
+    family's validity box (their gradients grow without one) and the bound
+    is attained at a box corner.
     """
-    return float(fam.form.caps(fam.validity_box if box is None else box).max())
+    return float(fam.form.caps(fam.validity_box).max())
 
 
 # --- serialization ----------------------------------------------------------
-
-
-def family_to_dict(fam: ObjectiveFamily) -> dict:
-    """The keys family_from_dict reads: kind, params and, if set, box."""
-    out = {"kind": fam.kind, "params": fam.params}
-    if fam.validity_box is not None:
-        out["box"] = fam.validity_box.to_list()
-    return out
 
 
 def family_from_dict(data: dict) -> ObjectiveFamily:

@@ -19,6 +19,7 @@ from .errors import InvalidInputError, check_known
 
 LEMMA_STEP = 1e-2
 LEMMA_TOL = 1e-4
+WINDOW_END = 1e3
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,16 +108,16 @@ class ScheduleReport:
     to_dict = asdict
 
 
-def _window_integrals(schedule: StepSchedule, t_max: float, power: float) -> tuple[float, float]:
-    """Contributions of alpha^power over [T/4, T/2] and [T/2, T]."""
-    grid1 = np.linspace(t_max / 4, t_max / 2, 2001)
-    grid2 = np.linspace(t_max / 2, t_max, 4001)
+def _window_integrals(schedule: StepSchedule, power: float) -> tuple[float, float]:
+    """Contributions of alpha^power over [T/4, T/2] and [T/2, T], T = WINDOW_END."""
+    grid1 = np.linspace(WINDOW_END / 4, WINDOW_END / 2, 2001)
+    grid2 = np.linspace(WINDOW_END / 2, WINDOW_END, 4001)
     v1 = evaluate_many(schedule, grid1) ** power
     v2 = evaluate_many(schedule, grid2) ** power
     return float(trapezoid(v1, grid1)), float(trapezoid(v2, grid2))
 
 
-def check_validity(schedule: StepSchedule, t_max: float = 1e3) -> ScheduleReport:
+def check_validity(schedule: StepSchedule) -> ScheduleReport:
     """Classify a schedule against the step-size conditions.
 
     Power-law and constant kinds are decided analytically; custom
@@ -132,9 +133,9 @@ def check_validity(schedule: StepSchedule, t_max: float = 1e3) -> ScheduleReport
         return ScheduleReport(True, True, False, False, "analytic")
     values = [v for _, v in schedule.pieces]
     nonincreasing = all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
-    i1, i2 = _window_integrals(schedule, t_max, 1.0)
+    i1, i2 = _window_integrals(schedule, 1.0)
     divergent = i2 >= 0.95 * i1
-    s1, s2 = _window_integrals(schedule, t_max, 2.0)
+    s1, s2 = _window_integrals(schedule, 2.0)
     square = s2 < 0.95 * s1
     return ScheduleReport(
         nonincreasing, divergent, square, nonincreasing and divergent and square, "heuristic"
@@ -180,20 +181,13 @@ def _simpson(y: np.ndarray, h: float) -> float:
     return float((h / 3) * (y[0] + y[-1] + 4 * y[1:-1:2].sum() + 2 * y[2:-1:2].sum()))
 
 
-def lemma_aux_check(
-    alpha,
-    beta,
-    lam: float,
-    t_max: float,
-    step: float = LEMMA_STEP,
-    tol: float = LEMMA_TOL,
-) -> LemmaAuxResult:
+def lemma_aux_check(alpha, beta, lam: float, t_max: float) -> LemmaAuxResult:
     """Quadrature check of the exponentially weighted integral bound.
 
     Computes lhs = int_0^T alpha(t) int_0^t lambda^(t-s) beta(s) ds dt by
     composite Simpson (the inner convolution by an exact-kernel
     recurrence) and compares against rhs = ((1-lambda)/|log lambda|)
-    int_0^T alpha beta.
+    int_0^T alpha beta, within LEMMA_TOL, on a grid of step near LEMMA_STEP.
 
     Parameters
     ----------
@@ -208,14 +202,14 @@ def lemma_aux_check(
     """
     if not (0.0 < lam < 1.0):
         raise InvalidInputError("lambda must lie strictly inside (0, 1)")
-    if t_max <= 0 or step <= 0:
-        raise InvalidInputError("t_max and step must be positive")
+    if t_max <= 0:
+        raise InvalidInputError("t_max must be positive")
     alpha_f = alpha if callable(alpha) and not isinstance(alpha, StepSchedule) else (
         lambda t, s=alpha: evaluate_many(s, t)
     )
     beta_f = _as_function(beta)
 
-    n = int(round(t_max / step))
+    n = int(round(t_max / LEMMA_STEP))
     if n % 2:
         n += 1
     h = t_max / n
@@ -241,23 +235,10 @@ def lemma_aux_check(
     inner = _simpson(a * b, h)
     rhs = (1.0 - lam) / mu * inner
     safe_rhs = inner / mu
-    return LemmaAuxResult(lhs, rhs, lhs <= rhs + tol, safe_rhs, tol)
+    return LemmaAuxResult(lhs, rhs, lhs <= rhs + LEMMA_TOL, safe_rhs, LEMMA_TOL)
 
 
 # --- serialization ----------------------------------------------------------
-
-
-def schedule_to_dict(schedule: StepSchedule) -> dict:
-    if schedule.kind == "custom-piecewise":
-        return {
-            "kind": schedule.kind,
-            "times": [t for t, _ in schedule.pieces],
-            "values": [v for _, v in schedule.pieces],
-        }
-    out = {"kind": schedule.kind, "a0": schedule.a0}
-    if schedule.kind == "power-law":
-        out["p"] = schedule.p
-    return out
 
 
 def schedule_from_dict(data: dict) -> StepSchedule:

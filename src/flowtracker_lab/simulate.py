@@ -559,16 +559,14 @@ class LimitEstimate:
     residual: float
 
 
-def tail_length(n_samples: int, tail_fraction: float = 0.1) -> int:
-    """Records in the tail that estimate_limit averages."""
-    return int(math.ceil(n_samples * tail_fraction))
+def tail_length(n_samples: int) -> int:
+    """Records in the tail that estimate_limit averages: the last tenth."""
+    return int(math.ceil(n_samples * 0.1))
 
 
-def estimate_limit(traj: Trajectory, tail_fraction: float = 0.1) -> LimitEstimate:
+def estimate_limit(traj: Trajectory) -> LimitEstimate:
     """Tail-mean of the outputs with the in-tail spread as residual."""
-    if not (0 < tail_fraction <= 1):
-        raise InvalidInputError("tail_fraction must lie in (0, 1]")
-    m_tail = tail_length(traj.n_samples, tail_fraction)
+    m_tail = tail_length(traj.n_samples)
     if m_tail < MIN_TAIL:
         raise InvalidInputError(
             f"tail holds {m_tail} samples; need at least {MIN_TAIL} for a stable estimate"

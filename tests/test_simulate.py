@@ -139,7 +139,8 @@ class TestIntegrateBasics:
             calls.append(t)
             return -0.5 * y + 0.25 * t
 
-        sys_ = averaging_system(constant_process(DIRECTED, 2.0))
+        with pytest.warns(UserWarning, match="non-weight-balanced"):
+            sys_ = averaging_system(constant_process(DIRECTED, 2.0))
         init = sys_.initial_state(np.array([[1.0], [-0.5]]))
         traj = integrate(sys_, law, init, t_end=2.0, h=0.01, record_every=0.1)
         assert len(calls) == 4 * 200 + 1
@@ -342,8 +343,8 @@ class TestEstimateLimit:
         proc = constant_process(DIRECTED, 5.0)
         sys_ = push_sum_system(proc)
         init = sys_.initial_state(np.full((2, 1), 1.5))
-        traj = integrate(sys_, None, init, t_end=5.0, h=1e-2)
-        est = estimate_limit(traj, tail_fraction=0.5)
+        traj = integrate(sys_, None, init, t_end=5.0, h=1e-2, record_every=1e-2)
+        est = estimate_limit(traj)
         assert np.allclose(est.y_limit, 1.5, atol=1e-12)
         assert est.residual < 1e-12
 
@@ -356,4 +357,4 @@ class TestEstimateLimit:
     def test_too_few_samples(self):
         traj = counterexample_run(t_end=1.0, h=1e-2)
         with pytest.raises(InvalidInputError):
-            estimate_limit(traj, tail_fraction=0.05)
+            estimate_limit(traj)

@@ -24,7 +24,6 @@ from flowtracker_lab.objectives import (
     huberized_quadratic,
     logistic_scalar,
     mirror_pair,
-    stacked_gradient,
 )
 from flowtracker_lab.schedules import (
     constant,
@@ -174,7 +173,7 @@ def test_gradient_map_matches_per_agent_gradients(index, coords):
     pts = np.resize(np.array(coords), (fam.n, fam.d))
     if isinstance(fam.form, HuberForm):
         pts[0] = fam.form.centers[0]  # zero distance to the center
-    assert np.abs(stacked_gradient(fam, pts) - reference_gradients(fam, pts)).max() <= 1e-12
+    assert np.abs(fam.form.grad(pts) - reference_gradients(fam, pts)).max() <= 1e-12
 
 
 def test_mixed_table_run_feeds_every_stage_the_reference_gradient():
