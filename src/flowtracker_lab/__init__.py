@@ -53,7 +53,6 @@ from .schedules import (
 )
 from .dynamics import (
     GradientFeedback,
-    SystemState,
     ZeroControl,
     averaging_system,
     gradient_feedback,

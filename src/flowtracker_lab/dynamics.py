@@ -10,9 +10,9 @@ that constant is exposed as c1.
 So one class describes all four: a k x k coupling matrix over the state
 blocks, the shape of each aux block, and the ratio block if the output
 is a ratio. The SYSTEMS table holds these, and each system's
-requirements, as one row per system. States are exchanged with
-integrators as flat vectors; `pack` flattens the structured SystemState
-view and `split` reads x and the aux blocks back out of flat states.
+requirements, as one row per system. A state is one flat vector, x's
+rows then each aux block's: `initial_state` builds it, `integrate` runs
+on it, and `split` reads x and the aux blocks back out of it.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
@@ -33,21 +33,6 @@ from .schedules import StepSchedule, constant, evaluate
 # Ratio weights below this abort the run instead of being clamped;
 # clamping would silently change the dynamics.
 W_FLOOR = 1e-9
-
-
-@dataclass(frozen=True, eq=False)
-class SystemState:
-    """Structured view of one system's state: shared rows x plus aux blocks."""
-
-    x: np.ndarray
-    aux: dict[str, np.ndarray] = field(default_factory=dict)
-
-    def __post_init__(self):
-        x = np.atleast_2d(np.asarray(self.x, dtype=float))
-        object.__setattr__(self, "x", x)
-        object.__setattr__(
-            self, "aux", {k: np.asarray(v, dtype=float) for k, v in self.aux.items()}
-        )
 
 
 class FlowTrackerSystem:
@@ -104,21 +89,6 @@ class FlowTrackerSystem:
         others[k, k] = 0.0
         return not (others[k].any() or others[:, k].any())
 
-    def pack(self, state: SystemState) -> np.ndarray:
-        if state.x.shape != (self.n, self.d):
-            raise InvalidInputError(
-                f"x must be {self.n}x{self.d}, got {state.x.shape}"
-            )
-        parts = [state.x.ravel()]
-        for name, shape in self.aux_layout:
-            if name not in state.aux:
-                raise InvalidInputError(f"state is missing aux block {name!r}")
-            block = np.asarray(state.aux[name], dtype=float)
-            if block.shape != shape:
-                raise InvalidInputError(f"aux block {name!r} must have shape {shape}")
-            parts.append(block.ravel())
-        return np.concatenate(parts) if len(parts) > 1 else parts[0].copy()
-
     def split(self, flat: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarray]]:
         """Views of x and of each aux block in flat states with any leading axes."""
         lead = flat.shape[:-1]
@@ -129,8 +99,9 @@ class FlowTrackerSystem:
         }
         return x, aux
 
-    def initial_state(self, x, **aux) -> SystemState:
-        """x plus the aux blocks given; the rest start at 0, a ratio block at 1."""
+    def initial_state(self, x, **aux) -> np.ndarray:
+        """The flat state of x and the aux blocks given; the rest start at 0,
+        a ratio block at 1."""
         names = [name for name, _ in self.aux_layout]
         extra = sorted(set(aux) - set(names))
         if extra:
@@ -140,23 +111,28 @@ class FlowTrackerSystem:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if self.d == 1 and x.size == self.n:
             x = x.reshape(self.n, 1)
-        blocks = {}
+        if x.shape != (self.n, self.d):
+            raise InvalidInputError(f"x must be {self.n}x{self.d}, got {x.shape}")
+        parts = [x.ravel()]
         for name, shape in self.aux_layout:
-            value = aux.get(name)
-            if value is None:
-                value = np.ones(shape) if name == self.ratio else np.zeros(shape)
-            blocks[name] = value
-        return SystemState(x, blocks)
+            default = np.ones(shape) if name == self.ratio else np.zeros(shape)
+            block = np.asarray(aux.get(name, default), dtype=float)
+            if block.shape != shape:
+                raise InvalidInputError(f"aux block {name!r} must have shape {shape}")
+            parts.append(block.ravel())
+        return np.concatenate(parts)
 
-    def check_initial(self, state: SystemState) -> None:
-        """Validate membership in the system's admissible initial set."""
-        self.pack(state)
-        if self.ratio is not None and not np.array_equal(
-            state.aux[self.ratio], np.ones(self.n)
-        ):
+    def check_initial(self, vec) -> np.ndarray:
+        """A float copy of the flat state `vec`, once it lies in the system's
+        admissible initial set: state_size entries, a ratio block of ones."""
+        vec = np.array(vec, dtype=float)
+        if vec.shape != (self.state_size,):
             raise InvalidInputError(
-                f"{self.name} requires {self.ratio}(0) = 1 for every agent"
+                f"a {self.name} state has {self.state_size} entries, got shape {vec.shape}"
             )
+        if self.ratio is not None and not np.array_equal(vec[self.ratio_slice], np.ones(self.n)):
+            raise InvalidInputError(f"{self.name} requires {self.ratio}(0) = 1 for every agent")
+        return vec
 
     def coupling_matrix(self, lap_matrix: np.ndarray) -> np.ndarray:
         """The matrix of the unforced vector field on flat states for one

@@ -73,7 +73,7 @@ class ExperimentConfig:
     system: FlowTrackerSystem
     family: ObjectiveFamily | None
     schedule: StepSchedule | None
-    init_state: object
+    init_state: np.ndarray  # the flat state, as system.initial_state builds it
     t_end: float
     h: float
     record_every: float  # the grid the run records: h under full resolution
@@ -104,7 +104,7 @@ def _resolve_process(spec: dict, h: float) -> LaplacianProcess:
             check_known(key, ("file",), "process key")
         # a path, never a number, which open() would take for a descriptor
         with open(Path(spec["file"])) as fh:
-            return process_from_dict(json.load(fh))
+            return load_process(json.load(fh))
     if "random" in spec:
         for key in spec:
             check_known(key, ("random",), "process key")
@@ -112,12 +112,17 @@ def _resolve_process(spec: dict, h: float) -> LaplacianProcess:
     return process_from_dict(spec)
 
 
-def _bad_leaves(node):
+# the fields the schema types as strings: a key's value, or a list's entries
+STRING_FIELDS = ("name", "kind", "model", "form", "file", "declared", "checks")
+
+
+def _bad_leaves(node, strings: bool = False):
     """Yield (steps, value) of each leaf of a raw config that no number
     field may hold, in document order: a number that is not a finite float,
-    a boolean, or null in an array. Tests exact JSON types. `steps` spells
-    the leaf's path below node, last step first; only a leaf that is
-    reported has its path spelt."""
+    a boolean, null in an array, or a string outside STRING_FIELDS, where
+    `strings` says whether the entries of a list node are in them. Tests
+    exact JSON types. `steps` spells the leaf's path below node, last step
+    first; only a leaf that is reported has its path spelt."""
     in_list = type(node) is list
     for key, value in enumerate(node) if in_list else node.items():
         kind = type(value)
@@ -125,25 +130,36 @@ def _bad_leaves(node):
             if -FLOAT_MAX <= value <= FLOAT_MAX:
                 continue
         elif kind is dict or kind is list:
-            for steps, leaf in _bad_leaves(value):
+            for steps, leaf in _bad_leaves(value, key in STRING_FIELDS):
                 steps.append(f"[{key}]" if in_list else f".{key}")
                 yield steps, leaf
             continue
+        elif kind is str:
+            if (strings if in_list else key in STRING_FIELDS):
+                continue
         elif kind is not bool and (value is not None or not in_list):
             continue
         yield [f"[{key}]" if in_list else f".{key}"], value
 
 
-def _reject_bad_number(raw, root: str = "", booleans: list | None = None) -> None:
+def _reject_bad_number(raw, root: str = "", deferred: list | None = None) -> None:
     """ConfigError naming the first leaf under `root` of a raw dict or list
-    that `_bad_leaves` finds; a boolean's (path, value) goes to the list
-    `booleans` instead, where one is given."""
+    that `_bad_leaves` finds; a boolean's or a string's (path, value) goes
+    to the list `deferred` instead, where one is given, so that the reader
+    of its part can name it first."""
     for steps, value in _bad_leaves(raw):
         path = root + "".join(reversed(steps))
-        if booleans is not None and type(value) is bool:
-            booleans.append((path, value))
+        if deferred is not None and type(value) in (bool, str):
+            deferred.append((path, value))
         else:
-            raise ConfigError(f"{path.lstrip('.')} is {json.dumps(value)}, not a finite number")
+            _raise_first([(path, value)])
+
+
+def _raise_first(leaves: list) -> None:
+    """ConfigError naming the first of the (path, value) leaves, if any."""
+    if leaves:
+        path, value = leaves[0]
+        raise ConfigError(f"{path.lstrip('.')} is {json.dumps(value)}, not a finite number")
 
 
 class _part:
@@ -175,12 +191,23 @@ def _number(value, name: str, read: Callable = float):
     return read(value)
 
 
+def _container(value, name: str, kind: type):
+    """A copy of an object (kind dict) or array (kind list) field; a value of
+    another JSON type is a ConfigError."""
+    if type(value) is not kind:
+        what = "an object" if kind is dict else "an array"
+        raise ConfigError(f"{name} must be {what}, got {json.dumps(value)}")
+    return kind(value)
+
+
 # marks a field that the config must give
 REQUIRED = object()
 
 # how a field that is not a plain number is read
 _READ = {
-    "value": lambda value, name: _number(value, name, lambda v: np.asarray(v, dtype=float)),
+    "value": lambda value, name: _number(
+        _container(value, name, list), name, lambda v: np.asarray(v, dtype=float)
+    ),
     "declared": lambda value, name: value if value in (None, "3/p_star") else _number(value, name),
 }
 
@@ -365,13 +392,14 @@ def parse_config(raw: dict, full_resolution: bool = False) -> ExperimentConfig:
     ConfigError before anything is integrated. With full_resolution the
     run records every step, and the checks' needs are judged on that grid.
     """
-    # a boolean is rejected once every part is read, so that a part's check names it first
-    booleans: list = []
+    # a boolean or a string is rejected once every part is read, so that a
+    # part's check names it first
+    deferred: list = []
     with _part("config"):
         for key, kind, what in (("name", str, "a string"), ("jsonl", bool, "true or false")):
             if key in raw and type(raw[key]) is not kind:
                 raise ConfigError(f"{key} must be {what}, got {json.dumps(raw[key])}")
-        _reject_bad_number({k: v for k, v in raw.items() if k != "jsonl"}, booleans=booleans)
+        _reject_bad_number({k: v for k, v in raw.items() if k != "jsonl"}, deferred=deferred)
         for key in raw:
             check_known(key, CONFIG_KEYS, "config key")
         h = _number(raw["h"], "h")
@@ -382,10 +410,15 @@ def parse_config(raw: dict, full_resolution: bool = False) -> ExperimentConfig:
         check_integer(d, "d")
         if d < 1:
             raise ConfigError(f"d must be at least 1, got {d}")
-        dyn = dict(raw.get("dynamics", {}))
-        checks = tuple(raw.get("checks", ()))
-        params = {key: dict(value) for key, value in dict(raw.get("check_params", {})).items()}
-        expectations = [(spec.pop("kind"), spec) for spec in map(dict, raw.get("expectations", ()))]
+        dyn = _container(raw.get("dynamics", {}), "dynamics", dict)
+        checks = tuple(_container(raw.get("checks", []), "checks", list))
+        params = _container(raw.get("check_params", {}), "check_params", dict)
+        for key, value in params.items():
+            params[key] = _container(value, f"check_params.{key}", dict)
+        expectations = _container(raw.get("expectations", []), "expectations", list)
+        for i, spec in enumerate(expectations):
+            spec = _container(spec, f"expectations[{i}]", dict)
+            expectations[i] = (spec.pop("kind"), spec)
         name = raw.get("name", "run")
         optioned = tuple(check for check, row in CHECKS.items() if row.fields)
         for key in params:
@@ -405,13 +438,15 @@ def parse_config(raw: dict, full_resolution: bool = False) -> ExperimentConfig:
 
     family = None
     schedule = None
+    if raw.get("schedule") is not None:
+        # read beside a null family too, though no law then uses it
+        with _part("schedule"):
+            schedule = schedule_from_dict(_container(raw["schedule"], "schedule", dict))
     if raw.get("family") is not None:
         with _part("family"):
             family = family_from_dict(raw["family"])
-        if raw.get("schedule") is None:
+        if schedule is None:
             raise ConfigError("a family needs a schedule for the gradient feedback")
-        with _part("schedule"):
-            schedule = schedule_from_dict(raw["schedule"])
         try:
             # alpha is nonincreasing, so t_end holds its least value on the run
             alpha_end = schedule(t_end)
@@ -428,27 +463,21 @@ def parse_config(raw: dict, full_resolution: bool = False) -> ExperimentConfig:
     if family is not None and family.n != system.n:
         raise ConfigError(f"family has {family.n} agents but the process has {system.n}")
     with _part("initial condition"):
-        init_spec = raw.get("init", {})
-        if not isinstance(init_spec, dict):
-            raise ConfigError("init must be an object")
+        init_spec = _container(raw.get("init", {}), "init", dict)
         for key in init_spec:
             check_known(key, ("x", "random") + INIT_AUX_KEYS, "init key")
         if "x" in init_spec:
-            x0 = np.asarray(init_spec["x"], dtype=float)
+            x0 = init_spec["x"]
         else:
             x0 = random_init(system.n, system.d, **{"seed": seed, **init_spec.get("random", {})})
-        aux = {
-            key: np.asarray(init_spec[key], dtype=float)
-            for key in INIT_AUX_KEYS
-            if key in init_spec
-        }
-        init_state = system.initial_state(x0, **aux)
-        system.check_initial(init_state)
+        aux = {key: init_spec[key] for key in INIT_AUX_KEYS if key in init_spec}
+        init_state = system.check_initial(system.initial_state(x0, **aux))
         # a ratio block starts at 1, so the initial output is x
+        y0 = system.split(init_state)[0]
         box = family.validity_box if family is not None else None
-        if box is not None and box.outside(init_state.x).any():
+        if box is not None and box.outside(y0).any():
             raise ConfigError(
-                f"initial outputs {init_state.x.tolist()} leave the validity box {box.to_list()}"
+                f"initial outputs {y0.tolist()} leave the validity box {box.to_list()}"
             )
 
     cfg = ExperimentConfig(
@@ -495,9 +524,7 @@ def parse_config(raw: dict, full_resolution: bool = False) -> ExperimentConfig:
         with _part(f"the {key} {label}"):
             resolved[key] = row.resolve(key, spec)
             row.hook(resolved[key], cfg)
-    if booleans:
-        path, value = booleans[0]
-        raise ConfigError(f"{path.lstrip('.')} is {json.dumps(value)}, not a finite number")
+    _raise_first(deferred)
     return cfg
 
 
@@ -816,9 +843,13 @@ def load_process(raw) -> LaplacianProcess:
 
 
 def check_schedule(raw: dict) -> tuple[dict, bool]:
+    """The validity report of the schedule a raw dict describes, and its
+    verdict; a boolean or a string is rejected once the schedule is read."""
+    deferred: list = []
     with _part("schedule"):
-        _reject_bad_number(raw, "schedule")
+        _reject_bad_number(raw, "schedule", deferred)
         schedule = schedule_from_dict(raw)
+    _raise_first(deferred)
     report = check_validity(schedule)
     return report.to_dict(), report.valid
 

@@ -13,7 +13,7 @@ are expected to assert that trajectories stay inside the declared box.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -173,13 +173,11 @@ class LogisticForm:
 @dataclass(frozen=True, eq=False)
 class ObjectiveFamily:
     """n convex differentiable per-agent objectives on R^d, held as the
-    rows of a form, with the parameters its constructor validated, as
-    FAMILIES[kind] takes them."""
+    rows of a form; `kind` names the FAMILIES constructor that built it."""
 
     kind: str
     form: HuberForm | LogisticForm
     validity_box: Box | None = None
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.n < 1 or self.d < 1:
@@ -218,8 +216,7 @@ def mirror_pair(
     if box is None:
         box = Box(np.array([-2.0]), np.array([2.0]))
     form = HuberForm([[offset], [-offset]], curvature, math.inf)
-    params = {"offset": offset, "curvature": curvature}
-    return ObjectiveFamily("mirror-pair", form, box, params)
+    return ObjectiveFamily("mirror-pair", form, box)
 
 
 def huberized_quadratic(
@@ -228,8 +225,7 @@ def huberized_quadratic(
     """Per-agent huberized quadratics centered at `centers` (n x d)."""
     radius, curvature = float(radius), float(curvature)
     form = HuberForm(np.atleast_2d(np.asarray(centers, dtype=float)), curvature, radius)
-    params = {"centers": form.centers.tolist(), "radius": radius, "curvature": curvature}
-    return ObjectiveFamily("huberized-quadratic", form, box, params)
+    return ObjectiveFamily("huberized-quadratic", form, box)
 
 
 def logistic_scalar(
@@ -244,8 +240,7 @@ def logistic_scalar(
         raise InvalidInputError("signs must be +1 or -1")
     if 1.0 not in signs or -1.0 not in signs:
         raise InvalidInputError("need both signs so the sum has a minimizer")
-    params = {"signs": signs, "offsets": offsets}
-    return ObjectiveFamily("logistic-scalar", LogisticForm(signs, offsets), box, params)
+    return ObjectiveFamily("logistic-scalar", LogisticForm(signs, offsets), box)
 
 
 TABLE_ENTRY_KEYS = ("form", "center", "curvature", "radius")
@@ -259,7 +254,7 @@ def custom_table(entries: Sequence[dict], box: Box | None = None) -> ObjectiveFa
     """
     if not entries:
         raise InvalidInputError("custom table needs at least one entry")
-    normalized = []
+    centers, curvature, radius = [], [], []
     for entry in entries:
         for key in entry:
             check_known(key, TABLE_ENTRY_KEYS, "custom-table entry key")
@@ -268,19 +263,12 @@ def custom_table(entries: Sequence[dict], box: Box | None = None) -> ObjectiveFa
             raise InvalidInputError(f"a center must be a point, got shape {center.shape}")
         form = entry.get("form", "quadratic")
         check_known(form, ("quadratic", "huber"), "objective form")
-        curvature = float(entry.get("curvature", 1.0))
-        spec = {"form": form, "center": center.tolist(), "curvature": curvature}
-        if form == "huber":
-            spec["radius"] = float(entry["radius"])
-        normalized.append(spec)
-    if len({len(spec["center"]) for spec in normalized}) > 1:
+        centers.append(center)
+        curvature.append(float(entry.get("curvature", 1.0)))
+        radius.append(float(entry["radius"]) if form == "huber" else math.inf)
+    if len({len(center) for center in centers}) > 1:
         raise InvalidInputError("all centers must share a dimension")
-    form = HuberForm(
-        [spec["center"] for spec in normalized],
-        [spec["curvature"] for spec in normalized],
-        [spec.get("radius", math.inf) for spec in normalized],
-    )
-    return ObjectiveFamily("custom-table", form, box, {"entries": normalized})
+    return ObjectiveFamily("custom-table", HuberForm(centers, curvature, radius), box)
 
 
 # each kind's constructor, which takes the kind's params and a box
@@ -370,7 +358,9 @@ def family_from_dict(data: dict) -> ObjectiveFamily:
     params = data.get("params", {})
     if not isinstance(params, dict):
         raise InvalidInputError(f"family params must be an object, got {params!r}")
-    box = data.get("box")
-    if box is not None:
-        box = Box(*box)
+    box = None
+    if "box" in data:
+        if not isinstance(data["box"], list):
+            raise InvalidInputError(f"family box must be an array, got {data['box']!r}")
+        box = Box(*data["box"])
     return FAMILIES[kind](**params, box=box)

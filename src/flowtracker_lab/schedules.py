@@ -9,6 +9,7 @@ summable. Power laws a0/(1+t)^p satisfy this exactly for p in (1/2, 1].
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
@@ -24,21 +25,24 @@ WINDOW_END = 1e3
 
 @dataclass(frozen=True, eq=False)
 class StepSchedule:
-    """Piecewise description of alpha(t); values always lie in (0, 1]."""
+    """Piecewise description of alpha(t); values always lie in (0, 1]. A
+    custom schedule takes values[k] from times[k] until the next time."""
 
     kind: str
     a0: float = 1.0
     p: float = 0.0
-    pieces: tuple[tuple[float, float], ...] | None = None
+    times: tuple[float, ...] = ()
+    values: tuple[float, ...] = ()
 
     def __post_init__(self):
         if self.kind not in SCHEDULES:
             raise InvalidInputError(f"unknown schedule kind {self.kind!r}")
         if self.kind == "custom-piecewise":
-            if not self.pieces:
+            times, values = self.times, self.values
+            if len(times) != len(values):
+                raise InvalidInputError("times and values must have equal length")
+            if not times:
                 raise InvalidInputError("custom schedule needs pieces")
-            times = [t for t, _ in self.pieces]
-            values = [v for _, v in self.pieces]
             if times[0] != 0.0 or any(b <= a for a, b in zip(times, times[1:])):
                 raise InvalidInputError("piece times must increase strictly from 0")
             if any(not (0 < v <= 1) for v in values):
@@ -62,9 +66,9 @@ def constant(a0: float) -> StepSchedule:
 
 
 def custom_piecewise(times: Sequence[float], values: Sequence[float]) -> StepSchedule:
-    if len(times) != len(values):
-        raise InvalidInputError("times and values must have equal length")
-    return StepSchedule("custom-piecewise", pieces=tuple(zip(map(float, times), map(float, values))))
+    return StepSchedule(
+        "custom-piecewise", times=tuple(map(float, times)), values=tuple(map(float, values))
+    )
 
 
 SCHEDULES = {"power-law": power_law, "constant": constant, "custom-piecewise": custom_piecewise}
@@ -78,9 +82,7 @@ def evaluate(schedule: StepSchedule, t: float) -> float:
         return schedule.a0
     if schedule.kind == "power-law":
         return schedule.a0 / (1.0 + t) ** schedule.p
-    times = [a for a, _ in schedule.pieces]
-    k = int(np.searchsorted(times, t, side="right")) - 1
-    return schedule.pieces[k][1]
+    return schedule.values[bisect_right(schedule.times, t) - 1]
 
 
 def evaluate_many(schedule: StepSchedule, times) -> np.ndarray:
@@ -92,9 +94,8 @@ def evaluate_many(schedule: StepSchedule, times) -> np.ndarray:
         return np.full(ts.shape, schedule.a0)
     if schedule.kind == "power-law":
         return schedule.a0 / (1.0 + ts) ** schedule.p
-    starts = np.array([a for a, _ in schedule.pieces])
-    values = np.array([v for _, v in schedule.pieces])
-    return values[np.searchsorted(starts, ts, side="right") - 1]
+    values = np.array(schedule.values)
+    return values[np.searchsorted(schedule.times, ts, side="right") - 1]
 
 
 @dataclass(frozen=True)
@@ -131,7 +132,7 @@ def check_validity(schedule: StepSchedule) -> ScheduleReport:
         return ScheduleReport(True, divergent, square, divergent and square, "analytic")
     if schedule.kind == "constant":
         return ScheduleReport(True, True, False, False, "analytic")
-    values = [v for _, v in schedule.pieces]
+    values = schedule.values
     nonincreasing = all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
     i1, i2 = _window_integrals(schedule, 1.0)
     divergent = i2 >= 0.95 * i1

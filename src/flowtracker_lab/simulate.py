@@ -47,7 +47,6 @@ from .dynamics import (
     W_FLOOR,
     FlowTrackerSystem,
     GradientFeedback,
-    SystemState,
     ZeroControl,
 )
 from .errors import (
@@ -438,7 +437,7 @@ def _generic_path(system, law, vec, start, bounds, steps_per_record, h, box, sta
 def integrate(
     system: FlowTrackerSystem,
     law,
-    init: SystemState,
+    init: np.ndarray,
     t_end: float,
     h: float,
     record_every: float = DEFAULT_RECORD_EVERY,
@@ -449,6 +448,8 @@ def integrate(
     ----------
     law : callable or None
         Maps (t, y) to the control block u (n x d). None means u = 0.
+    init : ndarray
+        The flat initial state, as `system.initial_state` builds it.
     h : float
         RK4 step; must divide record_every, t_end, and every dwell time.
     record_every : float
@@ -475,8 +476,7 @@ def integrate(
     """
     process = system.process
     n_steps, steps_per_record, piece_starts = step_grid(process, t_end, h, record_every)
-    system.check_initial(init)
-    vec = system.pack(init)
+    vec = system.check_initial(init)
 
     box = None
     if isinstance(law, GradientFeedback):

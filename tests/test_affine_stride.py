@@ -58,7 +58,7 @@ def per_step_affine(system, law, init, t_end, h, record_every):
     box = getattr(getattr(law, "family", None), "validity_box", None)
     per_record = round(record_every / h)
     n_steps = round(t_end / h)
-    vec = system.pack(init)
+    vec = init
     out = ([], [], [], [])
 
     def record(step):

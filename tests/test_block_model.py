@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowtracker_lab import dynamics
-from flowtracker_lab.dynamics import SystemState, gradient_feedback, make_system
+from flowtracker_lab.dynamics import gradient_feedback, make_system
 from flowtracker_lab.flowcore import rk4_maps
 from flowtracker_lab.graphnet import process_from_dict, random_process
 from flowtracker_lab.objectives import huberized_quadratic
@@ -106,8 +106,8 @@ def piece_at(process, t):
 
 def field(system, t, state, u):
     """The flat vector field at time t: the active piece's coupling on the
-    packed state, plus the input u on the x rows."""
-    out = system.coupling_matrix(piece_at(system.process, t)) @ system.pack(state)
+    flat state, plus the input u on the x rows."""
+    out = system.coupling_matrix(piece_at(system.process, t)) @ state
     out[: system.n * system.d] += u.ravel()
     return out
 
@@ -117,7 +117,7 @@ def random_state(system, rng):
     for name, shape in system.aux_layout:
         lo = 0.5 if name == system.ratio else -1.0
         aux[name] = rng.uniform(lo, 1.5, shape)
-    return SystemState(rng.uniform(-1, 1, (system.n, system.d)), aux)
+    return system.initial_state(rng.uniform(-1, 1, (system.n, system.d)), **aux)
 
 
 @settings(max_examples=80, deadline=None)
@@ -125,11 +125,10 @@ def random_state(system, rng):
 def test_field_matches_hand_written_field(case, t):
     system, a, rng = case
     n, d = system.n, system.d
-    state = random_state(system, rng)
+    vec = random_state(system, rng)
     u = rng.uniform(-1, 1, (n, d))
     lap = piece_at(system.process, t)
-    vec = system.pack(state)
-    got = field(system, t, state, u)
+    got = field(system, t, vec, u)
     expect = oracle_deriv(system.name, a, n, d, lap, vec, u)
     assert np.abs(got - expect).max() <= 1e-12
     assert np.abs(system.output_flat(vec) - oracle_output(system.name, n, d, vec)).max() <= 1e-12

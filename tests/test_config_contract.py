@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import flowtracker_lab
 from flowtracker_lab import harness
@@ -305,6 +307,55 @@ MALFORMED = {
     "nonconvergence-min-distance-numeric-string": {
         "expectations": [{"kind": "nonconvergence", "min_distance": "0.1"}]
     },
+    # numeric strings in the fields that library constructors read
+    "gain-numeric-string": {"dynamics": {"name": "averaging", "a": "5.0"}},
+    "mirror-curvature-numeric-string": {
+        "family": {
+            "kind": "mirror-pair",
+            "params": {"curvature": "1.0"},
+            "box": [[-2.0], [2.0]],
+        }
+    },
+    "box-lo-numeric-string": {
+        "family": {"kind": "mirror-pair", "params": {}, "box": [["-2.0"], [2.0]]}
+    },
+    "horizon-numeric-string": {
+        "process": {
+            "n": 2,
+            "pieces": [{"t": 0.0, "weights": [[0.0, 1.0], [1.0, 0.0]]}],
+            "horizon": "5.0",
+        }
+    },
+    "piece-time-numeric-string": {
+        "process": {
+            "n": 2,
+            "pieces": [{"t": "0.0", "weights": [[0.0, 1.0], [1.0, 0.0]]}],
+            "horizon": 5.0,
+        }
+    },
+    "weight-numeric-string": {
+        "process": {
+            "n": 2,
+            "pieces": [{"t": 0.0, "weights": [[0.0, "1.0"], [1.0, 0.0]]}],
+            "horizon": 5.0,
+        }
+    },
+    "init-x-numeric-string": {"init": {"x": [["0.0"], [0.0]]}},
+    # containers and nulls of another JSON type than the schema's
+    "checks-object": {"checks": {}},
+    "expectations-object": {"expectations": {}},
+    "check-params-array": {"checks": ["consensus"], "check_params": []},
+    "consensus-options-array": {"checks": ["consensus"], "check_params": {"consensus": []}},
+    "expectation-pairs": {"expectations": [[["kind", "y-abs-max"], ["max", 10.0]]]},
+    "schedule-pairs": {"schedule": [["kind", "constant"], ["a0", 0.5]]},
+    "box-null": {"family": {"kind": "mirror-pair", "params": {}, "box": None}},
+    "y-limit-value-number": {"expectations": [{"kind": "y-limit", "value": 0.0, "tol": 0.1}]},
+    "y-limit-value-null": {"expectations": [{"kind": "y-limit", "value": None, "tol": 0.1}]},
+    "push-sum-init-w-not-one": {
+        "dynamics": {"name": "push-sum"},
+        "init": {"x": [[0.0], [0.0]], "w": [2.0, 2.0]},
+    },
+    "schedule-beside-no-family": {"family": None, "schedule": {"kind": "bogus"}},
 }
 
 
@@ -418,6 +469,24 @@ NAMED = {
     "nonconvergence-min-distance-numeric-string": (
         'nonconvergence min_distance is "0.1", not a finite number'
     ),
+    "gain-numeric-string": 'dynamics.a is "5.0", not a finite number',
+    "mirror-curvature-numeric-string": 'family.params.curvature is "1.0", not a finite number',
+    "box-lo-numeric-string": 'family.box[0][0] is "-2.0", not a finite number',
+    "horizon-numeric-string": 'process.horizon is "5.0", not a finite number',
+    "piece-time-numeric-string": 'process.pieces[0].t is "0.0", not a finite number',
+    "weight-numeric-string": 'process.pieces[0].weights[0][1] is "1.0", not a finite number',
+    "init-x-numeric-string": 'init.x[0][0] is "0.0", not a finite number',
+    "checks-object": "checks must be an array, got {}",
+    "expectations-object": "expectations must be an array, got {}",
+    "check-params-array": "check_params must be an object, got []",
+    "consensus-options-array": "check_params.consensus must be an object, got []",
+    "expectation-pairs": "expectations[0] must be an object",
+    "schedule-pairs": 'schedule must be an object, got [["kind", "constant"], ["a0", 0.5]]',
+    "box-null": "family box must be an array, got None",
+    "y-limit-value-number": "y-limit value must be an array, got 0.0",
+    "y-limit-value-null": "y-limit value must be an array, got null",
+    "push-sum-init-w-not-one": "push-sum requires w(0) = 1 for every agent",
+    "schedule-beside-no-family": "unknown schedule kind 'bogus'",
 }
 
 
@@ -631,8 +700,8 @@ def test_every_leaf_mutation_parses_or_raises_config_error():
                 pytest.fail(f"{case} raised {type(exc).__name__}: {exc}")
             outcomes["parsed"] += 1
             parsed = (
-                cfg.raw, cfg.checks, cfg.expectations, cfg.init_state.x,
-                cfg.init_state.aux, [cfg.t_end, cfg.h, cfg.record_every],
+                cfg.raw, cfg.checks, cfg.expectations, cfg.init_state,
+                [cfg.t_end, cfg.h, cfg.record_every],
             )
             assert not _holds_nan_or_null(parsed), case
     assert outcomes["parsed"] > 0 and outcomes["rejected"] > 0
@@ -727,6 +796,10 @@ def test_logistic_agent_at_a_vast_offset_runs(tmp_path, capsys):
         ("{not json", "Expecting property name"),
         ('{"kind": "power-law", "a0": 1.0, "p": NaN}', "schedule.p is NaN"),
         ('{"kind": "constant", "a0": true}', "schedule.a0 is true"),
+        (
+            '{"kind": "custom-piecewise", "times": ["0", "10"], "values": ["1", "0.5"]}',
+            'schedule.times[0] is "0", not a finite number',
+        ),
     ],
 )
 def test_malformed_schedule_to_check_exits_2(capsys, schedule, named):
@@ -738,25 +811,34 @@ def test_malformed_schedule_to_check_exits_2(capsys, schedule, named):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("verb", ["check-flow", "run"])
 @pytest.mark.parametrize(
     "field, named",
     [
         ("horizon", "process.horizon is NaN"),
         ("weights", "process.pieces[0].weights[0][1] is NaN"),
         ("n", "process.n is true"),
+        ("weight-true", "process.pieces[0].weights[0][1] is true, not a finite number"),
     ],
 )
-def test_process_file_with_nan_exits_2(tmp_path, capsys, field, named):
+def test_process_file_with_a_bad_number_exits_2(tmp_path, capsys, verb, field, named):
+    """check-flow and a run config naming the file walk its numbers alike."""
     process = base_config()["process"]
     if field == "horizon":
         process["horizon"] = float("nan")
     elif field == "n":
         process["n"] = True
     else:
-        process["pieces"][0]["weights"][0][1] = float("nan")
+        process["pieces"][0]["weights"][0][1] = float("nan") if field == "weights" else True
     proc_path = tmp_path / "proc.json"
     proc_path.write_text(json.dumps(process))
-    code = main(["check-flow", "--process", str(proc_path), "--out", str(tmp_path / "out")])
+    if verb == "check-flow":
+        argv = ["check-flow", "--process", str(proc_path)]
+    else:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_config(process={"file": str(proc_path)})))
+        argv = ["run", "--config", str(cfg_path)]
+    code = main([*argv, "--out", str(tmp_path / "out")])
     captured = capsys.readouterr()
     assert code == 2
     error = json.loads(captured.out)
@@ -1060,6 +1142,49 @@ def test_presets_and_the_base_config_satisfy_the_schema(name):
     raw = base_config() if name == "base" else harness.scenario_raw(name)
     errors = [error.message for error in jsonschema.Draft7Validator(schema).iter_errors(raw)]
     assert errors == []
+
+
+def _schema_bases():
+    """The six presets, spps-stationary's 600 pieces cut to 3 so that a parse stays short."""
+    bases = [harness.scenario_raw(name) for name in harness.scenario_names()]
+    for raw in bases:
+        if "pieces" in raw["process"]:
+            del raw["process"]["pieces"][3:]
+    return bases
+
+
+SCHEMA_BASES = _schema_bases()
+SCHEMA_PROBE_VALUES = ("x", "1.5", 5, None, [], {}, -1, 0, 1.5, 1e300, [1], {"a": 1}, True, DELETE)
+
+
+def _node_paths(node, path=()):
+    """The path of every node below node: containers as well as leaves."""
+    if isinstance(node, (dict, list)):
+        for key in node if isinstance(node, dict) else range(len(node)):
+            yield path + (key,)
+            yield from _node_paths(node[key], path + (key,))
+
+
+@st.composite
+def single_node_mutations(draw):
+    raw = draw(st.sampled_from(SCHEMA_BASES))
+    path = draw(st.sampled_from(list(_node_paths(raw))))
+    return _mutated(raw, path, draw(st.sampled_from(SCHEMA_PROBE_VALUES)))
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@settings(max_examples=500, deadline=None)
+@given(single_node_mutations())
+def test_a_config_the_parser_accepts_the_schema_accepts(raw):
+    """NaN and +-Infinity, which the schema's numbers take and the parser
+    rejects, are the one deliberate difference; no mutation here makes one."""
+    jsonschema = pytest.importorskip("jsonschema")
+    try:
+        harness.parse_config(raw)
+    except ConfigError:
+        return
+    schema = json.loads(SCHEMA_PATH.read_text())
+    assert [error.message for error in jsonschema.Draft7Validator(schema).iter_errors(raw)] == []
 
 
 def _assert_binds(node, defaults, missing, fixed=()):

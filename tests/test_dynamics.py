@@ -6,7 +6,6 @@ import pytest
 
 from flowtracker_lab.dynamics import (
     GradientFeedback,
-    SystemState,
     ZeroControl,
     averaging_system,
     gradient_feedback,
@@ -51,15 +50,10 @@ def piece_at(process, t):
 
 def field(sys_, t, state, u):
     """The vector field at time t, as x and the aux blocks: the active piece's
-    coupling on the packed state, plus the input u on the x rows."""
-    out = sys_.coupling_matrix(piece_at(sys_.process, t)) @ sys_.pack(state)
+    coupling on the flat state, plus the input u on the x rows."""
+    out = sys_.coupling_matrix(piece_at(sys_.process, t)) @ state
     out[: sys_.n * sys_.d] += np.asarray(u, dtype=float).ravel()
     return sys_.split(out)
-
-
-def output(sys_, state):
-    """The outputs (n, d) of a structured state."""
-    return sys_.output_flat(sys_.pack(state))
 
 
 class TestConstruction:
@@ -112,15 +106,24 @@ class TestInitialSets:
         for sys_ in (push_sum_system(proc), spps_system(proc, a=5.0)):
             sys_.check_initial(sys_.initial_state(np.zeros((2, 1))))
 
-    def test_pack_split_round_trip(self):
+    def test_malformed_states_rejected(self):
+        sys_ = push_sum_system(constant_process(DIRECTED, 5.0))
+        with pytest.raises(InvalidInputError, match="x must be 2x1"):
+            sys_.initial_state(np.zeros((3, 1)))
+        with pytest.raises(InvalidInputError, match="aux block 'w' must have shape"):
+            sys_.initial_state(np.zeros((2, 1)), w=np.ones(3))
+        with pytest.raises(InvalidInputError, match="has 4 entries"):
+            sys_.check_initial(np.ones(3))
+
+    def test_initial_state_split_round_trip(self):
         sys_ = spps_system(constant_process(DIRECTED, 5.0), a=5.0)
         state = sys_.initial_state(
             np.array([[1.0], [2.0]]), z=np.array([0.5, -0.5]), v=np.ones(2)
         )
-        x, aux = sys_.split(sys_.pack(state))
-        assert np.array_equal(x, state.x)
-        assert np.array_equal(aux["z"], state.aux["z"])
-        assert np.array_equal(aux["v"], state.aux["v"])
+        x, aux = sys_.split(state)
+        assert np.array_equal(x, [[1.0], [2.0]])
+        assert np.array_equal(aux["z"], [0.5, -0.5])
+        assert np.array_equal(aux["v"], np.ones(2))
 
 
 class TestVectorFields:
@@ -135,7 +138,7 @@ class TestVectorFields:
         state = sys_.initial_state(np.array([[1.0], [-1.0]]))
         dx, _ = field(sys_, 0.0, state, np.zeros((2, 1)))
         # eigenvector with eigenvalue 2 of L: dx = -2 x
-        assert np.allclose(dx, -2.0 * state.x)
+        assert np.allclose(dx, -2.0 * sys_.split(state)[0])
 
     def test_saddle_consensus_stationary(self):
         with pytest.warns(UserWarning):
@@ -153,8 +156,8 @@ class TestVectorFields:
 
     def test_push_sum_output_is_ratio(self):
         sys_ = push_sum_system(constant_process(DIRECTED, 5.0))
-        state = SystemState(np.array([[2.0], [3.0]]), {"w": np.array([0.5, 1.5])})
-        y = output(sys_, state)
+        state = sys_.initial_state(np.array([[2.0], [3.0]]), w=np.array([0.5, 1.5]))
+        y = sys_.output_flat(state)
         assert np.allclose(y, [[4.0], [2.0]])
 
 
@@ -185,19 +188,17 @@ class TestDistributedness:
         for t in (0.0, 0.7, 1.3):
             lap = piece_at(proc, t)
             state = sys_.initial_state(rng.uniform(-1, 1, (5, 1)))
-            base_x, base_aux = field(sys_, t, state, law(t, output(sys_, state)))
+            base_x, base_aux = field(sys_, t, state, law(t, sys_.output_flat(state)))
             zeros = np.argwhere(lap == 0.0)
             pairs = [(i, j) for i, j in zeros if i != j]
             assert pairs, "test process should have missing edges"
             for i, j in pairs[:6]:
-                x2 = state.x.copy()
+                pert = state.copy()
+                x2, aux2 = sys_.split(pert)
                 x2[j] += 17.3
-                aux2 = {k: v.copy() for k, v in state.aux.items()}
                 for blk in aux2.values():
-                    blk_flat = blk.reshape(-1) if blk.ndim == 1 else blk
-                    blk_flat[j] = blk_flat[j] + 5.1
-                pert = SystemState(x2, aux2)
-                pert_x, pert_aux = field(sys_, t, pert, law(t, output(sys_, pert)))
+                    blk[j] += 5.1
+                pert_x, pert_aux = field(sys_, t, pert, law(t, sys_.output_flat(pert)))
                 assert np.array_equal(base_x[i], pert_x[i])
                 for k in base_aux:
                     assert np.array_equal(

@@ -84,7 +84,7 @@ class TestParseConfig:
         raw = small_config(init={"random": {"seed": 5, "scale": 1.0}})
         a = harness.parse_config(raw)
         b = harness.parse_config(raw)
-        assert np.array_equal(a.init_state.x, b.init_state.x)
+        assert np.array_equal(a.init_state, b.init_state)
 
 
     def test_init_aux_keys_come_from_the_systems_table(self):
@@ -96,7 +96,7 @@ class TestParseConfig:
                 init={"x": [[0.0], [0.0]], "w": [[0.5], [-0.5]]},
             )
         )
-        assert cfg.init_state.aux["w"].tolist() == [[0.5], [-0.5]]
+        assert cfg.system.split(cfg.init_state)[1]["w"].tolist() == [[0.5], [-0.5]]
         raw = small_config(init={"x": [[0.0], [0.0]], "q": 1.0})
         with pytest.raises(ConfigError, match="unknown init key 'q'"):
             harness.parse_config(raw)

@@ -190,7 +190,7 @@ class TestSerialization:
         s = custom_piecewise([0.0, 2.0], [1.0, 0.5])
         data = {"kind": "custom-piecewise", "times": [0.0, 2.0], "values": [1.0, 0.5]}
         back = schedule_from_dict(data)
-        assert back.pieces == s.pieces
+        assert back.times == s.times and back.values == s.values
 
     def test_unknown_kind(self):
         with pytest.raises(InvalidInputError):
@@ -198,4 +198,6 @@ class TestSerialization:
 
     def test_bad_constructor(self):
         with pytest.raises(InvalidInputError):
-            StepSchedule("custom-piecewise", pieces=((1.0, 0.5),))
+            StepSchedule("custom-piecewise", times=(1.0,), values=(0.5,))
+        with pytest.raises(InvalidInputError, match="equal length"):
+            StepSchedule("custom-piecewise", times=(0.0, 1.0), values=(0.5,))

@@ -98,19 +98,13 @@ def _logistic(sign, offset):
 
 def reference_agents(fam):
     """(value, gradient) of each agent at one point, from its closed form
-    and the parameters the family's constructor recorded."""
-    p = fam.params
-    if fam.kind == "mirror-pair":
-        return [_quadratic([s * p["offset"]], p["curvature"]) for s in (1.0, -1.0)]
-    if fam.kind == "huberized-quadratic":
-        return [_huber(c, p["curvature"], p["radius"]) for c in p["centers"]]
+    and the parameters of its row of the family's form."""
+    form = fam.form
     if fam.kind == "logistic-scalar":
-        return [_logistic(s, b) for s, b in zip(p["signs"], p["offsets"])]
+        return [_logistic(s, b) for s, b in zip(form.signs, form.offsets)]
     return [
-        _huber(e["center"], e["curvature"], e["radius"])
-        if e["form"] == "huber"
-        else _quadratic(e["center"], e["curvature"])
-        for e in p["entries"]
+        _quadratic(center, c) if math.isinf(radius) else _huber(center, c, radius)
+        for center, c, radius in zip(form.centers, form.curvature, form.radius)
     ]
 
 
