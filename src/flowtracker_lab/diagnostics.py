@@ -40,7 +40,7 @@ def _stacked_norms(block: np.ndarray) -> np.ndarray:
     # (m, n, d) -> (m,) spectral norms; d = 1 reduces to the vector norm
     if block.shape[2] == 1:
         return np.linalg.norm(block[:, :, 0], axis=1)
-    return np.array([np.linalg.norm(block[k], 2) for k in range(block.shape[0])])
+    return np.linalg.norm(block, 2, axis=(1, 2))
 
 
 def consensus_error(traj: Trajectory) -> np.ndarray:

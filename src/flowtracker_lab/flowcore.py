@@ -7,7 +7,8 @@ rate of that distance classifies the flow. The spectral norm is used for
 all matrix distances and is recorded in reports. Spans land on the step
 grid by `graphnet.steps_in_span`, the rule runs and processes share.
 `rk4_maps` is the one RK4 kernel: a piece's propagator is its map of the
-field -L, and the simulator's affine path takes its step maps from it.
+field -L, and the simulator's affine path takes its step maps from it and
+its ratio weights' maps from `Propagators`.
 """
 
 from __future__ import annotations
@@ -134,16 +135,17 @@ def rk4_maps(
     return k2
 
 
-class _Propagators:
+class Propagators:
     """The step grid of a process and h, and the RK4 propagators of its pieces.
 
-    The entry of every flow computation: rejects a step h that is not
-    finite and positive, checks switch alignment once and keeps the step
-    index where each piece starts, so walks along the grid take integer
-    steps. Maps (distinct piece, steps) to R^steps, where R = rk4_maps(-L,
-    -L, -L, -L, h) is the one-step propagator kept at (piece, 1); `build`
-    makes the missing ones in stacks of `per_stack` matrices, at most
-    STACK_BYTES, and `power` makes a single missing one.
+    The entry of every flow computation, the simulator's ratio weights
+    included: rejects a step h that is not finite and positive, checks
+    switch alignment once and keeps the step index where each piece
+    starts, so walks along the grid take integer steps. Maps (distinct
+    piece, steps) to R^steps, where R = rk4_maps(-L, -L, -L, -L, h) is the
+    one-step propagator kept at (piece, 1); `build` makes the missing ones
+    in stacks of `per_stack` matrices, at most STACK_BYTES, and `power`
+    makes a single missing one.
     """
 
     def __init__(self, process: LaplacianProcess, h: float):
@@ -198,7 +200,7 @@ class _Propagators:
 class _FlowIntegrator:
     """Advances Phi(., s) along the step grid of `props` from step `start`."""
 
-    def __init__(self, props: _Propagators, start: int):
+    def __init__(self, props: Propagators, start: int):
         self.props = props
         self.i = start
         self.phi = np.eye(props.process.n)
@@ -236,7 +238,7 @@ def transition_matrix(
         raise InvalidInputError(
             f"need 0 <= s <= t <= horizon, got s={s}, t={t}, horizon={process.horizon}"
         )
-    integ = _FlowIntegrator(_Propagators(process, h), steps_in_span(s, h, f"start time {s}"))
+    integ = _FlowIntegrator(Propagators(process, h), steps_in_span(s, h, f"start time {s}"))
     phi = integ.advance_to(steps_in_span(t, h, f"end time {t}"))
     return FlowMatrix(s, t, phi)
 
@@ -278,10 +280,10 @@ def adaptive_grid(process: LaplacianProcess, h: float = DEFAULT_STEP) -> FlowGri
     otherwise only be sampled in the rounding-noise regime on long
     horizons, while slow mixers still get the full half-horizon range).
     """
-    return _adaptive_grid(_Propagators(process, h))
+    return _adaptive_grid(Propagators(process, h))
 
 
-def _adaptive_grid(props: _Propagators) -> FlowGrid:
+def _adaptive_grid(props: Propagators) -> FlowGrid:
     """adaptive_grid on the step grid and propagators of `props`.
 
     Probes run in chunks of PROBE_CHUNK, fewer where a stack of them
@@ -411,7 +413,7 @@ def ergodicity_report(
     with no rate. Row-sum minima within TAU_FLOW of 1 are reported as
     exactly 1 so that doubly stochastic flows certify p* = 1.
     """
-    props = _Propagators(process, h)
+    props = Propagators(process, h)
     if grid is None:
         grid = _adaptive_grid(props)
     dts = sorted(grid.dt_values)

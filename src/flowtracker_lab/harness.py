@@ -12,7 +12,6 @@ import copy
 import hashlib
 import json
 import math
-import sys
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -33,6 +32,7 @@ from .graphnet import (
     random_process,
 )
 from .objectives import (
+    FLOAT_MAX,
     ObjectiveFamily,
     family_from_dict,
     gradient_bound,
@@ -60,8 +60,6 @@ CONFIG_KEYS = (
 INIT_AUX_KEYS = tuple(dict.fromkeys(block for row in SYSTEMS.values() for block, _ in row.aux))
 
 OUT_ENV_VAR = "FLOWTRACKER_OUT"
-
-FLOAT_MAX = sys.float_info.max
 
 
 @dataclass(eq=False)

@@ -13,6 +13,7 @@ are expected to assert that trajectories stay inside the declared box.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -22,7 +23,7 @@ from scipy.special import expit
 from .errors import CapabilityError, InvalidInputError, NumericalFailureError, check_known
 
 ORACLE_GRAD_TOL = 1e-12
-FLOAT_MAX = np.finfo(float).max
+FLOAT_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True, eq=False)

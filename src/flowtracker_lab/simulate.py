@@ -19,9 +19,10 @@ the law alone, and a law without `rowwise_affine`, or whose
 `rowwise_affine` is None, takes the generic one. Without a ratio block
 a constant step size gives every step of a piece the same map, whose
 powers A^1 ... A^m each piece caches; otherwise each block of steps
-first advances the ratio weights alone by the prefix powers of their
-piece's RK4 map, builds each step's map from its four stage fields
-and composes the maps of each record interval by prefix products.
+first advances the ratio weights alone, as the mixing flow w' = -L w,
+by the prefix powers of the one-step maps that `flowcore.Propagators`
+keeps per distinct piece, builds each step's map from its four stage
+fields and composes the maps of each record interval by prefix products.
 Either way one matrix-vector product per record interval advances the
 state, and batched products recover the state and the four stages at
 every step of a block; with record_every = h and a constant step the
@@ -54,7 +55,7 @@ from .errors import (
     InvalidInputError,
     NumericalFailureError,
 )
-from .flowcore import STACK_BYTES, rk4_maps, write_table
+from .flowcore import STACK_BYTES, Propagators, rk4_maps, write_table
 from .graphnet import LaplacianProcess, check_switch_alignment, steps_in_span
 from .schedules import evaluate_many
 
@@ -209,30 +210,26 @@ def _affine_path(system, coeffs, bounds, per_record, h, box, states):
                 yield step + first * length, length, min(most, count - first)
             step += count * length
 
-    # the prefix powers of the ratio maps of the pieces a block touches
-    ratio_powers = {}
+    if rows is not None:
+        # the ratio weights obey w' = -L w, the mixing flow: one one-step
+        # map for each distinct piece the run touches
+        props = Propagators(system.process, h)
+        props.build((piece, 1) for piece, _ in props.legs(0, bounds[-1]))
 
-    def ratio_run(r, first, stop, piece_fields, p0):
-        """The ratio weights at steps first ... stop from r at `first`,
-        advanced alone by the prefix powers of each piece's RK4 map; the
-        fields of pieces p0, ... are `piece_fields`."""
-        for piece in [p for p in ratio_powers if p < p0]:
-            del ratio_powers[piece]
-        new = [p for p in range(p0, p0 + len(piece_fields)) if p not in ratio_powers]
-        if new:
-            lap = piece_fields[np.array(new) - p0][:, rows, rows]
-            longest = max(bounds[p + 1] - bounds[p] for p in new)
-            fit = max(1, STACK_BYTES // (8 * n * n * len(new)))
-            maps = rk4_maps(lap, lap, lap, lap, h)
-            powers = _prefix_powers(maps, min(longest, stop - first, fit))
-            ratio_powers.update(zip(new, powers))
+    def ratio_run(r, first, stop):
+        """The ratio weights at steps first ... stop from r at `first`: each
+        leg of the walk applies the prefix powers of its piece's one-step
+        map, made for the block's distinct pieces in one stack."""
+        legs = list(props.legs(first, stop))
+        pieces = list(dict.fromkeys(piece for piece, _ in legs))
+        fit = max(1, STACK_BYTES // (8 * n * n * len(pieces)))
+        ones = np.stack([props.power(piece, 1) for piece in pieces])
+        count = min(max(steps for _, steps in legs), fit)
+        powers = dict(zip(pieces, _prefix_powers(ones, count)))
         out = [r[None]]
-        while first < stop:
-            piece = bisect_right(bounds, first) - 1
-            powers = ratio_powers[piece]
-            take = min(bounds[piece + 1], stop, first + len(powers)) - first
-            out.append(powers[:take] @ out[-1][-1])
-            first += take
+        for piece, steps in legs:
+            for lo in range(0, steps, count):
+                out.append(powers[piece][: steps - lo] @ out[-1][-1])
         return np.concatenate(out)
 
     def blocks():
@@ -273,7 +270,7 @@ def _affine_path(system, coeffs, bounds, per_record, h, box, states):
                 f1, f2, f4 = (stage_fields(fields, a, None) for a in (a1, a2, a4))
                 f3 = f2
             else:
-                run = ratio_run(r, first, first + len(steps), piece_fields, piece[0])
+                run = ratio_run(r, first, first + len(steps))
                 r = run[-1]
                 # the ratio block of a stage state is the ratio RK4's stage
                 lap = fields[:, rows, rows]

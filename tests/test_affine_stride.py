@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowtracker_lab import harness, simulate
+from flowtracker_lab import flowcore, harness, simulate
 from flowtracker_lab.dynamics import (
     SYSTEM_NAMES,
     SYSTEMS,
@@ -310,6 +310,30 @@ def test_every_preset_takes_its_pinned_path(name):
         cfg.system, law, cfg.init_state, t_end=t_end, h=cfg.h, record_every=cfg.record_every
     )
     assert traj.meta["path"] == PRESET_PATHS[name]
+
+
+def test_ratio_weights_take_one_map_per_distinct_piece(monkeypatch):
+    # spps-stationary's 600 pieces alternate two graphs; its ratio weights
+    # ride the mixing flow's propagators, one n x n map per distinct piece
+    cfg = harness.scenario("spps-stationary")
+    n = cfg.system.n
+    formed = []
+
+    def counted(f1, f2, f3, f4, h):
+        if f1.shape[-1] == n:
+            formed.append(len(f1) if f1.ndim == 3 else 1)
+        return rk4_maps(f1, f2, f3, f4, h)
+
+    monkeypatch.setattr(flowcore, "rk4_maps", counted)
+    monkeypatch.setattr(simulate, "rk4_maps", counted)
+    law = gradient_feedback(cfg.family, cfg.schedule)
+    traj = integrate(
+        cfg.system, law, cfg.init_state, t_end=cfg.t_end, h=cfg.h, record_every=cfg.record_every
+    )
+    assert traj.meta["handoff_step"] is None
+    assert len(cfg.system.process.distinct) == 600
+    assert len(set(cfg.system.process.distinct)) == 2
+    assert sum(formed) == 2
 
 
 class WithoutAffineForm(GradientFeedback):

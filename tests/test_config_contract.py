@@ -735,6 +735,41 @@ def test_config_file_that_is_not_an_object_exits_2(tmp_path, capsys, verb):
     assert "JSON object" in error["error"]
 
 
+@pytest.mark.parametrize("verb", ["run", "sweep"])
+def test_neither_config_nor_scenario_exits_2(capsys, verb):
+    args = [verb] if verb == "run" else [verb, "--param", "schedule.a0", "--values", "0.5"]
+    assert main(args) == 2
+    error = json.loads(capsys.readouterr().out)
+    assert error == {"error": "pass --config PATH or --scenario NAME", "kind": "config"}
+
+
+def test_run_scenario_writes_under_the_out_variable(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv(harness.OUT_ENV_VAR, str(tmp_path))
+    assert main(["run", "--scenario", "counterexample"]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    written = json.loads((tmp_path / "counterexample" / "summary.json").read_text())
+    assert printed["name"] == written["name"] == "counterexample"
+    assert printed["digest"] == written["digest"]
+    assert printed["files"][0] == str(tmp_path / "counterexample" / "trajectory.csv")
+
+
+def test_jsonl_run_writes_one_record_per_trajectory_row(tmp_path, capsys):
+    out = tmp_path / "out"
+    raw = base_config(dynamics={"name": "push-sum"}, jsonl=True)
+    assert _run_cli(tmp_path, raw, out) == 0
+    capsys.readouterr()
+    lines = (out / "trajectory.csv").read_text().splitlines()
+    rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+    records = [json.loads(line) for line in (out / "trajectory.jsonl").read_text().splitlines()]
+    assert len(records) == len(rows) > 1
+    for row, rec in zip(rows, records):
+        blocks = [rec["t"], rec["x"], *rec["aux"].values(), rec["y"], rec["u"], rec["xbar"]]
+        assert row == np.concatenate([np.ravel(block) for block in blocks]).tolist()
+    assert list(records[0]["aux"]) == ["w"]
+    summary = json.loads((out / "summary.json").read_text())
+    assert str(out / "trajectory.jsonl") in summary["files"]
+
+
 def test_sweep_value_that_is_not_a_number_exits_2(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(base_config()))
@@ -752,6 +787,7 @@ def test_sweep_value_that_is_not_a_number_exits_2(tmp_path, capsys):
     [
         ({"name": 5}, "schedule.a0", "name must be a string, got 5"),
         ({"jsonl": True}, "jsonl", "sweep path 'jsonl' must address a numeric field"),
+        ({}, "process.pieces.0.t", "sweep path 'process.pieces.0.t' does not address the config"),
     ],
 )
 def test_sweep_that_run_would_reject_exits_2(tmp_path, capsys, overrides, param, named):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from flowtracker_lab import diagnostics
 from flowtracker_lab.diagnostics import (
     DiagnosticsReport,
     consensus_error,
@@ -135,6 +136,23 @@ class TestObserverBound:
     def test_rate_validation(self, consensus_run):
         with pytest.raises(InvalidInputError):
             observer_bound_fit(consensus_run, rate=1.0)
+
+    def test_stacked_norms_match_the_per_record_loop_in_two_dimensions(self, monkeypatch):
+        def per_record(block):
+            return np.array([np.linalg.norm(u, 2) for u in block])
+
+        proc = random_process(4, "switching-complete", dwell=0.5, horizon=5.0, seed=3)
+        centers = np.array([[-1.0, 0.5], [0.2, -0.3], [0.7, 0.9], [-0.4, -1.1]])
+        law = gradient_feedback(huberized_quadratic(centers, radius=2.0), power_law(1.0, 1.0))
+        sys_ = averaging_system(proc, d=2)
+        init = sys_.initial_state(np.zeros((4, 2)))
+        traj = integrate(sys_, law, init, t_end=5.0, h=1e-2, record_every=1e-2)
+        stacks = [traj.u, np.random.default_rng(0).normal(size=(1000, 5, 3))]
+        for block in stacks:
+            assert np.array_equal(diagnostics._stacked_norms(block), per_record(block))
+        report = observer_bound_fit(traj, rate=0.5, declared_c2=1.0)
+        monkeypatch.setattr(diagnostics, "_stacked_norms", per_record)
+        assert observer_bound_fit(traj, rate=0.5, declared_c2=1.0) == report
 
 
 class TestLyapunovAndH:

@@ -269,7 +269,7 @@ class TestErgodicityReport:
         class OwnCache(flowcore._FlowIntegrator):
             # a private step grid and cache: every propagator built one at a time
             def __init__(self, props, start):
-                super().__init__(flowcore._Propagators(props.process, props.h), start)
+                super().__init__(flowcore.Propagators(props.process, props.h), start)
 
         monkeypatch.setattr(flowcore, "_FlowIntegrator", OwnCache)
         own = ergodicity_report(proc, h=1e-2)
