@@ -33,6 +33,8 @@ def _default_out(explicit, name: str):
 
 
 def _load_raw_config(args) -> dict:
+    if args.scenario and args.config:
+        raise ConfigError("pass --config PATH or --scenario NAME, not both")
     if args.scenario:
         return harness.scenario_raw(args.scenario)
     if args.config:

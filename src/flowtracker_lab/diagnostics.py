@@ -19,6 +19,7 @@ import json
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
+from scipy.integrate import cumulative_trapezoid
 
 from .errors import CapabilityError, InvalidInputError
 from .flowcore import write_table
@@ -164,10 +165,7 @@ def h_function(traj: Trajectory, cap: float, schedule: StepSchedule) -> np.ndarr
     if not traj.is_full_resolution:
         raise CapabilityError("h-function quadrature needs full-resolution records")
     g = _h_integrand(traj, cap, schedule)
-    dt = traj.record_interval
-    out = np.zeros(traj.n_samples)
-    np.cumsum(0.5 * dt * (g[1:] + g[:-1]), out=out[1:])
-    return out
+    return cumulative_trapezoid(g, dx=traj.record_interval, initial=0)
 
 
 def _trapezoid_error_estimate(g: np.ndarray, dt: float) -> float:
@@ -269,9 +267,7 @@ def gap_integral_check(
     alphas = evaluate_many(schedule, traj.times)
     gaps = objective_series(traj, family) - f_star
     integrand = alphas * gaps
-    dt = np.diff(traj.times)
-    partial = np.zeros(traj.n_samples)
-    partial[1:] = np.cumsum(0.5 * dt * (integrand[1:] + integrand[:-1]))
+    partial = cumulative_trapezoid(integrand, traj.times, initial=0)
     t_end = float(traj.times[-1])
     window = traj.times >= t_end / 10.0
     tail_vals = partial[window]

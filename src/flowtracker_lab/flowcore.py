@@ -8,7 +8,7 @@ all matrix distances and is recorded in reports. Spans land on the step
 grid by `graphnet.steps_in_span`, the rule runs and processes share.
 `rk4_maps` is the one RK4 kernel: a piece's propagator is its map of the
 field -L, and the simulator's affine path takes its step maps from it and
-its ratio weights' maps from `Propagators`.
+its step grid, whose maps advance its ratio weights, from `Propagators`.
 """
 
 from __future__ import annotations
@@ -101,10 +101,6 @@ class FlowMatrix:
         out.setflags(write=False)
         object.__setattr__(self, "Phi", out)
 
-    @property
-    def n(self) -> int:
-        return self.Phi.shape[0]
-
 
 def rk4_maps(
     f1: np.ndarray, f2: np.ndarray, f3: np.ndarray, f4: np.ndarray, h: float
@@ -138,8 +134,8 @@ def rk4_maps(
 class Propagators:
     """The step grid of a process and h, and the RK4 propagators of its pieces.
 
-    The entry of every flow computation, the simulator's ratio weights
-    included: rejects a step h that is not finite and positive, checks
+    The entry of every flow computation and the step grid of every
+    simulator run: rejects a step h that is not finite and positive, checks
     switch alignment once and keeps the step index where each piece
     starts, so walks along the grid take integer steps. Maps (distinct
     piece, steps) to R^steps, where R = rk4_maps(-L, -L, -L, -L, h) is the
@@ -211,8 +207,6 @@ class _FlowIntegrator:
             yield from self.props.legs(i0, i1)
 
     def advance_to(self, i: int) -> np.ndarray:
-        if i < self.i:
-            raise InvalidInputError("flow integrator cannot move backwards")
         for piece, steps in self.props.legs(self.i, i):
             self.phi = self.props.power(piece, steps) @ self.phi
         self.i = i

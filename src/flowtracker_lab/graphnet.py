@@ -338,7 +338,8 @@ def integrated_min_cut(
     """
     if window < 0:
         raise InvalidInputError("window must be nonnegative")
-    if t < 0 or t + window > process.horizon + 1e-12:
+    # the relative slack of the grid rule, so that long runs' windows fit
+    if t < 0 or t + window > process.horizon + 1e-9 * max(1.0, process.horizon):
         raise InvalidInputError(
             f"window [{t}, {t + window}] exceeds the process horizon {process.horizon}"
         )

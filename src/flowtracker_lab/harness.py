@@ -75,7 +75,6 @@ class ExperimentConfig:
     t_end: float
     h: float
     record_every: float  # the grid the run records: h under full resolution
-    seed: int
     checks: dict  # check name -> its resolved options, in the order run
     expectations: dict  # expectation kind -> its resolved fields
     name: str = "run"
@@ -488,7 +487,6 @@ def parse_config(raw: dict, full_resolution: bool = False) -> ExperimentConfig:
         t_end=t_end,
         h=h,
         record_every=record_every,
-        seed=seed,
         checks={},
         expectations={},
         name=name,

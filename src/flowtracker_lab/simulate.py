@@ -4,7 +4,8 @@ Classical fixed-step RK4 with the control law evaluated at stage times on
 stage states: the feedback is part of the vector field rather than a
 zero-order hold, which preserves 4th-order accuracy for the
 continuous-time model. Switching instants of the Laplacian process must
-land on step boundaries so no step straddles a discontinuity.
+land on step boundaries so no step straddles a discontinuity; a run's one
+step grid is the `flowcore.Propagators` of `step_grid`.
 
 When the law is affine in the output on a zone, u = alpha(t) * (scale *
 y + offset) while every agent's output lies within its radius of its
@@ -20,9 +21,9 @@ the law alone, and a law without `rowwise_affine`, or whose
 a constant step size gives every step of a piece the same map, whose
 powers A^1 ... A^m each piece caches; otherwise each block of steps
 first advances the ratio weights alone, as the mixing flow w' = -L w,
-by the prefix powers of the one-step maps that `flowcore.Propagators`
-keeps per distinct piece, builds each step's map from its four stage
-fields and composes the maps of each record interval by prefix products.
+by the prefix powers of the one-step maps that the step grid keeps per
+distinct piece, builds each step's map from its four stage fields and
+composes the maps of each record interval by prefix products.
 Either way one matrix-vector product per record interval advances the
 state, and batched products recover the state and the four stages at
 every step of a block; with record_every = h and a constant step the
@@ -39,7 +40,6 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,7 +56,7 @@ from .errors import (
     NumericalFailureError,
 )
 from .flowcore import STACK_BYTES, Propagators, rk4_maps, write_table
-from .graphnet import LaplacianProcess, check_switch_alignment, steps_in_span
+from .graphnet import LaplacianProcess, steps_in_span
 from .schedules import evaluate_many
 
 DEFAULT_RECORD_EVERY = 0.1
@@ -133,25 +133,24 @@ def _prefix_powers(aug: np.ndarray, count: int) -> np.ndarray:
 
 def step_grid(
     process: LaplacianProcess, t_end: float, h: float, record_every: float
-) -> tuple[int, int, list[int]]:
-    """(steps, steps per record, the step index of each piece's start) of a
-    run to t_end; InvalidInputError unless the switches, record_every and
-    t_end land on the step grid of h."""
+) -> tuple[int, int, Propagators]:
+    """(steps, steps per record, the run's step grid) of a run to t_end;
+    InvalidInputError unless record_every, t_end and the switches land on
+    the step grid of h. The grid checks the switches, once per run."""
     if t_end <= 0:
         raise InvalidInputError("t_end must be positive")
     if t_end > process.horizon + 1e-12:
         raise InvalidInputError(f"t_end {t_end} exceeds the process horizon {process.horizon}")
-    starts = check_switch_alignment(process, h)
     steps_per_record = steps_in_span(record_every, h, "record_every")
     if steps_per_record < 1:
         raise InvalidInputError("record_every must be at least h")
     n_steps = steps_in_span(t_end, h, "t_end")
     if n_steps % steps_per_record:
         raise InvalidInputError("t_end must be a multiple of record_every")
-    return n_steps, steps_per_record, starts
+    return n_steps, steps_per_record, Propagators(process, h)
 
 
-def _affine_path(system, coeffs, bounds, per_record, h, box, states):
+def _affine_path(system, coeffs, grid, per_record, box, states):
     """Fill the rows of `states`, row 0 holding the initial state, with the
     record states under the law u = alpha(t) * (scale * y + offset), which
     holds while every stage output y_i lies within radius_i of center_i.
@@ -165,6 +164,8 @@ def _affine_path(system, coeffs, bounds, per_record, h, box, states):
     stages.
     """
     scale, offset, schedule, center, radius = coeffs
+    h = grid.h
+    n_steps = per_record * (len(states) - 1)
     n, d, size = system.n, system.d, system.state_size
     nd = n * d
     matrices = system.process.matrices
@@ -193,7 +194,7 @@ def _affine_path(system, coeffs, bounds, per_record, h, box, states):
         out[:, diag, diag] += gain
         return out
 
-    edges = np.asarray(bounds)
+    firsts = np.asarray(grid.firsts)
     # steps per prefix stack, so that one stays within STACK_BYTES
     most_steps = max(1, STACK_BYTES // (8 * (size + 1) ** 2))
 
@@ -213,17 +214,16 @@ def _affine_path(system, coeffs, bounds, per_record, h, box, states):
     if rows is not None:
         # the ratio weights obey w' = -L w, the mixing flow: one one-step
         # map for each distinct piece the run touches
-        props = Propagators(system.process, h)
-        props.build((piece, 1) for piece, _ in props.legs(0, bounds[-1]))
+        grid.build((piece, 1) for piece, _ in grid.legs(0, n_steps))
 
     def ratio_run(r, first, stop):
         """The ratio weights at steps first ... stop from r at `first`: each
         leg of the walk applies the prefix powers of its piece's one-step
         map, made for the block's distinct pieces in one stack."""
-        legs = list(props.legs(first, stop))
+        legs = list(grid.legs(first, stop))
         pieces = list(dict.fromkeys(piece for piece, _ in legs))
         fit = max(1, STACK_BYTES // (8 * n * n * len(pieces)))
-        ones = np.stack([props.power(piece, 1) for piece in pieces])
+        ones = np.stack([grid.power(piece, 1) for piece in pieces])
         count = min(max(steps for _, steps in legs), fit)
         powers = dict(zip(pieces, _prefix_powers(ones, count)))
         out = [r[None]]
@@ -241,27 +241,26 @@ def _affine_path(system, coeffs, bounds, per_record, h, box, states):
         and on 1 / r; the ratio weights, None without a ratio block, are
         those at the steps' ends."""
         if schedule.kind == "constant" and rows is None:
-            forcing = np.zeros((size + 1, size + 1))
-            forcing[:nd, :nd] = np.diag(gains)
-            forcing[:nd, -1] = offset.ravel()
-            for piece in range(len(bounds) - 1):
-                step, stop = bounds[piece], bounds[piece + 1]
-                coupling = fields_of(slice(piece, piece + 1))[0]
-                f = coupling + schedule.a0 * forcing
+            alphas = np.full(4, schedule.a0)
+            step = 0
+            for piece, steps in grid.legs(0, n_steps):
+                coupling = fields_of(slice(piece, piece + 1))
+                f = stage_fields(coupling, alphas[:1], None)[0]
                 powers = _prefix_powers(
-                    rk4_maps(f, f, f, f, h), min(per_record, stop - step, most_steps)
+                    rk4_maps(f, f, f, f, h), min(per_record, steps, most_steps)
                 )
                 reach = np.abs(f).sum(axis=1).max() + 1.0
-                stages = (coupling[:-1, :-1], np.full(4, schedule.a0), reach)
-                for first, length, count in chunks(step, stop, size):
+                stages = (coupling[0, :-1, :-1], alphas, reach)
+                for first, length, count in chunks(step, step + steps, size):
                     yield first, powers[None, :length], count, stages, None
+                step += steps
             return
         r = None if rows is None else states[0, rows]
         ends = None
-        for first, length, count in chunks(0, bounds[-1], (size + 1) ** 2):
+        for first, length, count in chunks(0, n_steps, (size + 1) ** 2):
             steps = np.arange(first, first + count * length)
             t = steps * h
-            piece = np.searchsorted(edges, steps, side="right") - 1
+            piece = np.searchsorted(firsts, steps, side="right") - 1
             piece_fields = fields_of(slice(piece[0], piece[-1] + 1))
             fields = piece_fields[piece - piece[0]]
             a1, a2, a4 = (evaluate_many(schedule, s) for s in (t, t + 0.5 * h, t + h))
@@ -361,7 +360,7 @@ def _affine_path(system, coeffs, bounds, per_record, h, box, states):
             bad_ends.append(faulty[:, None])
         k = int(np.any([bad.any(axis=1) for bad in bad_ends], axis=0).argmax())
         return first + k, heads[k]
-    return bounds[-1], z
+    return n_steps, z
 
 
 def _matvec(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -371,7 +370,7 @@ def _matvec(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return (mats @ vecs[..., None])[..., 0]
 
 
-def _generic_path(system, law, vec, start, bounds, steps_per_record, h, box, states, y_rec, u_rec):
+def _generic_path(system, law, vec, start, grid, steps_per_record, box, states, y_rec, u_rec):
     """RK4 with the law at every stage from step `start` and its state
     `vec`; fills the records of `states`, `y_rec` and `u_rec` from there.
     The head of every step checks the state for finiteness, forms the
@@ -380,12 +379,12 @@ def _generic_path(system, law, vec, start, bounds, steps_per_record, h, box, sta
     floor is checked after every step."""
     n, d = system.n, system.d
     nd = n * d
-    n_steps = bounds[-1]
+    h = grid.h
+    n_steps = steps_per_record * (len(states) - 1)
     output = system.output_flat
     weights = system.ratio_slice
-    # the index of each piece, by the step it starts at, and of the start's
-    starts = {step: k for k, step in enumerate(bounds[:-1])}
-    starts[start] = bisect_right(bounds, start) - 1
+    # the legs of the walk from `start`, and the step where the next begins
+    legs, next_leg = grid.legs(start, n_steps), start
     matrices = system.process.matrices
 
     # the stage derivatives live in the rows of one buffer, so the RK4
@@ -409,8 +408,10 @@ def _generic_path(system, law, vec, start, bounds, steps_per_record, h, box, sta
             states[j], y_rec[j], u_rec[j] = vec, y_now, u_now
         if step == n_steps:
             break
-        if step in starts:
-            big = system.coupling_matrix(matrices[starts[step]])
+        if step == next_leg:
+            piece, steps = next(legs)
+            big = system.coupling_matrix(matrices[piece])
+            next_leg += steps
         np.dot(big, vec, out=k1)
         k1x += u_now
         v = vec + h2 * k1
@@ -471,8 +472,7 @@ def integrate(
         Non-finite state, or output outside a declared validity box, at
         the time of the first step that shows it.
     """
-    process = system.process
-    n_steps, steps_per_record, piece_starts = step_grid(process, t_end, h, record_every)
+    n_steps, steps_per_record, grid = step_grid(system.process, t_end, h, record_every)
     vec = system.check_initial(init)
 
     box = None
@@ -489,9 +489,6 @@ def integrate(
     if system.supports_affine and hasattr(law_or_zero, "rowwise_affine"):
         affine = law_or_zero.rowwise_affine()
 
-    # step indices of piece boundaries, clipped to the run
-    bounds = [b for b in piece_starts if b < n_steps] + [n_steps]
-
     y_rec = np.empty((m_records, n, d))
     u_rec = np.empty_like(y_rec)
     step = 0
@@ -499,12 +496,12 @@ def integrate(
         states[0] = vec
         # values past the first bad step are discarded, and checks find it
         with np.errstate(all="ignore"):
-            step, vec = _affine_path(system, affine, bounds, steps_per_record, h, box, states)
+            step, vec = _affine_path(system, affine, grid, steps_per_record, box, states)
     # the records before `step` are the affine path's
     done = m_records if step == n_steps else -(-step // steps_per_record)
     if step < n_steps:
         _generic_path(
-            system, law_or_zero, vec, step, bounds, steps_per_record, h, box, states, y_rec, u_rec
+            system, law_or_zero, vec, step, grid, steps_per_record, box, states, y_rec, u_rec
         )
     y_rec[:done] = system.output_flat(states[:done])
     for j in range(done):
@@ -513,10 +510,7 @@ def integrate(
 
     meta = {
         "system": system.name,
-        "n": n,
-        "d": d,
         "h": h,
-        "record_every": steps_per_record * h,
         "t_end": t_end,
         "c1": system.c1,
         "ratio": system.ratio,
@@ -552,7 +546,6 @@ def closed_form_two_agent(alpha: float, x0, t: float) -> np.ndarray:
 @dataclass(frozen=True)
 class LimitEstimate:
     y_limit: np.ndarray  # (n, d)
-    xbar_limit: np.ndarray  # (d,)
     residual: float
 
 
@@ -575,4 +568,4 @@ def estimate_limit(traj: Trajectory) -> LimitEstimate:
     residual = float(
         max(np.abs(tail_y - y_limit).max(), np.abs(tail_xbar - xbar_limit).max())
     )
-    return LimitEstimate(y_limit, xbar_limit, residual)
+    return LimitEstimate(y_limit, residual)

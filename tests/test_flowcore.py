@@ -473,6 +473,24 @@ class TestStackedChecks:
             ergodicity_report(proc, h=H, grid=self.GRID)
         assert err.value.time == pytest.approx(3.0)
 
+    @pytest.mark.parametrize("fault", [non_finite, negative_entry, column_drift])
+    def test_bad_probe_names_its_time(self, monkeypatch, fault):
+        # probes every 0.5 up to half the horizon; none mixes below DECAY_FLOOR
+        proc = random_process(4, "directed-ring-rotate", dwell=0.5, horizon=20.0, seed=5, h=H)
+        real = flowcore._FlowIntegrator.flows
+
+        def corrupt(self, targets):
+            # the third probe of the first chunk, at t = 1.5, goes bad
+            phis = real(self, targets)
+            if targets[0] == round(0.5 / H):
+                fault(phis[2])
+            return phis
+
+        monkeypatch.setattr(flowcore._FlowIntegrator, "flows", corrupt)
+        with pytest.raises(NumericalFailureError) as err:
+            adaptive_grid(proc, h=H)
+        assert err.value.time == pytest.approx(1.5)
+
     def test_switch_alignment_checked_once_per_report(self, monkeypatch):
         proc = random_process(5, "directed-ring-rotate", dwell=0.5, horizon=20.0, seed=6)
         calls = []

@@ -280,6 +280,14 @@ class TestIntegratedMinCut:
         with pytest.raises(InvalidInputError):
             integrated_min_cut(proc, 0.5, 1.0)
 
+    def test_last_window_of_a_long_horizon_accepted(self):
+        # the min-cut-window check's last start on t_end = 1e5 with T = 0.1,
+        # whose window ends 1e-11 past the horizon by rounding
+        proc = constant_process(Laplacian(TWO_NODE), horizon=1e5)
+        t0 = float(np.arange(0.0, 1e5 - 0.1 + 1e-9, 0.05)[-1])
+        assert t0 + 0.1 > 1e5
+        assert integrated_min_cut(proc, t0, 0.1) == pytest.approx(0.1)
+
     def test_shared_cuts_cut_each_piece_once(self, monkeypatch):
         proc = random_process(4, "directed-ring-rotate", dwell=0.5, horizon=4.0, seed=1)
         calls = []

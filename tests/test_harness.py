@@ -324,6 +324,50 @@ class TestCli:
         assert report["integral_divergent"] is True
         assert report["square_integrable"] is False
 
+    @pytest.mark.parametrize(
+        "verb", [["run"], ["sweep", "--param", "schedule.a0", "--values", "0.5"]], ids=["run", "sweep"]
+    )
+    def test_scenario_and_config_together_exit_2(self, tmp_path, capsys, verb):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps({"name": 5}))
+        args = [*verb, "--scenario", "counterexample", "--config", str(cfg_path)]
+        assert main(args) == 2
+        err = json.loads(capsys.readouterr().out)
+        assert err["kind"] == "config"
+        assert "--scenario" in err["error"] and "--config" in err["error"]
+
+    def test_sweep_cli_writes_every_run(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(small_config()))
+        out = tmp_path / "out"
+        args = ["--param", "schedule.a0", "--values", "0.25,0.5", "--out", str(out)]
+        assert main(["sweep", "--config", str(cfg_path), *args]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == ["schedule.a0=0.25", "schedule.a0=0.5"]
+        assert all(line.endswith("[ok]") for line in lines)
+        assert len((out / "sweep.csv").read_text().splitlines()) == 3
+        dirs = sorted(p.name for p in out.iterdir() if p.is_dir())
+        assert dirs == ["sweep_0.25", "sweep_0.5"]
+
+    def test_check_flow_cli_not_ergodic_exit_1(self, tmp_path, capsys):
+        proc = {
+            "n": 2,
+            "pieces": [{"t": 0.0, "weights": [[0.0, 0.0], [0.0, 0.0]]}],
+            "horizon": 10.0,
+        }
+        path = tmp_path / "proc.json"
+        path.write_text(json.dumps(proc))
+        assert main(["check-flow", "--process", str(path), "--h", "0.01"]) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["weakly_exponentially_ergodic"] is False
+        assert captured.err == "flow is NOT weakly exponentially ergodic\n"
+
+    def test_check_schedule_file(self, tmp_path, capsys):
+        path = tmp_path / "schedule.json"
+        path.write_text(json.dumps({"kind": "power-law", "a0": 1.0, "p": 1.0}))
+        assert main(["check-schedule", "--schedule", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["valid"] is True
+
     def test_check_flow_cli(self, tmp_path, capsys):
         proc = {
             "n": 2,

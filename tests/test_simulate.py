@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from flowtracker_lab.errors import (
 )
 from flowtracker_lab.graphnet import (
     Laplacian,
+    check_switch_alignment,
     constant_process,
     make_laplacian,
     random_process,
@@ -146,6 +148,26 @@ class TestIntegrateBasics:
         assert len(calls) == 4 * 200 + 1
         t_rec = np.arange(traj.n_samples) * 10 * 0.01  # step index times h
         assert np.array_equal(traj.u, -0.5 * traj.y + 0.25 * t_rec[:, None, None])
+
+
+class TestStepGrid:
+    def test_push_sum_run_checks_switch_alignment_once(self, monkeypatch):
+        proc = random_process(5, "directed-ring-rotate", dwell=0.5, horizon=20.0, seed=4)
+        sys_ = push_sum_system(proc)
+        init = sys_.initial_state(np.linspace(-1, 1, 5)[:, None])
+        calls = []
+
+        def counted(process, h):
+            calls.append(h)
+            return check_switch_alignment(process, h)
+
+        # a call from any module of the package counts
+        for name, module in list(sys.modules.items()):
+            if name.startswith("flowtracker_lab.") and hasattr(module, "check_switch_alignment"):
+                monkeypatch.setattr(module, "check_switch_alignment", counted)
+        traj = integrate(sys_, None, init, t_end=20.0, h=1e-2)
+        assert traj.meta["path"] == "affine"
+        assert calls == [1e-2]
 
 
 class TestConservationAndReduction:
