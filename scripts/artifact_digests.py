@@ -4,10 +4,11 @@
     python3 scripts/artifact_digests.py --write FILE
     python3 scripts/artifact_digests.py --check FILE
 
-The runs are the six scenario presets, a three-value `schedule.a0` sweep
-of `counterexample`, and `check-flow` on three seeded random processes,
-each written under one scratch directory by the harness calls the CLI
-makes. Every file is hashed by its path relative to that directory;
+The runs are the six scenario presets, three runs that take the generic
+RK4 loop or write JSONL (RUNS), a three-value `schedule.a0` sweep of
+`counterexample`, and `check-flow` on three seeded random processes, each
+written under one scratch directory by the harness calls the CLI makes.
+Every file is hashed by its path relative to that directory;
 `summary.json` is hashed without `wall_time`, the one value that differs
 between identical runs. `--write` stores the table as JSON; `--check`
 recomputes it, prints each artifact that is missing, new or changed, and
@@ -30,6 +31,42 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from flowtracker_lab import harness  # noqa: E402
 from flowtracker_lab.graphnet import random_process  # noqa: E402
 
+COMPLETE_3 = {
+    "n": 3,
+    "pieces": [{"t": 0.0, "weights": [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]}],
+    "horizon": 2.0,
+}
+SMALL_RUN = {
+    "process": COMPLETE_3,
+    "dynamics": {"name": "averaging"},
+    "schedule": {"kind": "power-law", "a0": 0.5, "p": 1.0},
+    "t_end": 2.0,
+    "h": 0.01,
+    "record_every": 0.1,
+    "checks": ["consensus"],
+}
+# (directory, raw config) of each run beside the presets
+RUNS = (
+    # a logistic law is not affine, so the run takes the generic loop throughout
+    ("logistic-generic", {
+        **SMALL_RUN,
+        "family": {
+            "kind": "logistic-scalar",
+            "params": {"signs": [1, -1, 1], "offsets": [0.0, 0.5, 1.0]},
+        },
+        "init": {"x": [[0.0], [0.0], [0.0]]},
+    }),
+    # every agent starts past its radius, so the affine path hands off at step 0
+    ("huber-handoff", {
+        **SMALL_RUN,
+        "family": {
+            "kind": "huberized-quadratic",
+            "params": {"centers": [[0.5], [-0.5], [0.2]], "radius": 0.25},
+        },
+        "init": {"x": [[2.0], [-2.0], [1.5]]},
+    }),
+    ("counterexample-jsonl", {**harness.PRESETS["counterexample"](), "jsonl": True}),
+)
 SWEEP = ("counterexample", "schedule.a0", (0.25, 0.5, 1.0))
 # (n, model, dwell, horizon, seed, B) of each check-flow process
 FLOWS = (
@@ -43,6 +80,8 @@ def write_artifacts() -> None:
     """Every pinned run, each into its own directory under the current one."""
     for name in harness.scenario_names():
         harness.run(harness.scenario(name), out_dir=name)
+    for name, raw in RUNS:
+        harness.run(harness.parse_config({"name": name, **raw}), out_dir=name)
     preset, param, values = SWEEP
     harness.sweep(harness.scenario_raw(preset), param, values, out_dir=f"{preset}-sweep")
     for n, model, dwell, horizon, seed, b in FLOWS:

@@ -22,9 +22,7 @@ from .graphnet import (
 )
 from .flowcore import (
     ErgodicityReport,
-    FlowGrid,
     FlowMatrix,
-    adaptive_grid,
     ergodicity_report,
     transition_matrix,
 )

@@ -74,8 +74,12 @@ def _cmd_sweep(args) -> int:
         return _fail("config", f"--values {args.values!r}: {exc}")
     if not values:
         return _fail("config", f"--values {args.values!r} holds no number")
+    configs = harness.sweep_configs(raw, args.param, values)
     out = _default_out(args.out, f"{raw.get('name', 'run')}-sweep")
-    results = harness.sweep(raw, args.param, values, out_dir=out)
+    try:
+        results = harness.run_sweep(configs, args.param, out_dir=out)
+    except (FlowtrackerError, OSError) as exc:
+        return _fail("runtime", str(exc))
     for value, summary in results:
         flag = "ok" if summary.all_checks_passed else "FAILED"
         print(f"{args.param}={value:g}: y_limit={summary.y_limit} [{flag}]")

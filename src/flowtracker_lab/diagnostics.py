@@ -31,6 +31,9 @@ TOL_INEQ_BASE = 1e-6
 GAP_TAIL_TOL = 1e-3
 WEIGHT_TOL = 1e-8
 
+# fewest records the checks that take central differences read
+MIN_DIFF_RECORDS = 5
+
 
 def _row_norms(block: np.ndarray) -> np.ndarray:
     # (m, n, d) -> (m, n) Euclidean norms of each agent row
@@ -88,8 +91,8 @@ def input_tracking_check(traj: Trajectory, c1: float | None = None) -> InputTrac
         raise CapabilityError(
             "input tracking compares derivatives; record at full resolution"
         )
-    if traj.n_samples < 5:
-        raise InvalidInputError("need at least 5 samples")
+    if traj.n_samples < MIN_DIFF_RECORDS:
+        raise InvalidInputError(f"need at least {MIN_DIFF_RECORDS} samples")
     if c1 is None:
         c1 = traj.meta.get("c1", 1.0 / traj.n)
     dt = traj.record_interval
@@ -226,8 +229,8 @@ def vdot_bound_check(
     """
     from .objectives import gradient_bound
 
-    if traj.n_samples < 5:
-        raise InvalidInputError("need at least 5 samples")
+    if traj.n_samples < MIN_DIFF_RECORDS:
+        raise InvalidInputError(f"need at least {MIN_DIFF_RECORDS} samples")
     if c1 is None:
         c1 = traj.meta.get("c1", 1.0 / traj.n)
     cap = gradient_bound(family)

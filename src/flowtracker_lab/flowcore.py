@@ -237,49 +237,27 @@ def transition_matrix(
     return FlowMatrix(s, t, phi)
 
 
-@dataclass(frozen=True)
-class FlowGrid:
-    """Sample layout for ergodicity reports: all (s, s + dt) pairs."""
-
-    s_values: tuple[float, ...]
-    dt_values: tuple[float, ...]
-
-    def __post_init__(self):
-        if not self.s_values or not self.dt_values:
-            raise InvalidInputError("grid needs at least one start and one offset")
-        if any(s < 0 for s in self.s_values):
-            raise InvalidInputError("start times must be nonnegative")
-        if any(dt <= 0 for dt in self.dt_values):
-            raise InvalidInputError("offsets must be positive")
-
-
-def _grid(process: LaplacianProcess, h: float, dt_max: float) -> FlowGrid:
-    """Starts at 0, 1/4 and 1/2 of the horizon and 12 spans up to dt_max, on the h grid."""
+def _grid(process: LaplacianProcess, h: float, dt_max: float) -> tuple[tuple, tuple]:
+    """(starts, spans) of a report's samples: starts at 0, 1/4 and 1/2 of
+    the horizon and 12 spans up to dt_max, on the h grid, each increasing."""
     horizon = process.horizon
 
     def snap(x: float) -> float:
         return round(x / h) * h
 
-    s_vals = sorted({snap(x) for x in (0.0, horizon / 4, horizon / 2)})
-    dt_raw = np.linspace(dt_max / 12, dt_max, 12)
-    dt_vals = sorted({snap(x) for x in dt_raw if snap(x) > 0})
-    return FlowGrid(tuple(s_vals), tuple(dt_vals))
+    starts = sorted({snap(x) for x in (0.0, horizon / 4, horizon / 2)})
+    spans = sorted({snap(x) for x in np.linspace(dt_max / 12, dt_max, 12) if snap(x) > 0})
+    return tuple(starts), tuple(spans)
 
 
-def adaptive_grid(process: LaplacianProcess, h: float = DEFAULT_STEP) -> FlowGrid:
-    """Grid whose spans stop where the flow's mixing bottoms out.
+def _adaptive_grid(props: Propagators) -> tuple[tuple, tuple]:
+    """The grid of a report on the step grid and propagators of `props`,
+    whose spans stop where the flow's mixing bottoms out.
 
     Probes the distance decay of Phi(t, 0) and caps the span range where
     the distance first drops below DECAY_FLOOR (fast mixers would
     otherwise only be sampled in the rounding-noise regime on long
     horizons, while slow mixers still get the full half-horizon range).
-    """
-    return _adaptive_grid(Propagators(process, h))
-
-
-def _adaptive_grid(props: Propagators) -> FlowGrid:
-    """adaptive_grid on the step grid and propagators of `props`.
-
     Probes run in chunks of PROBE_CHUNK, fewer where a stack of them
     would pass STACK_BYTES: each chunk is advanced, checked and measured
     at once, and the first probe under the floor stops the grid, as a
@@ -370,17 +348,23 @@ class ErgodicityReport:
         write_table(path, ["s", "t", "distance"], columns, "\r\n")
 
 
-def _fit_rate(spans: np.ndarray, dists: np.ndarray) -> tuple[float | None, float | None, float | None]:
+def _fit_rate(spans: np.ndarray, dists: np.ndarray) -> tuple:
+    """(rate, prefactor, r-squared, log-decay span): the regression of
+    log-distance on span over the samples above FIT_FLOOR, None with fewer
+    than 3 of them, and the range of their log-distances, None with none."""
     usable = dists > FIT_FLOOR
-    if usable.sum() < 3:
-        return None, None, None
+    if not usable.any():
+        return None, None, None, None
+    y = np.log(dists[usable])
+    decay_span = float(y.max() - y.min())
     x = spans[usable]
+    if len(x) < 3:
+        return None, None, None, decay_span
     with np.errstate(over="ignore"):
         if not np.isfinite(x @ x):
             # the least-squares fit squares the spans; past the float range
             # it would only print overflow warnings and fit nothing
-            return None, None, None
-    y = np.log(dists[usable])
+            return None, None, None, decay_span
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
     ss_res = float(resid @ resid)
@@ -389,15 +373,11 @@ def _fit_rate(spans: np.ndarray, dists: np.ndarray) -> tuple[float | None, float
         r2 = 1.0 if ss_res <= 1e-30 else 0.0
     else:
         r2 = 1.0 - ss_res / ss_tot
-    return float(math.exp(slope)), float(math.exp(intercept)), r2
+    return float(math.exp(slope)), float(math.exp(intercept)), r2, decay_span
 
 
-def ergodicity_report(
-    process: LaplacianProcess,
-    h: float = DEFAULT_STEP,
-    grid: FlowGrid | None = None,
-) -> ErgodicityReport:
-    """Sample the flow on a grid and fit its exponential mixing envelope.
+def ergodicity_report(process: LaplacianProcess, h: float = DEFAULT_STEP) -> ErgodicityReport:
+    """Sample the flow on its adaptive grid and fit its exponential mixing envelope.
 
     The propagators every walk needs are built first; then each walk's
     samples are checked, measured and reduced to p* as stacks of at most
@@ -408,13 +388,11 @@ def ergodicity_report(
     exactly 1 so that doubly stochastic flows certify p* = 1.
     """
     props = Propagators(process, h)
-    if grid is None:
-        grid = _adaptive_grid(props)
-    dts = sorted(grid.dt_values)
+    starts, spans = _adaptive_grid(props)
     samples = []
     walks = []  # (integrator from s, its sample times, their step indices)
-    for s in grid.s_values:
-        ts = [min(s + dt, process.horizon) for dt in dts if s + dt <= process.horizon + 1e-12]
+    for s in starts:
+        ts = [min(s + dt, process.horizon) for dt in spans if s + dt <= process.horizon + 1e-12]
         if ts:
             samples.extend((s, t) for t in ts)
             integ = _FlowIntegrator(props, steps_in_span(s, h, f"start time {s}"))
@@ -429,17 +407,11 @@ def ergodicity_report(
             _check_flows(phis, ts[lo:])
             dists.extend(_distances(phis).tolist())
             p_star = min(p_star, float((phis @ np.ones(process.n)).min()))
-    dist_arr = np.array(dists)
     if abs(p_star - 1.0) <= TAU_FLOW:
         p_star = 1.0
-    spans = np.array([t - s for s, t in samples])
-    rate, prefactor, r2 = _fit_rate(spans, dist_arr)
-    usable = dist_arr > FIT_FLOOR
-    if usable.any():
-        logs = np.log(dist_arr[usable])
-        decay_span = float(logs.max() - logs.min())
-    else:
-        decay_span = None
+    rate, prefactor, r2, decay_span = _fit_rate(
+        np.array([t - s for s, t in samples]), np.array(dists)
+    )
     return ErgodicityReport(
         samples=tuple(samples),
         distances=tuple(dists),

@@ -21,7 +21,14 @@ import numpy as np
 
 from . import diagnostics as diag
 from .dynamics import DEFAULT_GAIN, SYSTEMS, FlowTrackerSystem, gradient_feedback, make_system
-from .errors import ConfigError, FlowtrackerError, InvalidInputError, check_integer, check_known
+from .errors import (
+    CapabilityError,
+    ConfigError,
+    FlowtrackerError,
+    InvalidInputError,
+    check_integer,
+    check_known,
+)
 from .flowcore import ErgodicityReport, ergodicity_report
 from .graphnet import (
     DEFAULT_STEP,
@@ -44,6 +51,7 @@ from .simulate import (
     MIN_TAIL,
     LimitEstimate,
     Trajectory,
+    check_recording,
     estimate_limit,
     integrate,
     step_grid,
@@ -214,8 +222,9 @@ class Row:
     """One check or one expectation kind: its verdict, each field's default
     (REQUIRED for one the config must give), its needs (an objective family
     and the oracle, records at every step, a record tail of MIN_TAIL, a
-    ratio block), and a hook that checks the resolved fields against the
-    parsed config."""
+    ratio block, the diag.MIN_DIFF_RECORDS records of a central difference,
+    a bound on the family's gradients), and a hook that checks the resolved
+    fields against the parsed config."""
 
     verdict: Callable
     fields: dict = field(default_factory=dict)
@@ -223,6 +232,8 @@ class Row:
     every_step: bool = False
     tail: bool = False
     ratio: bool = False
+    differences: bool = False
+    bounded: bool = False
     hook: Callable = lambda opts, cfg: None
 
     def resolve(self, name: str, spec: dict) -> dict:
@@ -357,9 +368,11 @@ EXPECTATIONS_CHECK = "expectations"  # runs the expectations, listed in checks o
 CHECKS = {
     EXPECTATIONS_CHECK: Row(RunContext.expectations),
     "consensus": Row(RunContext.consensus, {"tol": 1e-2}),
-    "input-tracking": Row(RunContext.input_tracking, every_step=True),
-    "v-dominated-by-h": Row(RunContext.v_dominated_by_h, family=True, every_step=True),
-    "vdot-bound": Row(RunContext.vdot_bound, family=True),
+    "input-tracking": Row(RunContext.input_tracking, every_step=True, differences=True),
+    "v-dominated-by-h": Row(
+        RunContext.v_dominated_by_h, family=True, every_step=True, bounded=True
+    ),
+    "vdot-bound": Row(RunContext.vdot_bound, family=True, differences=True, bounded=True),
     "gap-integral": Row(RunContext.gap_integral, family=True),
     "weight-conservation": Row(RunContext.weight_conservation, ratio=True),
     # flow_h None is the run's step h
@@ -476,6 +489,9 @@ def parse_config(raw: dict, full_resolution: bool = False) -> ExperimentConfig:
             raise ConfigError(
                 f"initial outputs {y0.tolist()} leave the validity box {box.to_list()}"
             )
+    records = n_steps // per_record + 1
+    with _part("recording"):
+        check_recording(system, records)
 
     cfg = ExperimentConfig(
         raw=raw,
@@ -498,7 +514,7 @@ def parse_config(raw: dict, full_resolution: bool = False) -> ExperimentConfig:
     with _part("checks"):
         rows = [(CHECKS, "check", key, params.get(key, {}), cfg.checks) for key in checks]
     rows += [(EXPECTATIONS, "expectation", *pair, cfg.expectations) for pair in expectations]
-    tail = tail_length(n_steps // per_record + 1)
+    tail = tail_length(records)
     for table, label, key, spec, resolved in rows:
         # a tuple, since a kind read from JSON may be a list, which no dict can hash
         if key not in tuple(table):
@@ -517,11 +533,29 @@ def parse_config(raw: dict, full_resolution: bool = False) -> ExperimentConfig:
                 f"the {key} {label} averages the last tenth of the records, "
                 f"{tail} here; it needs {MIN_TAIL} (t_end / record_every >= 90)"
             )
+        if row.differences and records < diag.MIN_DIFF_RECORDS:
+            raise ConfigError(
+                f"the {key} {label} takes central differences of the records, "
+                f"{records} here; it needs {diag.MIN_DIFF_RECORDS}"
+            )
+        if row.bounded and _gradient_cap(family) is None:
+            raise ConfigError(
+                f"the {key} {label} needs bounded gradients; a quadratic agent's "
+                "are bounded only on a validity box"
+            )
         with _part(f"the {key} {label}"):
             resolved[key] = row.resolve(key, spec)
             row.hook(resolved[key], cfg)
     _raise_first(deferred)
     return cfg
+
+
+def _gradient_cap(family: ObjectiveFamily) -> float | None:
+    """gradient_bound of the family, or None where its gradients are unbounded."""
+    try:
+        return gradient_bound(family)
+    except CapabilityError:
+        return None
 
 
 @dataclass(eq=False)
@@ -584,10 +618,9 @@ def run(cfg: ExperimentConfig, out_dir=None) -> RunSummary:
     if cfg.family is not None:
         series["lyapunov"] = diag.lyapunov_series(traj, oracle[0])
         series["optimality_gap"] = gaps
-        if traj.is_full_resolution:
-            series["h_function"] = diag.h_function(
-                traj, gradient_bound(cfg.family), cfg.schedule
-            )
+        cap = _gradient_cap(cfg.family) if traj.is_full_resolution else None
+        if cap is not None:
+            series["h_function"] = diag.h_function(traj, cap, cfg.schedule)
 
     report = diag.DiagnosticsReport(traj.times, series, checks)
     # the gap series' last entry, so that the summary and the CSV agree
@@ -764,6 +797,9 @@ def scenario_raw(name: str) -> dict:
 
 # --- sweeps ------------------------------------------------------------------
 
+# the config fields the schema types as integers, which a sweep sets as ints
+INTEGER_FIELDS = ("n", "seed", "B", "d")
+
 
 def _set_by_path(data: dict, path: str, value) -> None:
     keys = path.split(".")
@@ -777,26 +813,41 @@ def _set_by_path(data: dict, path: str, value) -> None:
         raise ConfigError(f"sweep path {path!r} does not address the config")
     if type(node[last]) is bool or not isinstance(node[last], (int, float)):
         raise ConfigError(f"sweep path {path!r} must address a numeric field")
+    if last in INTEGER_FIELDS and float(value).is_integer():
+        value = int(value)
     node[last] = value
 
 
-def sweep(base_raw: dict, path: str, values, out_dir=None) -> list[tuple[float, RunSummary]]:
-    """Independent runs of the base config with one numeric field swept."""
-    results = []
+def sweep_configs(base_raw: dict, path: str, values) -> list[tuple[float, ExperimentConfig]]:
+    """Each value of a sweep and the config it parses to: the base config
+    with one numeric field set to the value."""
+    configs = []
     for value in values:
         raw = copy.deepcopy(base_raw)
         _set_by_path(raw, path, value)
         name = raw.get("name", "run")
         if isinstance(name, str):  # parse_config rejects any other name
             raw["name"] = f"{name}[{path}={value}]"
-        cfg = parse_config(raw)
-        sub_out = None
-        if out_dir is not None:
-            sub_out = Path(out_dir) / f"sweep_{float(value)!r}"
-        results.append((float(value), run(cfg, out_dir=sub_out)))
+        configs.append((float(value), parse_config(raw)))
+    return configs
+
+
+def run_sweep(configs, path: str, out_dir=None) -> list[tuple[float, RunSummary]]:
+    """Run each (value, config) of `sweep_configs`, into sweep_<value> under
+    out_dir, and write sweep.csv there after the last."""
+    results = []
+    for value, cfg in configs:
+        sub_out = None if out_dir is None else Path(out_dir) / f"sweep_{value!r}"
+        results.append((value, run(cfg, out_dir=sub_out)))
     if out_dir is not None and results:
         _write_sweep_csv(Path(out_dir) / "sweep.csv", path, results)
     return results
+
+
+def sweep(base_raw: dict, path: str, values, out_dir=None) -> list[tuple[float, RunSummary]]:
+    """Independent runs of the base config with one numeric field swept;
+    every value's config is parsed before any of them runs."""
+    return run_sweep(sweep_configs(base_raw, path, values), path, out_dir)
 
 
 def _write_sweep_csv(path, param: str, results) -> None:

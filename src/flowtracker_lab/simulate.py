@@ -64,6 +64,14 @@ DEFAULT_RECORD_EVERY = 0.1
 # fewest records estimate_limit averages for a stable limit
 MIN_TAIL = 10
 
+# Most floats a run records: times, states, y, u and xbar, 1 + state size
+# + 2 n d + d a record, 128 MB of float64. The largest recording a test
+# makes is 440,022 floats (push-sum, n = 5, 20,001 records, in criterion
+# 6), a preset's or the benchmark's 350,014 (averaging-ergodic and
+# saddlepoint-mincut), and pushsum-directed's under --full-resolution
+# 2,200,022: the cap is 36 times the first and 7 times the last.
+MAX_RECORD_FLOATS = 16_000_000
+
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
@@ -148,6 +156,17 @@ def step_grid(
     if n_steps % steps_per_record:
         raise InvalidInputError("t_end must be a multiple of record_every")
     return n_steps, steps_per_record, Propagators(process, h)
+
+
+def check_recording(system: FlowTrackerSystem, records: int) -> None:
+    """InvalidInputError, naming the count and the cap, unless `records`
+    records of `system` stay within MAX_RECORD_FLOATS."""
+    per_record = 1 + system.state_size + 2 * system.n * system.d + system.d
+    if records * per_record > MAX_RECORD_FLOATS:
+        raise InvalidInputError(
+            f"{records:.6g} records of {per_record} floats, {records * per_record:.6g} in all, "
+            f"pass the {MAX_RECORD_FLOATS:g}-float cap on a recording"
+        )
 
 
 def _affine_path(system, coeffs, grid, per_record, box, states):
@@ -464,8 +483,8 @@ def integrate(
     Raises
     ------
     InvalidInputError
-        A run that `step_grid` rejects, or an initial state outside the
-        system's admissible set.
+        A run that `step_grid` or `check_recording` rejects, or an initial
+        state outside the system's admissible set.
     DegenerateWeightsError
         A ratio weight fell below the positivity floor.
     NumericalFailureError
@@ -473,6 +492,8 @@ def integrate(
         the time of the first step that shows it.
     """
     n_steps, steps_per_record, grid = step_grid(system.process, t_end, h, record_every)
+    m_records = n_steps // steps_per_record + 1
+    check_recording(system, m_records)
     vec = system.check_initial(init)
 
     box = None
@@ -480,7 +501,6 @@ def integrate(
         box = law.family.validity_box
 
     n, d = system.n, system.d
-    m_records = n_steps // steps_per_record + 1
     times = np.arange(m_records) * (steps_per_record * h)
     states = np.empty((m_records, system.state_size))
 

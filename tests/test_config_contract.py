@@ -49,6 +49,12 @@ def base_config(**overrides):
 
 RANDOM_PROCESS = {"n": 2, "model": "switching-complete", "dwell": 0.5, "horizon": 5.0}
 
+# quadratic agents without a validity box: their gradients have no bound
+UNBOXED_QUADRATICS = {
+    "kind": "custom-table",
+    "params": {"entries": [{"center": [0.5]}, {"center": [-0.5]}]},
+}
+
 MALFORMED = {
     "zero-h": {"h": 0},
     "record-every-text": {"record_every": "x"},
@@ -356,6 +362,13 @@ MALFORMED = {
         "init": {"x": [[0.0], [0.0]], "w": [2.0, 2.0]},
     },
     "schedule-beside-no-family": {"family": None, "schedule": {"kind": "bogus"}},
+    # t_end / record_every = 3 gives 4 records; a central-difference check needs 5
+    "input-tracking-4-records": {
+        "checks": ["input-tracking"], "t_end": 0.03, "record_every": 0.01
+    },
+    "vdot-bound-4-records": {"checks": ["vdot-bound"], "t_end": 0.03, "record_every": 0.01},
+    # 1e12 + 1 records of 8 floats
+    "recording-past-the-cap": {"t_end": 1.0, "h": 1e-12, "record_every": 1e-12},
 }
 
 
@@ -487,6 +500,11 @@ NAMED = {
     "y-limit-value-null": "y-limit value must be an array, got null",
     "push-sum-init-w-not-one": "push-sum requires w(0) = 1 for every agent",
     "schedule-beside-no-family": "unknown schedule kind 'bogus'",
+    "input-tracking-4-records": (
+        "the input-tracking check takes central differences of the records, 4 here; it needs 5"
+    ),
+    "vdot-bound-4-records": "the vdot-bound check takes central differences of the records",
+    "recording-past-the-cap": "1e+12 records of 8 floats, 8e+12 in all, pass the 1.6e+07-float cap",
 }
 
 
@@ -540,6 +558,7 @@ ROWS_WITH_NEED = {
     "every_step": {"input-tracking", "v-dominated-by-h"},
     "tail": {"y-limit", "nonconvergence"},
     "ratio": {"weight-conservation"},
+    "bounded": {"v-dominated-by-h", "vdot-bound"},
 }
 
 # each need: overrides that break it alone, and what the error then says
@@ -553,6 +572,12 @@ UNMET_NEEDS = {
     "ratio": (
         {"dynamics": {"name": "averaging"}, "record_every": 0.01},
         "needs dynamics with a ratio block",
+    ),
+    # records at every step, where a run also writes the h-function series
+    # that its gradient bound scales
+    "bounded": (
+        {"family": UNBOXED_QUADRATICS, "record_every": 0.01},
+        "needs bounded gradients",
     ),
 }
 
@@ -620,6 +645,14 @@ def test_full_resolution_needs_are_judged_on_the_recorded_grid(
     assert json.loads(capsys.readouterr().out)["kind"] == "config"
     assert main(["run", "--config", str(cfg_path), "--full-resolution"]) in (0, 1)
     assert set(json.loads(capsys.readouterr().out)["checks"]) == {check}
+
+
+def test_full_resolution_counts_toward_the_recording_cap():
+    # 101 records at record_every 0.05, but 5e7 + 1 of every step
+    raw = base_config(h=1e-7)
+    harness.parse_config(copy.deepcopy(raw))
+    with pytest.raises(ConfigError, match=r"5e\+07 records of 8 floats"):
+        harness.parse_config(raw, full_resolution=True)
 
 
 # every value the leaf-mutation contract tries; DELETE removes the leaf
@@ -805,6 +838,53 @@ def test_sweep_that_run_would_reject_exits_2(tmp_path, capsys, overrides, param,
     assert not (tmp_path / "out").exists()
 
 
+def test_sweep_failure_while_running_exits_2_with_kind_runtime(tmp_path, capsys):
+    # the mirror pair leaves a box this narrow at t = 0.03; run and sweep say so alike
+    narrow = {"kind": "mirror-pair", "params": {}, "box": [[-0.01], [0.01]]}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base_config(family=narrow, t_end=1.0, record_every=0.01)))
+    for verb in (["run"], ["sweep", "--param", "schedule.a0", "--values", "0.5"]):
+        assert main([*verb, "--config", str(cfg_path)]) == 2
+        assert json.loads(capsys.readouterr().out) == {
+            "error": "output left the declared gradient-validity box (at t=0.03)",
+            "kind": "runtime",
+        }
+
+
+def test_sweep_parses_every_value_before_running_any(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(
+        ["sweep", "--scenario", "counterexample", "--param", "schedule.a0",
+         "--values", "0.5,-1", "--out", str(out)]
+    )
+    assert code == 2
+    error = json.loads(capsys.readouterr().out)
+    assert error == {"error": "schedule invalid: a0 must lie in (0, 1]", "kind": "config"}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "overrides, param",
+    [
+        ({"process": {"random": {**RANDOM_PROCESS, "seed": 0}}}, "process.random.seed"),
+        ({}, "seed"),
+    ],
+)
+def test_sweep_sets_an_integral_value_of_an_integer_field_as_an_int(
+    tmp_path, capsys, overrides, param
+):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base_config(**overrides)))
+    out = tmp_path / "out"
+    code = main(["sweep", "--config", str(cfg_path), "--param", param, "--values", "1,2",
+                 "--out", str(out)])
+    assert code == 0, capsys.readouterr().out
+    # directory names and the table spell the values as before
+    assert sorted(path.name for path in out.iterdir()) == ["sweep.csv", "sweep_1.0", "sweep_2.0"]
+    rows = (out / "sweep.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in rows[1:]] == ["1", "2"]
+
+
 def test_logistic_agent_at_a_vast_offset_runs(tmp_path, capsys):
     # the far agent's gradient saturates at 0 instead of overflowing, so
     # the oracle finds the other agents' minimizer
@@ -896,6 +976,20 @@ def test_flow_step_that_is_not_finite_and_positive_exits_2(tmp_path, capsys, h):
     assert "flow step h" in error["error"]
     assert "Traceback" not in captured.err
     assert not (tmp_path / "out").exists()
+
+
+def test_flow_horizon_shorter_than_the_step_exits_2(tmp_path, capsys):
+    # a one-piece process whose horizon holds no step of h: the grid has no sample
+    path = tmp_path / "proc.json"
+    path.write_text(json.dumps({**base_config()["process"], "horizon": 0.0005}))
+    out = tmp_path / "out"
+    code = main(["check-flow", "--process", str(path), "--h", "0.001", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    error = json.loads(captured.out)
+    assert error == {"error": "grid produced no samples inside the horizon", "kind": "config"}
+    assert "Traceback" not in captured.err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("values", [",", " ", ", ,"])
@@ -1235,6 +1329,19 @@ def _assert_binds(node, defaults, missing, fixed=()):
     assert {key: spec.get("default", missing) for key, spec in specs.items()} == defaults
 
 
+def _integer_keys(node):
+    """The name of each property below node that the schema types as an integer."""
+    if isinstance(node, list):
+        for item in node:
+            yield from _integer_keys(item)
+    elif isinstance(node, dict):
+        for key, spec in node.get("properties", {}).items():
+            if "integer" in np.atleast_1d(spec.get("type", [])):
+                yield key
+        for value in node.values():
+            yield from _integer_keys(value)
+
+
 def test_schema_enums_match_the_code():
     schema = json.loads(SCHEMA_PATH.read_text())
     props = schema["properties"]
@@ -1278,6 +1385,7 @@ def test_schema_enums_match_the_code():
     assert tuple(entry["items"]["properties"]) == TABLE_ENTRY_KEYS
     assert set(props["init"]["properties"]) == {"x", "random", *harness.INIT_AUX_KEYS}
     assert tuple(random_spec["properties"]["model"]["enum"]) == RANDOM_MODELS
+    assert set(_integer_keys(schema)) == set(harness.INTEGER_FIELDS)
     assert tuple(props["checks"]["items"]["enum"]) == tuple(harness.CHECKS)
     assert props["checks"]["uniqueItems"] is True
     # one closed branch per expectation row: a REQUIRED field is a required key

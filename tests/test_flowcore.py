@@ -14,9 +14,8 @@ from flowtracker_lab.errors import InvalidInputError, NumericalFailureError
 from flowtracker_lab.flowcore import (
     TAU_FLOW,
     ErgodicityReport,
-    FlowGrid,
     FlowMatrix,
-    adaptive_grid,
+    Propagators,
     ergodicity_report,
     rk4_maps,
     transition_matrix,
@@ -186,14 +185,15 @@ class TestErgodicityReport:
         assert report.weakly_exponentially_ergodic()
         assert report.p_star > 0
 
-    def test_too_few_samples_gives_no_rate(self):
+    def test_too_few_samples_gives_no_rate(self, monkeypatch):
         # identical columns from the start: all distances at rounding level
         n = 3
         w = np.full((n, n), 5.0)
         np.fill_diagonal(w, 0.0)
         proc = constant_process(make_laplacian(w), 400.0)
-        grid = FlowGrid((0.0,), (100.0, 150.0, 200.0))
-        report = ergodicity_report(proc, h=1e-2, grid=grid)
+        grid = ((0.0,), (100.0, 150.0, 200.0))
+        monkeypatch.setattr(flowcore, "_adaptive_grid", lambda props: grid)
+        report = ergodicity_report(proc, h=1e-2)
         assert report.rate is None
         assert not report.weakly_exponentially_ergodic()
 
@@ -240,10 +240,10 @@ class TestErgodicityReport:
 
     def test_adaptive_grid_within_horizon(self):
         proc = constant_process(TWO_NODE, 10.0)
-        grid = adaptive_grid(proc, h=1e-3)
-        for s in grid.s_values:
+        starts, spans = flowcore._adaptive_grid(Propagators(proc, 1e-3))
+        for s in starts:
             assert 0 <= s <= proc.horizon
-        assert all(dt > 0 for dt in grid.dt_values)
+        assert all(dt > 0 for dt in spans)
 
     def test_report_builds_each_piece_propagator_once(self, monkeypatch):
         proc = random_process(6, "directed-ring-rotate", dwell=0.5, horizon=20.0, seed=3)
@@ -332,9 +332,10 @@ def per_sample_report(process, h):
             break
     grid = flowcore._grid(process, h, dt_max)
     samples, dists, p_star = [], [], np.inf
-    for s in grid.s_values:
+    starts, spans = grid
+    for s in starts:
         phi, now = np.eye(process.n), s
-        for dt in sorted(grid.dt_values):
+        for dt in sorted(spans):
             if s + dt > process.horizon + 1e-12:
                 continue
             t = min(s + dt, process.horizon)
@@ -379,7 +380,7 @@ class TestFlowProperties:
     @given(processes())
     def test_report_matches_the_per_sample_loop(self, proc):
         grid, samples, dists, p_star = per_sample_report(proc, H)
-        assert adaptive_grid(proc, H) == grid
+        assert flowcore._adaptive_grid(Propagators(proc, H)) == grid
         report = ergodicity_report(proc, h=H)
         assert report.samples == tuple(samples)
         assert report.p_star == p_star
@@ -446,8 +447,6 @@ def column_drift(phi):
 
 
 class TestStackedChecks:
-    GRID = FlowGrid((0.0, 2.0), (0.5, 1.0, 1.5))
-
     @pytest.mark.parametrize(
         "fault, message",
         [
@@ -469,8 +468,10 @@ class TestStackedChecks:
             return phis
 
         monkeypatch.setattr(flowcore._FlowIntegrator, "flows", corrupt)
+        grid = ((0.0, 2.0), (0.5, 1.0, 1.5))
+        monkeypatch.setattr(flowcore, "_adaptive_grid", lambda props: grid)
         with pytest.raises(NumericalFailureError, match=message) as err:
-            ergodicity_report(proc, h=H, grid=self.GRID)
+            ergodicity_report(proc, h=H)
         assert err.value.time == pytest.approx(3.0)
 
     @pytest.mark.parametrize("fault", [non_finite, negative_entry, column_drift])
@@ -488,7 +489,7 @@ class TestStackedChecks:
 
         monkeypatch.setattr(flowcore._FlowIntegrator, "flows", corrupt)
         with pytest.raises(NumericalFailureError) as err:
-            adaptive_grid(proc, h=H)
+            flowcore._adaptive_grid(Propagators(proc, H))
         assert err.value.time == pytest.approx(1.5)
 
     def test_switch_alignment_checked_once_per_report(self, monkeypatch):

@@ -318,6 +318,37 @@ class TestSegments:
         assert all(a is b for (_, _, a), (_, _, b) in zip(got, want))
 
 
+def pair_laplacian(p, q):
+    """The two-node Laplacian whose null vector is (q, p)."""
+    return Laplacian(np.array([[p, -q], [-p, q]]))
+
+
+# processes whose pieces share no positive null vector, one for each way
+# common_stationary_distribution finds that out past an empty null space
+NO_COMMON_DISTRIBUTION = {
+    # entries of -4e-11, within the column-sum tolerance, annihilate (1, -1)
+    # alone: the one null vector sums to 0
+    "null-vector-sums-to-zero": LaplacianProcess(
+        (0.0, 1.0, 2.0, 3.0), (Laplacian(np.full((2, 2), -4e-11)),) * 4, 4.0
+    ),
+    # agents 0 and 1 weigh agent 2 alone: the null space is spanned by e0
+    # and e1, and no combination is positive at agent 2
+    "no-positive-combination": constant_process(
+        make_laplacian([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]), 1.0
+    ),
+    # agent 0 weighs agent 1 alone: the one null vector is e0
+    "zero-entry": constant_process(make_laplacian([[0.0, 1.0], [0.0, 0.0]]), 1.0),
+    # the threshold on singular values is relative to the largest, which
+    # eight pieces raise: it admits a direction that the last piece moves
+    # by more than the absolute residual tolerance
+    "residual": LaplacianProcess(
+        tuple(map(float, range(8))),
+        (pair_laplacian(1.0, 2.0),) * 7 + (pair_laplacian(1.0, 2.0 + 1.2e-9),),
+        8.0,
+    ),
+}
+
+
 class TestStationaryDistribution:
     def test_weight_balanced_gives_uniform(self):
         proc = random_process(4, "switching-complete", dwell=0.5, horizon=2.0, seed=1)
@@ -339,6 +370,10 @@ class TestStationaryDistribution:
         b = Laplacian(np.array([[2.0, -1.0], [-2.0, 1.0]]))
         proc = LaplacianProcess((0.0, 1.0), (a, b), 2.0)
         assert common_stationary_distribution(proc) is None
+
+    @pytest.mark.parametrize("case", sorted(NO_COMMON_DISTRIBUTION))
+    def test_no_positive_common_null_vector_gives_none(self, case):
+        assert common_stationary_distribution(NO_COMMON_DISTRIBUTION[case]) is None
 
     def test_multi_piece_shared_distribution(self):
         # two distinct cycles reweighted to share pi = (0.5, 0.3, 0.2)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from flowtracker_lab.errors import CapabilityError, InvalidInputError
+from flowtracker_lab import objectives
+from flowtracker_lab.errors import CapabilityError, InvalidInputError, NumericalFailureError
 from flowtracker_lab.objectives import (
     FAMILIES,
     Box,
@@ -200,6 +201,17 @@ class TestOptimizerOracle:
         x_star, _ = optimizer_oracle(fam)
         assert np.linalg.norm(global_gradient(fam, x_star)) < 1e-10
 
+    def test_descent_out_of_iterations_raises(self):
+        # the mirror pair's gradient 2x needs more than 3 steps from 1 to reach 1e-12
+        with pytest.raises(NumericalFailureError, match="did not reach gradient norm 1.0e-12"):
+            objectives._descend(mirror_pair(), np.array([1.0]), 1e-12, max_iter=3)
+
+    def test_descent_whose_step_collapses_raises(self, monkeypatch):
+        # a gradient norm that grows with any move from the start point 0
+        monkeypatch.setattr(objectives, "global_gradient", lambda fam, x: 1.0 + 1e20 * np.abs(x))
+        with pytest.raises(NumericalFailureError, match="minimizer oracle step collapsed"):
+            optimizer_oracle(mirror_pair())
+
 
 class TestGradientBound:
     def test_logistic_cap_is_one(self):
@@ -265,9 +277,18 @@ class TestSerialization:
 
 
 class TestConstructorsValidate:
-    def test_logistic_needs_both_signs(self):
-        with pytest.raises(InvalidInputError):
-            logistic_scalar([1, 1], [0.0, 0.0])
+    @pytest.mark.parametrize(
+        "signs, offsets, message",
+        [
+            ([1, 1], [0.0, 0.0], "need both signs"),
+            ([1, -1], [0.0], "need matching nonempty signs and offsets"),
+            ([], [], "need matching nonempty signs and offsets"),
+            ([1, -2], [0.0, 0.0], r"signs must be \+1 or -1"),
+        ],
+    )
+    def test_logistic_checks_its_arguments(self, signs, offsets, message):
+        with pytest.raises(InvalidInputError, match=message):
+            logistic_scalar(signs, offsets)
 
     def test_huber_needs_positive_radius(self):
         with pytest.raises(InvalidInputError):

@@ -155,9 +155,20 @@ class TestLemmaAuxCheck:
             res = lemma_aux_check(alpha, np.column_stack([ts, vs]), lam, t_max=40.0)
             assert res.holds
 
-    def test_lambda_out_of_range(self):
-        with pytest.raises(InvalidInputError):
-            lemma_aux_check(power_law(), lambda t: np.exp(-np.asarray(t)), 1.0, 10.0)
+    @pytest.mark.parametrize(
+        "beta, lam, t_max, message",
+        [
+            (lambda t: np.exp(-np.asarray(t)), 1.0, 10.0, "lambda must lie strictly inside"),
+            (np.zeros((3, 3)), 0.5, 10.0, r"an \(m, 2\) array"),
+            ([[0.0, 1.0], [0.0, 0.5]], 0.5, 10.0, "table times must increase"),
+            (lambda t: np.exp(-np.asarray(t)), 0.5, 0.0, "t_max must be positive"),
+            (lambda t: np.asarray(t) - 1.0, 0.5, 10.0, "beta must be nonnegative"),
+        ],
+        ids=["lambda-out-of-range", "table-shape", "table-times", "t-max", "negative-beta"],
+    )
+    def test_bad_arguments_rejected(self, beta, lam, t_max, message):
+        with pytest.raises(InvalidInputError, match=message):
+            lemma_aux_check(power_law(), beta, lam, t_max)
 
     def test_increasing_alpha_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -196,8 +207,17 @@ class TestSerialization:
         with pytest.raises(InvalidInputError):
             schedule_from_dict({"kind": "wat"})
 
-    def test_bad_constructor(self):
-        with pytest.raises(InvalidInputError):
-            StepSchedule("custom-piecewise", times=(1.0,), values=(0.5,))
-        with pytest.raises(InvalidInputError, match="equal length"):
-            StepSchedule("custom-piecewise", times=(0.0, 1.0), values=(0.5,))
+    @pytest.mark.parametrize(
+        "kind, fields, message",
+        [
+            ("custom-piecewise", {"times": (1.0,), "values": (0.5,)}, "increase strictly from 0"),
+            ("custom-piecewise", {"times": (0.0, 1.0), "values": (0.5,)}, "equal length"),
+            ("wat", {}, "unknown schedule kind 'wat'"),
+            ("custom-piecewise", {}, "custom schedule needs pieces"),
+            ("custom-piecewise", {"times": (0.0,), "values": (1.5,)}, r"must lie in \(0, 1\]"),
+            ("power-law", {"a0": 0.5, "p": -1.0}, "exponent p must be nonnegative"),
+        ],
+    )
+    def test_bad_constructor(self, kind, fields, message):
+        with pytest.raises(InvalidInputError, match=message):
+            StepSchedule(kind, **fields)

@@ -151,6 +151,13 @@ class TestIntegrateBasics:
 
 
 class TestStepGrid:
+    def test_a_recording_past_the_cap_raises_before_allocating(self):
+        # 1e12 + 1 records of 8 floats; parse_config rejects the same run
+        sys_ = averaging_system(constant_process(TWO_NODE, 1.0))
+        init = sys_.initial_state(np.zeros((2, 1)))
+        with pytest.raises(InvalidInputError, match=r"8e\+12 in all, pass the 1.6e\+07-float cap"):
+            integrate(sys_, None, init, t_end=1.0, h=1e-12, record_every=1e-12)
+
     def test_push_sum_run_checks_switch_alignment_once(self, monkeypatch):
         proc = random_process(5, "directed-ring-rotate", dwell=0.5, horizon=20.0, seed=4)
         sys_ = push_sum_system(proc)
