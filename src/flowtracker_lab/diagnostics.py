@@ -22,7 +22,7 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
 from .errors import CapabilityError, InvalidInputError
-from .flowcore import write_table
+from .flowcore import write_tables
 from .objectives import ObjectiveFamily
 from .schedules import StepSchedule, evaluate_many
 from .simulate import Trajectory
@@ -324,9 +324,11 @@ class DiagnosticsReport:
             json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
 
     def write_series_csv(self, directory) -> list[str]:
-        written = []
-        for name, values in self.series.items():
-            path = f"{directory}/{name.replace(' ', '_')}.csv"
-            write_table(path, ["t", name], [self.times, values], "\r\n")
-            written.append(path)
+        written = [f"{directory}/{name.replace(' ', '_')}.csv" for name in self.series]
+        # one pass over the files, which format their shared t column once
+        tables = [
+            (path, ["t", name], [self.times, values])
+            for path, (name, values) in zip(written, self.series.items())
+        ]
+        write_tables(tables, "\r\n")
         return written

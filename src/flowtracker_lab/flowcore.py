@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from contextlib import ExitStack
 from dataclasses import asdict, dataclass
 from itertools import islice
 
@@ -289,17 +290,75 @@ def _adaptive_grid(props: Propagators) -> tuple[tuple, tuple]:
     return _grid(process, h, cap)
 
 
+def _text(values: np.ndarray) -> list[str]:
+    """The 17-significant-digit text of each entry of `values`, flattened."""
+    return ("%.17g," * values.size % tuple(values.ravel().tolist())).split(",")[:-1]
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two float arrays hold the same bits, so the same text."""
+    return (
+        a.shape == b.shape
+        and a.dtype == b.dtype == np.float64
+        and np.array_equal(a.view(np.int64), b.view(np.int64))
+    )
+
+
 def write_table(path, header: list[str], columns, end: str) -> None:
-    """Write `columns`, arrays of m rows, under `header`, one name per column,
-    as 17-significant-digit text with lines ending in `end`; rows are stacked
-    and formatted by one % call per stack of at most STACK_BYTES."""
-    line = ",".join(["%.17g"] * len(header)) + end
-    rows = max(1, STACK_BYTES // (8 * len(header)))
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + end)
+    """`write_tables` of the one table (path, header, columns)."""
+    write_tables([(path, header, columns)], end)
+
+
+def write_tables(tables, end: str) -> None:
+    """Write each (path, header, columns) of `tables`, columns being arrays
+    of m rows and of one or more columns, one name each in header, as
+    17-significant-digit text with lines ending in `end`. Rows are stacked
+    and formatted by one % call per table and stack of at most
+    STACK_BYTES; an array bit-for-bit equal to an earlier one, of its
+    table or of an earlier table, is formatted once a stack, and its text
+    enters each % call by %s."""
+    columns = [col for _, _, cols in tables for col in cols]
+    first = [
+        next((j for j in range(i) if _same_bits(columns[j], col)), i)
+        for i, col in enumerate(columns)
+    ]
+    texts = {j for i, j in enumerate(first) if j != i}
+    widths = [1 if col.ndim == 1 else col.shape[1] for col in columns]
+    # each table's indices into `columns`, and its line
+    spans, at = [], 0
+    for _, _, cols in tables:
+        spans.append(range(at, at + len(cols)))
+        at += len(cols)
+    lines = [
+        ",".join("%s" if first[i] in texts else "%.17g" for i in own for _ in range(widths[i]))
+        + end
+        for own in spans
+    ]
+    rows = max(1, STACK_BYTES // (8 * sum(widths)))
+    with ExitStack() as stack:
+        files = [stack.enter_context(open(path, "w", newline="")) for path, _, _ in tables]
+        for fh, (_, header, _) in zip(files, tables):
+            fh.write(",".join(header) + end)
         for lo in range(0, len(columns[0]), rows):
-            stack = np.column_stack([col[lo : lo + rows] for col in columns])
-            fh.write(line * len(stack) % tuple(stack.ravel().tolist()))
+            parts = [col[lo : lo + rows] for col in columns]
+            k = len(parts[0])
+            text = {j: _text(parts[j]) for j in texts}
+            for fh, own, line in zip(files, spans, lines):
+                if "%s" not in line:
+                    values = np.column_stack([parts[i] for i in own]).ravel().tolist()
+                else:
+                    split = []
+                    for i in own:
+                        w = widths[i]
+                        if first[i] in text:
+                            split += [text[first[i]][j::w] for j in range(w)]
+                        else:
+                            split += parts[i].reshape(k, w).T.tolist()
+                    # each column's values into every len(split)-th slot
+                    values = [None] * (k * len(split))
+                    for c, col in enumerate(split):
+                        values[c :: len(split)] = col
+                fh.write(line * k % tuple(values))
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,5 +1,6 @@
 import csv
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -504,3 +505,63 @@ class TestStackedChecks:
         monkeypatch.setattr(flowcore, "check_switch_alignment", counted)
         ergodicity_report(proc, h=1e-2)
         assert calls == [1e-2]
+
+
+def one_percent_writer(path, header, columns, end, rows):
+    """The writer before repeated columns were formatted once: every value
+    through %.17g, one % call per stack of `rows` rows."""
+    line = ",".join(["%.17g"] * len(header)) + end
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + end)
+        for lo in range(0, len(columns[0]), rows):
+            stack = np.column_stack([col[lo : lo + rows] for col in columns])
+            fh.write(line * len(stack) % tuple(stack.ravel().tolist()))
+
+
+SPECIAL_FLOATS = (0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -2.5e-310, 1.0 / 3.0, 1e300)
+
+
+@st.composite
+def tables(draw):
+    """One to three tables of one row count: each column a block of one to
+    three columns, many of them repeated, within a table or across
+    tables, as the same array or a copy, some with their zeros' signs
+    flipped, which changes the text but not the values."""
+    m = draw(st.integers(0, 13))
+    values = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(allow_subnormal=True))
+    blocks = []
+    for _ in range(draw(st.integers(1, 4))):
+        shape = (m,) if draw(st.booleans()) else (m, draw(st.integers(1, 3)))
+        cells = draw(st.lists(values, min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))
+        blocks.append(np.array(cells, dtype=float).reshape(shape))
+    picks = st.tuples(st.integers(0, len(blocks) - 1), st.sampled_from(("same", "copy", "sign")))
+    out = []
+    for _ in range(draw(st.integers(1, 3))):
+        columns = []
+        for pick, kind in draw(st.lists(picks, min_size=1, max_size=6)):
+            block = blocks[pick]
+            if kind == "sign":
+                block = np.where(block == 0, -block, block)
+            columns.append(block.copy() if kind == "copy" else block)
+        out.append(columns)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables(), st.sampled_from(("\n", "\r\n")), st.integers(1, 5))
+def test_write_tables_match_the_one_percent_writer(tmp_path_factory, drawn, end, rows):
+    # a stack budget of `rows` rows puts tables on both sides of a stack
+    out = tmp_path_factory.mktemp("tables")
+    specs = []
+    for k, columns in enumerate(drawn):
+        width = sum(1 if col.ndim == 1 else col.shape[1] for col in columns)
+        specs.append((out / f"new{k}.csv", [f"c{i}" for i in range(width)], columns))
+    total = sum(len(header) for _, header, _ in specs)
+    with mock.patch.object(flowcore, "STACK_BYTES", 8 * total * rows):
+        if len(specs) == 1:
+            flowcore.write_table(*specs[0], end)
+        else:
+            flowcore.write_tables(specs, end)
+    for k, (path, header, columns) in enumerate(specs):
+        one_percent_writer(out / f"old{k}.csv", header, columns, end, rows)
+        assert path.read_bytes() == (out / f"old{k}.csv").read_bytes()
