@@ -3,9 +3,9 @@
 Conventions used throughout the package:
 
 * An edge (i, j) means agent i reads agent j's state.
-* A generalized Laplacian has non-positive off-diagonal entries and
-  columns that sum to zero, so the mixing flow it generates is
-  column-stochastic.
+* A generalized Laplacian has non-positive off-diagonal entries, a
+  nonnegative diagonal and columns that sum to zero, so the mixing flow
+  it generates is column-stochastic.
 * Weight-balanced means the transpose is also a generalized Laplacian
   (rows sum to zero as well).
 """
@@ -46,6 +46,7 @@ LAPLACIAN_RULES = (
     "weights and Laplacian entries must be finite",
     "weights must be nonnegative (off-diagonal entries <= 0)",
     "columns must sum to zero (max |sum| = {:.3e})",
+    "diagonal entries must be nonnegative (min {:.3e})",
 )
 
 
@@ -58,15 +59,20 @@ def _check_laplacians(stack: np.ndarray) -> None:
     m, n = stack.shape[:2]
     with np.errstate(over="ignore", invalid="ignore"):  # inf - inf, or past the floats
         sums = np.abs(stack.sum(axis=1)).max(axis=1, initial=0.0)
+    flat = stack.reshape(m, -1)
     # the off-diagonal entries: a flat matrix from entry 1 on, rows of n + 1
-    off = stack.reshape(m, -1)[:, 1:].reshape(m, max(n - 1, 0), n + 1)[:, :, :-1]
+    off = flat[:, 1:].reshape(m, max(n - 1, 0), n + 1)[:, :, :-1]
     positive = off.max(axis=(1, 2), initial=0.0) > 0
+    # no weight matrix gives a negative diagonal, rounding included
+    lowest = flat[:, :: n + 1].min(axis=1, initial=0.0)
     # a non-finite entry makes its column's sum non-finite, which fails here
-    bad = ~(sums <= TAU_STRUCT) | positive
+    bad = ~(sums <= TAU_STRUCT) | positive | (lowest < 0)
     if bad.any():
         k = int(bad.argmax())
         rule = 0 if not np.isfinite(stack[k]).all() else 1 if positive[k] else 2
-        raise InvalidInputError(f"piece {k}: " + LAPLACIAN_RULES[rule].format(sums[k]))
+        rule += rule == 2 and sums[k] <= TAU_STRUCT
+        value = lowest[k] if rule == 3 else sums[k]
+        raise InvalidInputError(f"piece {k}: " + LAPLACIAN_RULES[rule].format(value))
 
 
 def _laplacians_in_place(w: np.ndarray) -> np.ndarray:
@@ -87,8 +93,8 @@ def _laplacians_in_place(w: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False, slots=True)
 class Laplacian:
-    """A generalized Laplacian: off-diagonal <= 0, columns sum to zero; the
-    type of one piece, which a process views in its stack (`_view`)."""
+    """A generalized Laplacian: off-diagonal <= 0, diagonal >= 0, columns
+    sum to zero; the type of one piece, which a process views in its stack (`_view`)."""
 
     matrix: np.ndarray
 

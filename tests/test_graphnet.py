@@ -326,10 +326,16 @@ def pair_laplacian(p, q):
 # processes whose pieces share no positive null vector, one for each way
 # common_stationary_distribution finds that out past an empty null space
 NO_COMMON_DISTRIBUTION = {
-    # entries of -4e-11, within the column-sum tolerance, annihilate (1, -1)
-    # alone: the one null vector sums to 0
+    # the first piece's columns 0 and 1 of -9e-11, within the column-sum
+    # tolerance, and the second piece's column 2 annihilate (1, -1, 0)
+    # alone, past the singular-value threshold: the one null vector sums to 0
     "null-vector-sums-to-zero": LaplacianProcess(
-        (0.0, 1.0, 2.0, 3.0), (Laplacian(np.full((2, 2), -4e-11)),) * 4, 4.0
+        (0.0, 1.0),
+        (
+            Laplacian(np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [-9e-11, -9e-11, 0.0]])),
+            Laplacian(np.array([[0.0, 0.0, -0.5], [0.0, 0.0, 0.0], [0.0, 0.0, 0.5]])),
+        ),
+        2.0,
     ),
     # agents 0 and 1 weigh agent 2 alone: the null space is spanned by e0
     # and e1, and no combination is positive at agent 2

@@ -90,10 +90,12 @@ def per_piece_rule(m: np.ndarray) -> int | None:
         return 1
     if np.any(np.abs(m.sum(axis=0)) > TAU_STRUCT):
         return 2
+    if np.any(np.diag(m) < 0):
+        return 3
     return None
 
 
-CORRUPTIONS = st.sampled_from(["nan", "inf", "-inf", "positive", "nudge", "none"])
+CORRUPTIONS = st.sampled_from(["nan", "inf", "-inf", "positive", "nudge", "drain", "none"])
 
 
 @st.composite
@@ -119,6 +121,10 @@ def stacks(draw):
     elif corruption == "nudge":
         # within or beyond the column-sum tolerance
         stack[k, i, j] += draw(st.sampled_from([1e-12, -5e-11, 2e-10, -1e-6, 1.0]))
+    elif corruption == "drain":
+        # column j's entries all a little below zero: within the column-sum
+        # tolerance, but with a negative diagonal
+        stack[k, :, j] = -draw(st.sampled_from([1e-300, 1e-12, 4e-11])) / n
     return stack
 
 
@@ -142,6 +148,13 @@ def test_the_stack_validator_judges_each_piece_as_the_per_piece_rules_do(stack):
     with pytest.raises(InvalidInputError) as err:
         LaplacianProcess(times, stack.copy(), 0.5 * len(stack))
     assert str(err.value).startswith(f"piece {bad[0]}: {rule}")
+
+
+def test_a_negative_diagonal_names_its_piece():
+    # every entry -4e-11: off-diagonals <= 0 and columns within TAU_STRUCT of 0
+    stack = np.stack([make_laplacian([[0, 1], [1, 0]]).matrix] * 2 + [np.full((2, 2), -4e-11)])
+    with pytest.raises(InvalidInputError, match="piece 2: diagonal entries must be nonnegative"):
+        LaplacianProcess((0.0, 1.0, 2.0), stack, 3.0)
 
 
 def test_zero_diagonal_weights_name_their_piece():
