@@ -3,6 +3,7 @@
 
     python3 scripts/artifact_digests.py --write FILE
     python3 scripts/artifact_digests.py --check FILE
+    python3 scripts/artifact_digests.py --compare OTHER_CHECKOUT
 
 The runs are the six scenario presets, three runs that take the generic
 RK4 loop or write JSONL (RUNS), a three-value `schedule.a0` sweep of
@@ -14,6 +15,12 @@ between identical runs. `--write` stores the table as JSON; `--check`
 recomputes it, prints each artifact that is missing, new or changed, and
 exits 1 if there is one. The package is imported from the `src` beside
 this script, so a table written in one checkout checks another.
+`--compare` writes the artifacts with this checkout and, in a child
+process, with the package in OTHER_CHECKOUT/src; for each artifact that
+differs it prints the largest absolute difference over the numbers of
+its CSV, JSON or JSONL text (`wall_time` left out), and it exits 1 when
+one passes TOLERANCE, or an artifact is missing, new or differs in more
+than its numbers.
 """
 
 from __future__ import annotations
@@ -21,7 +28,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -74,6 +83,17 @@ FLOWS = (
     (5, "switching-complete", 0.5, 10.0, 2, None),
     (6, "B-window-strongly-connected", 0.5, 12.0, 3, 2),
 )
+# the largest absolute difference --compare lets an artifact's numbers show
+TOLERANCE = 1e-12
+# writes the artifacts with the package in argv[1] into argv[2]: that
+# package is imported first, so the script's own import finds it
+OTHER_WRITER = """
+import os, runpy, sys
+sys.path.insert(0, sys.argv[1])
+import flowtracker_lab
+os.chdir(sys.argv[2])
+runpy.run_path(sys.argv[3])["write_artifacts"]()
+"""
 
 
 def write_artifacts() -> None:
@@ -116,12 +136,88 @@ def digests() -> dict[str, str]:
         }
 
 
+def numbers(path: Path):
+    """The values of an artifact's text with `wall_time` left out, numbers
+    as floats: the rows of a CSV after its header, or the JSON of a file
+    or of each line of a JSONL file."""
+    text = path.read_text()
+    if path.suffix == ".csv":
+        lines = text.splitlines()
+        return [lines[0]] + [[float(v) for v in line.split(",")] for line in lines[1:]]
+    if path.suffix == ".jsonl":
+        return [json.loads(line) for line in text.splitlines()]
+    data = json.loads(text)
+    if path.name == "summary.json":
+        del data["wall_time"]
+    return data
+
+
+def largest_difference(a, b) -> float:
+    """The largest absolute difference between the numbers of two values
+    of one structure; inf where they differ in more than numbers. NaNs
+    match, and infinities match their equals."""
+    if isinstance(a, (int, float)) and isinstance(b, (int, float)):
+        if a == b or (math.isnan(a) and math.isnan(b)):
+            return 0.0
+        return abs(a - b) if math.isfinite(a) and math.isfinite(b) else math.inf
+    if isinstance(a, dict) and isinstance(b, dict):
+        if a.keys() != b.keys():
+            return math.inf
+        return max((largest_difference(a[k], b[k]) for k in a), default=0.0)
+    if isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            return math.inf
+        return max((largest_difference(x, y) for x, y in zip(a, b)), default=0.0)
+    return 0.0 if a == b else math.inf
+
+
+def compare(other: Path) -> int:
+    """Write the artifacts with this checkout and with `other`, print how
+    each differing one differs, and return the exit status."""
+    with tempfile.TemporaryDirectory(prefix="artifact-compare-") as work:
+        mine, theirs = Path(work, "this"), Path(work, "other")
+        mine.mkdir()
+        theirs.mkdir()
+        cwd = os.getcwd()
+        os.chdir(mine)
+        try:
+            write_artifacts()
+        finally:
+            os.chdir(cwd)
+        subprocess.run(
+            [sys.executable, "-c", OTHER_WRITER, str(other.resolve() / "src"), str(theirs),
+             str(Path(__file__).resolve())],
+            check=True,
+        )
+        files = [{p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()}
+                 for root in (mine, theirs)]
+        same, worst, failed = 0, 0.0, False
+        for rel in sorted(files[0] | files[1]):
+            if rel not in files[0] or rel not in files[1]:
+                print(f"{'missing' if rel not in files[0] else 'new'}: {rel}")
+                failed = True
+            elif digest(mine / rel) == digest(theirs / rel):
+                same += 1
+            else:
+                diff = largest_difference(numbers(mine / rel), numbers(theirs / rel))
+                print(f"changed: {rel}  largest absolute difference {diff:.3g}")
+                worst = max(worst, diff)
+        count = len(files[0] | files[1])
+    print(f"{same} of {count} artifacts identical; largest absolute difference {worst:.3g}")
+    return 1 if failed or worst > TOLERANCE else 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     mode = parser.add_mutually_exclusive_group(required=True)
     mode.add_argument("--write", metavar="FILE", help="store the digests as JSON")
     mode.add_argument("--check", metavar="FILE", help="compare the digests with a stored table")
+    mode.add_argument(
+        "--compare", metavar="OTHER_CHECKOUT", help="write both checkouts' artifacts, diff numbers"
+    )
     args = parser.parse_args(argv)
+    if args.compare:
+        return compare(Path(args.compare))
     table = digests()
     if args.write:
         Path(args.write).write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
