@@ -72,6 +72,14 @@ MIN_TAIL = 10
 # 2,200,022: the cap is 36 times the first and 7 times the last.
 MAX_RECORD_FLOATS = 16_000_000
 
+# Most steps a run takes. The longest run a preset, test or benchmark
+# integrates is 100,000 steps (pushsum-directed and
+# counterexample-diminishing); the largest step count a test parses
+# without integrating is 5e7. The cap is 1000 times the first and twice
+# the second: about 5 minutes on the affine path and 50 on the generic
+# loop, at 3 and 30 us a step.
+MAX_STEPS = 100_000_000
+
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
@@ -144,7 +152,8 @@ def step_grid(
 ) -> tuple[int, int, Propagators]:
     """(steps, steps per record, the run's step grid) of a run to t_end;
     InvalidInputError unless record_every, t_end and the switches land on
-    the step grid of h. The grid checks the switches, once per run."""
+    the step grid of h and the run takes at most MAX_STEPS steps. The
+    grid checks the switches, once per run."""
     if t_end <= 0:
         raise InvalidInputError("t_end must be positive")
     if t_end > process.horizon + 1e-12:
@@ -155,6 +164,8 @@ def step_grid(
     n_steps = steps_in_span(t_end, h, "t_end")
     if n_steps % steps_per_record:
         raise InvalidInputError("t_end must be a multiple of record_every")
+    if n_steps > MAX_STEPS:
+        raise InvalidInputError(f"{n_steps:.6g} steps pass the {MAX_STEPS:g}-step cap on a run")
     return n_steps, steps_per_record, Propagators(process, h)
 
 

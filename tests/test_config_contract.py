@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -367,8 +368,10 @@ MALFORMED = {
         "checks": ["input-tracking"], "t_end": 0.03, "record_every": 0.01
     },
     "vdot-bound-4-records": {"checks": ["vdot-bound"], "t_end": 0.03, "record_every": 0.01},
-    # 1e12 + 1 records of 8 floats
-    "recording-past-the-cap": {"t_end": 1.0, "h": 1e-12, "record_every": 1e-12},
+    # 1e7 + 1 records of 8 floats, in 1e7 steps, under the step cap
+    "recording-past-the-cap": {"t_end": 1.0, "h": 1e-7, "record_every": 1e-7},
+    # 11 records, but 1e12 steps
+    "steps-past-the-cap": {"t_end": 1.0, "h": 1e-12, "record_every": 0.1},
 }
 
 
@@ -504,7 +507,8 @@ NAMED = {
         "the input-tracking check takes central differences of the records, 4 here; it needs 5"
     ),
     "vdot-bound-4-records": "the vdot-bound check takes central differences of the records",
-    "recording-past-the-cap": "1e+12 records of 8 floats, 8e+12 in all, pass the 1.6e+07-float cap",
+    "recording-past-the-cap": "1e+07 records of 8 floats, 8e+07 in all, pass the 1.6e+07-float cap",
+    "steps-past-the-cap": "step grid invalid: 1e+12 steps pass the 1e+08-step cap on a run",
 }
 
 
@@ -645,6 +649,18 @@ def test_full_resolution_needs_are_judged_on_the_recorded_grid(
     assert json.loads(capsys.readouterr().out)["kind"] == "config"
     assert main(["run", "--config", str(cfg_path), "--full-resolution"]) in (0, 1)
     assert set(json.loads(capsys.readouterr().out)["checks"]) == {check}
+
+
+def test_a_run_past_the_step_cap_exits_2_within_a_second(tmp_path, capsys):
+    # 11 records, but 1e12 steps: a run that would not end
+    cfg_path = tmp_path / "long.json"
+    cfg_path.write_text(json.dumps(base_config(t_end=1.0, h=1e-12, record_every=0.1)))
+    start = time.perf_counter()
+    code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    error = json.loads(capsys.readouterr().out)
+    assert error["kind"] == "config" and "1e+08-step cap" in error["error"]
 
 
 def test_full_resolution_counts_toward_the_recording_cap():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from flowtracker_lab import harness, simulate
 from flowtracker_lab.dynamics import (
     averaging_system,
     gradient_feedback,
@@ -152,11 +153,26 @@ class TestIntegrateBasics:
 
 class TestStepGrid:
     def test_a_recording_past_the_cap_raises_before_allocating(self):
-        # 1e12 + 1 records of 8 floats; parse_config rejects the same run
+        # 1e7 + 1 records of 8 floats; parse_config rejects the same run
         sys_ = averaging_system(constant_process(TWO_NODE, 1.0))
         init = sys_.initial_state(np.zeros((2, 1)))
-        with pytest.raises(InvalidInputError, match=r"8e\+12 in all, pass the 1.6e\+07-float cap"):
-            integrate(sys_, None, init, t_end=1.0, h=1e-12, record_every=1e-12)
+        with pytest.raises(InvalidInputError, match=r"8e\+07 in all, pass the 1.6e\+07-float cap"):
+            integrate(sys_, None, init, t_end=1.0, h=1e-7, record_every=1e-7)
+
+    def test_a_run_past_the_step_cap_raises_before_integrating(self, monkeypatch):
+        sys_ = averaging_system(constant_process(TWO_NODE, 1.0))
+        init = sys_.initial_state(np.zeros((2, 1)))
+        monkeypatch.setattr(simulate, "MAX_STEPS", 99)
+        with pytest.raises(InvalidInputError, match="100 steps pass the 99-step cap on a run"):
+            integrate(sys_, None, init, t_end=1.0, h=0.01, record_every=0.1)
+        monkeypatch.setattr(simulate, "MAX_STEPS", 100)
+        assert integrate(sys_, None, init, t_end=1.0, h=0.01, record_every=0.1).n_samples == 11
+
+    def test_the_step_cap_covers_every_preset(self):
+        # the cap's comment sizes it against the longest preset run
+        configs = map(harness.scenario, harness.scenario_names())
+        longest = max(round(cfg.t_end / cfg.h) for cfg in configs)
+        assert longest == 100_000 and 1000 * longest == simulate.MAX_STEPS
 
     def test_push_sum_run_checks_switch_alignment_once(self, monkeypatch):
         proc = random_process(5, "directed-ring-rotate", dwell=0.5, horizon=20.0, seed=4)
