@@ -78,16 +78,16 @@ class FlowTrackerSystem:
 
     @property
     def supports_affine(self) -> bool:
-        """Whether the ratio block, if any, couples only to itself. Then the
-        ratio trajectory is known before the other blocks, and under a law
-        affine in the output the closed loop is affine in those blocks.
-        Every SYSTEMS row qualifies."""
+        """Whether the ratio block, if any, is the last and couples only to
+        itself. Then the ratio trajectory is known before the other blocks,
+        and under a law affine in the output the closed loop is affine in
+        those blocks, the state's head. Every SYSTEMS row qualifies."""
         k = self._ratio_block
         if k is None:
             return True
         others = self.coupling.copy()
         others[k, k] = 0.0
-        return not (others[k].any() or others[:, k].any())
+        return k == len(self._blocks) - 1 and not (others[k].any() or others[:, k].any())
 
     def split(self, flat: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarray]]:
         """Views of x and of each aux block in flat states with any leading axes."""

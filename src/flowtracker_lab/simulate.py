@@ -11,21 +11,22 @@ When the law is affine in the output on a zone, u = alpha(t) * (scale *
 y + offset) while every agent's output lies within its radius of its
 center (everywhere for quadratic agents and for no law, the quadratic
 part for huberized ones), the closed loop is affine in the state: a
-ratio block couples only to itself, so its weights w are known before
-the other blocks, and on (state, 1) the field is [[K(L), 0], [0, 0]]
-plus alpha(t) * forcing with scale / w on the x rows. Each RK4 step is
-then its exact map A = [[R, r], [0, 1]] from `flowcore.rk4_maps`, the
-kernel of the mixing flow too. The path is chosen from the system and
-the law alone, and a law without `rowwise_affine`, or whose
-`rowwise_affine` is None, takes the generic one. Without a ratio block
-a constant step size gives every step of a piece the same map, whose
-powers A^1 ... A^m each piece caches; otherwise each block of steps
-first advances the ratio weights alone, as the mixing flow w' = -L w,
-by the prefix powers of the one-step maps that the step grid keeps per
-distinct piece, builds each step's map from its four stage fields and
+ratio block, the last, couples only to itself, so its weights w are
+known before the other blocks, the state's head, and on (head, 1) the
+field is [[K(L), 0], [0, 0]] plus alpha(t) * forcing with scale / w on
+the x rows. Each RK4 step of the head is then its exact map A = [[R,
+r], [0, 1]] from `flowcore.rk4_maps`, the kernel of the mixing flow
+too. The path is chosen from the system and the law alone, and a law
+without `rowwise_affine`, or whose `rowwise_affine` is None, takes the
+generic one. Without a ratio block a constant step size gives every
+step of a piece the same map, whose powers A^1 ... A^m each piece
+caches; otherwise each block of steps first advances the ratio weights
+alone, as the mixing flow w' = -L w, by the prefix powers of the
+one-step maps that the step grid keeps per distinct piece, the weights'
+one source, builds each step's map from its four stage fields and
 composes the maps of each record interval by prefix products.
 Either way one matrix-vector product per record interval advances the
-state, and batched products recover the state and the four stages at
+head, and batched products recover the head and the four stages at
 every step of a block; with record_every = h and a constant step the
 result is bit-identical to one map per step. Only the generic loop
 raises a run's numerical errors. The affine path finds the first faulty
@@ -191,7 +192,8 @@ def _affine_path(system, coeffs, grid, per_record, box, states):
     Chunks of steps advance by prefix products of the step maps, as the
     module docstring says, and are cut short where a stack would pass
     STACK_BYTES. Batched products give every step's state and its four
-    stages.
+    stages. The maps act on the head of the state, the blocks before a
+    ratio block; the ratio weights, the tail, come from `ratio_run`.
     """
     scale, offset, schedule, center, radius = coeffs
     h = grid.h
@@ -199,17 +201,20 @@ def _affine_path(system, coeffs, grid, per_record, box, states):
     n, d, size = system.n, system.d, system.state_size
     nd = n * d
     matrices = system.process.matrices
-    rows = system.ratio_slice
-    output = system.output_flat
+    ratio = system.ratio_slice is not None
+    # the head's size: every block before the ratio block, the last
+    inner = system.ratio_slice.start if ratio else size
     zone = not np.isinf(radius).all()
     diag = np.arange(nd)
     gains = np.repeat(scale, d)
 
     def fields_of(pieces):
-        """The pieces' couplings as linear fields [[K(L), 0], [0, 0]] on (state, 1)."""
-        out = np.zeros((len(matrices[pieces]), size + 1, size + 1))
-        out[:, :-1, :-1] = system.coupling_matrix(matrices[pieces])
-        return out
+        """The pieces' couplings of the head as linear fields [[K(L), 0],
+        [0, 0]] on (head, 1), and of the ratio block, (k, n, n) or None."""
+        coupling = system.coupling_matrix(matrices[pieces])
+        out = np.zeros((len(coupling), inner + 1, inner + 1))
+        out[:, :-1, :-1] = coupling[:, :inner, :inner]
+        return out, coupling[:, inner:, inner:] if ratio else None
 
     def stage_fields(fields, alpha, r):
         """The steps' fields at one stage, step sizes alpha and ratio weights
@@ -224,9 +229,15 @@ def _affine_path(system, coeffs, grid, per_record, box, states):
         out[:, diag, diag] += gain
         return out
 
+    def outputs(heads, r):
+        """The outputs (k, n, d) of head states (k, inner) with ratio
+        weights r (k, n), None without a ratio block."""
+        x = heads[:, :nd].reshape(len(heads), n, d)
+        return x if r is None else x / r[:, :, None]
+
     firsts = np.asarray(grid.firsts)
     # steps per prefix stack, so that one stays within STACK_BYTES
-    most_steps = max(1, STACK_BYTES // (8 * (size + 1) ** 2))
+    most_steps = max(1, STACK_BYTES // (8 * (inner + 1) ** 2))
 
     def chunks(step, stop, width):
         """(first step, length, count): runs of `count` chunks of `length`
@@ -241,7 +252,7 @@ def _affine_path(system, coeffs, grid, per_record, box, states):
                 yield step + first * length, length, min(most, count - first)
             step += count * length
 
-    if rows is not None:
+    if ratio:
         # the ratio weights obey w' = -L w, the mixing flow: one one-step
         # map for each distinct piece the run touches
         grid.build((piece, 1) for piece, _ in grid.legs(0, n_steps))
@@ -266,15 +277,17 @@ def _affine_path(system, coeffs, grid, per_record, box, states):
         """(first step, prefix stack, chunk count, stages, ratio weights) of
         consecutive chunks of one length, whose prefix stack (1, length, ...)
         all share or which have one each, (count, length, ...). The stages
-        are the coupling, one or one per step, the step sizes alpha of the
-        four stages and a bound, at least 1, on the stage fields' row sums
-        and on 1 / r; the ratio weights, None without a ratio block, are
-        those at the steps' ends."""
-        if schedule.kind == "constant" and rows is None:
+        are the head's coupling, one or one per step, the step sizes alpha
+        of the four stages, a bound, at least 1, on the stage fields' row
+        sums, the ratio block's included, and on 1 / r, and, with a ratio
+        block, its couplings and stage weights r1 ... r4, one per step; the
+        ratio weights, None without a ratio block, are those at the steps'
+        heads and at the last step's end."""
+        if schedule.kind == "constant" and not ratio:
             alphas = np.full(4, schedule.a0)
             step = 0
             for piece, steps in grid.legs(0, n_steps):
-                coupling = fields_of(slice(piece, piece + 1))
+                coupling = fields_of(slice(piece, piece + 1))[0]
                 f = stage_fields(coupling, alphas[:1], None)[0]
                 powers = _prefix_powers(
                     rk4_maps(f, f, f, f, h), min(per_record, steps, most_steps)
@@ -285,59 +298,62 @@ def _affine_path(system, coeffs, grid, per_record, box, states):
                     yield first, powers[None, :length], count, stages, None
                 step += steps
             return
-        r = None if rows is None else states[0, rows]
-        ends = None
-        for first, length, count in chunks(0, n_steps, (size + 1) ** 2):
+        r = states[0, inner:] if ratio else None
+        run = None
+        for first, length, count in chunks(0, n_steps, (inner + 1) ** 2):
             steps = np.arange(first, first + count * length)
             t = steps * h
             piece = np.searchsorted(firsts, steps, side="right") - 1
-            piece_fields = fields_of(slice(piece[0], piece[-1] + 1))
+            piece_fields, piece_laps = fields_of(slice(piece[0], piece[-1] + 1))
             fields = piece_fields[piece - piece[0]]
             a1, a2, a4 = (evaluate_many(schedule, s) for s in (t, t + 0.5 * h, t + h))
             alphas = (a1, a2, a2, a4)
-            if rows is None:
+            coupled = np.abs(piece_fields).sum(axis=-1).max()
+            if not ratio:
                 f1, f2, f4 = (stage_fields(fields, a, None) for a in (a1, a2, a4))
                 f3 = f2
             else:
                 run = ratio_run(r, first, first + len(steps))
                 r = run[-1]
                 # the ratio block of a stage state is the ratio RK4's stage
-                lap = fields[:, rows, rows]
+                laps = piece_laps[piece - piece[0]]
                 r1 = run[:-1]
-                r2 = r1 + (0.5 * h) * _matvec(lap, r1)
-                r3 = r1 + (0.5 * h) * _matvec(lap, r2)
-                r4 = r1 + h * _matvec(lap, r3)
-                f1, f2, f3, f4 = (
-                    stage_fields(fields, a, ri) for a, ri in zip(alphas, (r1, r2, r3, r4))
-                )
-                ends = run[1:]
+                r2 = r1 + (0.5 * h) * _matvec(laps, r1)
+                r3 = r1 + (0.5 * h) * _matvec(laps, r2)
+                r4 = r1 + h * _matvec(laps, r3)
+                weights = (r1, r2, r3, r4)
+                f1, f2, f3, f4 = (stage_fields(fields, a, ri) for a, ri in zip(alphas, weights))
+                coupled = max(coupled, np.abs(piece_laps).sum(axis=-1).max())
             # bounds the stage fields' row sums and 1 / r
-            low = 1.0 if rows is None else min(w.min() for w in (r1, r2, r3, r4))
+            low = 1.0 if not ratio else min(w.min() for w in weights)
             by_law = max(a.max() for a in alphas) * (np.abs(gains).max() / low + np.abs(offset).max())
-            coupled = np.abs(piece_fields).sum(axis=-1).max()
             reach = coupled + by_law + max(1.0, 1.0 / low) if low > 0 else np.inf
-            maps = rk4_maps(f1, f2, f3, f4, h).reshape(count, length, size + 1, size + 1)
+            maps = rk4_maps(f1, f2, f3, f4, h).reshape(count, length, inner + 1, inner + 1)
             for j in range(1, length):
                 maps[:, j] = maps[:, j] @ maps[:, j - 1]
-            yield first, maps, count, (fields[:, :-1, :-1], alphas, reach), ends
+            stages = (fields[:, :-1, :-1], alphas, reach)
+            yield first, maps, count, stages + ((laps, weights) if ratio else ()), run
 
-    def stage_faults(heads, coupling, alphas, reach):
-        """Per step, whether the generic loop's four stages from its start
-        state, batched, with the coupling (one, or one per step), the step
-        sizes of each stage and a bound on the stage fields' row sums and
-        1 / r, put an output outside the zone (NaN is outside) or give a
+    def stage_faults(heads, coupling, alphas, reach, laps=None, weights=(None,) * 4):
+        """Per step, whether the generic loop's four stages from its head
+        state, batched, with the head's coupling (one, or one per step),
+        the step sizes of each stage, a bound on the stage fields' row sums
+        and 1 / r and, with a ratio block, its couplings and stage weights,
+        put an output outside the zone (NaN is outside) or give a
         derivative that is not finite; None when no step does."""
         # a stage's derivative and output are at most reach times its
         # state, which is at most (1 + h reach)^3 times the step's start
         safe = 1e300 / (reach * (1.0 + h * reach) ** 3)
         bounded = 1.0 < safe and np.abs(heads).max() < safe
+        if laps is not None:
+            bounded = bounded and np.abs(weights[0]).max() < safe
         if bounded and not zone:
             return None
         inside = np.ones((len(heads), n), dtype=bool)
-        finite = np.ones(heads.shape, dtype=bool)
+        finite = np.ones(len(heads), dtype=bool)
         v = heads
-        for alpha, coeff in zip(alphas, (0.5 * h, 0.5 * h, h, None)):
-            y = output(v)
+        for alpha, coeff, r in zip(alphas, (0.5 * h, 0.5 * h, h, None), weights):
+            y = outputs(v, r)
             if zone:
                 delta = y - center
                 dist = np.abs(delta[..., 0]) if d == 1 else np.sqrt((delta * delta).sum(axis=2))
@@ -346,51 +362,58 @@ def _affine_path(system, coeffs, grid, per_record, box, states):
             k = _matvec(coupling, v)
             k[:, :nd] += u.reshape(len(v), nd)
             if not bounded:
-                finite &= np.isfinite(k)
+                finite &= np.isfinite(k).all(axis=1)
+                if laps is not None:
+                    finite &= np.isfinite(_matvec(laps, r)).all(axis=1)
             if coeff is not None:
                 v = heads + coeff * k
         if inside.all() and finite.all():
             return None
-        return ~(inside.all(axis=1) & finite.all(axis=1))
+        return ~(inside.all(axis=1) & finite)
 
     z = states[0]
-    if not np.isfinite(z).all() or (box is not None and box.outside(output(z)).any()):
+    if not np.isfinite(z).all() or (box is not None and box.outside(system.output_flat(z)).any()):
         return 0, z
-    for first, prefix, count, stages, weights in blocks():
+    z, w = z[:inner], z[inner:]
+    for first, prefix, count, stages, run in blocks():
         lin, off = prefix[..., :-1, :-1], prefix[..., :-1, -1]
         length = lin.shape[-3]
-        starts = np.empty((count, size))
+        starts = np.empty((count, inner))
         # one map that every chunk shares, or one per chunk
         mats, shifts = lin[:, -1].copy(), off[:, -1].copy()
         for i in range(count):
             starts[i] = z
             z = mats[i % len(mats)] @ z + shifts[i % len(mats)]
         ends = np.concatenate((starts[1:], z[None]))
-        # one (length * size, size) product per chunk, not one per step
-        flat_lin = lin.reshape(len(lin), length * size, size)
-        block = (flat_lin @ starts[:, :, None]).reshape(count, length, size) + off
+        # one (length * inner, inner) product per chunk, not one per step
+        flat_lin = lin.reshape(len(lin), length * inner, inner)
+        block = (flat_lin @ starts[:, :, None]).reshape(count, length, inner) + off
         block[:, -1] = ends
         stops = first + length * np.arange(1, count + 1)
         at = stops % per_record == 0
-        states[stops[at] // per_record] = ends[at]
+        states[stops[at] // per_record, :inner] = ends[at]
+        ends_w = None
+        if run is not None:
+            w, ends_w = run[-1], run[1:]
+            states[stops[at] // per_record, inner:] = ends_w[length - 1 :: length][at]
 
-        heads = np.concatenate((starts[:, None], block[:, :-1]), axis=1).reshape(-1, size)
+        heads = np.concatenate((starts[:, None], block[:, :-1]), axis=1).reshape(-1, inner)
         faulty = stage_faults(heads, *stages)
-        block = block.reshape(-1, size)
+        block = block.reshape(-1, inner)
         # each step's end state: not finite, outside the box, under the floor
         bad_ends = [~np.isfinite(block)]
         if box is not None:
-            bad_ends.append(box.outside(output(block)).reshape(len(block), -1))
-        if weights is not None:
-            bad_ends.append(weights < W_FLOOR)
+            bad_ends.append(box.outside(outputs(block, ends_w)).reshape(len(block), -1))
+        if ends_w is not None:
+            bad_ends.append(~np.isfinite(ends_w) | (ends_w < W_FLOOR))
         # whole-block checks first: per-step masks cost a clean block dearly
         if faulty is None and not any(bad.any() for bad in bad_ends):
             continue
         if faulty is not None:
             bad_ends.append(faulty[:, None])
         k = int(np.any([bad.any(axis=1) for bad in bad_ends], axis=0).argmax())
-        return first + k, heads[k]
-    return n_steps, z
+        return first + k, np.concatenate((heads[k], run[k])) if run is not None else heads[k]
+    return n_steps, np.concatenate((z, w))
 
 
 def _matvec(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:

@@ -6,6 +6,7 @@ import pytest
 from scipy.linalg import expm
 
 from flowtracker_lab import harness, simulate
+from flowtracker_lab.diagnostics import WEIGHT_TOL
 from flowtracker_lab.dynamics import (
     averaging_system,
     gradient_feedback,
@@ -194,6 +195,27 @@ class TestStepGrid:
 
 
 class TestConservationAndReduction:
+    @pytest.mark.parametrize("name", ["pushsum-directed", "spps-stationary"])
+    def test_ratio_presets_match_the_generic_loop(self, name):
+        # the affine path's maps leave the ratio block out, and its weights
+        # come from the flow propagators alone; the generic loop's RK4
+        # carries them beside the other blocks
+        raw = harness.scenario_raw(name)
+        raw["t_end"] = 30.0
+        cfg = harness.parse_config(raw)
+        law = gradient_feedback(cfg.family, cfg.schedule)
+        args = (cfg.init_state, cfg.t_end, cfg.h, cfg.record_every)
+        traj = integrate(cfg.system, law, *args)
+        # a plain function has no rowwise_affine, so it takes the generic loop
+        ref = integrate(cfg.system, lambda t, y: law(t, y), *args)
+        assert traj.meta["path"] == "affine" and traj.meta["handoff_step"] is None
+        assert ref.meta["path"] == "generic"
+        pairs = [(traj.x, ref.x), (traj.y, ref.y), (traj.u, ref.u), (traj.xbar, ref.xbar)]
+        pairs += [(traj.aux[key], ref.aux[key]) for key in ref.aux]
+        assert max(np.abs(a - b).max() for a, b in pairs) <= 1e-12
+        weights = traj.aux[cfg.system.ratio]
+        assert np.abs(weights.sum(axis=1) - cfg.system.n).max() <= WEIGHT_TOL
+
     def test_push_sum_weights_conserved_and_positive(self):
         proc = random_process(5, "directed-ring-rotate", dwell=0.5, horizon=20.0, seed=4)
         sys_ = push_sum_system(proc)
