@@ -290,74 +290,37 @@ def _adaptive_grid(props: Propagators) -> tuple[tuple, tuple]:
     return _grid(process, h, cap)
 
 
-def _text(values: np.ndarray) -> list[str]:
-    """The 17-significant-digit text of each entry of `values`, flattened."""
-    return ("%.17g," * values.size % tuple(values.ravel().tolist())).split(",")[:-1]
-
-
-def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether two float arrays hold the same bits, so the same text."""
-    return (
-        a.shape == b.shape
-        and a.dtype == b.dtype == np.float64
-        and np.array_equal(a.view(np.int64), b.view(np.int64))
-    )
-
-
-def write_table(path, header: list[str], columns, end: str) -> None:
-    """`write_tables` of the one table (path, header, columns)."""
-    write_tables([(path, header, columns)], end)
-
-
 def write_tables(tables, end: str) -> None:
     """Write each (path, header, columns) of `tables`, columns being arrays
-    of m rows and of one or more columns, one name each in header, as
-    17-significant-digit text with lines ending in `end`. Rows are stacked
-    and formatted by one % call per table and stack of at most
-    STACK_BYTES; an array bit-for-bit equal to an earlier one, of its
-    table or of an earlier table, is formatted once a stack, and its text
-    enters each % call by %s."""
-    columns = [col for _, _, cols in tables for col in cols]
-    first = [
-        next((j for j in range(i) if _same_bits(columns[j], col)), i)
-        for i, col in enumerate(columns)
-    ]
-    texts = {j for i, j in enumerate(first) if j != i}
-    widths = [1 if col.ndim == 1 else col.shape[1] for col in columns]
-    # each table's indices into `columns`, and its line
-    spans, at = [], 0
+    of the same m rows and of one or more columns, one name each in the
+    header, as 17-significant-digit text with lines ending in `end`. Rows
+    are stacked and formatted by one % call per table and stack of at
+    most STACK_BYTES. A column bit-for-bit equal to an earlier one, of any
+    table, is formatted once a stack, and its text enters the calls by %s."""
+    # every table's columns one by one, and each table's indices among them
+    flat, spans = [], []
     for _, _, cols in tables:
-        spans.append(range(at, at + len(cols)))
-        at += len(cols)
-    lines = [
-        ",".join("%s" if first[i] in texts else "%.17g" for i in own for _ in range(widths[i]))
-        + end
-        for own in spans
-    ]
-    rows = max(1, STACK_BYTES // (8 * sum(widths)))
+        own = [c for col in cols for c in np.atleast_2d(np.asarray(col, float).T)]
+        spans.append(range(len(flat), len(flat) + len(own)))
+        flat += own
+    bits = [c.view(np.int64) for c in flat]
+    first = [next(j for j in range(i + 1) if np.array_equal(bits[j], bits[i])) for i in range(len(flat))]
+    texts = {j for i, j in enumerate(first) if j != i}
+    lines = [",".join("%s" if first[i] in texts else "%.17g" for i in own) + end for own in spans]
+    rows = max(1, STACK_BYTES // (8 * len(flat)))
     with ExitStack() as stack:
         files = [stack.enter_context(open(path, "w", newline="")) for path, _, _ in tables]
         for fh, (_, header, _) in zip(files, tables):
             fh.write(",".join(header) + end)
-        for lo in range(0, len(columns[0]), rows):
-            parts = [col[lo : lo + rows] for col in columns]
+        for lo in range(0, len(flat[0]), rows):
+            parts = [c[lo : lo + rows] for c in flat]
             k = len(parts[0])
-            text = {j: _text(parts[j]) for j in texts}
+            text = {j: (",".join(["%.17g"] * k) % tuple(parts[j].tolist())).split(",") for j in texts}
             for fh, own, line in zip(files, spans, lines):
-                if "%s" not in line:
-                    values = np.column_stack([parts[i] for i in own]).ravel().tolist()
-                else:
-                    split = []
-                    for i in own:
-                        w = widths[i]
-                        if first[i] in text:
-                            split += [text[first[i]][j::w] for j in range(w)]
-                        else:
-                            split += parts[i].reshape(k, w).T.tolist()
-                    # each column's values into every len(split)-th slot
-                    values = [None] * (k * len(split))
-                    for c, col in enumerate(split):
-                        values[c :: len(split)] = col
+                # each column's values into every len(own)-th slot
+                values = [None] * (k * len(own))
+                for c, i in enumerate(own):
+                    values[c :: len(own)] = text[first[i]] if first[i] in text else parts[i].tolist()
                 fh.write(line * k % tuple(values))
 
 
@@ -404,7 +367,7 @@ class ErgodicityReport:
 
     def write_csv(self, path) -> None:
         columns = [np.array(self.samples), np.array(self.distances)]
-        write_table(path, ["s", "t", "distance"], columns, "\r\n")
+        write_tables([(path, ["s", "t", "distance"], columns)], "\r\n")
 
 
 def _fit_rate(spans: np.ndarray, dists: np.ndarray) -> tuple:

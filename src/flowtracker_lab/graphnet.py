@@ -93,8 +93,8 @@ def _laplacians_in_place(w: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False, slots=True)
 class Laplacian:
-    """A generalized Laplacian: off-diagonal <= 0, diagonal >= 0, columns
-    sum to zero; the type of one piece, which a process views in its stack (`_view`)."""
+    """A generalized Laplacian, off-diagonal <= 0 <= diagonal and zero
+    column sums: one piece's type, which a process views in its stack (`_view`)."""
 
     matrix: np.ndarray
 

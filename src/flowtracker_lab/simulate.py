@@ -56,7 +56,7 @@ from .errors import (
     InvalidInputError,
     NumericalFailureError,
 )
-from .flowcore import STACK_BYTES, Propagators, rk4_maps, write_table
+from .flowcore import STACK_BYTES, Propagators, rk4_maps, write_tables
 from .graphnet import LaplacianProcess, steps_in_span
 from .schedules import evaluate_many
 
@@ -73,12 +73,9 @@ MIN_TAIL = 10
 # 2,200,022: the cap is 36 times the first and 7 times the last.
 MAX_RECORD_FLOATS = 16_000_000
 
-# Most steps a run takes. The longest run a preset, test or benchmark
-# integrates is 100,000 steps (pushsum-directed and
-# counterexample-diminishing); the largest step count a test parses
-# without integrating is 5e7. The cap is 1000 times the first and twice
-# the second: about 5 minutes on the affine path and 50 on the generic
-# loop, at 3 and 30 us a step.
+# Most steps a run takes: 1000 times the longest run a preset, test or
+# benchmark integrates, 100,000 (pushsum-directed and
+# counterexample-diminishing), and twice the 5e7 that a test parses.
 MAX_STEPS = 100_000_000
 
 
@@ -122,7 +119,7 @@ class Trajectory:
         header = ["t"] + [
             f"{name}_{i + 1}" for (name, _), col in zip(groups, columns) for i in range(col.shape[1])
         ]
-        write_table(path, header, [self.times, *columns], "\n")
+        write_tables([(path, header, [self.times, *columns])], "\n")
 
     def write_jsonl(self, path) -> None:
         with open(path, "w") as fh:
@@ -191,9 +188,8 @@ def _affine_path(system, coeffs, grid, per_record, box, states):
 
     Chunks of steps advance by prefix products of the step maps, as the
     module docstring says, and are cut short where a stack would pass
-    STACK_BYTES. Batched products give every step's state and its four
-    stages. The maps act on the head of the state, the blocks before a
-    ratio block; the ratio weights, the tail, come from `ratio_run`.
+    STACK_BYTES; they act on the head, and `ratio_run` gives the ratio
+    weights. Batched products give every step's state and its four stages.
     """
     scale, offset, schedule, center, radius = coeffs
     h = grid.h

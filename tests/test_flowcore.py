@@ -558,10 +558,7 @@ def test_write_tables_match_the_one_percent_writer(tmp_path_factory, drawn, end,
         specs.append((out / f"new{k}.csv", [f"c{i}" for i in range(width)], columns))
     total = sum(len(header) for _, header, _ in specs)
     with mock.patch.object(flowcore, "STACK_BYTES", 8 * total * rows):
-        if len(specs) == 1:
-            flowcore.write_table(*specs[0], end)
-        else:
-            flowcore.write_tables(specs, end)
+        flowcore.write_tables(specs, end)
     for k, (path, header, columns) in enumerate(specs):
         one_percent_writer(out / f"old{k}.csv", header, columns, end, rows)
         assert path.read_bytes() == (out / f"old{k}.csv").read_bytes()
