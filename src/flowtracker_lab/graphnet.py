@@ -63,15 +63,17 @@ def _check_laplacians(stack: np.ndarray) -> None:
     # the off-diagonal entries: a flat matrix from entry 1 on, rows of n + 1
     off = flat[:, 1:].reshape(m, max(n - 1, 0), n + 1)[:, :, :-1]
     positive = off.max(axis=(1, 2), initial=0.0) > 0
-    # no weight matrix gives a negative diagonal, rounding included
-    lowest = flat[:, :: n + 1].min(axis=1, initial=0.0)
     # a non-finite entry makes its column's sum non-finite, which fails here
-    bad = ~(sums <= TAU_STRUCT) | positive | (lowest < 0)
+    bad = ~(sums <= TAU_STRUCT) | positive
+    # no weight matrix gives a negative diagonal; one min spares a clean stack the per-piece pass
+    diagonal = flat[:, :: n + 1]
+    if diagonal.min(initial=0.0) < 0:
+        bad |= diagonal.min(axis=1) < 0
     if bad.any():
         k = int(bad.argmax())
         rule = 0 if not np.isfinite(stack[k]).all() else 1 if positive[k] else 2
         rule += rule == 2 and sums[k] <= TAU_STRUCT
-        value = lowest[k] if rule == 3 else sums[k]
+        value = diagonal[k].min() if rule == 3 else sums[k]
         raise InvalidInputError(f"piece {k}: " + LAPLACIAN_RULES[rule].format(value))
 
 

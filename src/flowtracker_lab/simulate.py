@@ -12,19 +12,19 @@ y + offset) while every agent's output lies within its radius of its
 center (everywhere for quadratic agents and for no law, the quadratic
 part for huberized ones), the closed loop is affine in the state: a
 ratio block, the last, couples only to itself, so its weights w are
-known before the other blocks, the state's head, and on (head, 1) the
-field is [[K(L), 0], [0, 0]] plus alpha(t) * forcing with scale / w on
-the x rows. Each RK4 step of the head is then its exact map A = [[R,
-r], [0, 1]] from `flowcore.rk4_maps`, the kernel of the mixing flow
-too. The path is chosen from the system and the law alone, and a law
-without `rowwise_affine`, or whose `rowwise_affine` is None, takes the
-generic one. Without a ratio block a constant step size gives every
-step of a piece the same map, whose powers A^1 ... A^m each piece
-caches; otherwise each block of steps first advances the ratio weights
-alone, as the mixing flow w' = -L w, by the prefix powers of the
-one-step maps that the step grid keeps per distinct piece, the weights'
-one source, builds each step's map from its four stage fields and
-composes the maps of each record interval by prefix products.
+known before the head, the other blocks, and come only from the step
+grid's flow propagators. On (head, 1) the field is [[K(L), 0], [0, 0]]
+plus alpha(t) * forcing with scale / w on the x rows, and each RK4 step
+of the head is its exact map A = [[R, r], [0, 1]] from
+`flowcore.rk4_maps`, the kernel of the mixing flow too. The path is
+chosen from the system and the law alone; a law without
+`rowwise_affine`, or whose `rowwise_affine` is None, takes the generic
+one. Without a ratio block a constant step gives every step of a piece
+the same map, whose powers A^1 ... A^m each piece caches; otherwise each
+block of steps first advances the weights alone, by the prefix powers of
+the one-step maps of w' = -L w that the step grid keeps per distinct
+piece, builds each step's map from its four stage fields and composes
+the maps of each record interval by prefix products.
 Either way one matrix-vector product per record interval advances the
 head, and batched products recover the head and the four stages at
 every step of a block; with record_every = h and a constant step the
@@ -150,8 +150,7 @@ def step_grid(
 ) -> tuple[int, int, Propagators]:
     """(steps, steps per record, the run's step grid) of a run to t_end;
     InvalidInputError unless record_every, t_end and the switches land on
-    the step grid of h and the run takes at most MAX_STEPS steps. The
-    grid checks the switches, once per run."""
+    the step grid of h, within MAX_STEPS steps. It checks the switches once."""
     if t_end <= 0:
         raise InvalidInputError("t_end must be positive")
     if t_end > process.horizon + 1e-12:
@@ -226,8 +225,7 @@ def _affine_path(system, coeffs, grid, per_record, box, states):
         return out
 
     def outputs(heads, r):
-        """The outputs (k, n, d) of head states (k, inner) with ratio
-        weights r (k, n), None without a ratio block."""
+        """The outputs (k, n, d) of head states with ratio weights r or None."""
         x = heads[:, :nd].reshape(len(heads), n, d)
         return x if r is None else x / r[:, :, None]
 
