@@ -304,7 +304,7 @@ def write_tables(tables, end: str) -> None:
         spans.append(range(len(flat), len(flat) + len(own)))
         flat += own
     bits = [c.view(np.int64) for c in flat]
-    first = [next(j for j in range(i + 1) if np.array_equal(bits[j], bits[i])) for i in range(len(flat))]
+    first = [next(j for j, b in enumerate(bits) if np.array_equal(b, a)) for a in bits]
     texts = {j for i, j in enumerate(first) if j != i}
     lines = [",".join("%s" if first[i] in texts else "%.17g" for i in own) + end for own in spans]
     rows = max(1, STACK_BYTES // (8 * len(flat)))
@@ -315,12 +315,12 @@ def write_tables(tables, end: str) -> None:
         for lo in range(0, len(flat[0]), rows):
             parts = [c[lo : lo + rows] for c in flat]
             k = len(parts[0])
-            text = {j: (",".join(["%.17g"] * k) % tuple(parts[j].tolist())).split(",") for j in texts}
+            text = {j: ("%.17g," * k % tuple(parts[j].tolist()))[:-1].split(",") for j in texts}
             for fh, own, line in zip(files, spans, lines):
                 # each column's values into every len(own)-th slot
                 values = [None] * (k * len(own))
                 for c, i in enumerate(own):
-                    values[c :: len(own)] = text[first[i]] if first[i] in text else parts[i].tolist()
+                    values[c :: len(own)] = text.get(first[i]) or parts[i].tolist()
                 fh.write(line * k % tuple(values))
 
 
