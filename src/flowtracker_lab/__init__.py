@@ -12,7 +12,6 @@ from .errors import (
 from .graphnet import (
     Laplacian,
     LaplacianProcess,
-    common_stationary_distribution,
     constant_process,
     integrated_min_cut,
     make_laplacian,
@@ -55,7 +54,6 @@ from .dynamics import (
     averaging_system,
     gradient_feedback,
     make_system,
-    predicted_spps_rate,
     push_sum_system,
     saddle_point_system,
     spps_system,

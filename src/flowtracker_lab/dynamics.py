@@ -299,21 +299,3 @@ class ZeroControl:
 
 def gradient_feedback(family: ObjectiveFamily, schedule: StepSchedule) -> GradientFeedback:
     return GradientFeedback(family, schedule)
-
-
-def predicted_spps_rate(a: float, pi_min: float, gamma: float, n: int) -> float:
-    """Per-unit-time contraction factor exp(-2 a pi_min gamma / n^2).
-
-    Valid for gain a >= PROVEN_GAIN, a strictly positive common stationary
-    distribution with smallest entry pi_min, and per-piece minimum cut at
-    least gamma.
-    """
-    if a < PROVEN_GAIN:
-        raise InvalidInputError(f"the rate formula requires gain a >= {PROVEN_GAIN:g}")
-    if not (0 < pi_min <= 1):
-        raise InvalidInputError("pi_min must lie in (0, 1]")
-    if gamma <= 0:
-        raise InvalidInputError("minimum cut gamma must be positive")
-    if n < 1:
-        raise InvalidInputError("agent count must be positive")
-    return math.exp(-2.0 * a * pi_min * gamma / (n * n))

@@ -18,11 +18,10 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import InvalidInputError, check_integer, check_known
 
-# Tolerance for structural predicates (balance, stationarity, null spaces).
+# Tolerance on a Laplacian's column sums and, for weight balance, its row sums.
 # Constructions are exact up to rounding, so this is generous.
 TAU_STRUCT = 1e-10
 
@@ -283,11 +282,6 @@ class LaplacianProcess:
     def n(self) -> int:
         return self.matrices.shape[1]
 
-    @property
-    def max_entry(self) -> float:
-        """The largest |entry|; diagonal entries are >= 0 and the others <= 0."""
-        return float(max(-self.matrices.min(initial=0.0), self.matrices.max(initial=0.0)))
-
     def pieces(self, t0: float, t1: float) -> Iterator[tuple[float, float, int]]:
         """Yield (start, end, piece index) covering [t0, t1] piece by piece."""
         if not (0 <= t0 <= t1 <= self.horizon):
@@ -361,52 +355,6 @@ def integrated_min_cut(
             cuts[key] = min_cut(process.laplacians[k])
         total += (hi - lo) * cuts[key]
     return total
-
-
-def common_stationary_distribution(process: LaplacianProcess) -> np.ndarray | None:
-    """Strictly positive stochastic vector annihilated by every piece, if any.
-
-    Returns pi with sum(pi) = 1, min(pi) > 0 and L_k pi = 0 for every
-    piece (within TAU_STRUCT), or None when no such vector exists.
-    """
-    n = process.n
-    # an orthonormal basis (n x m) of the intersection of the pieces' null spaces
-    _, sing, vt = np.linalg.svd(process.matrices.reshape(-1, n))
-    null_mask = np.ones(vt.shape[0], dtype=bool)
-    null_mask[: sing.size] = sing <= TAU_STRUCT * (max(sing[0], 1.0) if sing.size else 1.0)
-    basis = vt[null_mask].T
-    if basis.shape[1] == 0:
-        return None
-    if basis.shape[1] == 1:
-        v = basis[:, 0]
-        s = v.sum()
-        if abs(s) <= TAU_STRUCT:
-            return None
-        pi = v / s
-    else:
-        # Maximize the smallest entry of a normalized vector in the null
-        # space: variables (c, t), maximize t s.t. B c >= t, sum(B c) = 1.
-        m = basis.shape[1]
-        c_obj = np.zeros(m + 1)
-        c_obj[-1] = -1.0
-        a_ub = np.hstack([-basis, np.ones((n, 1))])
-        b_ub = np.zeros(n)
-        a_eq = np.concatenate([basis.sum(axis=0), [0.0]])[None, :]
-        b_eq = np.array([1.0])
-        res = linprog(
-            c_obj, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=[(None, None)] * (m + 1),
-            method="highs",
-        )
-        if not res.success or res.x[-1] <= 0:
-            return None
-        pi = basis @ res.x[:-1]
-        pi = pi / pi.sum()
-    if np.any(pi <= 0):
-        return None
-    residual = np.abs(process.matrices @ pi).max()
-    if residual > TAU_STRUCT * max(1.0, process.max_entry):
-        return None
-    return pi
 
 
 # --- random process generators -------------------------------------------

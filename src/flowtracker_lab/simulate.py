@@ -150,7 +150,7 @@ def step_grid(
 ) -> tuple[int, int, Propagators]:
     """(steps, steps per record, the run's step grid) of a run to t_end;
     InvalidInputError unless record_every, t_end and the switches land on
-    the step grid of h, within MAX_STEPS steps. It checks the switches once."""
+    the step grid of h, in 1 to MAX_STEPS steps. It checks the switches once."""
     if t_end <= 0:
         raise InvalidInputError("t_end must be positive")
     if t_end > process.horizon + 1e-12:
@@ -159,6 +159,8 @@ def step_grid(
     if steps_per_record < 1:
         raise InvalidInputError("record_every must be at least h")
     n_steps = steps_in_span(t_end, h, "t_end")
+    if n_steps < 1:
+        raise InvalidInputError(f"t_end {t_end} is less than one step of h {h}")
     if n_steps % steps_per_record:
         raise InvalidInputError("t_end must be a multiple of record_every")
     if n_steps > MAX_STEPS:

@@ -372,6 +372,8 @@ MALFORMED = {
     "recording-past-the-cap": {"t_end": 1.0, "h": 1e-7, "record_every": 1e-7},
     # 11 records, but 1e12 steps
     "steps-past-the-cap": {"t_end": 1.0, "h": 1e-12, "record_every": 0.1},
+    # 1e-10 steps of h, which the grid rule rounds to a run of none
+    "zero-steps": {"t_end": 1e-12},
 }
 
 
@@ -509,6 +511,7 @@ NAMED = {
     "vdot-bound-4-records": "the vdot-bound check takes central differences of the records",
     "recording-past-the-cap": "1e+07 records of 8 floats, 8e+07 in all, pass the 1.6e+07-float cap",
     "steps-past-the-cap": "step grid invalid: 1e+12 steps pass the 1e+08-step cap on a run",
+    "zero-steps": "step grid invalid: t_end 1e-12 is less than one step of h 0.01",
 }
 
 

@@ -1,4 +1,3 @@
-import math
 import warnings
 
 import numpy as np
@@ -10,7 +9,6 @@ from flowtracker_lab.dynamics import (
     averaging_system,
     gradient_feedback,
     make_system,
-    predicted_spps_rate,
     push_sum_system,
     saddle_point_system,
     spps_system,
@@ -281,27 +279,3 @@ class TestGradientFeedback:
     def test_zero_control_is_affine_everywhere(self):
         scale, offset, _, _, radius = ZeroControl(3, 2).rowwise_affine()
         assert not scale.any() and not offset.any() and np.isinf(radius).all()
-
-
-class TestPredictedRate:
-    def test_reference_value(self):
-        assert predicted_spps_rate(5.0, 0.5, 1.0, 2) == pytest.approx(
-            math.exp(-1.25), abs=1e-10
-        )
-        assert predicted_spps_rate(5.0, 0.5, 1.0, 2) == pytest.approx(0.28650, abs=5e-6)
-
-    def test_vanishing_cut_gives_no_contraction(self):
-        assert predicted_spps_rate(5.0, 0.5, 1e-9, 2) == pytest.approx(1.0, abs=1e-6)
-
-    def test_agent_count_scaling(self):
-        lam2 = predicted_spps_rate(5.0, 0.5, 1.0, 2)
-        lam4 = predicted_spps_rate(5.0, 0.5, 1.0, 4)
-        assert lam4 == pytest.approx(lam2 ** 0.25, rel=1e-12)
-
-    def test_out_of_range_inputs(self):
-        with pytest.raises(InvalidInputError):
-            predicted_spps_rate(4.0, 0.5, 1.0, 2)
-        with pytest.raises(InvalidInputError):
-            predicted_spps_rate(5.0, 0.0, 1.0, 2)
-        with pytest.raises(InvalidInputError):
-            predicted_spps_rate(5.0, 0.5, -1.0, 2)

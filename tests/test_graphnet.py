@@ -12,7 +12,6 @@ from flowtracker_lab.errors import InvalidInputError
 from flowtracker_lab.graphnet import (
     Laplacian,
     LaplacianProcess,
-    common_stationary_distribution,
     constant_process,
     integrated_min_cut,
     make_laplacian,
@@ -316,109 +315,6 @@ class TestSegments:
         want = full_scan_segments(proc, t0, t1)
         assert [(lo, hi) for lo, hi, _ in got] == [(lo, hi) for lo, hi, _ in want]
         assert all(a is b for (_, _, a), (_, _, b) in zip(got, want))
-
-
-def pair_laplacian(p, q):
-    """The two-node Laplacian whose null vector is (q, p)."""
-    return Laplacian(np.array([[p, -q], [-p, q]]))
-
-
-# processes whose pieces share no positive null vector, one for each way
-# common_stationary_distribution finds that out past an empty null space
-NO_COMMON_DISTRIBUTION = {
-    # the first piece's columns 0 and 1 of -9e-11, within the column-sum
-    # tolerance, and the second piece's column 2 annihilate (1, -1, 0)
-    # alone, past the singular-value threshold: the one null vector sums to 0
-    "null-vector-sums-to-zero": LaplacianProcess(
-        (0.0, 1.0),
-        (
-            Laplacian(np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [-9e-11, -9e-11, 0.0]])),
-            Laplacian(np.array([[0.0, 0.0, -0.5], [0.0, 0.0, 0.0], [0.0, 0.0, 0.5]])),
-        ),
-        2.0,
-    ),
-    # agents 0 and 1 weigh agent 2 alone: the null space is spanned by e0
-    # and e1, and no combination is positive at agent 2
-    "no-positive-combination": constant_process(
-        make_laplacian([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]), 1.0
-    ),
-    # agent 0 weighs agent 1 alone: the one null vector is e0
-    "zero-entry": constant_process(make_laplacian([[0.0, 1.0], [0.0, 0.0]]), 1.0),
-    # the threshold on singular values is relative to the largest, which
-    # eight pieces raise: it admits a direction that the last piece moves
-    # by more than the absolute residual tolerance
-    "residual": LaplacianProcess(
-        tuple(map(float, range(8))),
-        (pair_laplacian(1.0, 2.0),) * 7 + (pair_laplacian(1.0, 2.0 + 1.2e-9),),
-        8.0,
-    ),
-}
-
-
-class TestStationaryDistribution:
-    def test_weight_balanced_gives_uniform(self):
-        proc = random_process(4, "switching-complete", dwell=0.5, horizon=2.0, seed=1)
-        assert proc.is_weight_balanced()
-        pi = common_stationary_distribution(proc)
-        assert pi is not None
-        assert np.allclose(pi, 0.25, atol=1e-9)
-
-    def test_two_node_directed(self):
-        lap = Laplacian(np.array([[1.0, -2.0], [-1.0, 2.0]]))
-        pi = common_stationary_distribution(constant_process(lap, 1.0))
-        assert pi is not None
-        assert np.allclose(pi, [2 / 3, 1 / 3], atol=1e-10)
-
-    def test_disjoint_null_spaces_give_none(self):
-        # pi must be proportional to (2,1) for the first piece and (1,2)
-        # for the second; no common positive direction exists.
-        a = Laplacian(np.array([[1.0, -2.0], [-1.0, 2.0]]))
-        b = Laplacian(np.array([[2.0, -1.0], [-2.0, 1.0]]))
-        proc = LaplacianProcess((0.0, 1.0), (a, b), 2.0)
-        assert common_stationary_distribution(proc) is None
-
-    @pytest.mark.parametrize("case", sorted(NO_COMMON_DISTRIBUTION))
-    def test_no_positive_common_null_vector_gives_none(self, case):
-        assert common_stationary_distribution(NO_COMMON_DISTRIBUTION[case]) is None
-
-    def test_multi_piece_shared_distribution(self):
-        # two distinct cycles reweighted to share pi = (0.5, 0.3, 0.2)
-        pi = np.array([0.5, 0.3, 0.2])
-        cyc1 = [(0, 1), (1, 2), (2, 0)]
-        cyc2 = [(0, 2), (2, 1), (1, 0)]
-        laps = []
-        for cyc in (cyc1, cyc2):
-            w = np.zeros((3, 3))
-            for i, j in cyc:
-                w[i, j] = 1.0 / pi[j]
-            laps.append(make_laplacian(w))
-        for lap in laps:
-            assert np.abs(lap.matrix @ pi).max() < 1e-12
-        proc = LaplacianProcess((0.0, 1.0), tuple(laps), 2.0)
-        found = common_stationary_distribution(proc)
-        assert found is not None
-        assert np.allclose(found, pi, atol=1e-9)
-
-    @pytest.mark.parametrize(
-        "weights, pi",
-        [
-            # two disjoint pairs, weights (1, 2) and (1, 1)
-            ({(0, 1): 1.0, (1, 0): 2.0, (2, 3): 1.0, (3, 2): 1.0}, [0.2, 0.4, 0.2, 0.2]),
-            # a 1:3 pair and an isolated agent
-            ({(0, 1): 1.0, (1, 0): 3.0}, [0.2, 0.6, 0.2]),
-        ],
-        ids=["two-pairs", "pair-and-isolated"],
-    )
-    def test_reducible_process_maximizes_the_smallest_entry(self, weights, pi):
-        # each component holds one null direction; of their normalized
-        # combinations the linear program picks the one whose least entry
-        # is largest, which gives every component the same least entry
-        w = np.zeros((len(pi), len(pi)))
-        for edge, value in weights.items():
-            w[edge] = value
-        found = common_stationary_distribution(constant_process(make_laplacian(w), 1.0))
-        assert found is not None
-        assert np.allclose(found, pi, atol=1e-9)
 
 
 class TestRandomProcess:

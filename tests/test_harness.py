@@ -196,30 +196,11 @@ class TestScenarios:
         raw = harness.scenario_raw("spps-stationary")
         assert raw["dynamics"]["a"] == 5.0
 
-    def test_spps_preset_process_has_common_stationary(self):
-        from flowtracker_lab.graphnet import common_stationary_distribution
-
+    def test_spps_preset_pieces_annihilate_the_stationary_distribution(self):
         raw = harness.scenario_raw("spps-stationary")
         proc = process_from_dict(raw["process"])
-        pi = common_stationary_distribution(proc)
-        assert pi is not None
-        assert np.allclose(pi, [0.5, 0.3, 0.2], atol=1e-9)
-
-    def test_spps_predicted_rate_envelopes_fitted_rate(self):
-        from flowtracker_lab.dynamics import predicted_spps_rate
-        from flowtracker_lab.flowcore import ergodicity_report
-        from flowtracker_lab.graphnet import common_stationary_distribution, min_cut
-
-        raw = harness.scenario_raw("spps-stationary")
-        proc = process_from_dict(raw["process"])
-        pi = common_stationary_distribution(proc)
-        gamma = min(min_cut(lap) for lap in proc.laplacians)
-        predicted = predicted_spps_rate(raw["dynamics"]["a"], float(pi.min()), gamma, 3)
-        report = ergodicity_report(proc, h=0.01)
-        assert report.weakly_exponentially_ergodic()
-        # the formula certifies a sufficient contraction rate, so the
-        # fitted (true) rate must contract at least as fast
-        assert report.rate <= predicted
+        pi = np.array([0.5, 0.3, 0.2])
+        assert np.abs(proc.matrices @ pi).max() <= 1e-12
 
 
 class TestSweep:

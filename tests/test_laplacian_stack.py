@@ -182,7 +182,6 @@ class TestStack:
         assert np.array_equal(proc.matrices, np.stack([a.matrix, b.matrix, a.matrix]))
         assert proc.distinct == (0, 1, 0)
         assert proc.laplacians[0] is proc.laplacians[2] is not proc.laplacians[1]
-        assert proc.max_entry == 3.0
 
     def test_pieces_of_two_sizes_rejected(self):
         pieces = (Laplacian(np.zeros((2, 2))), Laplacian(np.zeros((3, 3))))

@@ -169,6 +169,13 @@ class TestStepGrid:
         monkeypatch.setattr(simulate, "MAX_STEPS", 100)
         assert integrate(sys_, None, init, t_end=1.0, h=0.01, record_every=0.1).n_samples == 11
 
+    def test_a_run_of_zero_steps_raises(self):
+        # t_end is 1e-10 steps of h, within the grid rule's slack of 0 steps
+        sys_ = averaging_system(constant_process(TWO_NODE, 1.0))
+        init = sys_.initial_state(np.zeros((2, 1)))
+        with pytest.raises(InvalidInputError, match="t_end 1e-12 is less than one step of h 0.01"):
+            integrate(sys_, None, init, t_end=1e-12, h=0.01, record_every=0.01)
+
     def test_the_step_cap_covers_every_preset(self):
         # the cap's comment sizes it against the longest preset run
         configs = map(harness.scenario, harness.scenario_names())
