@@ -183,6 +183,32 @@ class TestWeightBalance:
         lap = make_laplacian(three_cycle_weights((1.0, 2.0, 3.0)))
         assert not constant_process(lap, 1.0).is_weight_balanced()
 
+    def test_switching_complete_pieces_annihilate_the_uniform_vector(self):
+        proc = random_process(4, "switching-complete", dwell=0.5, horizon=2.0, seed=1)
+        assert proc.is_weight_balanced()
+        assert np.abs(proc.matrices @ np.full(4, 0.25)).max() < 1e-12
+
+
+class TestNullVectors:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_a_cycle_reweighted_by_pi_annihilates_pi(self, n, data):
+        # the construction of the spps-stationary preset: agent i reads
+        # agent j with weight 1 / pi_j along a directed cycle
+        pi = data.draw(arrays(float, n, elements=st.floats(0.05, 1.0)))
+        order = data.draw(st.permutations(range(n)))
+        w = np.zeros((n, n))
+        for i, j in zip(order, order[1:] + order[:1]):
+            w[i, j] = 1.0 / pi[j]
+        assert np.abs(make_laplacian(w).matrix @ pi).max() <= 1e-12
+
+    def test_a_directed_pair_annihilates_the_weights_it_reads(self):
+        # agent 0 reads agent 1 with weight 1, agent 1 reads agent 0 with 2
+        lap = make_laplacian([[0.0, 1.0], [2.0, 0.0]])
+        assert np.array_equal(lap.matrix @ np.array([1.0, 2.0]), [0.0, 0.0])
+        assert np.abs(lap.matrix @ np.array([2.0, 1.0])).max() > 0.5
+
 
 class TestCutValue:
     def test_complement_cut_is_negated_weight_cut(self):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -196,11 +197,29 @@ class TestScenarios:
         raw = harness.scenario_raw("spps-stationary")
         assert raw["dynamics"]["a"] == 5.0
 
-    def test_spps_preset_pieces_annihilate_the_stationary_distribution(self):
+    def test_spps_preset_process_has_common_stationary(self):
+        # every piece annihilates pi, which makes it a common stationary distribution
         raw = harness.scenario_raw("spps-stationary")
         proc = process_from_dict(raw["process"])
         pi = np.array([0.5, 0.3, 0.2])
         assert np.abs(proc.matrices @ pi).max() <= 1e-12
+
+    @pytest.mark.parametrize("horizon, dwell", [(1.0, 0.5), (2.0, 0.3), (0.25, 1.0)])
+    def test_shared_stationary_pieces_cover_the_horizon_and_share_pi(self, horizon, dwell):
+        proc = process_from_dict(harness._shared_stationary_pieces(horizon, dwell))
+        pi = np.array([0.5, 0.3, 0.2])
+        assert len(proc.start_times) == math.ceil(horizon / dwell)
+        assert np.allclose(proc.start_times, dwell * np.arange(len(proc.start_times)))
+        assert proc.horizon == horizon
+        assert np.abs(proc.matrices @ pi).max() <= 1e-12
+
+    def test_spps_preset_process_is_weakly_exponentially_ergodic(self):
+        from flowtracker_lab.flowcore import ergodicity_report
+
+        raw = harness.scenario_raw("spps-stationary")
+        report = ergodicity_report(process_from_dict(raw["process"]), h=0.01)
+        assert report.weakly_exponentially_ergodic()
+        assert 0.0 < report.rate < 1.0
 
 
 class TestSweep:

@@ -176,6 +176,12 @@ class TestStepGrid:
         with pytest.raises(InvalidInputError, match="t_end 1e-12 is less than one step of h 0.01"):
             integrate(sys_, None, init, t_end=1e-12, h=0.01, record_every=0.01)
 
+    def test_a_run_of_one_step_records_both_ends(self):
+        sys_ = averaging_system(constant_process(TWO_NODE, 1.0))
+        init = sys_.initial_state(np.array([[1.0], [-1.0]]))
+        traj = integrate(sys_, None, init, t_end=0.01, h=0.01, record_every=0.01)
+        assert traj.n_samples == 2
+
     def test_the_step_cap_covers_every_preset(self):
         # the cap's comment sizes it against the longest preset run
         configs = map(harness.scenario, harness.scenario_names())
