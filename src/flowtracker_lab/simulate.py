@@ -24,15 +24,20 @@ the same map, whose powers A^1 ... A^m each piece caches; otherwise each
 block of steps first advances the weights alone, by the prefix powers of
 the one-step maps of w' = -L w that the step grid keeps per distinct
 piece, builds each step's map from its four stage fields and composes
-the maps of each record interval by prefix products.
-Either way one matrix-vector product per record interval advances the
-head, and batched products recover the head and the four stages at
-every step of a block; with record_every = h and a constant step the
-result is bit-identical to one map per step. Only the generic loop
-raises a run's numerical errors. The affine path finds the first faulty
-step: a stage output leaves the zone or a stage derivative is not
-finite, or the end state is not finite, leaves the validity box or has
-a weight under the floor; step 0 is faulty when the initial state is.
+the maps of chunks of about sqrt(S) steps by prefix products, S the step
+maps a stack holds. Either way one matrix-vector product per chunk
+advances the head, batched products recover the head and the four
+stages at every step of a block, and the records are read from those
+states. A constant step's chunks end on records, and with record_every
+= h the result is bit-identical to one map per step; the other chunks
+ignore the records, so the states recorded there do not depend on
+record_every. Only the generic loop raises a run's numerical errors.
+The affine path finds the first faulty step: a stage output leaves the
+zone or a stage derivative is not finite, or the end state is not
+finite, leaves the validity box or has a weight under the floor; step 0
+is faulty when the initial state is. The four-stage pass that looks for
+a stage outside the zone is skipped on a block whose heads' outputs all
+lie farther inside their radii than a stage output can move in a step.
 The generic loop takes over from that step's state, redoes it with the
 law and raises what it finds, or goes on if the step is fine after all.
 """
@@ -188,9 +193,12 @@ def _affine_path(system, coeffs, grid, per_record, box, states):
     which the generic loop goes on; records up to it are filled.
 
     Chunks of steps advance by prefix products of the step maps, as the
-    module docstring says, and are cut short where a stack would pass
-    STACK_BYTES; they act on the head, and `ratio_run` gives the ratio
-    weights. Batched products give every step's state and its four stages.
+    module docstring says: with a constant step and no ratio block they
+    end on records or where a stack would pass STACK_BYTES, and otherwise
+    every chunk but the last holds isqrt(S) steps, S = most_steps, and a
+    block about as many chunks. They act on the head, and `ratio_run`
+    gives the ratio weights. Batched products give every step's state,
+    from which the records are read, and its four stages.
     """
     scale, offset, schedule, center, radius = coeffs
     h = grid.h
@@ -231,18 +239,23 @@ def _affine_path(system, coeffs, grid, per_record, box, states):
         x = heads[:, :nd].reshape(len(heads), n, d)
         return x if r is None else x / r[:, :, None]
 
+    def distance(y):
+        """Each agent's distance (k, n) from its center, outputs y (k, n, d)."""
+        delta = y - center
+        return np.abs(delta[..., 0]) if d == 1 else np.sqrt((delta * delta).sum(axis=2))
+
     firsts = np.asarray(grid.firsts)
     # steps per prefix stack, so that one stays within STACK_BYTES
     most_steps = max(1, STACK_BYTES // (8 * (inner + 1) ** 2))
 
-    def chunks(step, stop, width):
+    def chunks(step, stop, width, period):
         """(first step, length, count): runs of `count` chunks of `length`
-        steps that tile [step, stop), each ending on a record or before
-        `most_steps`, and whose stacks of `width` floats per step fit
-        STACK_BYTES."""
+        steps that tile [step, stop), each ending on a multiple of `period`
+        or before `most_steps`, and whose stacks of `width` floats per step
+        fit STACK_BYTES."""
         while step < stop:
-            length = min(per_record - step % per_record, stop - step, most_steps)
-            count = (stop - step) // per_record if length == per_record else 1
+            length = min(period - step % period, stop - step, most_steps)
+            count = (stop - step) // period if length == period else 1
             most = max(1, STACK_BYTES // (8 * length * width))
             for first in range(0, count, most):
                 yield step + first * length, length, min(most, count - first)
@@ -290,13 +303,13 @@ def _affine_path(system, coeffs, grid, per_record, box, states):
                 )
                 reach = np.abs(f).sum(axis=1).max() + 1.0
                 stages = (coupling[0, :-1, :-1], alphas, reach)
-                for first, length, count in chunks(step, step + steps, size):
+                for first, length, count in chunks(step, step + steps, size, per_record):
                     yield first, powers[None, :length], count, stages, None
                 step += steps
             return
         r = states[0, inner:] if ratio else None
         run = None
-        for first, length, count in chunks(0, n_steps, (inner + 1) ** 2):
+        for first, length, count in chunks(0, n_steps, (inner + 1) ** 2, math.isqrt(most_steps)):
             steps = np.arange(first, first + count * length)
             t = steps * h
             piece = np.searchsorted(firsts, steps, side="right") - 1
@@ -317,11 +330,11 @@ def _affine_path(system, coeffs, grid, per_record, box, states):
                 r2 = r1 + (0.5 * h) * _matvec(laps, r1)
                 r3 = r1 + (0.5 * h) * _matvec(laps, r2)
                 r4 = r1 + h * _matvec(laps, r3)
-                weights = (r1, r2, r3, r4)
+                weights = np.stack((r1, r2, r3, r4))
                 f1, f2, f3, f4 = (stage_fields(fields, a, ri) for a, ri in zip(alphas, weights))
                 coupled = max(coupled, np.abs(piece_laps).sum(axis=-1).max())
             # bounds the stage fields' row sums and 1 / r
-            low = 1.0 if not ratio else min(w.min() for w in weights)
+            low = 1.0 if not ratio else weights.min()
             by_law = max(a.max() for a in alphas) * (np.abs(gains).max() / low + np.abs(offset).max())
             reach = coupled + by_law + max(1.0, 1.0 / low) if low > 0 else np.inf
             maps = rk4_maps(f1, f2, f3, f4, h).reshape(count, length, inner + 1, inner + 1)
@@ -336,24 +349,41 @@ def _affine_path(system, coeffs, grid, per_record, box, states):
         the step sizes of each stage, a bound on the stage fields' row sums
         and 1 / r and, with a ratio block, its couplings and stage weights,
         put an output outside the zone (NaN is outside) or give a
-        derivative that is not finite; None when no step does."""
+        derivative that is not finite; None when no step does. It returns
+        None without the pass when every head's output lies farther than
+        sqrt(d) * move inside its radius: a stage state lies within delta
+        = h reach (1 + h reach)^2 max(|head|, 1) of its head, so a stage
+        output within move = delta, or with weights at least `low`, within
+        delta / low + max |x| max |r1 - rs| / low^2, of the head's."""
         # a stage's derivative and output are at most reach times its
-        # state, which is at most (1 + h reach)^3 times the step's start
+        # state, which is at most (1 + h reach)^3 times the step's start;
+        # max keeps a NaN that comes first
+        top = max(np.abs(heads).max(), 1.0)
         safe = 1e300 / (reach * (1.0 + h * reach) ** 3)
-        bounded = 1.0 < safe and np.abs(heads).max() < safe
+        bounded = top < safe
         if laps is not None:
             bounded = bounded and np.abs(weights[0]).max() < safe
         if bounded and not zone:
             return None
+        if bounded:
+            move = delta = h * reach * (1.0 + h * reach) ** 2 * top
+            if laps is not None:
+                low = weights.min()
+                drift = np.abs(weights[1:] - weights[0]).max()
+                move = delta / low + np.abs(heads[:, :nd]).max() * drift / low**2
+            bound = math.sqrt(d) * move
+            if bound < radius.min():
+                y = outputs(heads, weights[0])
+                bound += 1e-12 * (np.abs(y).max() + np.abs(center).max() + move)
+                if (radius - distance(y)).min() > bound:
+                    return None
         inside = np.ones((len(heads), n), dtype=bool)
         finite = np.ones(len(heads), dtype=bool)
         v = heads
         for alpha, coeff, r in zip(alphas, (0.5 * h, 0.5 * h, h, None), weights):
             y = outputs(v, r)
             if zone:
-                delta = y - center
-                dist = np.abs(delta[..., 0]) if d == 1 else np.sqrt((delta * delta).sum(axis=2))
-                inside &= dist <= radius
+                inside &= distance(y) <= radius
             u = np.reshape(alpha, (-1, 1, 1)) * (scale[:, None] * y + offset)
             k = _matvec(coupling, v)
             k[:, :nd] += u.reshape(len(v), nd)
@@ -385,17 +415,20 @@ def _affine_path(system, coeffs, grid, per_record, box, states):
         flat_lin = lin.reshape(len(lin), length * inner, inner)
         block = (flat_lin @ starts[:, :, None]).reshape(count, length, inner) + off
         block[:, -1] = ends
-        stops = first + length * np.arange(1, count + 1)
-        at = stops % per_record == 0
-        states[stops[at] // per_record, :inner] = ends[at]
+        heads = np.concatenate((starts[:, None], block[:, :-1]), axis=1).reshape(-1, inner)
+        block = block.reshape(-1, inner)
+        # the records among the ends of steps first + 1 ... first + len(block)
+        lo = -(-(first + 1) // per_record)
+        picks = slice(lo * per_record - first - 1, None, per_record)
+        ends_at = block[picks]
+        records = slice(lo, lo + len(ends_at))
+        states[records, :inner] = ends_at
         ends_w = None
         if run is not None:
             w, ends_w = run[-1], run[1:]
-            states[stops[at] // per_record, inner:] = ends_w[length - 1 :: length][at]
+            states[records, inner:] = ends_w[picks]
 
-        heads = np.concatenate((starts[:, None], block[:, :-1]), axis=1).reshape(-1, inner)
         faulty = stage_faults(heads, *stages)
-        block = block.reshape(-1, inner)
         # each step's end state: not finite, outside the box, under the floor
         bad_ends = [~np.isfinite(block)]
         if box is not None:

@@ -205,18 +205,68 @@ def test_time_varying_affine_path_matches_generic_path(run):
     assert max(np.abs(g - e).max() for g, e in zip(got, expect)) <= 1e-12
 
 
+@pytest.mark.parametrize("budget", [300, 4096])
 @settings(max_examples=30, deadline=None)
-@given(st.one_of(affine_runs(), time_varying_runs()))
-def test_stacks_of_a_few_steps_change_nothing(run):
+@given(run=st.one_of(affine_runs(), time_varying_runs()))
+def test_stacks_of_a_few_steps_change_nothing(budget, run):
     # a 300-byte budget holds at most 4 step maps, so record intervals
-    # split into several chunks and blocks hold a chunk or two
+    # split into several chunks and blocks hold a chunk or two; 4 KB holds
+    # up to 56, so blocks hold several multi-step chunks that straddle records
     system, law, init, t_end, record_every = run
     ref = integrate(system, law, init, t_end=t_end, h=H, record_every=record_every)
-    with mock.patch.object(simulate, "STACK_BYTES", 300):
+    with mock.patch.object(simulate, "STACK_BYTES", budget):
         traj = integrate(system, law, init, t_end=t_end, h=H, record_every=record_every)
     got = [traj.x, traj.y, traj.u] + list(traj.aux.values())
     expect = [ref.x, ref.y, ref.u] + list(ref.aux.values())
     assert max(np.abs(g - e).max() for g, e in zip(got, expect)) <= 1e-12
+
+
+@st.composite
+def stride_runs(draw):
+    """A multi-piece run of any system under a power-law or custom schedule,
+    whose huber agents stay well inside their radius, to a t_end that every
+    record stride of 1, 2, 5 and 10 steps divides."""
+    name = draw(st.sampled_from(SYSTEM_NAMES))
+    n = draw(st.integers(2, 5))
+    d = 1 if SYSTEMS[name].scalar else draw(st.sampled_from((1, 2)))
+    t_end = 10 * draw(st.integers(2, 60)) * H
+    seed = draw(st.integers(0, 2**31 - 1))
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        schedule = power_law(rng.uniform(0.1, 1.0), rng.uniform(0.0, 2.0))
+    else:
+        starts = np.sort(rng.uniform(0.0, t_end, draw(st.integers(1, 6))))
+        schedule = custom_piecewise([0.0, *starts], rng.uniform(0.05, 1.0, len(starts) + 1))
+    model = "switching-complete" if name == "saddle-point" else draw(
+        st.sampled_from(("switching-complete", "directed-ring-rotate"))
+    )
+    dwell = draw(st.integers(2, 30)) * H
+    process = random_process(n, model, dwell=dwell, horizon=t_end + 1.0, seed=seed, h=H)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        system = make_system(name, process, d=d, a=draw(st.floats(0.5, 5.0)))
+    entries = [
+        {"form": "huber", "center": rng.uniform(-1, 1, d).tolist(),
+         "curvature": rng.uniform(0.2, 3.0), "radius": 10.0}
+        for _ in range(n)
+    ]
+    law = gradient_feedback(custom_table(entries), schedule)
+    return system, law, system.initial_state(rng.uniform(-1, 1, (n, d))), t_end
+
+
+@settings(max_examples=40, deadline=None)
+@given(stride_runs())
+def test_recorded_states_do_not_depend_on_the_record_stride(run):
+    # chunks of steps are cut by the stack budget alone, so every stride
+    # records the same state at the times both record
+    system, law, init, t_end = run
+    every = integrate(system, law, init, t_end=t_end, h=H, record_every=H)
+    assert every.meta["path"] == "affine" and every.meta["handoff_step"] is None
+    for k in (2, 5, 10):
+        traj = integrate(system, law, init, t_end=t_end, h=H, record_every=k * H)
+        got = [traj.x, traj.y, traj.u, *traj.aux.values()]
+        expect = [every.x, every.y, every.u, *every.aux.values()]
+        assert all(np.array_equal(g, e[::k]) for g, e in zip(got, expect))
 
 
 def oscillating_law(form, schedule, box=None):
@@ -521,6 +571,47 @@ def test_four_agent_table_hands_off_at_the_first_step_whose_stage_output_leaves_
     reach = np.array([np.linalg.norm(y - centers, axis=1).max() for y in seen])
     traj = integrate(system, law, init, t_end=5.0, h=H, record_every=0.1)
     assert traj.meta["handoff_step"] == int(np.argmax(reach > 0.3)) // 4 > 0
+
+
+def stage_peak_run(name):
+    """(system, centers, init) of a power-law run whose outputs pass their
+    largest step-end distance from their centers only at a stage: the
+    saddle-point pair overshoots its optimum, and push-sum's outputs
+    turn back at a switch."""
+    if name == "saddle-point":
+        process = constant_process(Laplacian(np.array([[1.0, -1.0], [-1.0, 1.0]])), 20.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            system = make_system(name, process, d=1, a=0.5)
+        centers = np.array([[1.0], [-1.0]])
+        return system, centers, system.initial_state(np.zeros((2, 1)))
+    process = random_process(4, "directed-ring-rotate", dwell=0.5, horizon=6.0, seed=7, h=H)
+    system = make_system(name, process, d=1, a=5.0)
+    centers = np.random.default_rng(7).uniform(-1, 1, (4, 1))
+    return system, centers, system.initial_state(centers)
+
+
+@pytest.mark.parametrize("name", ["saddle-point", "push-sum"])
+def test_a_stage_past_the_radius_between_step_ends_inside_it_hands_off(name):
+    # with a radius between the farthest step end and the farthest stage
+    # output, every step end stays inside and one stage leaves, so no
+    # bound may skip the stage pass on that step's block
+    system, centers, init = stage_peak_run(name)
+    schedule = power_law(1.0, 1.0)
+
+    def family(radius):
+        return custom_table([{"form": "huber", "center": c, "radius": radius} for c in centers])
+
+    # the generic loop calls the law at a step's four stages in order
+    wide = WithoutAffineForm(family(100.0), schedule)
+    every = integrate(system, wide, init, t_end=5.0, h=H, record_every=H)
+    ends = np.abs(every.y - centers).max(axis=(1, 2))
+    stages = np.abs(np.array(wide.seen[: 4 * round(5.0 / H)]) - centers).max(axis=(1, 2))
+    assert stages.max() > ends.max()
+    radius = 0.5 * (ends.max() + stages.max())
+    law = gradient_feedback(family(radius), schedule)
+    traj = integrate(system, law, init, t_end=5.0, h=H, record_every=10 * H)
+    assert traj.meta["handoff_step"] == int(np.argmax(stages > radius)) // 4 > 0
 
 
 @pytest.mark.parametrize("name, n, seed", [("spps", 4, 5), ("push-sum", 3, 70)])
