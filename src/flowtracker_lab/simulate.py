@@ -418,7 +418,7 @@ def _affine_path(system, coeffs, grid, per_record, box, states):
         heads = np.concatenate((starts[:, None], block[:, :-1]), axis=1).reshape(-1, inner)
         block = block.reshape(-1, inner)
         # the records among the ends of steps first + 1 ... first + len(block)
-        lo = -(-(first + 1) // per_record)
+        lo = first // per_record + 1
         picks = slice(lo * per_record - first - 1, None, per_record)
         ends_at = block[picks]
         records = slice(lo, lo + len(ends_at))
