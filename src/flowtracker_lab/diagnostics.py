@@ -19,12 +19,11 @@ import json
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .errors import CapabilityError, InvalidInputError
 from .flowcore import write_tables
-from .objectives import ObjectiveFamily
-from .schedules import StepSchedule, evaluate_many
+from .objectives import ObjectiveFamily, gradient_bound
+from .schedules import StepSchedule, evaluate_many, trapezoids
 from .simulate import Trajectory
 
 TOL_INEQ_BASE = 1e-6
@@ -154,8 +153,15 @@ def observer_bound_fit(
 
 def _h_integrand(traj: Trajectory, cap: float, schedule: StepSchedule) -> np.ndarray:
     # 2 K alpha(t) sum_i ||xbar(t) - y_i(t)|| at every sample
+    if not traj.is_full_resolution:
+        raise CapabilityError("h-function quadrature needs full-resolution records")
     alphas = evaluate_many(schedule, traj.times)
     return 2.0 * cap * alphas * _row_norms(traj.y - traj.xbar[:, None, :]).sum(axis=1)
+
+
+def _cumulative_trapezoid(g: np.ndarray, d) -> np.ndarray:
+    # the trapezoid integral of g from its first sample to each sample
+    return np.concatenate(([0.0], np.cumsum(trapezoids(g, d))))
 
 
 def h_function(traj: Trajectory, cap: float, schedule: StepSchedule) -> np.ndarray:
@@ -165,10 +171,7 @@ def h_function(traj: Trajectory, cap: float, schedule: StepSchedule) -> np.ndarr
     conditions hold. Needs full-resolution records so the quadrature
     error stays inside the inequality tolerances.
     """
-    if not traj.is_full_resolution:
-        raise CapabilityError("h-function quadrature needs full-resolution records")
-    g = _h_integrand(traj, cap, schedule)
-    return cumulative_trapezoid(g, dx=traj.record_interval, initial=0)
+    return _cumulative_trapezoid(_h_integrand(traj, cap, schedule), traj.record_interval)
 
 
 def _trapezoid_error_estimate(g: np.ndarray, dt: float) -> float:
@@ -198,13 +201,10 @@ def v_dominated_by_h_check(
     reproduces the inequality for any pair t1 < t2.
     """
     v = lyapunov_series(traj, x_star)
-    h = h_function(traj, cap, schedule)
-    dv = np.diff(v)
-    dh = np.diff(h)
-    tol = TOL_INEQ_BASE + _trapezoid_error_estimate(
-        _h_integrand(traj, cap, schedule), traj.record_interval
-    )
-    margins = dv - dh
+    g = _h_integrand(traj, cap, schedule)
+    dh = np.diff(_cumulative_trapezoid(g, traj.record_interval))
+    tol = TOL_INEQ_BASE + _trapezoid_error_estimate(g, traj.record_interval)
+    margins = np.diff(v) - dh
     worst = float(margins.max()) if margins.size else 0.0
     return InequalityReport(bool(worst <= tol), worst, tol)
 
@@ -227,8 +227,6 @@ def vdot_bound_check(
     spread. The derivative is a central difference; the tolerance scales
     with the record interval squared times an estimated third derivative.
     """
-    from .objectives import gradient_bound
-
     if traj.n_samples < MIN_DIFF_RECORDS:
         raise InvalidInputError(f"need at least {MIN_DIFF_RECORDS} samples")
     if c1 is None:
@@ -270,7 +268,7 @@ def gap_integral_check(
     alphas = evaluate_many(schedule, traj.times)
     gaps = objective_series(traj, family) - f_star
     integrand = alphas * gaps
-    partial = cumulative_trapezoid(integrand, traj.times, initial=0)
+    partial = _cumulative_trapezoid(integrand, np.diff(traj.times))
     t_end = float(traj.times[-1])
     window = traj.times >= t_end / 10.0
     tail_vals = partial[window]

@@ -469,6 +469,10 @@ def parse_config(raw: dict, full_resolution: bool = False) -> ExperimentConfig:
         d = family.d
     with _part("dynamics"):
         system = make_system(dyn.pop("name"), process, d=d, **dyn)
+    records = n_steps // per_record + 1
+    # a run has 2 records or more, so their cap bounds the state before init draws it
+    with _part("recording"):
+        check_recording(system, records)
 
     if family is not None and family.n != system.n:
         raise ConfigError(f"family has {family.n} agents but the process has {system.n}")
@@ -489,9 +493,6 @@ def parse_config(raw: dict, full_resolution: bool = False) -> ExperimentConfig:
             raise ConfigError(
                 f"initial outputs {y0.tolist()} leave the validity box {box.to_list()}"
             )
-    records = n_steps // per_record + 1
-    with _part("recording"):
-        check_recording(system, records)
 
     cfg = ExperimentConfig(
         raw=raw,

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import CapabilityError, InvalidInputError, NumericalFailureError, check_known
 
@@ -145,6 +144,14 @@ class HuberForm:
         return slope, -slope[:, None] * self.centers, self.centers, self.radius
 
 
+def _expit(v: float) -> float:
+    # scipy.special.expit's 1 / (1 + exp(-v)) on libm's exp; 0 where exp(-v) overflows
+    try:
+        return 1.0 / (1.0 + math.exp(-v))
+    except OverflowError:
+        return 0.0
+
+
 class LogisticForm:
     """n scalar softplus ramps, one per row: agent i's is
     softplus(signs[i] * (x - offsets[i])), increasing for sign +1 and
@@ -162,7 +169,8 @@ class LogisticForm:
         return (np.log1p(np.exp(-np.abs(z))) + np.maximum(z, 0.0)).T
 
     def grad(self, y: np.ndarray) -> np.ndarray:
-        return (self.signs * expit(self.signs * (y[:, 0] - self.offsets)))[:, None]
+        z = (self.signs * (y[:, 0] - self.offsets)).tolist()
+        return (self.signs * np.array([_expit(v) for v in z]))[:, None]
 
     def caps(self, box: Box | None) -> np.ndarray:
         return np.abs(self.signs)
@@ -363,5 +371,7 @@ def family_from_dict(data: dict) -> ObjectiveFamily:
     if "box" in data:
         if not isinstance(data["box"], list):
             raise InvalidInputError(f"family box must be an array, got {data['box']!r}")
+        if len(data["box"]) != 2:
+            raise InvalidInputError(f"family box must be [lo, hi], got {data['box']!r}")
         box = Box(*data["box"])
     return FAMILIES[kind](**params, box=box)

@@ -14,7 +14,6 @@ from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import trapezoid
 
 from .errors import InvalidInputError, check_known
 
@@ -109,13 +108,19 @@ class ScheduleReport:
     to_dict = asdict
 
 
+def trapezoids(y: np.ndarray, d) -> np.ndarray:
+    """Trapezoid terms d (y[k] + y[k+1]) / 2, d scalar or np.diff(x), as scipy forms them."""
+    return d * (y[1:] + y[:-1]) / 2.0
+
+
 def _window_integrals(schedule: StepSchedule, power: float) -> tuple[float, float]:
     """Contributions of alpha^power over [T/4, T/2] and [T/2, T], T = WINDOW_END."""
     grid1 = np.linspace(WINDOW_END / 4, WINDOW_END / 2, 2001)
     grid2 = np.linspace(WINDOW_END / 2, WINDOW_END, 4001)
-    v1 = evaluate_many(schedule, grid1) ** power
-    v2 = evaluate_many(schedule, grid2) ** power
-    return float(trapezoid(v1, grid1)), float(trapezoid(v2, grid2))
+    return tuple(
+        float(np.sum(trapezoids(evaluate_many(schedule, grid) ** power, np.diff(grid))))
+        for grid in (grid1, grid2)
+    )
 
 
 def check_validity(schedule: StepSchedule) -> ScheduleReport:

@@ -70,6 +70,7 @@ MALFORMED = {
     "constant-a0-text": {"schedule": {"kind": "constant", "a0": "x"}},
     "huber-no-params": {"family": {"kind": "huberized-quadratic", "params": {}}},
     "mirror-short-box": {"family": {"kind": "mirror-pair", "params": {}, "box": [1]}},
+    "mirror-box-one-bound": {"family": {"kind": "mirror-pair", "params": {}, "box": [[1]]}},
     "mirror-params-number": {"family": {"kind": "mirror-pair", "params": 5}},
     "unknown-expectation": {"expectations": [{"kind": "nope"}]},
     "expectation-no-kind": {"expectations": [{"tol": 0.1}]},
@@ -368,6 +369,8 @@ MALFORMED = {
         "checks": ["input-tracking"], "t_end": 0.03, "record_every": 0.01
     },
     "vdot-bound-4-records": {"checks": ["vdot-bound"], "t_end": 0.03, "record_every": 0.01},
+    # a state of 2e12 floats, which the recording cap rejects before init.random draws it
+    "d-past-the-recording-cap": {"family": None, "d": 10**12, "init": {}},
     # 1e7 + 1 records of 8 floats, in 1e7 steps, under the step cap
     "recording-past-the-cap": {"t_end": 1.0, "h": 1e-7, "record_every": 1e-7},
     # 11 records, but 1e12 steps
@@ -501,6 +504,11 @@ NAMED = {
     "expectation-pairs": "expectations[0] must be an object",
     "schedule-pairs": 'schedule must be an object, got [["kind", "constant"], ["a0", 0.5]]',
     "box-null": "family box must be an array, got None",
+    "mirror-short-box": "family box must be [lo, hi], got [1]",
+    "mirror-box-one-bound": "family box must be [lo, hi], got [[1]]",
+    "d-past-the-recording-cap": (
+        "recording invalid: 101 records of 7000000000001 floats, 7.07e+14 in all"
+    ),
     "y-limit-value-number": "y-limit value must be an array, got 0.0",
     "y-limit-value-null": "y-limit value must be an array, got null",
     "push-sum-init-w-not-one": "push-sum requires w(0) = 1 for every agent",
