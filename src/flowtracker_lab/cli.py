@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import harness
-from .errors import ConfigError, FlowtrackerError
+from .errors import ConfigError, FlowtrackerError, NumericalFailureError
 from .graphnet import DEFAULT_STEP
 
 
@@ -89,7 +89,11 @@ def _cmd_sweep(args) -> int:
 def _cmd_check_flow(args) -> int:
     with open(args.process) as fh:
         process = harness.load_process(json.load(fh))
-    report, passed = harness.check_flow(process, h=args.h, out_dir=_default_out(args.out, "flow"))
+    out = _default_out(args.out, "flow")
+    try:
+        report, passed = harness.check_flow(process, h=args.h, out_dir=out)
+    except (NumericalFailureError, OSError) as exc:
+        return _fail("runtime", str(exc))
     print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     if not passed:
         print("flow is NOT weakly exponentially ergodic", file=sys.stderr)

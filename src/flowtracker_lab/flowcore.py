@@ -80,10 +80,31 @@ def _check_flows(phis: np.ndarray, times) -> None:
 
 def _distances(mats: np.ndarray) -> np.ndarray:
     """Spectral norm of M - pi 1^T for each M of a stack, pi the row means:
-    the square root of the largest eigenvalue of the Gram matrix D^T D."""
+    the square root of the largest eigenvalue of the Gram matrix D^T D.
+    `ergodicity_report` measures its samples with it, and `_below_floor`
+    the adaptive grid's probes that its Frobenius bounds leave undecided."""
     d = mats - mats.mean(axis=-1, keepdims=True)
     gram = np.swapaxes(d, -1, -2) @ d
     return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0))
+
+
+def _below_floor(mats: np.ndarray) -> np.ndarray:
+    """`_distances(mats) < DECAY_FLOOR`, mostly without an eigenvalue problem.
+
+    D = M - pi 1^T has D 1 = 0, so rank D <= n - 1 and its Frobenius norm
+    F bounds the spectral one: ||D||_2 <= F <= sqrt(n - 1) ||D||_2. F
+    below the floor, or above sqrt(n - 1) times it, by a relative 1e-6
+    that the rounding of either norm (about n^2 eps) never reaches,
+    settles a matrix; one left in the band between sends the whole stack
+    to `_distances`.
+    """
+    d = mats - mats.mean(axis=-1, keepdims=True)
+    f = np.linalg.norm(d, axis=(-2, -1))
+    below = f < DECAY_FLOOR * (1 - 1e-6)
+    above = f > math.sqrt(mats.shape[-1] - 1) * DECAY_FLOOR * (1 + 1e-6)
+    if (below | above).all():
+        return below
+    return _distances(mats) < DECAY_FLOOR
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,9 +281,9 @@ def _adaptive_grid(props: Propagators) -> tuple[tuple, tuple]:
     otherwise only be sampled in the rounding-noise regime on long
     horizons, while slow mixers still get the full half-horizon range).
     Probes run in chunks of PROBE_CHUNK, fewer where a stack of them
-    would pass STACK_BYTES: each chunk is advanced, checked and measured
-    at once, and the first probe under the floor stops the grid, as a
-    probe-by-probe loop would.
+    would pass STACK_BYTES: each chunk is advanced, checked and compared
+    with the floor at once, by `_below_floor`, and the first probe under
+    the floor stops the grid, as a probe-by-probe loop would.
     """
     process, h = props.process, props.h
     cap = process.horizon / 2
@@ -282,7 +303,7 @@ def _adaptive_grid(props: Propagators) -> tuple[tuple, tuple]:
         props.build(integ.legs(steps))
         phis = integ.flows(steps)
         bad, problem = _flow_problem(phis)
-        below = np.flatnonzero(_distances(phis[:bad]) < DECAY_FLOOR)
+        below = np.flatnonzero(_below_floor(phis[:bad]))
         if below.size:
             return _grid(process, h, times[below[0]])
         if problem is not None:

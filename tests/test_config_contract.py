@@ -1019,6 +1019,35 @@ def test_flow_horizon_shorter_than_the_step_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_flow_that_fails_while_running_exits_2_with_kind_runtime(tmp_path, capsys):
+    # a step of 7 overshoots the two-node flow at its one sample, t = 7
+    path = tmp_path / "proc.json"
+    path.write_text(json.dumps({**base_config()["process"], "horizon": 10.0}))
+    out = tmp_path / "out"
+    code = main(["check-flow", "--process", str(path), "--h", "7", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert json.loads(captured.out) == {
+        "error": "flow entry -6.137e+02 far below zero (at t=7)",
+        "kind": "runtime",
+    }
+    assert "Traceback" not in captured.err
+    assert not out.exists()
+
+
+def test_flow_out_below_a_regular_file_exits_2_with_kind_runtime(tmp_path, capsys):
+    path = tmp_path / "proc.json"
+    path.write_text(json.dumps(base_config()["process"]))
+    (tmp_path / "file").write_text("")
+    code = main(["check-flow", "--process", str(path), "--out", str(tmp_path / "file" / "out")])
+    captured = capsys.readouterr()
+    assert code == 2
+    error = json.loads(captured.out)
+    assert error["kind"] == "runtime"
+    assert "Not a directory" in error["error"]
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("values", [",", " ", ", ,"])
 def test_sweep_without_values_exits_2(tmp_path, capsys, values):
     cfg_path = tmp_path / "cfg.json"

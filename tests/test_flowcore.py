@@ -1,10 +1,11 @@
 import csv
 import warnings
+from itertools import islice
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.linalg import matrix_power
 from scipy.linalg import expm
@@ -387,6 +388,127 @@ class TestFlowProperties:
         assert report.p_star == p_star
         for got, want in zip(report.distances, dists):
             assert abs(got - want) <= 1e-12 * max(1.0, want)
+
+
+def near_rank_one(rng, pi, dist, rank):
+    """pi 1^T plus a perturbation of zero column sums and the given rank,
+    scaled so that the matrix lies `dist` from pi 1^T in the spectral norm."""
+    n = len(pi)
+    e = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, n))
+    e -= e.mean(axis=0)
+    norm = np.linalg.norm(e - e.mean(axis=1)[:, None], 2)
+    return np.outer(pi, np.ones(n)) + (dist / norm if norm else 0.0) * e
+
+
+@st.composite
+def probe_stacks(draw):
+    """Column-stochastic (k, n, n) stacks at distances 1e-12 to 1e-8 from
+    pi 1^T, around DECAY_FLOOR and the band the Frobenius bounds leave open."""
+    n = draw(st.integers(1, 64))
+    exponents = draw(st.lists(st.floats(-12.0, -8.0), max_size=flowcore.PROBE_CHUNK))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pi = rng.uniform(0.1, 1.0, n)
+    pi /= pi.sum()
+    mats = np.empty((len(exponents), n, n))
+    for j, e in enumerate(exponents):
+        rank = int(rng.integers(1, n)) if n > 1 else 1
+        mats[j] = near_rank_one(rng, pi, 10.0**e, rank)
+    return mats
+
+
+def chunked_probe_grid(props):
+    """The adaptive grid as the chunked probe loop formed it before
+    `_below_floor`: every probe of a chunk measured by `_distances`."""
+    process, h = props.process, props.h
+    cap = process.horizon / 2
+    stride = max(1, int(round(min(0.5, cap / 12) / h)))
+
+    def probes():
+        t = 0.0
+        while t + stride * h <= cap + 1e-12:
+            i = round((t + stride * h) / h)
+            t = i * h
+            yield t, i
+
+    integ = flowcore._FlowIntegrator(props, 0)
+    remaining = islice(probes(), flowcore.MAX_PROBES)
+    while chunk := list(islice(remaining, min(flowcore.PROBE_CHUNK, props.per_stack))):
+        times, steps = zip(*chunk)
+        props.build(integ.legs(steps))
+        phis = integ.flows(steps)
+        bad, problem = flowcore._flow_problem(phis)
+        below = np.flatnonzero(flowcore._distances(phis[:bad]) < flowcore.DECAY_FLOOR)
+        if below.size:
+            return flowcore._grid(process, h, times[below[0]])
+        if problem is not None:
+            raise NumericalFailureError(problem, times[bad])
+    return flowcore._grid(process, h, cap)
+
+
+def counted_distances(monkeypatch):
+    """Patch `flowcore._distances` to record the size of each stack it measures."""
+    calls = []
+    real = flowcore._distances
+
+    def counted(mats):
+        calls.append(len(mats))
+        return real(mats)
+
+    monkeypatch.setattr(flowcore, "_distances", counted)
+    return calls
+
+
+class TestProbeBounds:
+    """`_below_floor` decides each probe as the exact distance would, and
+    runs the eigenvalue problem only when the Frobenius bounds cannot."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(probe_stacks())
+    @example(np.empty((0, 5, 5)))
+    @example(np.ones((3, 1, 1)))
+    def test_verdict_is_the_exact_comparison(self, mats):
+        want = flowcore._distances(mats) < flowcore.DECAY_FLOOR
+        assert np.array_equal(flowcore._below_floor(mats), want)
+
+    def test_one_undecided_probe_measures_the_whole_chunk(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        pi = np.full(12, 1 / 12)
+        mats = np.stack(
+            [
+                near_rank_one(rng, pi, 1e-12, 1),  # F under the floor
+                near_rank_one(rng, pi, 1e-8, 1),  # F over sqrt(11) floors
+                near_rank_one(rng, pi, 2e-10, 1),  # F = 2e-10, in the band
+                near_rank_one(rng, pi, 9e-11, 11),  # in the band, yet below
+            ]
+        )
+        calls = counted_distances(monkeypatch)
+        assert flowcore._below_floor(mats).tolist() == [True, False, False, True]
+        assert calls == [4]
+        assert flowcore._below_floor(mats[:2]).tolist() == [True, False]
+        assert calls == [4]
+
+    @pytest.mark.parametrize(
+        "model, fallback, last_span",
+        [
+            # the B-window ring stays above the floor to half its horizon:
+            # no probe is near the band, and every solve is a sample's
+            ("B-window-strongly-connected", False, (30.0, 30.0)),
+            # the rotating ring crosses the floor with probes in the band
+            ("directed-ring-rotate", True, (5.0, 29.5)),
+            # the complete graph falls below the floor within a few probes
+            ("switching-complete", True, (0.5, 5.0)),
+        ],
+    )
+    def test_grid_is_the_exact_probe_loops(self, monkeypatch, model, fallback, last_span):
+        # 12 agents on graph-flow's dwell, horizon and step
+        b = 3 if model == "B-window-strongly-connected" else None
+        proc = random_process(12, model, dwell=0.5, horizon=60.0, seed=0, h=1e-3, B=b)
+        want = chunked_probe_grid(Propagators(proc, 1e-3))
+        calls = counted_distances(monkeypatch)
+        got = flowcore._adaptive_grid(Propagators(proc, 1e-3))
+        assert got == want
+        assert bool(calls) == fallback
+        assert last_span[0] <= got[1][-1] <= last_span[1]
 
 
 def taylor_degree_4(a):
